@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .gx_group import group_inv, group_mul, hopf_holonomy, orbit, translate_conjugate
-from .homological import build_matrix
+from .homological import basis_dimension, build_matrix
 from .normal_form import ingest, poincare_dulac, verify_conjugacy
 from .subresonance import (
     SubResonantMap,
@@ -43,6 +43,17 @@ _INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearP
                  DegreeMismatch)
 _NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, NonConvergence,
                      CertificationFailure)
+
+# Largest dense operator, in bytes of complex entries, that ``m-matrix`` builds.
+M_MATRIX_MAX_BYTES = 64 * 2**20
+
+
+class _UnconvergedReport(Exception):
+    """Straightening did not stabilize at some samples; the report is still written."""
+
+    def __init__(self, message: str, document: dict):
+        super().__init__(message)
+        self.document = document
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -194,6 +205,11 @@ def _cmd_sr_compose(args) -> dict:
 def _cmd_m_matrix(args) -> dict:
     cfg = _run_config(args)
     spectrum, _, _ = _adapted_map(args.spectrum_doc, cfg)
+    size = basis_dimension(spectrum.n, args.degree) ** 2 * 16
+    if size > M_MATRIX_MAX_BYTES:
+        raise ValidationError(
+            f"the dense degree-{args.degree} operator for n={spectrum.n} needs "
+            f"{size:.3g} bytes, above the m-matrix limit of {M_MATRIX_MAX_BYTES} bytes")
     matrix = build_matrix(spectrum, args.degree)
     return {
         "degree": args.degree,
@@ -271,6 +287,11 @@ def _cmd_verify(args) -> dict:
     germ = _load_germ(args.germ)
     result = poincare_dulac(germ, cfg)
     report = verify_conjugacy(germ, result, cfg=cfg)
+    if report.unconverged:
+        raise _UnconvergedReport(
+            f"straightening did not stabilize in {cfg.p_max} iterations at "
+            f"{report.unconverged} of {len(report.straightened_pointwise)} samples",
+            germio.report_document(report))
     return germio.report_document(report)
 
 
@@ -375,6 +396,10 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except _UnconvergedReport as exc:
+        _emit(args, exc.document)
+        print(f"NoConvergence: {exc}", file=sys.stderr)
         return 3
     _emit(args, doc)
     return 0

@@ -2,9 +2,9 @@
 
 For a fixed adapted triangular linear part ``T``, the degree-``q`` operator
 sends ``h`` to ``h o T - T o h``.  In the monomial basis ordered so that
-larger exponents on later variables come first, the operator matrix is
-upper triangular with diagonal ``l^I - l_j``; back-substitution along that
-ordering splits any homogeneous part into a resonant piece (kept in the
+larger exponents on later variables come first, the operator is upper
+triangular with diagonal ``l^I - l_j``; back-substitution on its sparse
+columns splits any homogeneous part into a resonant piece (kept in the
 normal form) plus an operator image (removable by conjugation).
 """
 
@@ -125,70 +125,70 @@ def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> HomogeneousPart:
     return HomogeneousPart(ordering.n, ordering.q, terms)
 
 
-def build_matrix(spectrum: SpectrumData, q: int) -> OperatorMatrix:
-    """Assemble the operator matrix column by column.
+def _multiply(a: dict, b: dict) -> dict:
+    """Product of two polynomials stored as ``{multi-index: coefficient}``."""
+    out: dict[MultiIndex, complex] = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            key = tuple(x + y for x, y in zip(ia, ib))
+            out[key] = out.get(key, 0j) + ca * cb
+    return out
 
-    Columns are expanded directly from cached powers of the linear forms
-    ``(Tz)_t``, independently of :func:`apply_M`, so the two routes
-    cross-check each other.  Every off-diagonal contribution lands at a
-    strictly smaller rank, which makes the matrix upper triangular with
-    exact structural zeros below the diagonal.
+
+def operator_columns(spectrum: SpectrumData, q: int):
+    """The degree-``q`` operator as sparse columns: ``(ordering, columns, diag)``.
+
+    ``columns[c]`` is a pair ``(rows, values)`` of arrays, one entry per
+    structural nonzero of column ``c``, diagonal entry first; ``diag`` holds
+    the exact products ``l^I - l_j``.  Columns are expanded from powers of
+    the linear forms ``(Tz)_t``, independently of :func:`apply_M`, so the two
+    routes cross-check each other; ``(Tz)^I`` is expanded once per index,
+    whose components are adjacent in the ordering.  Off-diagonal entries
+    land at strictly smaller ranks: the operator is upper triangular.
     """
     if q < 2:
         raise DegreeOutOfRange(f"operator matrices start at degree 2, got {q}")
-    n = spectrum.n
+    n, T = spectrum.n, spectrum.T
     ordering = basis_ordering(n, q)
-    dim = len(ordering)
-    entries = np.zeros((dim, dim), dtype=complex)
-    diag = np.zeros(dim, dtype=complex)
-
+    columns, diag = [], np.zeros(len(ordering), dtype=complex)
+    linear_forms = [{tuple(int(i == k) for i in range(n)): complex(T[t, k])
+                     for k in range(t, n) if T[t, k] != 0} for t in range(n)]
     one: dict[MultiIndex, complex] = {(0,) * n: 1.0 + 0j}
-    linear_forms = []
-    for t in range(n):
-        form = {}
-        for k in range(t, n):
-            if spectrum.T[t, k] != 0:
-                form[tuple(1 if i == k else 0 for i in range(n))] = complex(spectrum.T[t, k])
-        linear_forms.append(form)
-    power_cache: list[dict[int, dict]] = [{0: one} for _ in range(n)]
-
-    def form_power(t: int, e: int):
-        cache = power_cache[t]
-        if e not in cache:
-            top = max(m for m in cache if m <= e)
-            acc = cache[top]
-            for m in range(top + 1, e + 1):
-                nxt: dict[MultiIndex, complex] = {}
-                for ia, ca in acc.items():
-                    for ib, cb in linear_forms[t].items():
-                        key = tuple(x + y for x, y in zip(ia, ib))
-                        nxt[key] = nxt.get(key, 0j) + ca * cb
-                cache[m] = nxt
-                acc = nxt
-        return cache[e]
-
-    for col, (index, comp) in enumerate(ordering.pairs):
+    powers = [[one] for _ in range(n)]  # powers[t][e] = (Tz)_t ** e, filled on demand
+    for start in range(0, len(ordering), n):
+        index = ordering.pairs[start][0]
         # (Tz)^I, expanded as a product of cached linear-form powers.
         acc = one
         for t, e in enumerate(index):
             if e == 0:
                 continue
-            factor = form_power(t, e)
-            nxt = {}
-            for ia, ca in acc.items():
-                for ib, cb in factor.items():
-                    key = tuple(x + y for x, y in zip(ia, ib))
-                    nxt[key] = nxt.get(key, 0j) + ca * cb
-            acc = nxt
-            if not acc:
-                break
-        for mono, value in acc.items():
-            entries[ordering.rank[(mono, comp)], col] += value
-        # minus T o (z^I e_comp): same multi-index, components above comp.
-        for i in range(comp + 1):
-            if spectrum.T[i, comp] != 0:
-                entries[ordering.rank[(index, i)], col] -= spectrum.T[i, comp]
-        diag[col] = np.prod(spectrum.diag ** np.array(index)) - spectrum.diag[comp]
+            while len(powers[t]) <= e:
+                powers[t].append(_multiply(powers[t][-1], linear_forms[t]))
+            acc = _multiply(acc, powers[t][e])
+        # Diagonal monomial first; 0j + keeps the signed zeros of a dense sum.
+        monos = [index] + [mono for mono in acc if mono != index]
+        base = np.array([ordering.rank[(mono, 0)] for mono in monos])
+        expanded = 0j + np.array([acc.get(mono, 0j) for mono in monos], dtype=complex)
+        lam_I = np.prod(spectrum.diag ** np.array(index))
+        for comp in range(n):
+            rows, values = base + comp, expanded.copy()
+            # minus T o (z^I e_comp): same multi-index, components above comp.
+            above = [i for i in range(comp) if T[i, comp] != 0]
+            values[0] -= T[comp, comp]
+            if above:
+                rows = np.concatenate([rows, start + np.array(above)])
+                values = np.concatenate([values, [0j - T[i, comp] for i in above]])
+            columns.append((rows, values))
+            diag[start + comp] = lam_I - spectrum.diag[comp]
+    return ordering, columns, diag
+
+
+def build_matrix(spectrum: SpectrumData, q: int) -> OperatorMatrix:
+    """The dense operator matrix, filled from :func:`operator_columns`."""
+    ordering, columns, diag = operator_columns(spectrum, q)
+    entries = np.zeros((len(ordering), len(ordering)), dtype=complex)
+    for col, (rows, values) in enumerate(columns):
+        entries[rows, col] = values
     return OperatorMatrix(q=q, ordering=ordering, entries=entries, diag=diag)
 
 
@@ -215,14 +215,13 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
 
     Back-substitution walks the ordered basis from the largest rank down;
     non-resonant positions divide the residual by the diagonal and subtract
-    the corresponding column, resonant positions move the residual into the
+    its sparse column, resonant positions move the residual into the
     kept part.  The kept part is supported on resonant positions only, the
     minimal (classical) choice.
     """
     if H.n != spectrum.n:
         raise DegreeMismatch(f"map dimension {H.n} does not match n={spectrum.n}")
-    matrix = build_matrix(spectrum, H.q)
-    ordering = matrix.ordering
+    ordering, columns, diag = operator_columns(spectrum, H.q)
     residual = coefficient_vector(H, ordering)
     kept = np.zeros(len(ordering), dtype=complex)
     removed = np.zeros(len(ordering), dtype=complex)
@@ -231,7 +230,7 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     warnings = []
     for r in range(len(ordering) - 1, -1, -1):
         index, comp = ordering.pairs[r]
-        divisor = abs(matrix.diag[r])
+        divisor = abs(diag[r])
         scale = abs(spectrum.diag[comp])
         divisors.append(((index, comp), float(divisor)))
         if divisor <= res_tol * scale:
@@ -248,8 +247,9 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
             warnings.append(
                 f"small divisor {divisor:.3g} at position {(index, comp)}")
         if residual[r] != 0:
-            removed[r] = residual[r] / matrix.entries[r, r]
-            residual -= removed[r] * matrix.entries[:, r]
+            rows, values = columns[r]
+            removed[r] = residual[r] / values[0]
+            residual[rows] -= removed[r] * values
             residual[r] = 0.0
     return SplitResult(
         resonant=vector_to_part(kept, ordering),

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergence, NotContracting, NotTriangular, ValidationError
 
@@ -103,6 +102,8 @@ def triangularize(matrix) -> tuple[np.ndarray, np.ndarray]:
         Q = np.eye(n, dtype=complex)
         T = matrix.copy()
     else:
+        import scipy.linalg  # its only use here; deferred, as it dominates import time
+
         try:
             T, Q = scipy.linalg.schur(matrix, output="complex")
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological

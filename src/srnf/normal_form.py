@@ -283,8 +283,8 @@ def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = 60,
     contraction ball; iterates until the update gap falls below
     ``cauchy_tol * max(1, ||z||)``.
     """
-    value, _, gap = _straightening_iterate(F, P, np.asarray(z, dtype=complex),
-                                           p_max, cauchy_tol)
+    value, _, gap = _straightening_iterate(F, sr_inverse(P).jet,
+                                           np.asarray(z, dtype=complex), p_max, cauchy_tol)
     if gap is None:
         return value
     raise NoConvergence(
@@ -292,18 +292,17 @@ def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = 60,
         last_gap=gap, iterations=p_max)
 
 
-def _straightening_iterate(F: PolyJet, P: SubResonantMap, z: np.ndarray,
+def _straightening_iterate(F: PolyJet, P_inv: PolyJet, z: np.ndarray,
                            p_max: int, cauchy_tol: float, *, pullback: PolyJet = None):
-    """Shared iteration for the straightening limit.
+    """Shared iteration for the straightening limit, given ``P_inv = P^{-1}``.
 
     With ``pullback`` given, computes ``lim_p P^{-(p)}(pullback(F^{(p)}(z)))``,
     the straightening of ``pullback^{-1} o F o pullback``-conjugated germs
     evaluated through the polynomial stage.
     """
-    if F.n != P.jet.n or z.shape != (F.n,):
+    if F.n != P_inv.n or z.shape != (F.n,):
         raise DimensionMismatch("dimensions of germ, normal form and point differ")
     tol = cauchy_tol * max(1.0, float(np.linalg.norm(z)))
-    P_inv = sr_inverse(P).jet
     forward = z
     previous = None
     last_gap = None
@@ -322,11 +321,15 @@ def _straightening_iterate(F: PolyJet, P: SubResonantMap, z: np.ndarray,
 
 @dataclass(frozen=True)
 class ConjugacyReport:
-    """Coefficient- and point-level evidence for one computed conjugacy."""
+    """Coefficient- and point-level evidence for one computed conjugacy.
+
+    A straightened residual is ``None`` where the straightening iteration did
+    not stabilize within ``p_max`` steps at that sample.
+    """
 
     coefficient_max: float
     polynomial_pointwise: tuple[float, ...]
-    straightened_pointwise: tuple[float, ...]
+    straightened_pointwise: tuple[float | None, ...]
     sample_points: tuple[tuple[complex, ...], ...]
     amplification_estimate: float
 
@@ -335,8 +338,14 @@ class ConjugacyReport:
         return max(self.polynomial_pointwise, default=0.0)
 
     @property
-    def straightened_max(self) -> float:
-        return max(self.straightened_pointwise, default=0.0)
+    def straightened_max(self) -> float | None:
+        """Largest straightened residual over the converged samples (``None`` if none)."""
+        converged = [v for v in self.straightened_pointwise if v is not None]
+        return max(converged, default=None if self.unconverged else 0.0)
+
+    @property
+    def unconverged(self) -> int:
+        return self.straightened_pointwise.count(None)
 
 
 def verify_conjugacy(germ: GermInput, result: NormalFormResult,
@@ -366,15 +375,16 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
                      for z in samples)
 
     phi_inv = jet_inverse(result.phi, D)
+    P_inv = sr_inverse(P).jet if samples else None
     straightened = []
     p_used = 0
     for z in samples:
-        g_z, p1, gap1 = _straightening_iterate(F, P, z, cfg.p_max, cfg.cauchy_tol,
+        g_z, p1, gap1 = _straightening_iterate(F, P_inv, z, cfg.p_max, cfg.cauchy_tol,
                                                pullback=phi_inv)
-        g_Fz, p2, gap2 = _straightening_iterate(F, P, F.evaluate(z), cfg.p_max,
+        g_Fz, p2, gap2 = _straightening_iterate(F, P_inv, F.evaluate(z), cfg.p_max,
                                                 cfg.cauchy_tol, pullback=phi_inv)
         if gap1 is not None or gap2 is not None:
-            straightened.append(float("nan"))
+            straightened.append(None)
             continue
         p_used = max(p_used, p1, p2)
         straightened.append(float(np.linalg.norm(g_Fz - P.jet.evaluate(g_z))))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet
-from srnf import germio
+from srnf import cli, germio
 from srnf.cli import main
 from srnf.errors import ValidationError
 from srnf.polymap import PolyJet
@@ -204,6 +204,22 @@ class TestCliSubcommands:
         dim = len(parsed["basis"])
         assert len(parsed["matrix"]) == dim
 
+    def test_m_matrix_size_limit(self, tmp_path, capsys, monkeypatch):
+        # n=16, degree 4: the dense operator would take 61.5 GB
+        doc = {"dimension": 16, "degree": 1, "coordinates": "adapted",
+               "terms": [{"exponents": [int(i == k) for i in range(16)], "component": k + 1,
+                          "coeff": [0.5 + 0.02 * k, 0.0]} for k in range(16)]}
+        path = write_doc(tmp_path, "spec.json", doc)
+
+        def refuse(*args):
+            raise AssertionError("the dense operator must not be built")
+
+        monkeypatch.setattr(cli, "build_matrix", refuse)
+        code, out, err = run_cli(["m-matrix", path, "--degree", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "ValidationError" in err and "6.15e+10 bytes" in err
+
     def test_group_mul_inv(self, tmp_path, capsys):
         spectrum_matrix = [[[0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         g_doc = {
@@ -265,6 +281,16 @@ class TestCliSubcommands:
         report = json.loads(out)
         assert report["coefficient_max"] < 1e-10
         assert report["straightened_max"] < 1e-8
+
+    def test_verify_unconverged_samples_are_exit_3_with_report(self, tmp_path, capsys):
+        germ = write_doc(tmp_path, "germ.json", HOPF_DOC)
+        code, out, err = run_cli(["verify", germ, "--p-max", "1"], capsys)
+        assert code == 3
+        report = json.loads(out)
+        assert report["straightened_pointwise"] == [None] * 20
+        assert report["straightened_max"] is None
+        assert report["coefficient_max"] < 1e-10
+        assert "NoConvergence" in err
 
 
 class TestConsoleEntry:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_spectrum
 from srnf.errors import DegreeMismatch
 from srnf.homological import (
+    DEFAULT_RES_TOL,
     apply_M,
     basis_dimension,
     basis_ordering,
@@ -202,6 +206,64 @@ class TestSplit:
         res = set(resonant_positions(s, q))
         assert set(split.resonant.terms) <= res
         assert not (set(split.eliminated.terms) & res)
+
+
+def dense_split(s, H):
+    """Back-substitution on the dense matrix: the split without sparse columns."""
+    m = build_matrix(s, H.q)
+    dim = len(m.ordering)
+    residual = np.zeros(dim, dtype=complex)
+    for key, coeff in H.terms.items():
+        residual[m.ordering.rank[key]] = coeff
+    kept = np.zeros(dim, dtype=complex)
+    removed = np.zeros(dim, dtype=complex)
+    for r in range(dim - 1, -1, -1):
+        comp = m.ordering.pairs[r][1]
+        if abs(m.diag[r]) <= DEFAULT_RES_TOL * abs(s.diag[comp]):
+            kept[r], residual[r] = residual[r], 0.0
+        elif residual[r] != 0:
+            removed[r] = residual[r] / m.entries[r, r]
+            residual -= removed[r] * m.entries[:, r]
+            residual[r] = 0.0
+
+    def as_part(vec):
+        return part(s.n, H.q, {m.ordering.pairs[r]: vec[r] for r in range(dim) if vec[r] != 0})
+
+    return as_part(kept), as_part(removed)
+
+
+class TestSparseSplit:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(2, 5))
+    def test_matches_dense_back_substitution(self, seed, n, q):
+        rng = np.random.default_rng(seed)
+        s = random_spectrum(rng, n)
+        terms = {(index, j): complex(rng.normal(), rng.normal())
+                 for index in multi_indices(n, q) for j in range(n) if rng.random() < 0.6}
+        H = part(n, q, terms)
+        split = split_homogeneous(s, H)
+        resonant, eliminated = dense_split(s, H)
+        assert split.resonant == resonant
+        assert split.eliminated == eliminated
+
+    def test_diagonal_split_allocates_no_dense_operator(self):
+        # n=10, q=3: the dense operator would be 2200^2 complex entries, 77 MB.
+        s = analyze_spectrum(np.diag(0.6 ** np.array([3, 3, 3, 2, 2, 2, 2, 1, 1, 1]))
+                             .astype(complex))
+        H = part(10, 3, {(index, j): 1.0 - 0.5j
+                         for index in multi_indices(10, 3) for j in range(10)})
+        start = time.perf_counter()
+        split = split_homogeneous(s, H)
+        elapsed = time.perf_counter() - start
+        assert split.resonant.terms and split.eliminated.terms
+        tracemalloc.start()
+        try:
+            split_homogeneous(s, H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert elapsed < 1.0
 
 
 class TestRankIdentity:

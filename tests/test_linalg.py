@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import char_poly_coeffs, random_spectrum
+import srnf
 from srnf.errors import NotContracting, NotTriangular, ValidationError
 from srnf.linalg import analyze_spectrum, rescale_nilpotent, triangularize
 
@@ -127,3 +133,10 @@ class TestRescaleNilpotent:
                      dtype=complex)
         _, scaled = rescale_nilpotent(T, 1e-3)
         assert np.array_equal(np.diag(scaled), np.diag(T))
+
+
+def test_import_defers_scipy_linalg():
+    # Schur is scipy.linalg's only use; importing the package must not load it.
+    env = dict(os.environ, PYTHONPATH=str(Path(srnf.__file__).parents[1]))
+    probe = "import sys, srnf; sys.exit('scipy.linalg' in sys.modules)"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
