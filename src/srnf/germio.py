@@ -15,12 +15,9 @@ import numpy as np
 from .errors import ValidationError
 from .gx_group import GroupElement, OrbitDiagnostics
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
-from .normal_form import ConjugacyReport, GermInput, NormalFormResult
+from .normal_form import COORDINATE_FRAMES, ConjugacyReport, GermInput, NormalFormResult
 from .polymap import PolyJet, TermKey
 from .subresonance import SubResonantMap
-
-COORDINATE_VALUES = ("original", "adapted")
-
 
 # -- low-level scalar helpers -------------------------------------------
 
@@ -129,8 +126,8 @@ def parse_germ_document(doc: Any) -> GermInput:
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'degree' must be a positive integer")
     coordinates = doc.get("coordinates", "adapted")
-    if coordinates not in COORDINATE_VALUES:
-        raise ValidationError(f"'coordinates' must be one of {COORDINATE_VALUES}")
+    if coordinates not in COORDINATE_FRAMES:
+        raise ValidationError(f"'coordinates' must be one of {COORDINATE_FRAMES}")
     terms = json_to_terms(doc.get("terms", []), n, degree, "germ")
     if "linear_matrix" in doc:
         matrix = json_to_matrix(doc["linear_matrix"], n, "linear_matrix")

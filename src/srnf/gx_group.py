@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import same_spectrum
 from .normal_form import GermInput, NormalFormResult, poincare_dulac
-from .polymap import PolyJet, TermKey
+from .polymap import COND_CAP, PolyJet, TermKey, _check_invertible
 from .subresonance import (
     DEFAULT_SR_TOL,
     SubResonantMap,
@@ -46,11 +46,8 @@ class GroupElement:
         if tau.shape != (self.h.jet.n,):
             raise DimensionMismatch(
                 f"translation shape {tau.shape} does not match n={self.h.jet.n}")
-        linear = self.h.linear_part()
-        cond = np.linalg.cond(linear)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularLinearPart(
-                f"group elements need an invertible map part (cond={cond:.3g})")
+        _check_invertible(self.h.linear_part(), COND_CAP, SingularLinearPart,
+                          "group element map part")
         object.__setattr__(self, "tau", tau)
         self.tau.setflags(write=False)
 

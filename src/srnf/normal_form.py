@@ -1,12 +1,12 @@
-"""Iterative polynomial normal form of a contracting germ.
+"""Polynomial normal form of a contracting germ, solved degree by degree.
 
-The pipeline conjugates the germ degree by degree with near-identity jets
-``id + f_q``, where ``f_q`` solves the homological equation for the
-non-resonant part of the degree-``q`` coefficients.  After degree
-``c0 + 1`` every remaining tail term is absorbed by the straightening limit
-``z -> lim_p P^{-(p)}(F^{(p)}(z))``, so the output normal form ``P`` is a
-polynomial with resonant (hence sub-resonant) nonlinear support, together
-with the composite conjugating jet and residual diagnostics.
+From ``phi = id`` and ``P = T``, the pipeline splits the degree-``q`` error
+``[F o phi - phi o P]_q`` into a resonant part, added to ``P``, and an image
+``h o T - T o h`` of the homological operator, whose preimage ``h`` is added
+to ``phi``.  After degree ``c0 + 1`` every remaining tail term is absorbed by
+the straightening limit ``z -> lim_p P^{-(p)}(F^{(p)}(z))``, so the output
+normal form ``P`` is a polynomial with resonant (hence sub-resonant)
+nonlinear support, with the conjugating jet and residual diagnostics.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class GermInput:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One degree of the elimination: what was kept and what was removed."""
+    """One degree: ``resonant`` is added to ``P``, ``eliminated`` to ``phi``."""
 
     q: int
     resonant: HomogeneousPart
@@ -159,7 +159,8 @@ def conjugate_step(F: PolyJet, f_q: HomogeneousPart, degree: int, *,
     """Conjugate ``F`` by ``id + f_q`` and truncate at ``degree``.
 
     Degrees below ``q`` pass through unchanged and the degree-``q`` part
-    becomes ``H_q - (f_q o L - L o f_q)``.
+    becomes ``H_q - (f_q o L - L o f_q)``.  Not used by :func:`poincare_dulac`;
+    the tests check the direct scheme against an iteration of this step.
     """
     if F.n != f_q.n:
         raise DimensionMismatch("germ and correction have different dimensions")
@@ -176,10 +177,11 @@ def conjugate_step(F: PolyJet, f_q: HomogeneousPart, degree: int, *,
 def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormResult:
     """Compute the polynomial normal form and the conjugating jet.
 
-    Loops over degrees ``2..D``: split the degree's coefficients into
-    resonant plus removable, conjugate away the removable part, accumulate
-    the conjugator.  ``D`` defaults to ``c0 + 1``; larger values refine the
-    conjugator but add no resonant terms.
+    Solves ``F o phi = phi o P`` for ``q = 2..D``: the error
+    ``[F o phi - phi o P]_q``, from two compositions truncated at ``q``,
+    splits into a resonant part added to ``P`` and an operator image whose
+    preimage is added to ``phi``.  ``D`` defaults to ``c0 + 1``; larger
+    values refine the conjugator but add no resonant terms.
     """
     spectrum, adapted_full, Q = ingest(germ, cfg)
     D = cfg.trunc_degree if cfg.trunc_degree is not None else spectrum.c0 + 1
@@ -187,14 +189,15 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         raise ValidationError(
             f"trunc_degree {D} is below c0+1 = {spectrum.c0 + 1} for this spectrum")
 
-    current = adapted_full.truncated(D) if adapted_full.degree > D \
-        else PolyJet(adapted_full.n, D, adapted_full.terms)
     phi = PolyJet.identity(germ.n, D)
+    normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     steps: list[StepRecord] = []
     warnings: list[str] = []
     for q in range(2, D + 1):
-        H_q = homogeneous_part(current, q)
-        split: SplitResult = split_homogeneous(spectrum, H_q, cfg.res_tol, cfg.sr_tol)
+        error = homogeneous_part(
+            compose_truncated(adapted_full, phi, q, prune=cfg.prune)
+            - compose_truncated(phi, normal_jet, q, prune=cfg.prune), q)
+        split: SplitResult = split_homogeneous(spectrum, error, cfg.res_tol, cfg.sr_tol)
         steps.append(StepRecord(
             q=q,
             resonant=split.resonant,
@@ -204,14 +207,10 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         ))
         warnings.extend(split.warnings)
         if split.eliminated.terms:
-            current = conjugate_step(current, split.eliminated, D, prune=cfg.prune)
-            phi = compose_truncated(phi, PolyJet.identity(germ.n, D) + split.eliminated,
-                                    D, prune=cfg.prune)
+            phi = phi + split.eliminated
+        if split.resonant.terms:
+            normal_jet = normal_jet + split.resonant
 
-    normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
-    for record in steps:
-        if record.resonant.terms:
-            normal_jet = normal_jet + record.resonant
     normal_form = _certify_or_raise(normal_jet, spectrum, cfg.sr_tol,
                                     "normal form output")
 
@@ -352,18 +351,17 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
                      samples=None, cfg: RunConfig = RunConfig()) -> ConjugacyReport:
     """Check ``F o phi = phi o P`` in coefficients and at sample points.
 
-    Coefficient check: compose both sides through the working degree and
-    report the largest gap.  Point checks, in adapted coordinates: the
-    polynomial-stage residual ``||F(phi(z)) - phi(P(z))||`` and the
-    straightened residual ``||g(F(z)) - P(g(z))||`` where ``g`` composes the
-    inverse of the polynomial stage with the numeric straightening limit.
+    Coefficient check: the largest gap between both sides composed through
+    the working degree, as :func:`poincare_dulac` reported it.  Point checks,
+    in adapted coordinates: the polynomial-stage residual
+    ``||F(phi(z)) - phi(P(z))||`` and the straightened residual
+    ``||g(F(z)) - P(g(z))||`` where ``g`` composes the inverse of the
+    polynomial stage with the numeric straightening limit.
     """
     spectrum = result.spectrum
     F = result.germ_adapted
     P = result.normal_form
     D = result.trunc_degree
-    coeff = conjugacy_coefficient_residual(F.truncated(D) if F.degree > D else F,
-                                           result.phi, P.jet, D)
     if samples is None:
         rng = np.random.default_rng(cfg.seed)
         radius = min(cfg.sample_radius, 0.5 * result.contraction_radius) \
@@ -390,7 +388,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
         straightened.append(float(np.linalg.norm(g_Fz - P.jet.evaluate(g_z))))
     amplification = float(spectrum.moduli[0] ** (-p_used)) if p_used else 1.0
     return ConjugacyReport(
-        coefficient_max=coeff,
+        coefficient_max=result.residuals.coefficient_max,
         polynomial_pointwise=poly_res,
         straightened_pointwise=tuple(straightened),
         sample_points=tuple(tuple(z) for z in samples),

@@ -421,9 +421,11 @@ def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
     return HomogeneousPart(f.n, q, terms)
 
 
-def _check_invertible(matrix: np.ndarray, cond_cap: float, error_cls) -> None:
+def _check_invertible(matrix: np.ndarray, cond_cap: float, error_cls,
+                      what: str = "matrix") -> None:
+    """Raise ``error_cls`` unless ``matrix`` is finite with condition <= ``cond_cap``."""
     if not np.all(np.isfinite(matrix)):
-        raise error_cls("matrix has non-finite entries")
+        raise error_cls(f"{what} has non-finite entries")
     cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > cond_cap:
-        raise error_cls(f"matrix is singular or ill-conditioned (cond={cond:.3g})")
+        raise error_cls(f"{what} is singular or ill-conditioned (cond={cond:.3g})")

@@ -29,6 +29,7 @@ from .polymap import (
     MultiIndex,
     PolyJet,
     TermKey,
+    _check_invertible,
     compose_truncated,
     homogeneous_part,
     multi_indices,
@@ -186,9 +187,7 @@ def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL,
     """
     spectrum = F.spectrum
     linear = F.linear_part()
-    if not np.all(np.isfinite(linear)) or not np.isfinite(np.linalg.cond(linear)) \
-            or np.linalg.cond(linear) > cond_cap:
-        raise SingularLinearPart("linear part is singular or ill-conditioned")
+    _check_invertible(linear, cond_cap, SingularLinearPart, "linear part")
     inv_linear = _invert_flag_preserving(linear, spectrum)
     bound = max(1, spectrum.degree_bound)
     first = _certify_or_raise(PolyJet.from_linear(inv_linear, bound),

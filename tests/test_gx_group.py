@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_spectrum, random_sr_map
+from srnf.errors import SingularLinearPart
 from srnf.gx_group import (
     GroupElement,
     group_inv,
@@ -116,6 +117,12 @@ class TestGroupLaw:
 
 
 class TestInverse:
+    @pytest.mark.parametrize("scale", [0.0, 1e-13])
+    def test_singular_map_part_rejected(self, scale):
+        jet = PolyJet(2, 2, {((1, 0), 0): 0.25, ((0, 1), 1): scale, ((0, 2), 0): 1.0})
+        with pytest.raises(SingularLinearPart):
+            GroupElement(tau=np.zeros(2), h=certified(jet))
+
     def test_translation_inverse(self):
         tau = np.array([0.7, -0.2j])
         g = GroupElement(tau=tau, h=certified(PolyJet.identity(2)))

@@ -4,18 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet, random_point, random_spectrum
+from srnf import normal_form
 from srnf.config import RunConfig
 from srnf.errors import NotContracting, ValidationError
-from srnf.homological import apply_M, resonant_positions
+from srnf.homological import apply_M, resonant_positions, split_homogeneous
 from srnf.normal_form import (
     GermInput,
     conjugate_step,
+    ingest,
     phi_numeric,
     poincare_dulac,
     pointwise_conjugacy_residual,
     verify_conjugacy,
 )
-from srnf.polymap import HomogeneousPart, PolyJet, homogeneous_part
+from srnf.polymap import HomogeneousPart, PolyJet, compose_truncated, homogeneous_part
 from srnf.subresonance import SubResonantMap, certify_subresonant
 
 HOPF_GERM = PolyJet(2, 3, {
@@ -173,6 +175,100 @@ class TestPipeline:
         assert nonlinear <= allowed
         scale = max(1.0, result.germ_adapted.max_abs_coeff())
         assert result.residuals.coefficient_max < 1e-10 * scale
+
+
+def reference_normal_form(germ: GermInput, cfg: RunConfig = RunConfig()) -> PolyJet:
+    """P by the iterative scheme: conjugate the whole germ by ``id + f_q``."""
+    spectrum, F, _ = ingest(germ, cfg)
+    D = spectrum.c0 + 1
+    current = F.truncated(D) if F.degree > D else PolyJet(F.n, D, F.terms)
+    P = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
+    for q in range(2, D + 1):
+        split = split_homogeneous(spectrum, homogeneous_part(current, q),
+                                  cfg.res_tol, cfg.sr_tol)
+        current = conjugate_step(current, split.eliminated, D, prune=cfg.prune)
+        if split.resonant.terms:
+            P = P + split.resonant
+    return P
+
+
+def resonant_germ(rng, powers, *, coupling=0.3):
+    """Germ with spectrum ``l**powers`` (exact resonances), random nonlinear terms."""
+    n = len(powers)
+    lam = rng.uniform(0.45, 0.7) * np.exp(2j * np.pi * rng.random())
+    T = np.diag([lam ** k for k in powers]).astype(complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            T[i, j] = coupling * complex(rng.normal(), rng.normal())
+    D = max(powers) + 1
+    jet = random_jet(rng, n, D, density=0.6, scale=0.5, invertible_linear=False)
+    terms = {k: c for k, c in jet.terms.items() if sum(k[0]) >= 2}
+    return PolyJet.from_linear(T, 1) + PolyJet(n, D, terms)
+
+
+class TestDirectScheme:
+    """The degree-by-degree solution of ``F o phi = phi o P``."""
+
+    @staticmethod
+    def assert_same_normal_form(P, reference):
+        assert set(P.terms) == set(reference.terms)
+        scale = {}
+        for (index, _), coeff in reference.terms.items():
+            scale[sum(index)] = max(scale.get(sum(index), 0.0), abs(coeff))
+        for key, coeff in reference.terms.items():
+            assert abs(P.terms[key] - coeff) <= 1e-10 * scale[sum(key[0])]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.one_of(st.integers(1, 3), st.sampled_from([(2, 1), (3, 1), (3, 2, 1), (4, 2, 1)])))
+    def test_matches_iterative_scheme(self, seed, shape):
+        # shape: a dimension (random spectrum) or the powers of a resonant one
+        rng = np.random.default_rng(seed)
+        if isinstance(shape, int):
+            _, F = random_contracting_germ(rng, shape, 3)
+        else:
+            F = resonant_germ(rng, shape)
+        germ = GermInput(jet=F)
+        self.assert_same_normal_form(poincare_dulac(germ).normal_form.jet,
+                                     reference_normal_form(germ))
+
+    @pytest.mark.parametrize("moduli", [(1 / 8, 1 / 4, 1 / 2), (1 / 16, 1 / 4, 1 / 2)])
+    def test_matches_iterative_scheme_on_resonant_diagonal(self, moduli):
+        rng = np.random.default_rng(7)
+        D = round(np.log(moduli[0]) / np.log(moduli[-1])) + 1
+        jet = random_jet(rng, 3, D, density=0.6, scale=0.5, invertible_linear=False)
+        terms = {k: c for k, c in jet.terms.items() if sum(k[0]) >= 2}
+        germ = GermInput(jet=PolyJet.from_linear(np.diag(moduli).astype(complex), 1)
+                         + PolyJet(3, D, terms))
+        P = poincare_dulac(germ).normal_form.jet
+        assert any(sum(index) >= 3 for index, _ in P.terms)
+        self.assert_same_normal_form(P, reference_normal_form(germ))
+
+    def test_no_conjugation_or_inversion(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("not on the poincare_dulac path")
+
+        monkeypatch.setattr(normal_form, "conjugate_step", forbidden)
+        monkeypatch.setattr(normal_form, "jet_inverse", forbidden)
+        result = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=5))
+        assert result.residuals.coefficient_max < 1e-10
+        germ = GermInput(jet=resonant_germ(np.random.default_rng(3), (4, 2, 1)))
+        assert poincare_dulac(germ).residuals.coefficient_max < 1e-10
+
+    @pytest.mark.parametrize("trunc_degree", [None, 5])
+    def test_two_compositions_per_degree(self, monkeypatch, trunc_degree):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return compose_truncated(*args, **kwargs)
+
+        monkeypatch.setattr(normal_form, "compose_truncated", counting)
+        result = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=trunc_degree))
+        D = result.trunc_degree
+        # two per degree 2..D, then two for the coefficient residual
+        assert len(calls) == 2 * (D - 1) + 2
+        assert calls[:-2] == [q for q in range(2, D + 1) for _ in range(2)]
 
 
 class TestPhiNumeric:
