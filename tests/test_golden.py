@@ -1,0 +1,37 @@
+"""Byte-for-byte regression of CLI output on fixed documents.
+
+The germs under ``tests/data/`` and their expected outputs under
+``tests/data/expected/`` were written by the CLI and are compared here
+byte for byte: a change to the arithmetic of the pipeline, the operator
+or the verification shows up as a failure, even at the last ulp.
+
+To regenerate one expected file after an intended change, run for example
+``PYTHONPATH=src python -m srnf normal-form tests/data/hopf.json
+> tests/data/expected/hopf.normal-form.json`` from the repository root.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from srnf.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+CASES = [
+    ("hopf.normal-form", ["normal-form", "hopf.json"]),
+    ("hopf.verify-seed3", ["verify", "hopf.json", "--seed", "3"]),
+    ("coupled_n3.normal-form", ["normal-form", "coupled_n3.json"]),
+    ("resonant_n8_c2.normal-form", ["normal-form", "resonant_n8_c2.json"]),
+    ("hopf.m-matrix-q2", ["m-matrix", "hopf.json", "--degree", "2"]),
+    ("coupled_n3.m-matrix-q3", ["m-matrix", "coupled_n3.json", "--degree", "3"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_output_is_byte_identical(name, argv, capsys):
+    command, document, *options = argv
+    code = main([command, str(DATA / document), *options])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / "expected" / f"{name}.json").read_text(encoding="utf-8")
