@@ -10,6 +10,7 @@ normal form) plus an operator image (removable by conjugation).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -68,11 +69,14 @@ class BasisOrdering:
 def basis_ordering(n: int, q: int) -> BasisOrdering:
     if q < 1:
         raise DegreeOutOfRange(f"degree must be >= 1, got {q}")
-    pairs = sorted(
-        ((index, comp) for index in multi_indices(n, q) for comp in range(n)),
-        key=term_sort_key)
-    rank = {pair: r for r, pair in enumerate(pairs)}
-    return BasisOrdering(q=q, n=n, pairs=tuple(pairs), rank=rank)
+    combos = np.array(list(itertools.combinations_with_replacement(range(n), q)))
+    exponents = np.zeros((len(combos), n), dtype=int)
+    np.add.at(exponents, (np.arange(len(combos))[:, None], combos), 1)
+    # lexsort's last key is the primary one: the exponent of z_n, larger first.
+    exponents = exponents[np.lexsort(-exponents.T)]
+    pairs = tuple((index, comp) for index in map(tuple, exponents.tolist())
+                  for comp in range(n))
+    return BasisOrdering(q=q, n=n, pairs=pairs, rank=dict(zip(pairs, range(len(pairs)))))
 
 
 def basis_dimension(n: int, q: int) -> int:
@@ -121,7 +125,7 @@ def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarra
 
 
 def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> HomogeneousPart:
-    terms = {ordering.pairs[r]: vec[r] for r in range(len(ordering)) if vec[r] != 0}
+    terms = {ordering.pairs[r]: vec[r] for r in np.flatnonzero(vec)}
     return HomogeneousPart(ordering.n, ordering.q, terms)
 
 
@@ -136,25 +140,30 @@ def _multiply(a: dict, b: dict) -> dict:
 
 
 def operator_columns(spectrum: SpectrumData, q: int):
-    """The degree-``q`` operator as sparse columns: ``(ordering, columns, diag)``.
+    """The degree-``q`` operator: ``(ordering, diagonal, divisors, off)``.
 
-    ``columns[c]`` is a pair ``(rows, values)`` of arrays, one entry per
-    structural nonzero of column ``c``, diagonal entry first; ``diag`` holds
-    the exact products ``l^I - l_j``.  Columns are expanded from powers of
-    the linear forms ``(Tz)_t``, independently of :func:`apply_M`, so the two
-    routes cross-check each other; ``(Tz)^I`` is expanded once per index,
-    whose components are adjacent in the ordering.  Off-diagonal entries
-    land at strictly smaller ranks: the operator is upper triangular.
+    ``diagonal`` holds the operator's diagonal entries and ``divisors`` the
+    exact products ``l^I - l_j``, one value per position.  ``off`` maps each
+    column with entries off the diagonal, in ascending rank, to a pair
+    ``(rows, values)`` of arrays over its structural nonzeros, diagonal
+    entry first; it is empty when ``T`` is diagonal.  Columns are expanded
+    from powers of the linear forms ``(Tz)_t``, independently of
+    :func:`apply_M`, so the two routes cross-check each other; ``(Tz)^I``
+    is expanded once per index, whose components are adjacent in the
+    ordering.  Off-diagonal entries land at strictly smaller ranks: the
+    operator is upper triangular.
     """
     if q < 2:
         raise DegreeOutOfRange(f"operator matrices start at degree 2, got {q}")
     n, T = spectrum.n, spectrum.T
     ordering = basis_ordering(n, q)
-    columns, diag = [], np.zeros(len(ordering), dtype=complex)
     linear_forms = [{tuple(int(i == k) for i in range(n)): complex(T[t, k])
                      for k in range(t, n) if T[t, k] != 0} for t in range(n)]
+    # minus T o (z^I e_comp) adds entries at components above comp.
+    above = [[i for i in range(comp) if T[i, comp] != 0] for comp in range(n)]
     one: dict[MultiIndex, complex] = {(0,) * n: 1.0 + 0j}
     powers = [[one] for _ in range(n)]  # powers[t][e] = (Tz)_t ** e, filled on demand
+    leading, lam, off = [], [], {}
     for start in range(0, len(ordering), n):
         index = ordering.pairs[start][0]
         # (Tz)^I, expanded as a product of cached linear-form powers.
@@ -165,47 +174,48 @@ def operator_columns(spectrum: SpectrumData, q: int):
             while len(powers[t]) <= e:
                 powers[t].append(_multiply(powers[t][-1], linear_forms[t]))
             acc = _multiply(acc, powers[t][e])
-        # Diagonal monomial first; 0j + keeps the signed zeros of a dense sum.
+        leading.append(acc.get(index, 0j))
+        lam.append(np.prod(spectrum.diag ** np.array(index)))
         monos = [index] + [mono for mono in acc if mono != index]
+        if len(monos) == 1 and not any(above):
+            continue
+        # 0j + keeps the signed zeros of a dense sum.
         base = np.array([ordering.rank[(mono, 0)] for mono in monos])
         expanded = 0j + np.array([acc.get(mono, 0j) for mono in monos], dtype=complex)
-        lam_I = np.prod(spectrum.diag ** np.array(index))
         for comp in range(n):
-            rows, values = base + comp, expanded.copy()
-            # minus T o (z^I e_comp): same multi-index, components above comp.
-            above = [i for i in range(comp) if T[i, comp] != 0]
+            if len(monos) == 1 and not above[comp]:
+                continue
+            values = expanded.copy()
             values[0] -= T[comp, comp]
-            if above:
-                rows = np.concatenate([rows, start + np.array(above)])
-                values = np.concatenate([values, [0j - T[i, comp] for i in above]])
-            columns.append((rows, values))
-            diag[start + comp] = lam_I - spectrum.diag[comp]
-    return ordering, columns, diag
+            off[start + comp] = (
+                np.concatenate([base + comp, start + np.array(above[comp], dtype=int)]),
+                np.concatenate([values, [0j - T[i, comp] for i in above[comp]]]))
+    diagonal = (np.array(leading, dtype=complex)[:, None] - np.diagonal(T)).ravel()
+    divisors = (np.array(lam, dtype=complex)[:, None] - spectrum.diag).ravel()
+    return ordering, diagonal, divisors, off
 
 
 def build_matrix(spectrum: SpectrumData, q: int) -> OperatorMatrix:
     """The dense operator matrix, filled from :func:`operator_columns`."""
-    ordering, columns, diag = operator_columns(spectrum, q)
-    entries = np.zeros((len(ordering), len(ordering)), dtype=complex)
-    for col, (rows, values) in enumerate(columns):
+    ordering, diagonal, divisors, off = operator_columns(spectrum, q)
+    entries = np.diag(diagonal)
+    for col, (rows, values) in off.items():
         entries[rows, col] = values
-    return OperatorMatrix(q=q, ordering=ordering, entries=entries, diag=diag)
+    return OperatorMatrix(q=q, ordering=ordering, entries=entries, diag=divisors)
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Decomposition ``H = resonant + M(eliminated)`` of a homogeneous part."""
+    """Decomposition ``H = resonant + M(eliminated)`` of a homogeneous part.
+
+    ``divisor_min`` is the smallest positive ``|l^I - l_j|`` of the degree.
+    """
 
     resonant: HomogeneousPart
     eliminated: HomogeneousPart
-    divisors: tuple[tuple[TermKey, float], ...]
     resonant_positions: tuple[TermKey, ...]
     warnings: tuple[str, ...]
-
-    @property
-    def divisor_min(self) -> float:
-        nonres = [d for _, d in self.divisors if d > 0]
-        return min(nonres) if nonres else float("inf")
+    divisor_min: float
 
 
 def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
@@ -213,50 +223,47 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
                       sr_tol: float = DEFAULT_SR_TOL) -> SplitResult:
     """Split ``H`` into a resonant part plus an operator image.
 
-    Back-substitution walks the ordered basis from the largest rank down;
-    non-resonant positions divide the residual by the diagonal and subtract
-    its sparse column, resonant positions move the residual into the
-    kept part.  The kept part is supported on resonant positions only, the
-    minimal (classical) choice.
+    Back-substitution walks the columns with off-diagonal entries from the
+    largest rank down, dividing the residual by the diagonal and
+    subtracting the column; upper-triangularity leaves every other
+    non-resonant position to one division by its diagonal entry, and the
+    resonant positions keep the residual.  The kept part is supported on
+    resonant positions only, the minimal (classical) choice.
     """
     if H.n != spectrum.n:
         raise DegreeMismatch(f"map dimension {H.n} does not match n={spectrum.n}")
-    ordering, columns, diag = operator_columns(spectrum, H.q)
-    residual = coefficient_vector(H, ordering)
-    kept = np.zeros(len(ordering), dtype=complex)
-    removed = np.zeros(len(ordering), dtype=complex)
-    divisors = []
-    resonant_positions = []
-    warnings = []
-    for r in range(len(ordering) - 1, -1, -1):
+    ordering, diagonal, exact, off = operator_columns(spectrum, H.q)
+    # Scalar abs: numpy's vectorised complex abs can differ in the last ulp.
+    divisors = np.array([abs(d) for d in exact.tolist()])
+    scale = np.tile([abs(l) for l in spectrum.diag], len(ordering) // spectrum.n)
+    resonant = divisors <= res_tol * scale
+    for r in np.flatnonzero(resonant)[::-1]:
         index, comp = ordering.pairs[r]
-        divisor = abs(diag[r])
-        scale = abs(spectrum.diag[comp])
-        divisors.append(((index, comp), float(divisor)))
-        if divisor <= res_tol * scale:
-            if not is_subresonant_monomial(index, comp, spectrum, sr_tol):
-                raise IllConditionedResonance(
-                    f"divisor {divisor:.3g} at {(index, comp)} is resonantly small "
-                    "but the position is not sub-resonant; res_tol and the "
-                    "log-space tolerance are inconsistent for this spectrum")
-            resonant_positions.append((index, comp))
-            kept[r] = residual[r]
-            residual[r] = 0.0
+        if not is_subresonant_monomial(index, comp, spectrum, sr_tol):
+            raise IllConditionedResonance(
+                f"divisor {divisors[r]:.3g} at {(index, comp)} is resonantly small "
+                "but the position is not sub-resonant; res_tol and the "
+                "log-space tolerance are inconsistent for this spectrum")
+    small = ~resonant & (divisors <= SMALL_DIVISOR_REL * scale)
+    residual = coefficient_vector(H, ordering)
+    removed = np.zeros(len(ordering), dtype=complex)
+    for c in reversed(off):
+        if resonant[c] or residual[c] == 0:
             continue
-        if divisor <= SMALL_DIVISOR_REL * scale:
-            warnings.append(
-                f"small divisor {divisor:.3g} at position {(index, comp)}")
-        if residual[r] != 0:
-            rows, values = columns[r]
-            removed[r] = residual[r] / values[0]
-            residual[rows] -= removed[r] * values
-            residual[r] = 0.0
+        rows, values = off[c]
+        removed[c] = residual[c] / values[0]
+        residual[rows] -= removed[c] * values
+        residual[c] = 0.0
+    rest = ~resonant & (residual != 0)
+    removed[rest] = residual[rest] / diagonal[rest]
+    positive = divisors[divisors > 0]
     return SplitResult(
-        resonant=vector_to_part(kept, ordering),
+        resonant=vector_to_part(np.where(resonant, residual, 0), ordering),
         eliminated=vector_to_part(removed, ordering),
-        divisors=tuple(reversed(divisors)),
-        resonant_positions=tuple(reversed(resonant_positions)),
-        warnings=tuple(warnings),
+        resonant_positions=tuple(ordering.pairs[r] for r in np.flatnonzero(resonant)),
+        warnings=tuple(f"small divisor {divisors[r]:.3g} at position {ordering.pairs[r]}"
+                       for r in np.flatnonzero(small)[::-1]),
+        divisor_min=float(positive.min()) if positive.size else float("inf"),
     )
 
 
