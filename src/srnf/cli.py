@@ -132,6 +132,20 @@ def _certified_against(path: str, spectrum, cfg: RunConfig) -> SubResonantMap:
         f"offenders: {certified[:4]}")
 
 
+def _certified_map(args, cfg: RunConfig):
+    """``args.map`` certified against ``--spectrum``, or else against its own
+    spectrum; returns ``(spectrum, certified map)``."""
+    if getattr(args, "spectrum", None):
+        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
+        return spectrum, _certified_against(args.map, spectrum, cfg)
+    spectrum, adapted, _ = _adapted_map(args.map, cfg)
+    outcome = certify_subresonant(adapted, spectrum, cfg.sr_tol)
+    if not isinstance(outcome, SubResonantMap):
+        raise ValidationError(
+            f"{args.map}: map is not sub-resonant; offenders: {outcome[:4]}")
+    return spectrum, outcome
+
+
 def _reference_spectrum(args, cfg: RunConfig, fallback_path: str):
     if getattr(args, "spectrum", None):
         spectrum, _, _ = _adapted_map(args.spectrum, cfg)
@@ -180,16 +194,7 @@ def _cmd_enumerate_sr(args) -> dict:
 
 def _cmd_sr_invert(args) -> dict:
     cfg = _run_config(args)
-    if getattr(args, "spectrum", None):
-        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
-        certified = _certified_against(args.map, spectrum, cfg)
-    else:
-        spectrum, adapted, _ = _adapted_map(args.map, cfg)
-        outcome = certify_subresonant(adapted, spectrum, cfg.sr_tol)
-        if not isinstance(outcome, SubResonantMap):
-            raise ValidationError(
-                f"{args.map}: map is not sub-resonant; offenders: {outcome[:4]}")
-        certified = outcome
+    _, certified = _certified_map(args, cfg)
     inverse = sr_inverse(certified, cfg.sr_tol)
     return germio.jet_document(inverse.jet)
 
@@ -235,16 +240,7 @@ def _cmd_group_inv(args) -> dict:
 
 def _cmd_group_conjugate_translation(args) -> dict:
     cfg = _run_config(args)
-    if getattr(args, "spectrum", None):
-        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
-        certified = _certified_against(args.map, spectrum, cfg)
-    else:
-        spectrum, adapted, _ = _adapted_map(args.map, cfg)
-        outcome = certify_subresonant(adapted, spectrum, cfg.sr_tol)
-        if not isinstance(outcome, SubResonantMap):
-            raise ValidationError(
-                f"{args.map}: map is not sub-resonant; offenders: {outcome[:4]}")
-        certified = outcome
+    spectrum, certified = _certified_map(args, cfg)
     try:
         tau_doc = json.loads(args.tau)
     except ValueError as exc:
