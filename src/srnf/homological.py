@@ -159,8 +159,10 @@ def operator_columns(spectrum: SpectrumData, q: int):
     ordering = basis_ordering(n, q)
     linear_forms = [{tuple(int(i == k) for i in range(n)): complex(T[t, k])
                      for k in range(t, n) if T[t, k] != 0} for t in range(n)]
-    # minus T o (z^I e_comp) adds entries at components above comp.
-    above = [[i for i in range(comp) if T[i, comp] != 0] for comp in range(n)]
+    # minus T o (z^I e_comp) adds entries at the same index, components above comp.
+    above = [np.flatnonzero(T[:comp, comp]) for comp in range(n)]
+    coupling = [0j - T[rows, comp] for comp, rows in enumerate(above)]
+    coupled = any(rows.size for rows in above)
     one: dict[MultiIndex, complex] = {(0,) * n: 1.0 + 0j}
     powers = [[one] for _ in range(n)]  # powers[t][e] = (Tz)_t ** e, filled on demand
     leading, lam, off = [], [], {}
@@ -176,20 +178,21 @@ def operator_columns(spectrum: SpectrumData, q: int):
             acc = _multiply(acc, powers[t][e])
         leading.append(acc.get(index, 0j))
         lam.append(np.prod(spectrum.diag ** np.array(index)))
-        monos = [index] + [mono for mono in acc if mono != index]
-        if len(monos) == 1 and not any(above):
+        if not coupled:  # a diagonal T has no entries off the diagonal
             continue
+        monos = [index] + [mono for mono in acc if mono != index]
         # 0j + keeps the signed zeros of a dense sum.
         base = np.array([ordering.rank[(mono, 0)] for mono in monos])
         expanded = 0j + np.array([acc.get(mono, 0j) for mono in monos], dtype=complex)
         for comp in range(n):
-            if len(monos) == 1 and not above[comp]:
+            if len(monos) == 1 and not above[comp].size:
                 continue
-            values = expanded.copy()
+            rows, values = base + comp, expanded.copy()
             values[0] -= T[comp, comp]
-            off[start + comp] = (
-                np.concatenate([base + comp, start + np.array(above[comp], dtype=int)]),
-                np.concatenate([values, [0j - T[i, comp] for i in above[comp]]]))
+            if above[comp].size:
+                rows = np.concatenate([rows, start + above[comp]])
+                values = np.concatenate([values, coupling[comp]])
+            off[start + comp] = (rows, values)
     diagonal = (np.array(leading, dtype=complex)[:, None] - np.diagonal(T)).ravel()
     divisors = (np.array(lam, dtype=complex)[:, None] - spectrum.diag).ravel()
     return ordering, diagonal, divisors, off
