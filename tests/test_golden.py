@@ -18,20 +18,26 @@ from srnf.cli import main
 
 DATA = Path(__file__).parent / "data"
 
+# (expected file, CLI arguments, exit code)
 CASES = [
-    ("hopf.normal-form", ["normal-form", "hopf.json"]),
-    ("hopf.verify-seed3", ["verify", "hopf.json", "--seed", "3"]),
-    ("coupled_n3.normal-form", ["normal-form", "coupled_n3.json"]),
-    ("resonant_n8_c2.normal-form", ["normal-form", "resonant_n8_c2.json"]),
-    ("hopf.m-matrix-q2", ["m-matrix", "hopf.json", "--degree", "2"]),
-    ("coupled_n3.m-matrix-q3", ["m-matrix", "coupled_n3.json", "--degree", "3"]),
+    ("hopf.normal-form", ["normal-form", "hopf.json"], 0),
+    ("hopf.verify-seed3", ["verify", "hopf.json", "--seed", "3"], 0),
+    ("coupled_n3.normal-form", ["normal-form", "coupled_n3.json"], 0),
+    ("resonant_n8_c2.normal-form", ["normal-form", "resonant_n8_c2.json"], 0),
+    ("hopf.m-matrix-q2", ["m-matrix", "hopf.json", "--degree", "2"], 0),
+    ("coupled_n3.m-matrix-q3", ["m-matrix", "coupled_n3.json", "--degree", "3"], 0),
+    # n = 3: the straightening sequences converge at different p
+    ("coupled_n3.verify-seed1", ["verify", "coupled_n3.json", "--seed", "1"], 0),
+    # converged and null samples in one report (16 of 20 null), exit 3
+    ("hopf.verify-seed3-pmax12",
+     ["verify", "hopf.json", "--seed", "3", "--p-max", "12"], 3),
 ]
 
 
-@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
-def test_cli_output_is_byte_identical(name, argv, capsys):
+@pytest.mark.parametrize("name, argv, exit_code", CASES, ids=[name for name, _, _ in CASES])
+def test_cli_output_is_byte_identical(name, argv, exit_code, capsys):
     command, document, *options = argv
     code = main([command, str(DATA / document), *options])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == exit_code
     assert out == (DATA / "expected" / f"{name}.json").read_text(encoding="utf-8")
