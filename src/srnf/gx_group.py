@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import same_spectrum
-from .normal_form import GermInput, NormalFormResult, poincare_dulac
+from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
 from .polymap import COND_CAP, PolyJet, TermKey, _check_invertible
 from .subresonance import (
     DEFAULT_SR_TOL,
@@ -205,12 +205,14 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
         if not 0 < inner < outer:
             raise ValidationError("annulus radii must satisfy 0 < r < R")
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        grid = []
         for _ in range(annulus_samples):
             direction = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
             direction /= np.linalg.norm(direction)
             radius = rng.uniform(inner, outer)
-            worst = max(worst, float(np.linalg.norm(g.evaluate(radius * direction))))
+            grid.append(radius * direction)
+        images = g.evaluate(np.array(grid).reshape(-1, g.n))
+        worst = max([0.0, *_row_norms(images)])
         annulus_check = AnnulusCheck(
             inner=inner,
             outer=outer,

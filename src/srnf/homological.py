@@ -126,7 +126,7 @@ def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarra
 
 def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> HomogeneousPart:
     terms = {ordering.pairs[r]: vec[r] for r in np.flatnonzero(vec)}
-    return HomogeneousPart(ordering.n, ordering.q, terms)
+    return HomogeneousPart._trusted(ordering.n, ordering.q, terms)
 
 
 def _multiply(a: dict, b: dict) -> dict:

@@ -234,12 +234,8 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
 def _residual_report(adapted_full: PolyJet, phi: PolyJet, P_jet: PolyJet,
                      D: int, radius: float, cfg: RunConfig) -> ResidualReport:
     coeff_res = conjugacy_coefficient_residual(adapted_full, phi, P_jet, D)
-    rng = np.random.default_rng(cfg.seed)
-    r = min(cfg.sample_radius, 0.5 * radius) if radius > 0 else cfg.sample_radius
-    values = []
-    for _ in range(cfg.sample_count):
-        z = _random_point(rng, adapted_full.n, r)
-        values.append(pointwise_conjugacy_residual(adapted_full, phi, P_jet, z))
+    r, points = _sample_points(adapted_full.n, radius, cfg)
+    values = pointwise_conjugacy_residual(adapted_full, phi, P_jet, points)
     return ResidualReport(
         coefficient_max=coeff_res,
         pointwise_max=max(values) if values else 0.0,
@@ -257,19 +253,32 @@ def conjugacy_coefficient_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
     return left.max_coeff_diff(right)
 
 
-def pointwise_conjugacy_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet, z) -> float:
-    """``||F(phi(z)) - phi(P(z))||`` with all maps evaluated as polynomials."""
+def pointwise_conjugacy_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet, z):
+    """Polynomial residual ``||F(phi(z)) - phi(P(z))||`` at a point, or its list over rows."""
     z = np.asarray(z, dtype=complex)
-    return float(np.linalg.norm(F.evaluate(phi.evaluate(z)) - phi.evaluate(P_jet.evaluate(z))))
+    gap = F.evaluate(phi.evaluate(z)) - phi.evaluate(P_jet.evaluate(z))
+    return _row_norms(gap) if gap.ndim == 2 else float(np.linalg.norm(gap))
 
 
-def _random_point(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    direction = rng.normal(size=n) + 1j * rng.normal(size=n)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        direction = np.ones(n, dtype=complex)
+def _row_norms(rows: np.ndarray) -> list[float]:
+    """The 1-D norm of each row (``norm(axis=1)`` reduces in another order)."""
+    return [float(np.linalg.norm(row)) for row in rows]
+
+
+def _sample_points(n: int, contraction_radius: float, cfg: RunConfig):
+    """Radius and seeded sample points ``(cfg.sample_count, n)`` of the pointwise checks."""
+    radius = min(cfg.sample_radius, 0.5 * contraction_radius) if contraction_radius > 0 \
+        else cfg.sample_radius
+    rng = np.random.default_rng(cfg.seed)
+    points = np.zeros((cfg.sample_count, n), dtype=complex)
+    for point in points:
+        direction = rng.normal(size=n) + 1j * rng.normal(size=n)
         norm = np.linalg.norm(direction)
-    return radius * direction / norm
+        if norm == 0:
+            direction = np.ones(n, dtype=complex)
+            norm = np.linalg.norm(direction)
+        point[:] = radius * direction / norm
+    return radius, points
 
 
 def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = 60,
@@ -282,40 +291,46 @@ def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = 60,
     contraction ball; iterates until the update gap falls below
     ``cauchy_tol * max(1, ||z||)``.
     """
-    value, _, gap = _straightening_iterate(F, sr_inverse(P).jet,
-                                           np.asarray(z, dtype=complex), p_max, cauchy_tol)
+    values, _, (gap,) = _straightening_iterate(
+        F, sr_inverse(P).jet, np.asarray(z, dtype=complex)[None], p_max, cauchy_tol)
     if gap is None:
-        return value
+        return values[0]
     raise NoConvergence(
         f"straightening did not stabilize in {p_max} iterations (last gap {gap:.3g})",
         last_gap=gap, iterations=p_max)
 
 
-def _straightening_iterate(F: PolyJet, P_inv: PolyJet, z: np.ndarray,
+def _straightening_iterate(F: PolyJet, P_inv: PolyJet, Z: np.ndarray,
                            p_max: int, cauchy_tol: float, *, pullback: PolyJet = None):
-    """Shared iteration for the straightening limit, given ``P_inv = P^{-1}``.
+    """Straightening limit at every row of ``Z`` ``(m, n)``, given ``P_inv = P^{-1}``.
 
     With ``pullback`` given, computes ``lim_p P^{-(p)}(pullback(F^{(p)}(z)))``,
     the straightening of ``pullback^{-1} o F o pullback``-conjugated germs
-    evaluated through the polynomial stage.
+    evaluated through the polynomial stage.  A row leaves the batch once its
+    update gap is at most ``cauchy_tol * max(1, ||z||)``.  Returns the values,
+    the ``p`` each row stopped at, and per row ``None`` or its last gap.
     """
-    if F.n != P_inv.n or z.shape != (F.n,):
-        raise DimensionMismatch("dimensions of germ, normal form and point differ")
-    tol = cauchy_tol * max(1.0, float(np.linalg.norm(z)))
-    forward = z
-    previous = None
-    last_gap = None
+    if F.n != P_inv.n or Z.ndim != 2 or Z.shape[1] != F.n:
+        raise DimensionMismatch("dimensions of germ, normal form and points differ")
+    tol = [cauchy_tol * max(1.0, norm) for norm in _row_norms(Z)]
+    values = np.empty_like(Z)
+    stopped_at, gaps = [p_max] * len(Z), [float("inf")] * len(Z)
+    active = np.arange(len(Z))
+    forward = Z
     for p in range(p_max + 1):
         w = pullback.evaluate(forward) if pullback is not None else forward
         for _ in range(p):
             w = P_inv.evaluate(w)
-        if previous is not None:
-            last_gap = float(np.linalg.norm(w - previous))
-            if last_gap <= tol:
-                return w, p, None
-        previous = w
-        forward = F.evaluate(forward)
-    return previous, p_max, last_gap if last_gap is not None else float("inf")
+        if p:
+            for row, gap in zip(active, _row_norms(w - values[active])):
+                gaps[row], stopped_at[row] = (None, p) if gap <= tol[row] else (gap, p_max)
+        values[active] = w
+        keep = [gaps[row] is not None for row in active]
+        active = active[keep]
+        if not len(active) or p == p_max:
+            break
+        forward = F.evaluate(forward[keep])
+    return values, stopped_at, gaps
 
 
 @dataclass(frozen=True)
@@ -363,34 +378,29 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     P = result.normal_form
     D = result.trunc_degree
     if samples is None:
-        rng = np.random.default_rng(cfg.seed)
-        radius = min(cfg.sample_radius, 0.5 * result.contraction_radius) \
-            if result.contraction_radius > 0 else cfg.sample_radius
-        samples = [_random_point(rng, F.n, radius) for _ in range(cfg.sample_count)]
-    samples = [np.asarray(z, dtype=complex) for z in samples]
+        samples = _sample_points(F.n, result.contraction_radius, cfg)[1]
+    Z = np.array(list(samples) or np.zeros((0, F.n)), dtype=complex)
+    m = len(Z)
 
-    poly_res = tuple(pointwise_conjugacy_residual(F, result.phi, P.jet, z)
-                     for z in samples)
+    poly_res = tuple(pointwise_conjugacy_residual(F, result.phi, P.jet, Z))
 
-    phi_inv = jet_inverse(result.phi, D)
-    P_inv = sr_inverse(P).jet if samples else None
-    straightened = []
+    straightened = [None] * m
     p_used = 0
-    for z in samples:
-        g_z, p1, gap1 = _straightening_iterate(F, P_inv, z, cfg.p_max, cfg.cauchy_tol,
-                                               pullback=phi_inv)
-        g_Fz, p2, gap2 = _straightening_iterate(F, P_inv, F.evaluate(z), cfg.p_max,
-                                                cfg.cauchy_tol, pullback=phi_inv)
-        if gap1 is not None or gap2 is not None:
-            straightened.append(None)
-            continue
-        p_used = max(p_used, p1, p2)
-        straightened.append(float(np.linalg.norm(g_Fz - P.jet.evaluate(g_z))))
+    if m:
+        # rows i and m + i straighten z_i and F(z_i)
+        G, stopped_at, gaps = _straightening_iterate(
+            F, sr_inverse(P).jet, np.concatenate([Z, F.evaluate(Z)]), cfg.p_max,
+            cfg.cauchy_tol, pullback=jet_inverse(result.phi, D))
+        ok = [i for i in range(m) if gaps[i] is None and gaps[m + i] is None]
+        residuals = _row_norms(G[[m + i for i in ok]] - P.jet.evaluate(G[ok]))
+        for i, value in zip(ok, residuals):
+            straightened[i] = value
+            p_used = max(p_used, stopped_at[i], stopped_at[m + i])
     amplification = float(spectrum.moduli[0] ** (-p_used)) if p_used else 1.0
     return ConjugacyReport(
         coefficient_max=result.residuals.coefficient_max,
         polynomial_pointwise=poly_res,
         straightened_pointwise=tuple(straightened),
-        sample_points=tuple(tuple(z) for z in samples),
+        sample_points=tuple(tuple(z) for z in Z),
         amplification_estimate=amplification,
     )

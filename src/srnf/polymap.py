@@ -13,6 +13,7 @@ operators (see :mod:`srnf.homological`), then by component.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -91,10 +92,24 @@ class PolyJet:
                 raise ValueError(f"non-finite coefficient at {(index, comp)}")
             if coeff != 0:
                 canonical[(index, comp)] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "_eval_arrays", None)
+        for name, value in zip(PolyJet.__slots__, (n, degree, canonical, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, n: int, degree: int, terms: Mapping[TermKey, complex]):
+        """Jet from terms built by this module's arithmetic, whose keys are valid:
+        only finiteness is checked, as Python complex, and exact zeros dropped."""
+        canonical: dict[TermKey, complex] = {}
+        for key, coeff in terms.items():
+            coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"non-finite coefficient at {key}")
+            if coeff != 0:
+                canonical[key] = coeff
+        jet = object.__new__(cls)
+        for name, value in zip(PolyJet.__slots__, (n, degree, canonical, None)):
+            object.__setattr__(jet, name, value)
+        return jet
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyJet instances are immutable")
@@ -167,28 +182,26 @@ class PolyJet:
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0j) + coeff
-        merged = {k: c for k, c in merged.items() if c != 0}
-        return PolyJet(self.n, max(self.degree, other.degree), merged)
+        return PolyJet._trusted(self.n, max(self.degree, other.degree), merged)
 
     def __neg__(self) -> "PolyJet":
-        return PolyJet(self.n, self.degree, {k: -c for k, c in self.terms.items()})
+        return PolyJet._trusted(self.n, self.degree, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "PolyJet") -> "PolyJet":
         return self + (-other)
 
     def scaled(self, factor: complex) -> "PolyJet":
-        if factor == 0:
-            return PolyJet.zero(self.n, self.degree)
-        return PolyJet(self.n, self.degree, {k: factor * c for k, c in self.terms.items()})
+        return PolyJet._trusted(self.n, self.degree,
+                                {k: factor * c for k, c in self.terms.items()})
 
     def truncated(self, degree: int) -> "PolyJet":
         if degree < 1:
             raise DegreeOutOfRange(f"truncation degree must be >= 1, got {degree}")
         terms = {k: c for k, c in self.terms.items() if sum(k[0]) <= degree}
-        return PolyJet(self.n, degree, terms)
+        return PolyJet._trusted(self.n, degree, terms)
 
     def pruned(self, rel_tol: float = PRUNE_REL_TOL) -> "PolyJet":
-        return PolyJet(self.n, self.degree, _prune_terms(self.terms, rel_tol))
+        return PolyJet._trusted(self.n, self.degree, _prune_terms(self.terms, rel_tol))
 
     def max_coeff_diff(self, other: "PolyJet") -> float:
         keys = set(self.terms) | set(other.terms)
@@ -198,17 +211,20 @@ class PolyJet:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, z) -> np.ndarray:
-        """Value of the jet at a point, using exactly the stored terms."""
+        """Value at a point ``(n,)``, or at each row of a batch ``(m, n)`` with
+        the arithmetic of a single point, from exactly the stored terms."""
         z = np.asarray(z, dtype=complex)
-        if z.shape != (self.n,):
-            raise DimensionMismatch(f"point has shape {z.shape}, expected ({self.n},)")
-        if not self.terms:
-            return np.zeros(self.n, dtype=complex)
-        exps, comps, coeffs = self._evaluation_arrays()
-        monomials = np.prod(z[None, :] ** exps, axis=1)
-        out = np.zeros(self.n, dtype=complex)
-        np.add.at(out, comps, coeffs * monomials)
-        return out
+        if z.ndim not in (1, 2) or z.shape[-1] != self.n:
+            raise DimensionMismatch(f"points have shape {z.shape}, expected (..., {self.n})")
+        points = z.reshape(-1, self.n)
+        out = np.zeros(points.shape, dtype=complex)
+        if self.terms:
+            exps, comps, coeffs = self._evaluation_arrays()
+            # Operands of equal ndim: numpy multiplies a size-1 pair of
+            # unequal ndim by another loop, which rounds differently.
+            monomials = np.prod(points[:, None, :] ** exps[None], axis=2)
+            np.add.at(out, (slice(None), comps), coeffs[None] * monomials)
+        return out.reshape(z.shape)
 
     def _evaluation_arrays(self):
         cached = self._eval_arrays
@@ -236,9 +252,9 @@ class PolyJet:
 
 
 class HomogeneousPart(PolyJet):
-    """A jet supported in a single total degree ``q``."""
+    """A jet supported in a single total degree ``q`` (its truncation degree)."""
 
-    __slots__ = ("q",)
+    __slots__ = ()
 
     def __init__(self, n: int, q: int, terms: Mapping[TermKey, complex] | Iterable = ()):
         if q < 1:
@@ -248,7 +264,10 @@ class HomogeneousPart(PolyJet):
             if sum(index) != q:
                 raise DegreeOutOfRange(
                     f"term {index} has degree {sum(index)}, expected {q}")
-        object.__setattr__(self, "q", q)
+
+    @property
+    def q(self) -> int:
+        return self.degree
 
     @classmethod
     def zero_part(cls, n: int, q: int) -> "HomogeneousPart":
@@ -268,7 +287,7 @@ def _prune_terms(terms: Mapping[TermKey, complex], rel_tol: float) -> dict[TermK
         if a > degree_max.get(d, 0.0):
             degree_max[d] = a
     return {key: coeff for key, coeff in terms.items()
-            if abs(coeff) >= rel_tol * degree_max[sum(key[0])]}
+            if abs(coeff) >= rel_tol * degree_max.get(sum(key[0]), 0.0)}
 
 
 # Scalar polynomials inside the composition kernel are bucketed by total
@@ -361,10 +380,9 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
             for code, value in bucket.items():
                 key = (decode(code), comp)
                 out[key] = out.get(key, 0j) + coeff * value
-    out = {k: c for k, c in out.items() if c != 0}
     if prune:
         out = _prune_terms(out, PRUNE_REL_TOL)
-    return PolyJet(n, degree, out)
+    return PolyJet._trusted(n, degree, out)
 
 
 def jet_inverse(f: PolyJet, degree: int, *, cond_cap: float = COND_CAP) -> PolyJet:
@@ -388,7 +406,7 @@ def jet_inverse(f: PolyJet, degree: int, *, cond_cap: float = COND_CAP) -> PolyJ
                     key = (index, i)
                     correction[key] = correction.get(key, 0j) - inv_linear[i, comp] * coeff
         if correction:
-            g = g + PolyJet(f.n, degree, correction)
+            g = g + PolyJet._trusted(f.n, degree, correction)
     return g.pruned()
 
 
@@ -407,10 +425,9 @@ def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int, *,
             if inv[i, comp] != 0:
                 key = (index, i)
                 out[key] = out.get(key, 0j) + inv[i, comp] * coeff
-    out = {k: c for k, c in out.items() if c != 0}
     if prune:
         out = _prune_terms(out, PRUNE_REL_TOL)
-    return PolyJet(f.n, degree, out)
+    return PolyJet._trusted(f.n, degree, out)
 
 
 def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
@@ -418,7 +435,7 @@ def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
     if not 1 <= q <= f.degree:
         raise DegreeOutOfRange(f"degree {q} outside 1..{f.degree}")
     terms = {key: coeff for key, coeff in f.terms.items() if sum(key[0]) == q}
-    return HomogeneousPart(f.n, q, terms)
+    return HomogeneousPart._trusted(f.n, q, terms)
 
 
 def _check_invertible(matrix: np.ndarray, cond_cap: float, error_cls,

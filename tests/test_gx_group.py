@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_point, random_spectrum, random_sr_map
 from srnf.errors import SingularLinearPart
 from srnf.gx_group import (
+    AnnulusCheck,
     GroupElement,
     group_inv,
     group_mul,
@@ -245,6 +246,28 @@ class TestOrbit:
         assert diag.annulus.certified
         assert diag.annulus.separated
         assert diag.annulus.max_image_norm <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("samples", [0, 1, 64])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_annulus_batch_equals_per_sample_loop(self, samples, seed):
+        generator, result = hopf_holonomy(GermInput(jet=HOPF_GERM))
+        rng = np.random.default_rng(seed)
+        shifted = GroupElement(tau=0.01 * (rng.normal(size=2) + 1j * rng.normal(size=2)),
+                               h=generator.h)
+        inner, outer = 0.5 * result.contraction_radius, result.contraction_radius
+        for g in (generator, shifted):
+            _, diag = orbit(g, np.array([0.01, 0.02]), 3, annulus=(inner, outer),
+                            annulus_samples=samples, seed=seed)
+            draw = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(samples):
+                direction = draw.normal(size=2) + 1j * draw.normal(size=2)
+                direction /= np.linalg.norm(direction)
+                radius = draw.uniform(inner, outer)
+                worst = max(worst, float(np.linalg.norm(g.evaluate(radius * direction))))
+            assert diag.annulus == AnnulusCheck(
+                inner=inner, outer=outer, max_image_norm=worst, separated=worst < inner,
+                certified=diag.ratio_bound * outer < inner)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))

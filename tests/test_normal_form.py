@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet, random_point, random_spectrum
-from srnf import normal_form
+from srnf import germio, normal_form
 from srnf.config import RunConfig
 from srnf.errors import NotContracting, ValidationError
 from srnf.homological import apply_M, resonant_positions, split_homogeneous
@@ -17,8 +20,14 @@ from srnf.normal_form import (
     pointwise_conjugacy_residual,
     verify_conjugacy,
 )
-from srnf.polymap import HomogeneousPart, PolyJet, compose_truncated, homogeneous_part
-from srnf.subresonance import SubResonantMap, certify_subresonant
+from srnf.polymap import (
+    HomogeneousPart,
+    PolyJet,
+    compose_truncated,
+    homogeneous_part,
+    jet_inverse,
+)
+from srnf.subresonance import SubResonantMap, certify_subresonant, sr_inverse
 
 HOPF_GERM = PolyJet(2, 3, {
     ((1, 0), 0): 0.25, ((1, 1), 0): 1.0, ((0, 2), 0): 1.0,
@@ -337,3 +346,136 @@ class TestVerify:
             assert small < 1e-13
         else:
             assert big / max(small, 1e-300) >= 2 ** D * 0.5
+
+
+# -- the straightening batch against the per-sample iteration it replaced --
+
+DATA = Path(__file__).parent / "data"
+
+
+def reference_iterate(F, P_inv, z, p_max, cauchy_tol, *, pullback=None):
+    """The straightening iteration one point at a time, as it was before batching."""
+    tol = cauchy_tol * max(1.0, float(np.linalg.norm(z)))
+    forward = z
+    previous = None
+    last_gap = None
+    for p in range(p_max + 1):
+        w = pullback.evaluate(forward) if pullback is not None else forward
+        for _ in range(p):
+            w = P_inv.evaluate(w)
+        if previous is not None:
+            last_gap = float(np.linalg.norm(w - previous))
+            if last_gap <= tol:
+                return w, p, None
+        previous = w
+        forward = F.evaluate(forward)
+    return previous, p_max, last_gap if last_gap is not None else float("inf")
+
+
+def reference_points(rng, n, radius, count):
+    points = []
+    for _ in range(count):
+        direction = rng.normal(size=n) + 1j * rng.normal(size=n)
+        points.append(radius * direction / np.linalg.norm(direction))
+    return points
+
+
+def reference_verify(result, cfg):
+    """``verify_conjugacy`` with a loop over samples, as it was before batching."""
+    F, P, D = result.germ_adapted, result.normal_form, result.trunc_degree
+    radius = min(cfg.sample_radius, 0.5 * result.contraction_radius) \
+        if result.contraction_radius > 0 else cfg.sample_radius
+    samples = reference_points(np.random.default_rng(cfg.seed), F.n, radius, cfg.sample_count)
+    poly_res = tuple(float(np.linalg.norm(F.evaluate(result.phi.evaluate(z))
+                                          - result.phi.evaluate(P.jet.evaluate(z))))
+                     for z in samples)
+    phi_inv = jet_inverse(result.phi, D)
+    P_inv = sr_inverse(P).jet
+    straightened = []
+    p_used = 0
+    for z in samples:
+        g_z, p1, gap1 = reference_iterate(F, P_inv, z, cfg.p_max, cfg.cauchy_tol,
+                                          pullback=phi_inv)
+        g_Fz, p2, gap2 = reference_iterate(F, P_inv, F.evaluate(z), cfg.p_max,
+                                           cfg.cauchy_tol, pullback=phi_inv)
+        if gap1 is not None or gap2 is not None:
+            straightened.append(None)
+            continue
+        p_used = max(p_used, p1, p2)
+        straightened.append(float(np.linalg.norm(g_Fz - P.jet.evaluate(g_z))))
+    amplification = float(result.spectrum.moduli[0] ** (-p_used)) if p_used else 1.0
+    return poly_res, tuple(straightened), tuple(tuple(z) for z in samples), amplification
+
+
+def coupled_n3():
+    return germio.parse_germ_document(json.loads((DATA / "coupled_n3.json").read_text()))
+
+
+class TestBatchedStraightening:
+    @pytest.mark.parametrize("name, seed, p_max, samples", [
+        ("hopf", 3, 60, 20),
+        ("hopf", 3, 12, 20),      # 16 of 20 samples do not converge
+        ("hopf", 0, 3, 5),        # none converges
+        ("coupled_n3", 1, 60, 20),
+        ("coupled_n3", 2, 5, 12),
+        ("coupled_n3", 4, 60, 1),
+    ])
+    def test_report_equals_per_sample_loop(self, name, seed, p_max, samples):
+        germ = GermInput(jet=HOPF_GERM) if name == "hopf" else coupled_n3()
+        cfg = RunConfig(seed=seed, p_max=p_max, sample_count=samples)
+        result = poincare_dulac(germ, cfg)
+        report = verify_conjugacy(germ, result, cfg=cfg)
+        poly_res, straightened, points, amplification = reference_verify(result, cfg)
+        assert report.coefficient_max == result.residuals.coefficient_max
+        assert report.polynomial_pointwise == poly_res
+        assert report.straightened_pointwise == straightened
+        assert report.sample_points == points
+        assert report.amplification_estimate == amplification
+        assert repr(report.straightened_pointwise) == repr(straightened)
+        # the normal-form report's own residuals use the same points
+        assert result.residuals.pointwise_max == max(poly_res)
+        assert result.residuals.pointwise_mean == float(np.mean(poly_res))
+
+    @pytest.mark.parametrize("name", ["hopf", "coupled_n3"])
+    def test_sequences_stop_at_their_own_p(self, name):
+        germ = GermInput(jet=HOPF_GERM) if name == "hopf" else coupled_n3()
+        cfg = RunConfig(seed=1)
+        result = poincare_dulac(germ, cfg)
+        F, D = result.germ_adapted, result.trunc_degree
+        P_inv = sr_inverse(result.normal_form).jet
+        phi_inv = jet_inverse(result.phi, D)
+        # radii far outside the coupled germ's contraction ball leave some
+        # sequences unconverged at p_max
+        rng = np.random.default_rng(1)
+        Z = np.array([z for r in (1e-3, 0.01, 0.05) for z in reference_points(rng, F.n, r, 6)])
+        values, stopped_at, gaps = normal_form._straightening_iterate(
+            F, P_inv, Z, cfg.p_max, cfg.cauchy_tol, pullback=phi_inv)
+        assert len(set(stopped_at)) > 3
+        assert name == "hopf" or any(gap is not None for gap in gaps)
+        for i, z in enumerate(Z):
+            value, p, gap = reference_iterate(F, P_inv, z, cfg.p_max, cfg.cauchy_tol,
+                                              pullback=phi_inv)
+            assert values[i].tobytes() == value.tobytes()
+            assert (stopped_at[i], gaps[i]) == (p, gap)
+
+    def test_phi_numeric_is_one_row(self):
+        F = HOPF_GERM
+        P = poincare_dulac(GermInput(jet=F)).normal_form
+        for z in reference_points(np.random.default_rng(5), 2, 0.01, 4):
+            value, _, gap = reference_iterate(F, sr_inverse(P).jet, z, 60, 1e-12)
+            assert gap is None
+            assert phi_numeric(F, P, z).tobytes() == value.tobytes()
+
+    def test_no_samples_no_inversions(self, monkeypatch):
+        germ = GermInput(jet=HOPF_GERM)
+        cfg = RunConfig(sample_count=0)
+        result = poincare_dulac(germ, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inverse was computed for an empty sample set")
+
+        monkeypatch.setattr(normal_form, "jet_inverse", refuse)
+        monkeypatch.setattr(normal_form, "sr_inverse", refuse)
+        report = verify_conjugacy(germ, result, cfg=cfg)
+        assert report.polynomial_pointwise == report.straightened_pointwise == ()
+        assert report.sample_points == () and report.amplification_estimate == 1.0

@@ -39,6 +39,98 @@ class TestEvaluate:
             PolyJet.identity(2).evaluate([1.0, 2.0, 3.0])
 
 
+def point_value(jet, z):
+    """One point ``(n,)`` through the per-point formula that preceded batches."""
+    z = np.asarray(z, dtype=complex)
+    if not jet.terms:
+        return np.zeros(jet.n, dtype=complex)
+    items = jet.sorted_terms()
+    exps = np.array([index for index, _, _ in items], dtype=np.int64)
+    comps = np.array([comp for _, comp, _ in items], dtype=np.int64)
+    coeffs = np.array([coeff for _, _, coeff in items], dtype=complex)
+    monomials = np.prod(z[None, :] ** exps, axis=1)
+    out = np.zeros(jet.n, dtype=complex)
+    np.add.at(out, comps, coeffs * monomials)
+    return out
+
+
+class TestBatchEvaluate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 6), st.integers(1, 40),
+           st.booleans())
+    def test_rows_equal_single_points(self, seed, n, degree, m, zero):
+        rng = np.random.default_rng(seed)
+        jet = PolyJet.zero(n, degree) if zero else random_jet(rng, n, degree, density=0.4)
+        Z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        Z[rng.random((m, n)) < 0.1] = complex(-0.0, -0.0)
+        batch = jet.evaluate(Z)
+        assert batch.shape == (m, n)
+        for i in range(m):
+            single = jet.evaluate(Z[i])
+            expected = point_value(jet, Z[i])
+            assert np.all(batch[i] == single) and np.all(single == expected)
+            # signed zeros too
+            assert batch[i].tobytes() == single.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_bad_shapes_rejected(self, zero):
+        n, m = 3, 5
+        jet = PolyJet.zero(n, 2) if zero else random_jet(np.random.default_rng(0), n, 2)
+        for shape in [(n + 1,), (m, n + 1), (2, 2, n)]:
+            with pytest.raises(DimensionMismatch):
+                jet.evaluate(np.zeros(shape, dtype=complex))
+
+    def test_empty_batch(self):
+        assert PolyJet.identity(2).evaluate(np.zeros((0, 2))).shape == (0, 2)
+
+
+class TestTrustedConstruction:
+    """Arithmetic results skip key validation but must equal validated jets."""
+
+    @staticmethod
+    def rebuilt(jet):
+        if isinstance(jet, HomogeneousPart):
+            return HomogeneousPart(jet.n, jet.q, jet.terms)
+        return PolyJet(jet.n, jet.degree, jet.terms)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4))
+    def test_arithmetic_equals_public_construction(self, seed, n, degree):
+        rng = np.random.default_rng(seed)
+        f = random_jet(rng, n, degree)
+        g = random_jet(rng, n, degree)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        results = [
+            compose_truncated(f, g, degree), compose_truncated(f, g, degree, prune=False),
+            f + g, -f, f - g, f - f, f.scaled(0.3 - 1.2j), f.scaled(np.float64(2.5)),
+            f.pruned(0.5), f.truncated(1), homogeneous_part(f, degree),
+            jet_inverse(f, degree), linear_conjugate(f, Q, degree),
+        ]
+        for jet in results:
+            again = self.rebuilt(jet)
+            assert jet == again and type(jet) is type(again)
+            assert (jet.n, jet.degree) == (again.n, again.degree)
+            assert list(jet.terms.items()) == list(again.terms.items())
+            assert all(type(c) is complex and c != 0 for c in jet.terms.values())
+        assert homogeneous_part(f, degree).q == degree
+
+    def test_overflow_still_raises(self):
+        f = jet1d(2, **{"1": 1.0, "2": 1e300})
+        with pytest.raises(ValueError):
+            f.scaled(1e300)
+        big = jet1d(2, **{"2": 1.7e308})
+        with pytest.raises(ValueError):
+            big + big
+
+    def test_underflow_stores_no_zero(self):
+        f = jet1d(2, **{"1": 1.0, "2": 1e-300})
+        scaled = f.scaled(1e-200)
+        assert ((2,), 0) not in scaled.terms and 0 not in scaled.terms.values()
+        # 1e-300 * (1e-200)^2 underflows in the composition
+        composed = compose_truncated(f, jet1d(2, **{"1": 1e-200}), 2, prune=False)
+        assert list(composed.terms) == [((1,), 0)]
+
+
 class TestCompose:
     def test_identity_right(self):
         rng = np.random.default_rng(7)
