@@ -253,7 +253,8 @@ def conjugacy_coefficient_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
     return left.max_coeff_diff(right)
 
 
-def pointwise_conjugacy_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet, z):
+def pointwise_conjugacy_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
+                                 z) -> float | list[float]:
     """Polynomial residual ``||F(phi(z)) - phi(P(z))||`` at a point, or its list over rows."""
     z = np.asarray(z, dtype=complex)
     gap = F.evaluate(phi.evaluate(z)) - phi.evaluate(P_jet.evaluate(z))
@@ -265,7 +266,7 @@ def _row_norms(rows: np.ndarray) -> list[float]:
     return [float(np.linalg.norm(row)) for row in rows]
 
 
-def _sample_points(n: int, contraction_radius: float, cfg: RunConfig):
+def _sample_points(n: int, contraction_radius: float, cfg: RunConfig) -> tuple[float, np.ndarray]:
     """Radius and seeded sample points ``(cfg.sample_count, n)`` of the pointwise checks."""
     radius = min(cfg.sample_radius, 0.5 * contraction_radius) if contraction_radius > 0 \
         else cfg.sample_radius

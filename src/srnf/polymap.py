@@ -97,8 +97,7 @@ class PolyJet:
 
     @classmethod
     def _trusted(cls, n: int, degree: int, terms: Mapping[TermKey, complex]):
-        """Jet from terms built by this module's arithmetic, whose keys are valid:
-        only finiteness is checked, as Python complex, and exact zeros dropped."""
+        """Jet from terms that this package's arithmetic built: only finiteness is checked."""
         canonical: dict[TermKey, complex] = {}
         for key, coeff in terms.items():
             coeff = complex(coeff)
@@ -405,8 +404,7 @@ def jet_inverse(f: PolyJet, degree: int, *, cond_cap: float = COND_CAP) -> PolyJ
                 if inv_linear[i, comp] != 0:
                     key = (index, i)
                     correction[key] = correction.get(key, 0j) - inv_linear[i, comp] * coeff
-        if correction:
-            g = g + PolyJet._trusted(f.n, degree, correction)
+        g = g + PolyJet._trusted(f.n, degree, correction)
     return g.pruned()
 
 
