@@ -10,16 +10,13 @@ they define.
 from .config import RunConfig
 from .errors import (
     CertificationFailure,
-    DegreeMismatch,
     DegreeOutOfRange,
     DimensionMismatch,
     IllConditionedResonance,
     NoConvergence,
-    NonConvergence,
     NotContracting,
     NotTriangular,
     SingularLinearPart,
-    SingularMatrix,
     SpectrumMismatch,
     SrnfError,
     ValidationError,
@@ -35,12 +32,10 @@ from .gx_group import (
 )
 from .homological import (
     BasisOrdering,
-    OperatorMatrix,
     SplitResult,
     apply_M,
     basis_ordering,
     build_matrix,
-    order_compare,
     split_homogeneous,
 )
 from .linalg import SpectrumData, analyze_spectrum, rescale_nilpotent, triangularize

@@ -10,26 +10,26 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import germio
 from .config import RunConfig
 from .errors import (
     CertificationFailure,
-    DegreeMismatch,
     DegreeOutOfRange,
     DimensionMismatch,
     IllConditionedResonance,
     NoConvergence,
-    NonConvergence,
     NotContracting,
     NotTriangular,
     SingularLinearPart,
-    SingularMatrix,
     SpectrumMismatch,
     ValidationError,
 )
 from .gx_group import group_inv, group_mul, hopf_holonomy, orbit, translate_conjugate
 from .homological import basis_dimension, build_matrix
 from .normal_form import ingest, poincare_dulac, verify_conjugacy
+from .polymap import PolyJet
 from .subresonance import (
     SubResonantMap,
     certify_subresonant,
@@ -39,10 +39,8 @@ from .subresonance import (
 )
 
 _INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearPart,
-                 SingularMatrix, SpectrumMismatch, DimensionMismatch, DegreeOutOfRange,
-                 DegreeMismatch)
-_NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, NonConvergence,
-                     CertificationFailure)
+                 SpectrumMismatch, DimensionMismatch, DegreeOutOfRange)
+_NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, CertificationFailure)
 
 # Largest dense operator, in bytes of complex entries, that ``m-matrix`` builds.
 M_MATRIX_MAX_BYTES = 64 * 2**20
@@ -118,13 +116,27 @@ def _adapted_map(path: str, cfg: RunConfig):
     return ingest(germ, cfg)
 
 
-def _certified_against(path: str, spectrum, cfg: RunConfig) -> SubResonantMap:
+def _adapted_operand(path: str) -> PolyJet:
+    """The jet of an operand taken against a spectrum fixed elsewhere, as given."""
     germ = _load_germ(path)
     if germ.coordinates != "adapted":
         raise ValidationError(
             f"{path}: operand must be in adapted coordinates when the spectrum "
             "is fixed elsewhere")
-    certified = certify_subresonant(germ.jet, spectrum, cfg.sr_tol)
+    return germ.jet
+
+
+def _map_operand(args, cfg: RunConfig):
+    """``(spectrum, adapted jet, Q)`` of ``args.map``: against ``--spectrum`` the
+    operand is taken as given (``Q`` the identity), else against its own spectrum."""
+    if args.spectrum:
+        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
+        return spectrum, _adapted_operand(args.map), np.eye(spectrum.n, dtype=complex)
+    return _adapted_map(args.map, cfg)
+
+
+def _certified(jet: PolyJet, spectrum, cfg: RunConfig, path: str) -> SubResonantMap:
+    certified = certify_subresonant(jet, spectrum, cfg.sr_tol)
     if isinstance(certified, SubResonantMap):
         return certified
     raise ValidationError(
@@ -133,25 +145,10 @@ def _certified_against(path: str, spectrum, cfg: RunConfig) -> SubResonantMap:
 
 
 def _certified_map(args, cfg: RunConfig):
-    """``args.map`` certified against ``--spectrum``, or else against its own
-    spectrum; returns ``(spectrum, certified map)``."""
-    if getattr(args, "spectrum", None):
-        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
-        return spectrum, _certified_against(args.map, spectrum, cfg)
-    spectrum, adapted, _ = _adapted_map(args.map, cfg)
-    outcome = certify_subresonant(adapted, spectrum, cfg.sr_tol)
-    if not isinstance(outcome, SubResonantMap):
-        raise ValidationError(
-            f"{args.map}: map is not sub-resonant; offenders: {outcome[:4]}")
-    return spectrum, outcome
-
-
-def _reference_spectrum(args, cfg: RunConfig, fallback_path: str):
-    if getattr(args, "spectrum", None):
-        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
-        return spectrum
-    spectrum, _, _ = _adapted_map(fallback_path, cfg)
-    return spectrum
+    """``args.map`` certified as :func:`_map_operand` takes it; returns
+    ``(spectrum, certified map)``."""
+    spectrum, jet, _ = _map_operand(args, cfg)
+    return spectrum, _certified(jet, spectrum, cfg, args.map)
 
 
 # -- handlers -------------------------------------------------------------
@@ -165,9 +162,7 @@ def _cmd_normal_form(args) -> dict:
 
 def _cmd_check_sr(args) -> dict:
     cfg = _run_config(args)
-    spectrum, adapted, Q = _adapted_map(args.map, cfg)
-    if getattr(args, "spectrum", None):
-        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
+    spectrum, adapted, Q = _map_operand(args, cfg)
     outcome = certify_subresonant(adapted, spectrum, cfg.sr_tol)
     if isinstance(outcome, SubResonantMap):
         return {"certified": True, "offenders": [],
@@ -201,9 +196,9 @@ def _cmd_sr_invert(args) -> dict:
 
 def _cmd_sr_compose(args) -> dict:
     cfg = _run_config(args)
-    spectrum = _reference_spectrum(args, cfg, args.first)
-    F = _certified_against(args.first, spectrum, cfg)
-    G = _certified_against(args.second, spectrum, cfg)
+    spectrum, _, _ = _adapted_map(args.spectrum or args.first, cfg)
+    F, G = (_certified(_adapted_operand(path), spectrum, cfg, path)
+            for path in (args.first, args.second))
     return germio.jet_document(sr_compose(F, G, cfg.sr_tol).jet)
 
 

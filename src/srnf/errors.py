@@ -13,24 +13,13 @@ class DegreeOutOfRange(SrnfError):
     pass
 
 
-class DegreeMismatch(SrnfError):
-    """Monomial order comparison between different degrees or dimensions."""
-
-
 class SingularLinearPart(SrnfError):
     pass
 
 
-class SingularMatrix(SrnfError):
-    pass
-
-
-class NonConvergence(SrnfError):
-    """Eigenvalue iteration failed to triangularize the input matrix."""
-
-
 class NoConvergence(SrnfError):
-    """Straightening iteration did not stabilize within the iteration cap."""
+    """An iteration did not converge: Schur triangularization, or the
+    straightening limit within its iteration cap."""
 
     def __init__(self, message, last_gap=None, iterations=None):
         super().__init__(message)

@@ -141,10 +141,6 @@ def parse_germ_document(doc: Any) -> GermInput:
     return GermInput(jet=jet, coordinates=coordinates)
 
 
-def germ_document(germ: GermInput) -> dict:
-    return jet_document(germ.jet, germ.coordinates)
-
-
 # -- spectra and results --------------------------------------------------
 
 

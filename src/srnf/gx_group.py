@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import same_spectrum
 from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
-from .polymap import COND_CAP, PolyJet, TermKey, _check_invertible
+from .polymap import PolyJet, TermKey, _check_invertible
 from .subresonance import (
     DEFAULT_SR_TOL,
     SubResonantMap,
@@ -46,8 +46,7 @@ class GroupElement:
         if tau.shape != (self.h.jet.n,):
             raise DimensionMismatch(
                 f"translation shape {tau.shape} does not match n={self.h.jet.n}")
-        _check_invertible(self.h.linear_part(), COND_CAP, SingularLinearPart,
-                          "group element map part")
+        _check_invertible(self.h.linear_part(), SingularLinearPart, "group element map part")
         object.__setattr__(self, "tau", tau)
         self.tau.setflags(write=False)
 

@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeMismatch, DegreeOutOfRange, IllConditionedResonance
+from .errors import DegreeOutOfRange, DimensionMismatch, IllConditionedResonance
 from .linalg import SpectrumData
 from .polymap import (
     HomogeneousPart,
     MultiIndex,
     PolyJet,
     TermKey,
+    _left_multiply,
     compose_truncated,
-    monomial_order_key,
     multi_indices,
     term_sort_key,
 )
@@ -35,22 +35,6 @@ DEFAULT_RES_TOL = 1e-9
 # Divisors between the resonance cutoff and this relative size are reported
 # as small-divisor warnings.
 SMALL_DIVISOR_REL = 1e-6
-
-
-def order_compare(a: TermKey, b: TermKey) -> int:
-    """Compare two same-degree basis positions; returns -1, 0 or 1.
-
-    Exponents are compared from the last variable down, larger first; full
-    multi-index ties fall back to the component, smaller first.
-    """
-    (ia, ja), (ib, jb) = a, b
-    if len(ia) != len(ib):
-        raise DegreeMismatch(f"multi-indices {ia} and {ib} differ in dimension")
-    if sum(ia) != sum(ib):
-        raise DegreeMismatch(f"multi-indices {ia} and {ib} differ in degree")
-    ka = (monomial_order_key(ia), ja)
-    kb = (monomial_order_key(ib), jb)
-    return -1 if ka < kb else (0 if ka == kb else 1)
 
 
 @dataclass(frozen=True)
@@ -87,19 +71,11 @@ def basis_dimension(n: int, q: int) -> int:
 def apply_M(spectrum: SpectrumData, h: HomogeneousPart) -> HomogeneousPart:
     """The operator value ``h o T - T o h``, computed by jet composition."""
     if h.n != spectrum.n:
-        raise DegreeMismatch(f"map dimension {h.n} does not match n={spectrum.n}")
+        raise DimensionMismatch(f"map dimension {h.n} does not match n={spectrum.n}")
     if h.q < 2:
         raise DegreeOutOfRange(f"operator is defined for degree >= 2, got {h.q}")
-    T_jet = PolyJet.from_linear(spectrum.T, 1)
-    right = compose_truncated(h, T_jet, h.q, prune=False)
-    left_terms: dict[TermKey, complex] = {}
-    for (index, comp), coeff in h.terms.items():
-        for i in range(spectrum.n):
-            entry = spectrum.T[i, comp]
-            if entry != 0:
-                key = (index, i)
-                left_terms[key] = left_terms.get(key, 0j) + entry * coeff
-    diff = right - PolyJet(h.n, h.q, left_terms)
+    right = compose_truncated(h, PolyJet.from_linear(spectrum.T, 1), h.q, prune=False)
+    diff = right - PolyJet(h.n, h.q, _left_multiply(spectrum.T, h.terms))
     return HomogeneousPart(h.n, h.q, diff.terms)
 
 
@@ -234,7 +210,7 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     resonant positions only, the minimal (classical) choice.
     """
     if H.n != spectrum.n:
-        raise DegreeMismatch(f"map dimension {H.n} does not match n={spectrum.n}")
+        raise DimensionMismatch(f"map dimension {H.n} does not match n={spectrum.n}")
     ordering, diagonal, exact, off = operator_columns(spectrum, H.q)
     # Scalar abs: numpy's vectorised complex abs can differ in the last ulp.
     divisors = np.array([abs(d) for d in exact.tolist()])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonConvergence, NotContracting, NotTriangular, ValidationError
+from .errors import NoConvergence, NotContracting, NotTriangular, ValidationError
 
 MAX_DIMENSION = 16
 
@@ -60,7 +60,6 @@ class SpectrumData:
     block_of: tuple[int, ...]
     c0: int
     degree_bound: int
-    log_ratio: float
     basis_change: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -72,9 +71,6 @@ class SpectrumData:
 
     def with_basis_change(self, Q: np.ndarray) -> "SpectrumData":
         return replace(self, basis_change=np.array(Q, dtype=complex))
-
-    def block_modulus(self, block_index: int) -> float:
-        return float(self.moduli[self.blocks[block_index][0]])
 
     def block_log_modulus(self, block_index: int) -> float:
         return float(self.log_moduli[self.blocks[block_index][0]])
@@ -107,7 +103,7 @@ def triangularize(matrix) -> tuple[np.ndarray, np.ndarray]:
         try:
             T, Q = scipy.linalg.schur(matrix, output="complex")
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-            raise NonConvergence(f"Schur iteration failed: {exc}") from exc
+            raise NoConvergence(f"Schur iteration failed: {exc}") from exc
         T = np.asarray(T, dtype=complex)
         Q = np.asarray(Q, dtype=complex)
     _sort_triangular_inplace(Q, T)
@@ -197,7 +193,6 @@ def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL, *,
         block_of=tuple(block_of),
         c0=int(math.ceil(snapped)),
         degree_bound=int(math.floor(snapped)),
-        log_ratio=ratio,
     )
 
 

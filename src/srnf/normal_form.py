@@ -59,10 +59,6 @@ class GermInput:
     def n(self) -> int:
         return self.jet.n
 
-    @property
-    def input_degree(self) -> int:
-        return self.jet.degree
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -380,7 +376,10 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     D = result.trunc_degree
     if samples is None:
         samples = _sample_points(F.n, result.contraction_radius, cfg)[1]
-    Z = np.array(list(samples) or np.zeros((0, F.n)), dtype=complex)
+    rows = [np.asarray(z, dtype=complex) for z in samples]
+    if any(row.shape != (F.n,) for row in rows):
+        raise DimensionMismatch(f"every sample point must have shape ({F.n},)")
+    Z = np.array(rows, dtype=complex).reshape(len(rows), F.n)
     m = len(Z)
 
     poly_res = tuple(pointwise_conjugacy_residual(F, result.phi, P.jet, Z))

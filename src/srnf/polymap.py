@@ -18,12 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    DegreeOutOfRange,
-    DimensionMismatch,
-    SingularLinearPart,
-    SingularMatrix,
-)
+from .errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart
 
 # Coefficients below PRUNE_REL_TOL times the largest same-degree coefficient
 # are treated as arithmetic noise.
@@ -153,9 +148,6 @@ class PolyJet:
     def max_degree(self) -> int:
         """Largest degree actually present (0 for the zero jet)."""
         return max((sum(index) for index, _ in self.terms), default=0)
-
-    def degrees(self) -> set[int]:
-        return {sum(index) for index, _ in self.terms}
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -384,48 +376,32 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
     return PolyJet._trusted(n, degree, out)
 
 
-def jet_inverse(f: PolyJet, degree: int, *, cond_cap: float = COND_CAP) -> PolyJet:
+def jet_inverse(f: PolyJet, degree: int) -> PolyJet:
     """Compositional inverse jet, built degree by degree.
 
     The result ``g`` satisfies ``f o g = g o f = id`` through ``degree``.
     """
     linear = f.linear_part()
-    _check_invertible(linear, cond_cap, SingularLinearPart)
+    _check_invertible(linear, SingularLinearPart, "linear part")
     inv_linear = np.linalg.inv(linear)
     g = PolyJet.from_linear(inv_linear, degree)
-    target = PolyJet.identity(f.n, degree)
     for d in range(2, degree + 1):
-        residual = compose_truncated(f, g, d, prune=False) - target
-        correction: dict[TermKey, complex] = {}
-        for (index, comp), coeff in residual.terms.items():
-            if sum(index) != d:
-                continue
-            for i in range(f.n):
-                if inv_linear[i, comp] != 0:
-                    key = (index, i)
-                    correction[key] = correction.get(key, 0j) - inv_linear[i, comp] * coeff
-        g = g + PolyJet._trusted(f.n, degree, correction)
+        # the degree-d part of f o g - id, which g's degree-d terms must cancel
+        top = {key: c for key, c in compose_truncated(f, g, d, prune=False).terms.items()
+               if sum(key[0]) == d}
+        g = g + PolyJet._trusted(f.n, degree, _left_multiply(-inv_linear, top))
     return g.pruned()
 
 
-def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int, *,
-                     prune: bool = True) -> PolyJet:
+def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int) -> PolyJet:
     """Jet of ``Q^{-1} o f o Q`` truncated at ``degree``."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (f.n, f.n):
         raise DimensionMismatch(f"matrix shape {matrix.shape} does not match n={f.n}")
-    _check_invertible(matrix, COND_CAP, SingularMatrix)
-    inv = np.linalg.inv(matrix)
+    _check_invertible(matrix, SingularLinearPart)
     inner = compose_truncated(f, PolyJet.from_linear(matrix, 1), degree, prune=False)
-    out: dict[TermKey, complex] = {}
-    for (index, comp), coeff in inner.terms.items():
-        for i in range(f.n):
-            if inv[i, comp] != 0:
-                key = (index, i)
-                out[key] = out.get(key, 0j) + inv[i, comp] * coeff
-    if prune:
-        out = _prune_terms(out, PRUNE_REL_TOL)
-    return PolyJet._trusted(f.n, degree, out)
+    out = _left_multiply(np.linalg.inv(matrix), inner.terms)
+    return PolyJet._trusted(f.n, degree, _prune_terms(out, PRUNE_REL_TOL))
 
 
 def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
@@ -436,11 +412,21 @@ def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
     return HomogeneousPart._trusted(f.n, q, terms)
 
 
-def _check_invertible(matrix: np.ndarray, cond_cap: float, error_cls,
-                      what: str = "matrix") -> None:
-    """Raise ``error_cls`` unless ``matrix`` is finite with condition <= ``cond_cap``."""
+def _left_multiply(matrix: np.ndarray, terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
+    """Terms of ``z -> matrix @ f(z)`` for the map ``f`` with the given terms."""
+    rows = [np.flatnonzero(column).tolist() for column in matrix.T]
+    out: dict[TermKey, complex] = {}
+    for (index, comp), coeff in terms.items():
+        for i in rows[comp]:
+            key = (index, i)
+            out[key] = out.get(key, 0j) + matrix[i, comp] * coeff
+    return out
+
+
+def _check_invertible(matrix: np.ndarray, error_cls, what: str = "matrix") -> None:
+    """Raise ``error_cls`` unless ``matrix`` is finite with condition <= ``COND_CAP``."""
     if not np.all(np.isfinite(matrix)):
         raise error_cls(f"{what} has non-finite entries")
     cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise error_cls(f"{what} is singular or ill-conditioned (cond={cond:.3g})")

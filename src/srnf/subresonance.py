@@ -6,8 +6,8 @@ same inequality, since moduli are constant on blocks).  Sub-resonant maps
 with invertible linear part form a group under composition; this module
 provides the monomial classifier, the per-degree basis enumeration, the
 certification of whole maps, and the composition/inversion operations of
-that group, including the finite degree-by-degree elimination that yields
-exact polynomial inverses.
+that group; an inverse is the jet inverse through the degree bound, which
+is exact because the group consists of polynomials of bounded degree.
 """
 
 from __future__ import annotations
@@ -20,26 +20,24 @@ from .errors import (
     CertificationFailure,
     DegreeOutOfRange,
     DimensionMismatch,
-    SingularLinearPart,
     SpectrumMismatch,
 )
 from .linalg import SpectrumData, same_spectrum
 from .polymap import (
-    COND_CAP,
     MultiIndex,
     PolyJet,
     TermKey,
-    _check_invertible,
     compose_truncated,
-    homogeneous_part,
+    jet_inverse,
     multi_indices,
     term_sort_key,
 )
 
 DEFAULT_SR_TOL = 1e-9
 
-# Coefficients above this magnitude beyond the degree bound mean a genuine
-# closure violation rather than rounding noise.
+# Coefficients above this magnitude where the group law forces zero (beyond
+# the degree bound of a composition, nonlinear in ``F o F^{-1}``) mean a
+# genuine defect rather than rounding noise.
 _EXCESS_TOL = 1e-10
 
 
@@ -160,90 +158,32 @@ def sr_compose(F: SubResonantMap, G: SubResonantMap,
         raise SpectrumMismatch("operands are relative to different spectra")
     spectrum = F.spectrum
     cap = max(1, F.jet.max_degree()) * max(1, G.jet.max_degree())
-    composed = compose_truncated(F.jet, G.jet, max(cap, 1))
+    composed = compose_truncated(F.jet, G.jet, cap)
     bound = spectrum.degree_bound
     excess = {key: c for key, c in composed.terms.items() if sum(key[0]) > bound}
-    if excess:
-        worst = max(abs(c) for c in excess.values())
-        if worst > _EXCESS_TOL:
-            raise CertificationFailure(
-                f"composition produced degree > {bound} terms of size {worst:.3g}",
-                offenders=sorted(excess, key=term_sort_key))
-        composed = PolyJet(composed.n, max(bound, 1),
-                           {k: c for k, c in composed.terms.items() if k not in excess})
-    else:
-        composed = composed.truncated(max(bound, 1))
-    return _certify_or_raise(composed, spectrum, tol, "sr_compose")
+    worst = max((abs(c) for c in excess.values()), default=0.0)
+    if worst > _EXCESS_TOL:
+        raise CertificationFailure(
+            f"composition produced degree > {bound} terms of size {worst:.3g}",
+            offenders=sorted(excess, key=term_sort_key))
+    return _certify_or_raise(composed.truncated(max(bound, 1)), spectrum, tol, "sr_compose")
 
 
-def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL,
-               cond_cap: float = COND_CAP) -> SubResonantMap:
-    """Exact polynomial inverse via finite degree-by-degree elimination.
+def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL) -> SubResonantMap:
+    """Exact polynomial inverse: the jet inverse through the degree bound.
 
-    First compose on the right with the inverse of the linear part, then
-    repeatedly remove the lowest surviving nonlinear homogeneous block
-    ``S`` by composing with ``id - S``; the degree bound forces termination
-    and the accumulated right factors compose to the inverse.
+    The inverse of a sub-resonant map is a sub-resonant polynomial, so its
+    degree is at most the degree bound and the degree-by-degree jet inverse
+    truncated there is exact.  The result is certified, and ``F o F^{-1}``
+    must carry no nonlinear term above ``_EXCESS_TOL``.
     """
-    spectrum = F.spectrum
-    linear = F.linear_part()
-    _check_invertible(linear, cond_cap, SingularLinearPart, "linear part")
-    inv_linear = _invert_flag_preserving(linear, spectrum)
-    bound = max(1, spectrum.degree_bound)
-    first = _certify_or_raise(PolyJet.from_linear(inv_linear, bound),
-                              spectrum, tol, "sr_inverse linear stage")
-    inverse = first
-    remainder = sr_compose(F, first, tol)
-    for _ in range(bound + 1):
-        lowest = _lowest_nonlinear_degree(remainder.jet)
-        if lowest is None:
-            break
-        block = homogeneous_part(remainder.jet, lowest)
-        step_jet = PolyJet.identity(remainder.jet.n, bound) - block
-        step = _certify_or_raise(step_jet, spectrum, tol, "sr_inverse elimination step")
-        remainder = sr_compose(remainder, step, tol)
-        inverse = sr_compose(inverse, step, tol)
-    leftover = max((abs(c) for key, c in remainder.jet.terms.items()
+    inverse = _certify_or_raise(jet_inverse(F.jet, max(1, F.spectrum.degree_bound)),
+                                F.spectrum, tol, "sr_inverse")
+    leftover = max((abs(c) for key, c in sr_compose(F, inverse, tol).jet.terms.items()
                     if sum(key[0]) > 1), default=0.0)
     if leftover > _EXCESS_TOL:
-        raise CertificationFailure(
-            f"elimination left nonlinear residue of size {leftover:.3g}")
+        raise CertificationFailure(f"inverse left nonlinear residue of size {leftover:.3g}")
     return inverse
-
-
-def _lowest_nonlinear_degree(jet: PolyJet):
-    """Lowest degree >= 2 still carrying real content.
-
-    Degrees whose entire content is cancellation noise are skipped; they are
-    the rounding left behind by an earlier elimination step, and acting on
-    them would burn iterations without progress.
-    """
-    noise = 1e-13 * max(1.0, jet.max_abs_coeff())
-    degrees = sorted(d for d in jet.degrees() if d >= 2)
-    for d in degrees:
-        if any(abs(c) > noise for (index, _), c in jet.terms.items()
-               if sum(index) == d):
-            return d
-    return None
-
-
-def _invert_flag_preserving(linear: np.ndarray, spectrum: SpectrumData) -> np.ndarray:
-    """Inverse of a flag-preserving matrix, with its structural zeros restored.
-
-    The inverse of a block-upper-triangular matrix is block upper
-    triangular; entries below the block structure in the computed inverse
-    are pure roundoff and are removed so certification sees exact zeros.
-    """
-    inv = np.linalg.inv(linear)
-    scale = np.max(np.abs(inv))
-    for j in range(spectrum.n):
-        for k in range(spectrum.n):
-            if spectrum.block_of[j] > spectrum.block_of[k] and inv[j, k] != 0:
-                if abs(inv[j, k]) > 1e-10 * scale:
-                    raise CertificationFailure(
-                        "inverse of linear part does not preserve the modulus flag")
-                inv[j, k] = 0.0
-    return inv
 
 
 def is_linear_subresonant(matrix, spectrum: SpectrumData) -> bool:

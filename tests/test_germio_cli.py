@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet
-from srnf import cli, germio
+from srnf import cli, errors, germio
 from srnf.cli import main
 from srnf.errors import ValidationError
 from srnf.polymap import PolyJet
+
+DATA = Path(__file__).parent / "data"
 
 HOPF_DOC = {
     "dimension": 2,
@@ -291,6 +294,88 @@ class TestCliSubcommands:
         assert report["straightened_max"] is None
         assert report["coefficient_max"] < 1e-10
         assert "NoConvergence" in err
+
+
+# (z1 + 0.3 z2^2, z2): sub-resonant for the Hopf spectrum (1/4, 1/2), whose
+# degree bound is 2, but its own linear part is not contracting.
+UNIPOTENT_DOC = {
+    "dimension": 2, "degree": 2, "coordinates": "adapted",
+    "terms": [{"exponents": [1, 0], "component": 1, "coeff": [1.0, 0.0]},
+              {"exponents": [0, 2], "component": 1, "coeff": [0.3, 0.0]},
+              {"exponents": [0, 1], "component": 2, "coeff": [1.0, 0.0]}],
+}
+
+SPECTRUM_COMMANDS = {
+    "check-sr": ["check-sr", "{map}"],
+    "sr-invert": ["sr-invert", "{map}"],
+    "sr-compose": ["sr-compose", "{map}", "{map}"],
+    "conjugate-translation": ["group", "conjugate-translation", "{map}",
+                              "--tau", "[[0.0, 0.0], [0.5, 0.0]]"],
+}
+
+
+def jet_terms(doc):
+    return {(tuple(t["exponents"]), t["component"]): complex(*t["coeff"]) for t in doc["terms"]}
+
+
+class TestCliSpectrumOption:
+    """Operands against ``--spectrum`` are taken as given, in adapted coordinates."""
+
+    def run(self, tmp_path, capsys, command, doc):
+        path = write_doc(tmp_path, "map.json", doc)
+        args = [a.format(map=path) for a in SPECTRUM_COMMANDS[command]]
+        return run_cli(args + ["--spectrum", str(DATA / "hopf.json")], capsys)
+
+    @pytest.mark.parametrize("command, expected", [
+        ("sr-invert", {((1, 0), 1): 1.0, ((0, 2), 1): -0.3, ((0, 1), 2): 1.0}),
+        ("sr-compose", {((1, 0), 1): 1.0, ((0, 2), 1): 0.6, ((0, 1), 2): 1.0}),
+        ("conjugate-translation",
+         {((1, 0), 1): 1.0, ((0, 2), 1): 0.3, ((0, 1), 1): 0.3, ((0, 1), 2): 1.0}),
+    ])
+    def test_adapted_operand(self, tmp_path, capsys, command, expected):
+        code, out, err = self.run(tmp_path, capsys, command, UNIPOTENT_DOC)
+        assert code == 0, err
+        terms = jet_terms(json.loads(out))
+        assert terms.keys() == expected.keys()
+        assert all(abs(terms[k] - v) < 1e-15 for k, v in expected.items())
+
+    def test_check_sr_takes_the_operand_as_given(self, tmp_path, capsys):
+        code, out, err = self.run(tmp_path, capsys, "check-sr", UNIPOTENT_DOC)
+        assert code == 0, err
+        assert json.loads(out) == {
+            "certified": True, "offenders": [],
+            "basis_change": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        bad = json.loads(json.dumps(UNIPOTENT_DOC))
+        bad["terms"].append({"exponents": [2, 0], "component": 2, "coeff": [1.0, 0.0]})
+        code, out, _ = self.run(tmp_path, capsys, "check-sr", bad)
+        assert code == 0
+        assert json.loads(out)["certified"] is False
+        assert json.loads(out)["offenders"] == [{"exponents": [2, 0], "component": 2}]
+
+    @pytest.mark.parametrize("command", sorted(SPECTRUM_COMMANDS))
+    def test_original_operand_is_exit_2(self, tmp_path, capsys, command):
+        doc = dict(HOPF_DOC, degree=2, coordinates="original")
+        doc["terms"] = [t for t in HOPF_DOC["terms"] if sum(t["exponents"]) <= 2]
+        code, out, err = self.run(tmp_path, capsys, command, doc)
+        assert code == 2 and out == ""
+        assert "ValidationError" in err and "adapted coordinates" in err
+
+
+class TestExitCodes:
+    def test_every_error_class_has_one_exit_code(self):
+        expected = {
+            errors.ValidationError: 2, errors.NotContracting: 2, errors.NotTriangular: 2,
+            errors.SingularLinearPart: 2, errors.SpectrumMismatch: 2,
+            errors.DimensionMismatch: 2, errors.DegreeOutOfRange: 2,
+            errors.IllConditionedResonance: 3, errors.NoConvergence: 3,
+            errors.CertificationFailure: 3,
+        }
+        classes = {c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, errors.SrnfError) and c is not errors.SrnfError}
+        assert classes == set(expected)
+        for cls, code in expected.items():
+            assert (cls in cli._INPUT_ERRORS) != (cls in cli._NUMERICAL_ERRORS)
+            assert (cls in cli._INPUT_ERRORS) == (code == 2)
 
 
 class TestConsoleEntry:

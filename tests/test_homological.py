@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spectrum
-from srnf.errors import DegreeMismatch
 from srnf.homological import (
     DEFAULT_RES_TOL,
     SMALL_DIVISOR_REL,
@@ -15,7 +14,6 @@ from srnf.homological import (
     basis_dimension,
     basis_ordering,
     build_matrix,
-    order_compare,
     resonant_positions,
     split_homogeneous,
 )
@@ -36,19 +34,6 @@ def part(n, q, terms):
 
 
 class TestOrderCompare:
-    def test_later_variable_dominates(self):
-        assert order_compare(((0, 2), 0), ((2, 0), 0)) == -1
-
-    def test_component_tiebreak(self):
-        assert order_compare(((1, 1), 0), ((1, 1), 1)) == -1
-
-    def test_reflexive(self):
-        assert order_compare(((1, 1), 0), ((1, 1), 0)) == 0
-
-    def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatch):
-            order_compare(((1, 0), 0), ((1, 1), 0))
-
     def test_basis_ordering_matches_sorted_term_keys(self):
         for n in range(1, 9):
             for q in range(1, 6):
@@ -64,10 +49,6 @@ class TestOrderCompare:
         pairs = ordering.pairs
         assert pairs == (((0, 2), 0), ((0, 2), 1), ((1, 1), 0), ((1, 1), 1),
                          ((2, 0), 0), ((2, 0), 1))
-        for a in range(len(pairs)):
-            for b in range(len(pairs)):
-                expected = -1 if a < b else (0 if a == b else 1)
-                assert order_compare(pairs[a], pairs[b]) == expected
 
 
 class TestApplyM:

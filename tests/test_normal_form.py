@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_jet, random_point, random_spectrum
 from srnf import germio, normal_form
 from srnf.config import RunConfig
-from srnf.errors import NotContracting, ValidationError
+from srnf.errors import DimensionMismatch, NotContracting, ValidationError
 from srnf.homological import apply_M, resonant_positions, split_homogeneous
 from srnf.normal_form import (
     GermInput,
@@ -479,3 +479,13 @@ class TestBatchedStraightening:
         report = verify_conjugacy(germ, result, cfg=cfg)
         assert report.polynomial_pointwise == report.straightened_pointwise == ()
         assert report.sample_points == () and report.amplification_estimate == 1.0
+
+    @pytest.mark.parametrize("samples", [
+        [[0.01, 0.0], [0.01, 0.0, 0.0]],             # ragged rows
+        [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0]],        # uniform, one entry too many
+    ])
+    def test_wrong_sample_shape_is_dimension_mismatch(self, samples):
+        germ = GermInput(jet=HOPF_GERM)
+        result = poincare_dulac(germ)
+        with pytest.raises(DimensionMismatch):
+            verify_conjugacy(germ, result, samples=samples)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spectrum, random_sr_map
-from srnf.errors import SingularLinearPart, SpectrumMismatch
+from conftest import divisors_separated, random_spectrum, random_sr_map
+from test_acceptance import naive_compose
+from srnf import subresonance
+from srnf.errors import CertificationFailure, SingularLinearPart, SpectrumMismatch
 from srnf.linalg import analyze_spectrum
 from srnf.polymap import PolyJet, multi_indices
 from srnf.subresonance import (
@@ -195,6 +197,109 @@ class TestInverse:
         assert sr_compose(inv, F).jet.max_coeff_diff(ident) < 1e-10
         assert inv.jet.max_degree() <= s.degree_bound
         assert sr_inverse(inv).jet.max_coeff_diff(F.jet) < 1e-9
+
+
+def block_spectrum(rng: np.random.Generator):
+    """Adapted spectrum of one to three equal-modulus blocks of size 2-3 (n <= 6)."""
+    for _ in range(500):
+        sizes = rng.integers(2, 4, size=rng.integers(1, 4))
+        if sizes.sum() > 6:
+            continue
+        top_log = np.log(rng.uniform(0.45, 0.7))
+        block_logs = [top_log]
+        if len(sizes) > 1:  # the extreme blocks realise the drawn ratio
+            low_log = rng.uniform(1.15, 3.4) * top_log
+            block_logs = np.sort(np.concatenate(
+                [[low_log], rng.uniform(low_log, top_log, len(sizes) - 2), [top_log]]))
+        moduli = np.repeat(np.exp(block_logs), sizes)
+        diag = moduli * np.exp(2j * np.pi * rng.random(len(moduli)))
+        if not divisors_separated(diag, 4):
+            continue
+        T = np.diag(diag) + np.triu(0.3 * (rng.normal(size=(len(diag),) * 2)
+                                           + 1j * rng.normal(size=(len(diag),) * 2)), 1)
+        return analyze_spectrum(T)
+    raise RuntimeError("could not draw an acceptable block spectrum")
+
+
+def full_block_sr_map(rng: np.random.Generator, spectrum):
+    """Random sub-resonant map whose linear part fills every diagonal block."""
+    n = spectrum.n
+    jet = random_sr_map(rng, spectrum)
+    terms = dict(jet.terms)
+    for j in range(n):
+        for k in range(n):
+            if spectrum.block_of[j] == spectrum.block_of[k]:
+                index = tuple(int(i == k) for i in range(n))
+                terms[(index, j)] = (2.0 if j == k else 0.5) * complex(rng.normal(), rng.normal())
+    return PolyJet(n, jet.degree, terms)
+
+
+def abs_jet(jet):
+    return PolyJet(jet.n, jet.degree, {key: abs(c) for key, c in jet.terms.items()})
+
+
+def check_inverse(F):
+    """``sr_inverse(F)`` is certified, block triangular with exact zeros below the
+    blocks, and inverts ``F`` on both sides by the test-side composition."""
+    s = F.spectrum
+    inv = sr_inverse(F)
+    assert isinstance(certify_subresonant(inv.jet, s), SubResonantMap)
+    assert inv.jet.max_degree() <= s.degree_bound
+    assert is_linear_subresonant(inv.linear_part(), s)
+    identity = PolyJet.identity(s.n).terms
+    cap = max(1, s.degree_bound) ** 2
+    for f, g in ((F.jet, inv.jet), (inv.jet, F.jet)):
+        composed = naive_compose(f, g, cap)
+        # relative to the size of the summands of the composition
+        scale = max(abs(v) for v in naive_compose(abs_jet(f), abs_jet(g), cap).values())
+        gap = max(abs(composed.get(key, 0j) - identity.get(key, 0j))
+                  for key in set(composed) | set(identity))
+        assert gap <= 1e-12 * scale
+
+
+class TestInverseIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    def test_random_sr_maps(self, seed, n):
+        rng = np.random.default_rng(seed)
+        s = random_spectrum(rng, n)
+        check_inverse(certified(random_sr_map(rng, s), s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_full_equal_modulus_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        s = block_spectrum(rng)
+        assert all(2 <= len(block) <= 3 for block in s.blocks)
+        F = certified(full_block_sr_map(rng, s), s)
+        check_inverse(F)
+
+
+class TestInverseChecks:
+    # inverse of (z1/4 + z2^2, z2/2) is (4 w1 - 16 w2^2, 2 w2)
+    MAP = PolyJet(2, 2, {((1, 0), 0): 0.25, ((0, 2), 0): 1.0, ((0, 1), 1): 0.5})
+    INVERSE = {((1, 0), 0): 4.0, ((0, 2), 0): -16.0, ((0, 1), 1): 2.0}
+
+    def patched_inverse(self, monkeypatch, terms):
+        monkeypatch.setattr(subresonance, "jet_inverse",
+                            lambda f, degree: PolyJet(2, degree, terms))
+        return certified(self.MAP, QUARTER_HALF)
+
+    def test_exact_inverse_passes(self, monkeypatch):
+        h = self.patched_inverse(monkeypatch, self.INVERSE)
+        assert sr_inverse(h).jet == PolyJet(2, 2, self.INVERSE)
+
+    def test_non_subresonant_jet_raises(self, monkeypatch):
+        h = self.patched_inverse(monkeypatch, {**self.INVERSE, ((2, 0), 1): 1e-3})
+        with pytest.raises(CertificationFailure) as info:
+            sr_inverse(h)
+        assert info.value.offenders == (((2, 0), 1),)
+
+    @pytest.mark.parametrize("error", [1e-6, 1.0])
+    def test_nonlinear_residue_raises(self, monkeypatch, error):
+        h = self.patched_inverse(monkeypatch, {**self.INVERSE, ((0, 2), 0): -16.0 + error})
+        with pytest.raises(CertificationFailure, match="nonlinear residue"):
+            sr_inverse(h)
 
 
 class TestLinearFlag:
