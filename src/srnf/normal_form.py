@@ -33,6 +33,7 @@ from .linalg import (
 from .polymap import (
     HomogeneousPart,
     PolyJet,
+    _PowerTable,
     compose_truncated,
     homogeneous_part,
     jet_inverse,
@@ -174,10 +175,12 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     """Compute the polynomial normal form and the conjugating jet.
 
     Solves ``F o phi = phi o P`` for ``q = 2..D``: the error
-    ``[F o phi - phi o P]_q``, from two compositions truncated at ``q``,
-    splits into a resonant part added to ``P`` and an operator image whose
-    preimage is added to ``phi``.  ``D`` defaults to ``c0 + 1``; larger
-    values refine the conjugator but add no resonant terms.
+    ``[F o phi - phi o P]_q``, read from power tables of ``phi`` and ``P``
+    that make each degree block once, splits into a resonant part added to
+    ``P`` and an operator image whose preimage is added to ``phi``.  The
+    blocks read at ``q`` involve only degrees below ``q``, so adding ``h_q``
+    and ``R_q`` afterwards leaves them valid.  ``D`` defaults to ``c0 + 1``;
+    larger values refine the conjugator but add no resonant terms.
     """
     spectrum, adapted_full, Q = ingest(germ, cfg)
     D = cfg.trunc_degree if cfg.trunc_degree is not None else spectrum.c0 + 1
@@ -187,12 +190,17 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
 
     phi = PolyJet.identity(germ.n, D)
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
+    # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
+    phi_powers, normal_powers = _PowerTable(germ.n, D), _PowerTable(germ.n, D)
+    phi_powers.reveal(phi.terms)
+    normal_powers.reveal(normal_jet.terms)
     steps: list[StepRecord] = []
     warnings: list[str] = []
     for q in range(2, D + 1):
+        left = phi_powers.compose_block(adapted_full, q, prune=cfg.prune)
+        right = normal_powers.compose_block(phi, q, prune=cfg.prune)
         error = homogeneous_part(
-            compose_truncated(adapted_full, phi, q, prune=cfg.prune)
-            - compose_truncated(phi, normal_jet, q, prune=cfg.prune), q)
+            PolyJet._trusted(germ.n, q, left) - PolyJet._trusted(germ.n, q, right), q)
         split: SplitResult = split_homogeneous(spectrum, error, cfg.res_tol, cfg.sr_tol)
         steps.append(StepRecord(
             q=q,
@@ -204,8 +212,11 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         warnings.extend(split.warnings)
         if split.eliminated.terms:
             phi = phi + split.eliminated
+            phi_powers.reveal(split.eliminated.terms)
         if split.resonant.terms:
             normal_jet = normal_jet + split.resonant
+            normal_powers.reveal(split.resonant.terms)
+    del phi_powers, normal_powers   # free the blocks before the residual recomposes
 
     normal_form = _certify_or_raise(normal_jet, spectrum, cfg.sr_tol,
                                     "normal form output")

@@ -281,26 +281,108 @@ def _prune_terms(terms: Mapping[TermKey, complex], rel_tol: float) -> dict[TermK
             if abs(coeff) >= rel_tol * degree_max.get(sum(key[0]), 0.0)}
 
 
-# Scalar polynomials inside the composition kernel are bucketed by total
-# degree and keyed by a mixed-radix packing of the exponents; integer key
+# Scalar polynomials inside the composition kernel are held in blocks by
+# total degree and keyed by a mixed-radix packing of the exponents; integer key
 # addition then realizes monomial multiplication without carries, because
 # every surviving exponent is bounded by the truncation degree.
-_Buckets = dict[int, dict[int, complex]]
+_Blocks = dict[int, dict[int, complex]]
 
 
-def _bucket_mul(a: _Buckets, b: _Buckets, cap: int) -> _Buckets:
-    out: _Buckets = {}
-    for da, ta in a.items():
-        for db, tb in b.items():
-            d = da + db
-            if d > cap:
-                continue
-            bucket = out.setdefault(d, {})
-            for ca, va in ta.items():
-                for cb, vb in tb.items():
-                    key = ca + cb
-                    bucket[key] = bucket.get(key, 0j) + va * vb
-    return out
+class _PowerTable:
+    """Degree blocks ``[g^I]_d`` of the monomial powers of one jet ``g``, each made once.
+
+    ``g^I`` follows the prefix chain ``((g_1^{i_1}) g_2^{i_2}) ...`` with
+    ``g_k^e = g_k^{e-1} g_k``.  :meth:`power` makes all blocks of a power at
+    once; :meth:`compose_block` makes them as degrees are asked for, so ``g``
+    may be revealed degree by degree: for ``|I| >= 2`` the block ``[g^I]_d``
+    reads only blocks of ``g`` below ``d`` and stays valid as later degrees
+    arrive.
+    """
+
+    def __init__(self, n: int, cap: int):
+        self.n, self.cap, self.base = n, cap, cap + 1
+        self.radix = [self.base ** k for k in range(n)]
+        self.components: list[_Blocks] = [{} for _ in range(n)]
+        self.powers: dict[MultiIndex, _Blocks] = {}
+        self.filled: dict[MultiIndex, int] = {}   # degree through which compose_block made g^I
+        self.decoded: dict[int, MultiIndex] = {}
+
+    def reveal(self, terms: Mapping[TermKey, complex]) -> None:
+        """Add terms of ``g``: all of it, or its next degree block."""
+        for (index, comp), coeff in terms.items():
+            d = sum(index)
+            if d <= self.cap:
+                code = sum(e * r for e, r in zip(index, self.radix))
+                self.components[comp].setdefault(d, {})[code] = coeff
+
+    def _factors(self, index: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
+        """``(head, tail)`` with ``g^I = g^head g^tail``: ``tail`` is ``I``'s last
+        variable ``z_k`` with its exponent, or ``z_k`` alone when ``I`` is a power of ``z_k``."""
+        k = max(i for i, e in enumerate(index) if e)
+        head, e = index[:k] + (0,) * (self.n - k), index[k]
+        if not any(head):
+            head, e = index[:k] + (e - 1,) + index[k + 1:], 1
+        return head, (0,) * k + (e,) + (0,) * (self.n - k - 1)
+
+    @staticmethod
+    def _product(a: _Blocks, b: _Blocks, low: int, high: int) -> _Blocks:
+        """Blocks of ``a b`` of degrees ``low..high``, in the order their pairs first meet."""
+        out: _Blocks = {}
+        for da, ta in a.items():
+            for db, tb in b.items():
+                d = da + db
+                if d < low or d > high:
+                    continue
+                block = out.setdefault(d, {})
+                for ca, va in ta.items():
+                    for cb, vb in tb.items():
+                        key = ca + cb
+                        block[key] = block.get(key, 0j) + va * vb
+        return out
+
+    def power(self, index: MultiIndex) -> _Blocks:
+        """All blocks of ``g^I`` through the cap."""
+        blocks = self.powers.get(index)
+        if blocks is None:
+            if sum(index) == 1:
+                return self.components[index.index(1)]
+            a, b = map(self.power, self._factors(index))
+            blocks = self.powers[index] = self._product(a, b, 0, self.cap)
+        return blocks
+
+    def _power_through(self, index: MultiIndex, d: int) -> _Blocks:
+        """``g^I`` with its blocks through degree ``d`` made."""
+        if sum(index) == 1:
+            return self.components[index.index(1)]
+        blocks = self.powers.setdefault(index, {})
+        start = self.filled.get(index, 0) + 1
+        if start <= d:
+            a, b = (self._power_through(factor, d - 1) for factor in self._factors(index))
+            blocks.update(self._product(a, b, start, d))
+            self.filled[index] = d
+        return blocks
+
+    def accumulate(self, out: dict[TermKey, complex], comp: int, coeff: complex,
+                   blocks: Iterable[dict[int, complex]]) -> None:
+        """Add ``coeff * blocks`` to component ``comp`` of ``out``."""
+        decoded = self.decoded
+        for block in blocks:
+            for code, value in block.items():
+                index = decoded.get(code)
+                if index is None:
+                    index = decoded[code] = tuple(code // r % self.base for r in self.radix)
+                key = (index, comp)
+                out[key] = out.get(key, 0j) + coeff * value
+
+    def compose_block(self, f: PolyJet, d: int, *, prune: bool = False) -> dict[TermKey, complex]:
+        """The degree-``d`` terms of ``f o g``, from ``g``'s blocks revealed so far."""
+        out: dict[TermKey, complex] = {}
+        for (index, comp), coeff in f.terms.items():
+            if sum(index) <= d:
+                block = self._power_through(index, d).get(d)
+                if block:
+                    self.accumulate(out, comp, coeff, (block,))
+        return _prune_terms(out, PRUNE_REL_TOL) if prune else out
 
 
 # -- operations --------------------------------------------------------
@@ -310,86 +392,43 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
     """Jet of ``f`` after ``g``, with all terms of degree > ``degree`` dropped.
 
     ``g`` fixes the origin by type, so every substituted factor has degree
-    >= 1 and the truncation commutes with the term-by-term expansion.
+    >= 1 and the truncation commutes with the term-by-term expansion.  Each
+    power ``g^I`` is made once, however many terms of ``f`` use it.
     """
     if f.n != g.n:
         raise DimensionMismatch(f"composing maps of dimensions {f.n} and {g.n}")
     if degree < 1:
         raise DegreeOutOfRange(f"truncation degree must be >= 1, got {degree}")
-    n = f.n
-    base = degree + 1
-    radix = [base ** k for k in range(n)]
-
-    def encode(index: MultiIndex) -> int:
-        return sum(e * r for e, r in zip(index, radix))
-
-    decode_cache: dict[int, MultiIndex] = {}
-
-    def decode(code: int) -> MultiIndex:
-        index = decode_cache.get(code)
-        if index is None:
-            remaining = code
-            digits = []
-            for _ in range(n):
-                digits.append(remaining % base)
-                remaining //= base
-            index = tuple(digits)
-            decode_cache[code] = index
-        return index
-
-    one: _Buckets = {0: {0: 1.0 + 0j}}
-    components: list[_Buckets] = [{} for _ in range(n)]
-    for (index, comp), coeff in g.terms.items():
-        d = sum(index)
-        if d <= degree:
-            components[comp].setdefault(d, {})[encode(index)] = coeff
-
-    power_cache: list[dict[int, _Buckets]] = [{0: one} for _ in range(n)]
-
-    def component_power(k: int, e: int) -> _Buckets:
-        cache = power_cache[k]
-        if e not in cache:
-            top = max(m for m in cache if m <= e)
-            acc = cache[top]
-            for m in range(top + 1, e + 1):
-                acc = _bucket_mul(acc, components[k], degree)
-                cache[m] = acc
-        return cache[e]
-
+    table = _PowerTable(f.n, degree)
+    table.reveal(g.terms)
     out: dict[TermKey, complex] = {}
     for (index, comp), coeff in f.terms.items():
-        if sum(index) > degree:
-            continue
-        acc = one
-        for k, e in enumerate(index):
-            if e == 0:
-                continue
-            acc = _bucket_mul(acc, component_power(k, e), degree)
-            if not acc:
-                break
-        for bucket in acc.values():
-            for code, value in bucket.items():
-                key = (decode(code), comp)
-                out[key] = out.get(key, 0j) + coeff * value
+        if sum(index) <= degree:
+            table.accumulate(out, comp, coeff, table.power(index).values())
     if prune:
         out = _prune_terms(out, PRUNE_REL_TOL)
-    return PolyJet._trusted(n, degree, out)
+    return PolyJet._trusted(f.n, degree, out)
 
 
 def jet_inverse(f: PolyJet, degree: int) -> PolyJet:
     """Compositional inverse jet, built degree by degree.
 
     The result ``g`` satisfies ``f o g = g o f = id`` through ``degree``.
+    Each step reads the degree-``d`` part of ``f o g`` from one power table
+    of ``g`` and adds the block that cancels it.
     """
     linear = f.linear_part()
     _check_invertible(linear, SingularLinearPart, "linear part")
     inv_linear = np.linalg.inv(linear)
     g = PolyJet.from_linear(inv_linear, degree)
+    table = _PowerTable(f.n, degree)
+    table.reveal(g.terms)
     for d in range(2, degree + 1):
         # the degree-d part of f o g - id, which g's degree-d terms must cancel
-        top = {key: c for key, c in compose_truncated(f, g, d, prune=False).terms.items()
-               if sum(key[0]) == d}
-        g = g + PolyJet._trusted(f.n, degree, _left_multiply(-inv_linear, top))
+        block = PolyJet._trusted(f.n, degree,
+                                 _left_multiply(-inv_linear, table.compose_block(f, d)))
+        g = g + block
+        table.reveal(block.terms)
     return g.pruned()
 
 

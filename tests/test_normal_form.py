@@ -265,19 +265,17 @@ class TestDirectScheme:
         assert poincare_dulac(germ).residuals.coefficient_max < 1e-10
 
     @pytest.mark.parametrize("trunc_degree", [None, 5])
-    def test_two_compositions_per_degree(self, monkeypatch, trunc_degree):
+    def test_compositions_only_in_closing_residual(self, monkeypatch, trunc_degree):
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append((args[2], kwargs.get("prune")))
             return compose_truncated(*args, **kwargs)
 
         monkeypatch.setattr(normal_form, "compose_truncated", counting)
         result = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=trunc_degree))
-        D = result.trunc_degree
-        # two per degree 2..D, then two for the coefficient residual
-        assert len(calls) == 2 * (D - 1) + 2
-        assert calls[:-2] == [q for q in range(2, D + 1) for _ in range(2)]
+        # the loop reads power tables; only the coefficient residual recomposes
+        assert calls == [(result.trunc_degree, False)] * 2
 
 
 class TestPhiNumeric:

@@ -1,18 +1,29 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet, random_point
+from srnf import germio
 from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart
 from srnf.polymap import (
+    PRUNE_REL_TOL,
     HomogeneousPart,
     PolyJet,
+    _PowerTable,
+    _prune_terms,
     compose_truncated,
     homogeneous_part,
     jet_inverse,
     linear_conjugate,
 )
+from srnf.normal_form import poincare_dulac
+
+DATA = Path(__file__).parent / "data"
 
 
 def jet1d(degree, **coeffs):
@@ -190,6 +201,182 @@ class TestCompose:
             assert small < 1e-13
         else:
             assert big / max(small, 1e-300) >= 2 ** (degree + 1) * 0.8
+
+
+def bucket_mul(a, b, cap):
+    """The product kernel composition used before the power table, kept as its reference."""
+    out = {}
+    for da, ta in a.items():
+        for db, tb in b.items():
+            d = da + db
+            if d > cap:
+                continue
+            bucket = out.setdefault(d, {})
+            for ca, va in ta.items():
+                for cb, vb in tb.items():
+                    key = ca + cb
+                    bucket[key] = bucket.get(key, 0j) + va * vb
+    return out
+
+
+def reference_compose(f, g, degree, prune=True):
+    """``compose_truncated`` as it was before the power table: one product chain per term."""
+    n, base = f.n, degree + 1
+    radix = [base ** k for k in range(n)]
+
+    def decode(code):
+        digits = []
+        for _ in range(n):
+            digits.append(code % base)
+            code //= base
+        return tuple(digits)
+
+    one = {0: {0: 1.0 + 0j}}
+    components = [{} for _ in range(n)]
+    for (index, comp), coeff in g.terms.items():
+        d = sum(index)
+        if d <= degree:
+            components[comp].setdefault(d, {})[sum(e * r for e, r in zip(index, radix))] = coeff
+    power_cache = [{0: one} for _ in range(n)]
+
+    def component_power(k, e):
+        cache = power_cache[k]
+        if e not in cache:
+            top = max(m for m in cache if m <= e)
+            acc = cache[top]
+            for m in range(top + 1, e + 1):
+                acc = bucket_mul(acc, components[k], degree)
+                cache[m] = acc
+        return cache[e]
+
+    out = {}
+    for (index, comp), coeff in f.terms.items():
+        if sum(index) > degree:
+            continue
+        acc = one
+        for k, e in enumerate(index):
+            if e == 0:
+                continue
+            acc = bucket_mul(acc, component_power(k, e), degree)
+            if not acc:
+                break
+        for bucket in acc.values():
+            for code, value in bucket.items():
+                key = (decode(code), comp)
+                out[key] = out.get(key, 0j) + coeff * value
+    if prune:
+        out = _prune_terms(out, PRUNE_REL_TOL)
+    return PolyJet._trusted(n, degree, out)
+
+
+def term_bytes(jet):
+    """The terms in stored order, coefficients by their bits."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in jet.terms.items()]
+
+
+def shuffled(rng, jet):
+    """The same jet with its terms stored in a random order."""
+    items = list(jet.terms.items())
+    return PolyJet(jet.n, jet.degree, [items[i] for i in rng.permutation(len(items))])
+
+
+def sparse_jet(rng, n, degree, count):
+    """A few random terms of degrees 1..degree, in random order."""
+    terms = {}
+    for _ in range(count):
+        d = int(rng.integers(1, degree + 1))
+        cuts = np.sort(rng.integers(0, d + 1, size=n - 1))
+        index = tuple(np.diff(np.concatenate([[0], cuts, [d]])).tolist())
+        terms[(index, int(rng.integers(n)))] = complex(rng.normal(), rng.normal())
+    return PolyJet(n, degree, terms)
+
+
+def modest_jet(rng, n, degree, **kwargs):
+    """A random jet with about 40 terms or fewer, whatever n and degree."""
+    size = n * (math.comb(n + degree, n) - 1)
+    return random_jet(rng, n, degree, density=min(0.6, 40 / size), **kwargs)
+
+
+class TestComposeBytes:
+    """``compose_truncated`` is bit-identical to the per-term product chain it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 6), st.booleans(),
+           st.booleans())
+    def test_equals_reference_kernel(self, seed, n, degree, shuffle, prune):
+        rng = np.random.default_rng(seed)
+        f = modest_jet(rng, n, degree)
+        g = modest_jet(rng, n, degree, invertible_linear=bool(rng.integers(2)))
+        if shuffle:
+            f, g = shuffled(rng, f), shuffled(rng, g)
+        cap = int(rng.integers(1, degree + 1))
+        assert term_bytes(compose_truncated(f, g, cap, prune=prune)) \
+            == term_bytes(reference_compose(f, g, cap, prune=prune))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 6), st.integers(2, 6))
+    def test_sparse_operands_at_wide_caps(self, seed, n, deg_f, deg_g):
+        # as in sr_compose, which composes up to deg F * deg G
+        rng = np.random.default_rng(seed)
+        f = sparse_jet(rng, n, deg_f, int(rng.integers(1, 7)))
+        g = sparse_jet(rng, n, deg_g, int(rng.integers(1, 7))) + PolyJet.identity(n)
+        cap = deg_f * deg_g
+        assert term_bytes(compose_truncated(f, g, cap)) == term_bytes(reference_compose(f, g, cap))
+
+
+def unsigned(jet):
+    return PolyJet(jet.n, jet.degree, {key: abs(c) for key, c in jet.terms.items()})
+
+
+class TestOnlineBlocks:
+    """Blocks of ``f o g`` read while ``g`` is revealed one degree at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5), st.booleans())
+    def test_blocks_equal_composition(self, seed, n, degree, shuffle):
+        rng = np.random.default_rng(seed)
+        f, g = modest_jet(rng, n, degree), modest_jet(rng, n, degree)
+        if shuffle:
+            f, g = shuffled(rng, f), shuffled(rng, g)
+        whole = compose_truncated(f, g, degree, prune=False).terms
+        # every summand of a coefficient is at most its value in |f| o |g|
+        magnitude = compose_truncated(unsigned(f), unsigned(g), degree, prune=False).terms
+        table = _PowerTable(n, degree)
+        for d in range(1, degree + 1):
+            table.reveal({key: c for key, c in g.terms.items() if sum(key[0]) == d})
+            block = table.compose_block(f, d)
+            expected = {key: c for key, c in whole.items() if sum(key[0]) == d}
+            for key in set(block) | set(expected):
+                gap = abs(block.get(key, 0j) - expected.get(key, 0j))
+                assert gap <= 4 * 2.0 ** -52 * magnitude[key].real
+
+    @pytest.mark.parametrize("user", ["compose_truncated", "jet_inverse", "poincare_dulac"])
+    def test_each_block_built_once(self, monkeypatch, user):
+        # every block the kernel builds is one the tables keep: none is rebuilt
+        tables, built = [], []
+        init, product = _PowerTable.__init__, _PowerTable._product
+
+        def recording_init(table, n, cap):
+            init(table, n, cap)
+            tables.append(table)
+
+        def counting(a, b, low, high):
+            blocks = product(a, b, low, high)
+            built.extend(blocks)
+            return blocks
+
+        monkeypatch.setattr(_PowerTable, "__init__", recording_init)
+        monkeypatch.setattr(_PowerTable, "_product", staticmethod(counting))
+        f = random_jet(np.random.default_rng(5), 3, 5, density=0.4)
+        if user == "compose_truncated":
+            compose_truncated(f, f, 5)
+        elif user == "jet_inverse":
+            jet_inverse(f, 5)
+        else:
+            document = json.loads((DATA / "coupled_n3.json").read_text(encoding="utf-8"))
+            poincare_dulac(germio.parse_germ_document(document))
+        kept = sum(len(blocks) for table in tables for blocks in table.powers.values())
+        assert built and len(built) == kept
 
 
 class TestJetInverse:
