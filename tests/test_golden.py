@@ -8,6 +8,8 @@ or the verification shows up as a failure, even at the last ulp.
 To regenerate one expected file after an intended change, run for example
 ``PYTHONPATH=src python -m srnf normal-form tests/data/hopf.json
 > tests/data/expected/hopf.normal-form.json`` from the repository root.
+The group inputs ``group_g1.json``, ``group_g2.json`` (elements) and
+``group_map.json`` (a sub-resonant map) share one spectrum.
 """
 
 from pathlib import Path
@@ -31,13 +33,18 @@ CASES = [
     # converged and null samples in one report (16 of 20 null), exit 3
     ("hopf.verify-seed3-pmax12",
      ["verify", "hopf.json", "--seed", "3", "--p-max", "12"], 3),
+    # n = 3, degree bound 4, both elements with a nonzero translation
+    ("group.mul", ["group", "mul", "group_g1.json", "group_g2.json"], 0),
+    ("group.inv", ["group", "inv", "group_g1.json"], 0),
+    ("group.conjugate-translation",
+     ["group", "conjugate-translation", "group_map.json",
+      "--tau", "[[0.07, -0.02], [-0.05, 0.04], [0.03, 0.09]]"], 0),
 ]
 
 
 @pytest.mark.parametrize("name, argv, exit_code", CASES, ids=[name for name, _, _ in CASES])
 def test_cli_output_is_byte_identical(name, argv, exit_code, capsys):
-    command, document, *options = argv
-    code = main([command, str(DATA / document), *options])
+    code = main([str(DATA / arg) if arg.endswith(".json") else arg for arg in argv])
     out = capsys.readouterr().out
     assert code == exit_code
     assert out == (DATA / "expected" / f"{name}.json").read_text(encoding="utf-8")
