@@ -10,7 +10,6 @@ sampled points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .linalg import same_spectrum
 from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
-from .polymap import PolyJet, TermKey, _check_invertible
+from .polymap import PolyJet, _check_invertible, _linear_terms, _PowerTable
 from .subresonance import (
     DEFAULT_SR_TOL,
     SubResonantMap,
@@ -81,35 +80,23 @@ def translate_conjugate(h: SubResonantMap, tau,
                         tol: float = DEFAULT_SR_TOL) -> SubResonantMap:
     """The map ``z -> h(z + tau) - h(tau)``, certified sub-resonant.
 
-    Expanding each monomial binomially, the constant descendants cancel the
-    subtracted value exactly and every surviving descendant inherits the
-    sub-resonance inequality, so re-certification can only fail on a defect.
+    ``h`` is composed with ``z + tau`` in one power table and the constant
+    terms, which make up ``h(tau)``, are dropped.  Every surviving monomial
+    divides one of ``h`` and inherits its sub-resonance inequality, so
+    re-certification can only fail on a defect.
     """
     tau = np.asarray(tau, dtype=complex)
     n = h.jet.n
     if tau.shape != (n,):
         raise DimensionMismatch(f"translation shape {tau.shape} does not match n={n}")
-    out: dict[TermKey, complex] = {}
-    for (index, comp), coeff in h.jet.terms.items():
-        # distribute (z_k + tau_k)^{i_k} over all sub-exponents
-        descendants = [((0,) * n, coeff)]
-        for k, e in enumerate(index):
-            if e == 0:
-                continue
-            grown = []
-            for partial, value in descendants:
-                for m in range(e + 1):
-                    factor = math.comb(e, m) * tau[k] ** (e - m)
-                    if factor == 0:
-                        continue
-                    child = tuple(p + (m if i == k else 0) for i, p in enumerate(partial))
-                    grown.append((child, value * factor))
-            descendants = grown
-        for child, value in descendants:
-            if sum(child) >= 1 and value != 0:
-                key = (child, comp)
-                out[key] = out.get(key, 0j) + value
-    jet = PolyJet(n, h.jet.degree, {k: c for k, c in out.items() if c != 0})
+    origin = (0,) * n
+    table = _PowerTable(n, h.jet.degree)
+    table.reveal(_linear_terms(np.eye(n)))
+    table.reveal({(origin, k): t for k, t in enumerate(tau.tolist()) if t != 0})
+    out = table.compose(h.jet)
+    for k in range(n):
+        out.pop((origin, k), None)
+    jet = PolyJet._trusted(n, h.jet.degree, out)
     return _certify_or_raise(jet, h.spectrum, tol, "translate_conjugate")
 
 

@@ -20,10 +20,11 @@ from .errors import DegreeOutOfRange, DimensionMismatch, IllConditionedResonance
 from .linalg import SpectrumData
 from .polymap import (
     HomogeneousPart,
-    MultiIndex,
     PolyJet,
     TermKey,
     _left_multiply,
+    _linear_terms,
+    _PowerTable,
     compose_truncated,
     multi_indices,
     term_sort_key,
@@ -105,16 +106,6 @@ def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> HomogeneousPart:
     return HomogeneousPart._trusted(ordering.n, ordering.q, terms)
 
 
-def _multiply(a: dict, b: dict) -> dict:
-    """Product of two polynomials stored as ``{multi-index: coefficient}``."""
-    out: dict[MultiIndex, complex] = {}
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            key = tuple(x + y for x, y in zip(ia, ib))
-            out[key] = out.get(key, 0j) + ca * cb
-    return out
-
-
 def operator_columns(spectrum: SpectrumData, q: int):
     """The degree-``q`` operator: ``(ordering, diagonal, divisors, off)``.
 
@@ -122,44 +113,38 @@ def operator_columns(spectrum: SpectrumData, q: int):
     exact products ``l^I - l_j``, one value per position.  ``off`` maps each
     column with entries off the diagonal, in ascending rank, to a pair
     ``(rows, values)`` of arrays over its structural nonzeros, diagonal
-    entry first; it is empty when ``T`` is diagonal.  Columns are expanded
-    from powers of the linear forms ``(Tz)_t``, independently of
-    :func:`apply_M`, so the two routes cross-check each other; ``(Tz)^I``
-    is expanded once per index, whose components are adjacent in the
-    ordering.  Off-diagonal entries land at strictly smaller ranks: the
-    operator is upper triangular.
+    entry first; it is empty when ``T`` is diagonal.  Columns are read from
+    the powers ``(Tz)^I`` in one power table over the linear forms of
+    ``T``; the components of one index are adjacent in the ordering.
+    :func:`apply_M` composes with the same kernel, so neither is an oracle
+    for the other.  Off-diagonal entries land at strictly smaller ranks:
+    the operator is upper triangular.
     """
     if q < 2:
         raise DegreeOutOfRange(f"operator matrices start at degree 2, got {q}")
     n, T = spectrum.n, spectrum.T
     ordering = basis_ordering(n, q)
-    linear_forms = [{tuple(int(i == k) for i in range(n)): complex(T[t, k])
-                     for k in range(t, n) if T[t, k] != 0} for t in range(n)]
+    table = _PowerTable(n, q)
+    table.reveal(_linear_terms(T))
+    exponents = np.array([index for index, _ in ordering.pairs[::n]])
+    starts = range(0, len(ordering), n)
+    # Packed codes fit in int64: (q + 1)^n >= 2^63 only for bases far beyond memory.
+    codes = (exponents @ np.array(table.radix)).tolist()
+    start_of = dict(zip(codes, starts))
     # minus T o (z^I e_comp) adds entries at the same index, components above comp.
     above = [np.flatnonzero(T[:comp, comp]) for comp in range(n)]
     coupling = [0j - T[rows, comp] for comp, rows in enumerate(above)]
     coupled = any(rows.size for rows in above)
-    one: dict[MultiIndex, complex] = {(0,) * n: 1.0 + 0j}
-    powers = [[one] for _ in range(n)]  # powers[t][e] = (Tz)_t ** e, filled on demand
-    leading, lam, off = [], [], {}
-    for start in range(0, len(ordering), n):
-        index = ordering.pairs[start][0]
-        # (Tz)^I, expanded as a product of cached linear-form powers.
-        acc = one
-        for t, e in enumerate(index):
-            if e == 0:
-                continue
-            while len(powers[t]) <= e:
-                powers[t].append(_multiply(powers[t][-1], linear_forms[t]))
-            acc = _multiply(acc, powers[t][e])
-        leading.append(acc.get(index, 0j))
-        lam.append(np.prod(spectrum.diag ** np.array(index)))
+    leading, off = [], {}
+    for index, code, start in zip(map(tuple, exponents.tolist()), codes, starts):
+        power = table.power(index)[q]
+        leading.append(power.get(code, 0j))
         if not coupled:  # a diagonal T has no entries off the diagonal
             continue
-        monos = [index] + [mono for mono in acc if mono != index]
+        monos = [code] + [mono for mono in power if mono != code]
         # 0j + keeps the signed zeros of a dense sum.
-        base = np.array([ordering.rank[(mono, 0)] for mono in monos])
-        expanded = 0j + np.array([acc.get(mono, 0j) for mono in monos], dtype=complex)
+        base = np.array([start_of[mono] for mono in monos])
+        expanded = 0j + np.array([power.get(mono, 0j) for mono in monos], dtype=complex)
         for comp in range(n):
             if len(monos) == 1 and not above[comp].size:
                 continue
@@ -169,8 +154,9 @@ def operator_columns(spectrum: SpectrumData, q: int):
                 rows = np.concatenate([rows, start + above[comp]])
                 values = np.concatenate([values, coupling[comp]])
             off[start + comp] = (rows, values)
+    lam = np.prod(spectrum.diag ** exponents, axis=1)
     diagonal = (np.array(leading, dtype=complex)[:, None] - np.diagonal(T)).ravel()
-    divisors = (np.array(lam, dtype=complex)[:, None] - spectrum.diag).ravel()
+    divisors = (lam[:, None] - spectrum.diag).ravel()
     return ordering, diagonal, divisors, off
 
 

@@ -123,14 +123,7 @@ class PolyJet:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-        n = matrix.shape[0]
-        terms = {}
-        for j in range(n):
-            for k in range(n):
-                if matrix[j, k] != 0:
-                    index = tuple(1 if i == k else 0 for i in range(n))
-                    terms[(index, j)] = complex(matrix[j, k])
-        return cls(n, degree, terms)
+        return cls(matrix.shape[0], degree, _linear_terms(matrix))
 
     # -- views ---------------------------------------------------------
 
@@ -268,6 +261,13 @@ class HomogeneousPart(PolyJet):
 # -- term-level helpers ------------------------------------------------
 
 
+def _linear_terms(matrix: np.ndarray) -> dict[TermKey, complex]:
+    """Terms of ``z -> matrix @ z``, row by row."""
+    n = len(matrix)
+    return {(tuple(int(i == k) for i in range(n)), j): complex(matrix[j, k])
+            for j in range(n) for k in range(n) if matrix[j, k] != 0}
+
+
 def _prune_terms(terms: Mapping[TermKey, complex], rel_tol: float) -> dict[TermKey, complex]:
     if rel_tol <= 0 or not terms:
         return dict(terms)
@@ -289,14 +289,16 @@ _Blocks = dict[int, dict[int, complex]]
 
 
 class _PowerTable:
-    """Degree blocks ``[g^I]_d`` of the monomial powers of one jet ``g``, each made once.
+    """Degree blocks ``[g^I]_d`` of the monomial powers of one map ``g``, each made once.
 
     ``g^I`` follows the prefix chain ``((g_1^{i_1}) g_2^{i_2}) ...`` with
     ``g_k^e = g_k^{e-1} g_k``.  :meth:`power` makes all blocks of a power at
-    once; :meth:`compose_block` makes them as degrees are asked for, so ``g``
-    may be revealed degree by degree: for ``|I| >= 2`` the block ``[g^I]_d``
-    reads only blocks of ``g`` below ``d`` and stays valid as later degrees
-    arrive.
+    once, and :meth:`compose` sums a map's terms over them; there ``g`` may
+    have a constant term if ``f`` has no terms above the cap.
+    :meth:`compose_block` makes blocks as degrees are asked for, so ``g``
+    may be revealed degree by degree: for ``|I| >= 2`` the block
+    ``[g^I]_d`` reads only blocks of ``g`` below ``d`` and stays valid as
+    later degrees arrive.  That needs ``g(0) = 0``.
     """
 
     def __init__(self, n: int, cap: int):
@@ -374,6 +376,14 @@ class _PowerTable:
                 key = (index, comp)
                 out[key] = out.get(key, 0j) + coeff * value
 
+    def compose(self, f: PolyJet) -> dict[TermKey, complex]:
+        """Terms of ``f o g`` through the cap, ``f``'s terms summed in stored order."""
+        out: dict[TermKey, complex] = {}
+        for (index, comp), coeff in f.terms.items():
+            if sum(index) <= self.cap:
+                self.accumulate(out, comp, coeff, self.power(index).values())
+        return out
+
     def compose_block(self, f: PolyJet, d: int, *, prune: bool = False) -> dict[TermKey, complex]:
         """The degree-``d`` terms of ``f o g``, from ``g``'s blocks revealed so far."""
         out: dict[TermKey, complex] = {}
@@ -401,10 +411,7 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
         raise DegreeOutOfRange(f"truncation degree must be >= 1, got {degree}")
     table = _PowerTable(f.n, degree)
     table.reveal(g.terms)
-    out: dict[TermKey, complex] = {}
-    for (index, comp), coeff in f.terms.items():
-        if sum(index) <= degree:
-            table.accumulate(out, comp, coeff, table.power(index).values())
+    out = table.compose(f)
     if prune:
         out = _prune_terms(out, PRUNE_REL_TOL)
     return PolyJet._trusted(f.n, degree, out)

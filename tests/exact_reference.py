@@ -1,4 +1,5 @@
-"""Reference normal form in 50-digit arithmetic, sharing no code with srnf.
+"""Reference normal form and translation conjugate in 50-digit arithmetic,
+sharing no code with srnf.
 
 For a germ ``F`` in adapted coordinates (upper-triangular linear part
 ``T``), solves ``F o phi = phi o P`` degree by degree with the same
@@ -14,10 +15,14 @@ Everything here is naive on purpose: compositions recompute every power
 from scratch in dictionaries of ``mpmath`` numbers, and the operator is
 applied to each basis element by composition.  Jets are dictionaries
 ``{(exponents, component): coefficient}`` with 0-based components.
+
+:func:`translate_conjugate` expands ``h(z + tau) - h(tau)`` binomially,
+monomial by monomial.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -129,6 +134,23 @@ def normal_form(n: int, germ: dict, D: int) -> tuple[dict, dict]:
                 for key, value in column.items():
                     residual[rank[key]] -= h * value
         return P, phi
+
+
+def translate_conjugate(terms: dict, tau) -> dict:
+    """``z -> h(z + tau) - h(tau)`` for ``h`` with the given terms, nonzero terms only."""
+    with mpmath.workdps(DPS):
+        shift = [mpmath.mpc(t.real, t.imag) for t in tau]
+        out = {}
+        for (index, comp), coeff in terms.items():
+            for sub in itertools.product(*(range(e + 1) for e in index)):
+                if not any(sub):
+                    continue  # a constant: part of h(tau)
+                value = mpmath.mpc(coeff.real, coeff.imag)
+                for e, m, t in zip(index, sub, shift):
+                    value *= mpmath.binomial(e, m) * t ** (e - m)
+                key = (sub, comp)
+                out[key] = out.get(key, 0) + value
+        return {key: value for key, value in out.items() if value != 0}
 
 
 def distance(computed: dict, exact: dict) -> dict:

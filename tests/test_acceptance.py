@@ -69,6 +69,19 @@ def naive_compose(f: PolyJet, g: PolyJet, degree: int) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def naive_operator(T: np.ndarray, h: HomogeneousPart) -> HomogeneousPart:
+    """``h o T - T o h`` from :func:`naive_compose`, independent of the library kernel."""
+    n = h.n
+    linear = PolyJet(n, 1, {(tuple(int(i == k) for i in range(n)), row): T[row, k]
+                            for row in range(n) for k in range(n) if T[row, k] != 0})
+    out = naive_compose(h, linear, h.q)
+    for (index, comp), c in h.terms.items():
+        for row in range(n):
+            key = (index, row)
+            out[key] = out.get(key, 0j) - T[row, comp] * c
+    return HomogeneousPart(n, h.q, out)
+
+
 def certified(jet, spectrum):
     out = certify_subresonant(jet, spectrum)
     assert isinstance(out, SubResonantMap)
@@ -128,8 +141,11 @@ def test_criterion_03_triangularity_and_oracle():
                     if rng.random() < 0.5:
                         terms[(index, j)] = complex(rng.normal(), rng.normal())
             h = HomogeneousPart(n, q, terms)
-            worst_action = max(worst_action,
-                               m.apply(h).max_coeff_diff(apply_M(s, h)))
+            via_matrix, via_operator = m.apply(h), apply_M(s, h)
+            oracle = naive_operator(s.T, h)
+            worst_action = max(worst_action, via_matrix.max_coeff_diff(via_operator),
+                               via_matrix.max_coeff_diff(oracle),
+                               via_operator.max_coeff_diff(oracle))
     assert worst_diag < 1e-12
     assert worst_action < 1e-12
     print(f"ACCEPTANCE 3: PASS triangularity/diagonal law "

@@ -1,8 +1,10 @@
-"""The pipeline's P and phi against the 50-digit reference of ``exact_reference``.
+"""The pipeline's P and phi, and ``translate_conjugate``, against the 50-digit
+reference of ``exact_reference``.
 
 Measured distances, in units of 2**-52 times each degree's largest exact
 coefficient (largest over degrees): Hopf P 0, phi 0.2; ``coupled_n3`` P 7.8,
-phi 6.4 (max |phi| 425); diag(1/8, 1/4, 1/2) P 0.4, phi 1.3 (max |phi| 560).
+phi 6.4 (max |phi| 425); diag(1/8, 1/4, 1/2) P 0.4, phi 1.3 (max |phi| 560);
+``translate_conjugate`` at most 6.3 over 300 seeded draws of the test below.
 """
 
 import json
@@ -10,12 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exact_reference
-from conftest import random_jet
+from conftest import random_jet, random_spectrum, random_sr_map
 from srnf import germio
+from srnf.gx_group import translate_conjugate
 from srnf.normal_form import GermInput, poincare_dulac
 from srnf.polymap import PolyJet
+from srnf.subresonance import certify_subresonant
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,3 +76,22 @@ def test_hopf_normal_form_by_hand():
     n, terms = exact_reference.load_germ(DATA / "hopf.json")
     P, _ = exact_reference.normal_form(n, terms, 3)
     assert P == {((1, 0), 0): 0.25, ((0, 1), 1): 0.5, ((0, 2), 0): 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.sampled_from(["real", "complex", "zero"]))
+def test_translate_conjugate_matches_exact_reference(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    # degree bounds up to 5
+    s = random_spectrum(rng, n, max_ratio=5.4, qmax=5)
+    h = certify_subresonant(random_sr_map(rng, s), s)
+    tau = {"real": 0.6 * rng.normal(size=n),
+           "complex": 0.6 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+           "zero": np.zeros(n)}[kind].astype(complex)
+    computed = translate_conjugate(h, tau).jet.terms
+    exact = exact_reference.translate_conjugate(h.jet.terms, tau)
+    assert set(computed) == set(exact)
+    if kind == "zero":
+        assert computed == h.jet.terms
+    distance = exact_reference.distance(computed, exact)
+    assert max(distance.values()) <= ULPS, distance

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -383,7 +384,9 @@ class TestConsoleEntry:
         germ = tmp_path / "germ.json"
         germ.write_text(json.dumps(HOPF_DOC))
         cmd = [sys.executable, "-m", "srnf", "normal-form", str(germ), "--seed", "3"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        # the package from this checkout, installed or not
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout

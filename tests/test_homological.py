@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spectrum
+from test_acceptance import naive_operator
 from srnf.homological import (
     DEFAULT_RES_TOL,
     SMALL_DIVISOR_REL,
@@ -112,6 +113,10 @@ class TestBuildMatrix:
         via_matrix = m.apply(h)
         via_operator = apply_M(s, h)
         assert via_matrix.max_coeff_diff(via_operator) < 1e-12
+        # apply_M and the matrix share the power table; the oracle shares nothing.
+        oracle = naive_operator(s.T, h)
+        assert via_matrix.max_coeff_diff(oracle) < 1e-12
+        assert via_operator.max_coeff_diff(oracle) < 1e-12
 
 
 class TestStability:
