@@ -4,7 +4,8 @@ reference of ``exact_reference``.
 Measured distances, in units of 2**-52 times each degree's largest exact
 coefficient (largest over degrees): Hopf P 0, phi 0.2; ``coupled_n3`` P 7.8,
 phi 6.4 (max |phi| 425); diag(1/8, 1/4, 1/2) P 0.4, phi 1.3 (max |phi| 560);
-``translate_conjugate`` at most 6.3 over 300 seeded draws of the test below.
+``translate_conjugate`` at most 6.3 over 1,000 seeded draws like those of the
+last test below.
 """
 
 import json
