@@ -9,7 +9,9 @@ To regenerate one expected file after an intended change, run for example
 ``PYTHONPATH=src python -m srnf normal-form tests/data/hopf.json
 > tests/data/expected/hopf.normal-form.json`` from the repository root.
 The group inputs ``group_g1.json``, ``group_g2.json`` (elements) and
-``group_map.json`` (a sub-resonant map) share one spectrum.
+``group_map.json`` (a sub-resonant map) share one spectrum.  ``near_resonant.json``
+is a coupled 3-d germ whose results carry strings: small-divisor warnings,
+and with ``--res-tol 1e-5`` an ``{"error": ...}`` document.
 """
 
 from pathlib import Path
@@ -39,6 +41,11 @@ CASES = [
     ("group.conjugate-translation",
      ["group", "conjugate-translation", "group_map.json",
       "--tau", "[[0.07, -0.02], [-0.05, 0.04], [0.03, 0.09]]"], 0),
+    # l_1 = 0.2500002 sits 2e-7 off l_2^2 = l_2 l_3 = l_3^2: three small-divisor warnings
+    ("near_resonant.normal-form", ["normal-form", "near_resonant.json"], 0),
+    # the same divisors taken as resonances but not sub-resonant: an error document, exit 3
+    ("near_resonant.normal-form-restol1e-5",
+     ["normal-form", "near_resonant.json", "--res-tol", "1e-5"], 3),
 ]
 
 
