@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,30 +39,57 @@ DEFAULT_RES_TOL = 1e-9
 SMALL_DIVISOR_REL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisOrdering:
-    """All degree-``q`` monomial basis positions in ascending order."""
+    """All degree-``q`` monomial basis positions in ascending order.
+
+    ``exponents`` holds the multi-indices in ascending order, one row each;
+    position ``r`` is row ``r // n`` with component ``r % n``.  With the
+    packed code ``sum_k i_k (q + 1)^k`` the rows are in strictly descending
+    code order, which :meth:`rows_of` uses to find a row without a dict.
+    """
 
     q: int
     n: int
-    pairs: tuple[TermKey, ...]
-    rank: dict[TermKey, int] = field(repr=False)
+    exponents: np.ndarray
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.exponents) * self.n
+
+    def codes(self, indices: np.ndarray) -> np.ndarray:
+        """Packed codes of multi-index rows; int64 holds them for any basis that fits in memory."""
+        return indices @ (self.q + 1) ** np.arange(self.n, dtype=np.int64)
+
+    def rows_of(self, indices: np.ndarray) -> np.ndarray:
+        """Row of each multi-index of degree ``q`` in ``exponents``."""
+        ascending = self.codes(self.exponents)[::-1]
+        return len(ascending) - 1 - np.searchsorted(ascending, self.codes(indices))
+
+    def positions(self, ranks: np.ndarray) -> list[TermKey]:
+        """The ``(index, comp)`` keys of the given ranks, as Python ints; the
+        components of one index share its tuple."""
+        rows, comps = np.divmod(ranks, self.n)
+        needed, at = np.unique(rows, return_inverse=True)
+        indices = list(map(tuple, self.exponents[needed].tolist()))
+        return [(indices[i], comp) for i, comp in zip(at.tolist(), comps.tolist())]
+
+    @cached_property
+    def pairs(self) -> tuple[TermKey, ...]:
+        return tuple(self.positions(np.arange(len(self))))
+
+    @cached_property
+    def rank(self) -> dict[TermKey, int]:
+        return dict(zip(self.pairs, range(len(self))))
 
 
 def basis_ordering(n: int, q: int) -> BasisOrdering:
     if q < 1:
         raise DegreeOutOfRange(f"degree must be >= 1, got {q}")
     combos = np.array(list(itertools.combinations_with_replacement(range(n), q)))
-    exponents = np.zeros((len(combos), n), dtype=int)
+    exponents = np.zeros((len(combos), n), dtype=np.int64)
     np.add.at(exponents, (np.arange(len(combos))[:, None], combos), 1)
     # lexsort's last key is the primary one: the exponent of z_n, larger first.
-    exponents = exponents[np.lexsort(-exponents.T)]
-    pairs = tuple((index, comp) for index in map(tuple, exponents.tolist())
-                  for comp in range(n))
-    return BasisOrdering(q=q, n=n, pairs=pairs, rank=dict(zip(pairs, range(len(pairs)))))
+    return BasisOrdering(q=q, n=n, exponents=exponents[np.lexsort(-exponents.T)])
 
 
 def basis_dimension(n: int, q: int) -> int:
@@ -95,14 +123,22 @@ class OperatorMatrix:
 
 
 def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarray:
+    if (h.n, h.q) != (ordering.n, ordering.q):
+        raise DimensionMismatch(f"a part with n={h.n}, q={h.q} is not in the basis of "
+                                f"n={ordering.n}, q={ordering.q}")
     vec = np.zeros(len(ordering), dtype=complex)
-    for key, coeff in h.terms.items():
-        vec[ordering.rank[key]] = coeff
+    if h.terms:
+        n, count = ordering.n, len(h.terms)
+        indices = np.fromiter(itertools.chain.from_iterable(index for index, _ in h.terms),
+                              dtype=np.int64, count=count * n).reshape(count, n)
+        comps = np.fromiter((comp for _, comp in h.terms), dtype=np.int64, count=count)
+        vec[ordering.rows_of(indices) * n + comps] = list(h.terms.values())
     return vec
 
 
 def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> HomogeneousPart:
-    terms = {ordering.pairs[r]: vec[r] for r in np.flatnonzero(vec)}
+    ranks = np.flatnonzero(vec)
+    terms = dict(zip(ordering.positions(ranks), vec[ranks].tolist()))
     return HomogeneousPart._trusted(ordering.n, ordering.q, terms)
 
 
@@ -113,47 +149,59 @@ def operator_columns(spectrum: SpectrumData, q: int):
     exact products ``l^I - l_j``, one value per position.  ``off`` maps each
     column with entries off the diagonal, in ascending rank, to a pair
     ``(rows, values)`` of arrays over its structural nonzeros, diagonal
-    entry first; it is empty when ``T`` is diagonal.  Columns are read from
-    the powers ``(Tz)^I`` in one power table over the linear forms of
-    ``T``; the components of one index are adjacent in the ordering.
-    :func:`apply_M` composes with the same kernel, so neither is an oracle
-    for the other.  Off-diagonal entries land at strictly smaller ranks:
-    the operator is upper triangular.
+    entry first; it is empty when ``T`` is diagonal.  For a triangular
+    ``T`` only the diagonal factors reach ``z^I`` in ``(Tz)^I``, so its
+    leading coefficient is the chain of products a power table over ``T``
+    makes: ``l_k^e = l_k^{e-1} l_k``, then ``I``'s variables in increasing
+    order.  The other columns are read from the powers ``(Tz)^I`` in one
+    power table over the linear forms of ``T``, made only when ``T`` has
+    entries off the diagonal; the components of one index are adjacent in
+    the ordering.  :func:`apply_M` composes with the same kernel, so
+    neither is an oracle for the other.  Off-diagonal entries land at
+    strictly smaller ranks: the operator is upper triangular.
     """
     if q < 2:
         raise DegreeOutOfRange(f"operator matrices start at degree 2, got {q}")
     n, T = spectrum.n, spectrum.T
     ordering = basis_ordering(n, q)
-    table = _PowerTable(n, q)
-    table.reveal(_linear_terms(T))
-    exponents = np.array([index for index, _ in ordering.pairs[::n]])
-    starts = range(0, len(ordering), n)
-    # Packed codes fit in int64: (q + 1)^n >= 2^63 only for bases far beyond memory.
-    codes = (exponents @ np.array(table.radix)).tolist()
-    start_of = dict(zip(codes, starts))
+    exponents = ordering.exponents
+    # Python complex products, as the power table makes them: numpy's may round differently.
+    chains = []
+    for k in range(n):
+        chain = [None, complex(T[k, k])]
+        for _ in range(2, q + 1):
+            chain.append(0j + chain[-1] * chain[1])
+        chains.append(chain)
+    leading = [None] * len(exponents)
+    at_row, at_var = np.nonzero(exponents)  # row-major: each row's variables in increasing order
+    for r, k, e in zip(at_row.tolist(), at_var.tolist(), exponents[at_row, at_var].tolist()):
+        v = leading[r]
+        leading[r] = chains[k][e] if v is None else 0j + v * chains[k][e]
     # minus T o (z^I e_comp) adds entries at the same index, components above comp.
     above = [np.flatnonzero(T[:comp, comp]) for comp in range(n)]
-    coupling = [0j - T[rows, comp] for comp, rows in enumerate(above)]
-    coupled = any(rows.size for rows in above)
-    leading, off = [], {}
-    for index, code, start in zip(map(tuple, exponents.tolist()), codes, starts):
-        power = table.power(index)[q]
-        leading.append(power.get(code, 0j))
-        if not coupled:  # a diagonal T has no entries off the diagonal
-            continue
-        monos = [code] + [mono for mono in power if mono != code]
-        # 0j + keeps the signed zeros of a dense sum.
-        base = np.array([start_of[mono] for mono in monos])
-        expanded = 0j + np.array([power.get(mono, 0j) for mono in monos], dtype=complex)
-        for comp in range(n):
-            if len(monos) == 1 and not above[comp].size:
-                continue
-            rows, values = base + comp, expanded.copy()
-            values[0] -= T[comp, comp]
-            if above[comp].size:
-                rows = np.concatenate([rows, start + above[comp]])
-                values = np.concatenate([values, coupling[comp]])
-            off[start + comp] = (rows, values)
+    off = {}
+    if any(rows.size for rows in above):
+        table = _PowerTable(n, q)
+        table.reveal(_linear_terms(T))
+        codes = ordering.codes(exponents).tolist()
+        starts = range(0, len(ordering), n)
+        start_of = dict(zip(codes, starts))
+        coupling = [0j - T[rows, comp] for comp, rows in enumerate(above)]
+        for index, code, start in zip(map(tuple, exponents.tolist()), codes, starts):
+            power = table.power(index)[q]
+            monos = [code] + [mono for mono in power if mono != code]
+            # 0j + keeps the signed zeros of a dense sum.
+            base = np.array([start_of[mono] for mono in monos])
+            expanded = 0j + np.array([power.get(mono, 0j) for mono in monos], dtype=complex)
+            for comp in range(n):
+                if len(monos) == 1 and not above[comp].size:
+                    continue
+                rows, values = base + comp, expanded.copy()
+                values[0] -= T[comp, comp]
+                if above[comp].size:
+                    rows = np.concatenate([rows, start + above[comp]])
+                    values = np.concatenate([values, coupling[comp]])
+                off[start + comp] = (rows, values)
     lam = np.prod(spectrum.diag ** exponents, axis=1)
     diagonal = (np.array(leading, dtype=complex)[:, None] - np.diagonal(T)).ravel()
     divisors = (lam[:, None] - spectrum.diag).ravel()
@@ -198,18 +246,20 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     if H.n != spectrum.n:
         raise DimensionMismatch(f"map dimension {H.n} does not match n={spectrum.n}")
     ordering, diagonal, exact, off = operator_columns(spectrum, H.q)
-    # Scalar abs: numpy's vectorised complex abs can differ in the last ulp.
-    divisors = np.array([abs(d) for d in exact.tolist()])
+    # Python's complex abs is libm's hypot, as np.hypot is; numpy's complex abs
+    # can differ in the last ulp.
+    divisors = np.hypot(exact.real, exact.imag)
     scale = np.tile([abs(l) for l in spectrum.diag], len(ordering) // spectrum.n)
     resonant = divisors <= res_tol * scale
-    for r in np.flatnonzero(resonant)[::-1]:
-        index, comp = ordering.pairs[r]
+    resonant_ranks = np.flatnonzero(resonant)
+    positions = ordering.positions(resonant_ranks)
+    for r, (index, comp) in zip(resonant_ranks[::-1].tolist(), positions[::-1]):
         if not is_subresonant_monomial(index, comp, spectrum, sr_tol):
             raise IllConditionedResonance(
                 f"divisor {divisors[r]:.3g} at {(index, comp)} is resonantly small "
                 "but the position is not sub-resonant; res_tol and the "
                 "log-space tolerance are inconsistent for this spectrum")
-    small = ~resonant & (divisors <= SMALL_DIVISOR_REL * scale)
+    small_ranks = np.flatnonzero(~resonant & (divisors <= SMALL_DIVISOR_REL * scale))[::-1]
     residual = coefficient_vector(H, ordering)
     removed = np.zeros(len(ordering), dtype=complex)
     for c in reversed(off):
@@ -225,9 +275,9 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     return SplitResult(
         resonant=vector_to_part(np.where(resonant, residual, 0), ordering),
         eliminated=vector_to_part(removed, ordering),
-        resonant_positions=tuple(ordering.pairs[r] for r in np.flatnonzero(resonant)),
-        warnings=tuple(f"small divisor {divisors[r]:.3g} at position {ordering.pairs[r]}"
-                       for r in np.flatnonzero(small)[::-1]),
+        resonant_positions=tuple(positions),
+        warnings=tuple(f"small divisor {divisors[r]:.3g} at position {position}"
+                       for r, position in zip(small_ranks, ordering.positions(small_ranks))),
         divisor_min=float(positive.min()) if positive.size else float("inf"),
     )
 

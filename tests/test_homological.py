@@ -371,6 +371,18 @@ class TestArraySplit:
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5),
            st.sampled_from(["diagonal", "coupled", "resonant", "near"]))
     def test_matches_reference_split(self, seed, n, q, kind):
+        self.check_against_reference(seed, n, q, kind)
+
+    # The sizes of the benchmark's diagonal spectra: only the eigenvalue chain
+    # makes the diagonal there; resonant spectra are coupled and use the table too.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(5, 8), st.integers(2, 3),
+           st.sampled_from(["diagonal", "resonant"]))
+    def test_matches_reference_split_up_to_n8(self, seed, n, q, kind):
+        self.check_against_reference(seed, n, q, kind)
+
+    @staticmethod
+    def check_against_reference(seed, n, q, kind):
         rng = np.random.default_rng(seed)
         s = reference_spectrum(rng, n, q, kind)
         terms = {}
