@@ -8,6 +8,8 @@ and equal inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -30,7 +32,10 @@ def pair_to_complex(pair, where: str) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         raise ValidationError(f"{where}: expected a [re, im] number pair, got {pair!r}")
-    value = complex(float(pair[0]), float(pair[1]))
+    try:
+        value = complex(float(pair[0]), float(pair[1]))
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{where}: number too large for a float") from None
     if not np.isfinite(value.real) or not np.isfinite(value.imag):
         raise ValidationError(f"{where}: non-finite coefficient")
     return value
@@ -292,8 +297,92 @@ def load_json(source: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{name}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def dump_json(doc: Any) -> str:
-    """Canonical serialization: sorted keys, two-space indent, round-trip floats."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, round-trip floats.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
+    plus a newline, byte for byte, and the same ``ValueError`` or
+    ``TypeError`` is raised.  json writes indented documents through nested
+    generators; :func:`_encode` builds the same text by plain recursion.  It
+    nests about twice as deep per level, so a document too deep for it, or
+    one that contains itself, is handed to json, which then encodes it or
+    raises as it always did.
+    """
+    try:
+        return _encode(doc, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key converted as json converts it, then quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        key = _float_text(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as json's indented encoder writes it at the depth ``newline`` indents to.
+
+    The exact types that make up most of a document are tested first; any
+    other value goes through json's order of tests, so ``bool`` is caught
+    before ``int`` and float subclasses are written as floats.
+    """
+    kind = type(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is not list and kind is not dict:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return _float_text(value)
+        if isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = newline + "  "
+    if kind is list:
+        body = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    # Each key is converted before its value is encoded, as json does.
+    body = [_key_text(key) + ": " + _encode(item, inner) for key, item in sorted(value.items())]
+    return "{" + inner + ("," + inner).join(body) + newline + "}"

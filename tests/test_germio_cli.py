@@ -85,6 +85,73 @@ class TestRoundTrip:
             germio.parse_germ_document({"dimension": 40, "degree": 1, "terms": []})
 
 
+def reference_dump(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def dump_or_error(dump, doc):
+    try:
+        return dump(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    except RecursionError:  # where the stack runs out differs by a frame or two
+        return RecursionError
+
+
+scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+documents = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+class TestDumpJson:
+    """``dump_json`` writes json's indented text, byte for byte, and raises what json raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_matches_json(self, doc):
+        assert dump_or_error(germio.dump_json, doc) == dump_or_error(reference_dump, doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats(),
+                           scalars, max_size=4))
+    def test_non_string_keys(self, doc):
+        assert dump_or_error(germio.dump_json, doc) == dump_or_error(reference_dump, doc)
+
+    @pytest.mark.parametrize("doc", [
+        "quote \" backslash \\ controls \n\t\x00\x1f del \x7f",
+        {"é": ["ü", "\u2028", "\U0001f600", "\ud800"]},
+        [[], {}, (), [[]], {"a": {}}],
+        [np.float64(0.1), np.float64(-0.0), True, False, 1, 1.0, None],
+        {"inf": float("inf")}, [float("nan")], {float("-inf"): 1},
+        [np.int64(1)], {"a": object()}, {(1, 2): 3}, {"a": 1, 2: 3},
+        [1e-320, -0.0, 5e-324, 1.7976931348623157e308, 2**64],
+    ])
+    def test_edge_cases(self, doc):
+        assert dump_or_error(germio.dump_json, doc) == dump_or_error(reference_dump, doc)
+
+    # 400 levels fit json's generators but not plain recursion, which hands over to json
+    @pytest.mark.parametrize("depth", [50, 400, 2000])
+    def test_deep_nesting(self, depth):
+        doc = leaf = {}
+        for _ in range(depth):
+            leaf["k"] = [{}]
+            leaf = leaf["k"][0]
+        assert dump_or_error(germio.dump_json, doc) == dump_or_error(reference_dump, doc)
+
+    def test_self_containing_document(self):
+        doc = {"a": []}
+        doc["a"].append(doc)
+        assert dump_or_error(germio.dump_json, doc) == dump_or_error(reference_dump, doc)
+
+    def test_result_document(self):
+        doc = json.loads((DATA / "expected" / "near_resonant.normal-form.json").read_text())
+        assert germio.dump_json(doc) == reference_dump(doc)
+
+
 class TestCliNormalForm:
     def test_resonant_example(self, tmp_path, capsys):
         germ = write_doc(tmp_path, "germ.json", HOPF_DOC)
@@ -143,6 +210,43 @@ class TestCliNormalForm:
         code, out, _ = run_cli(["normal-form", germ, "--output", str(target)], capsys)
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["trunc_degree"] == 3
+
+
+class TestCliOversizedNumbers:
+    """An integer beyond the float range, or beyond Python's digit limit, is
+    invalid input (exit 2), wherever a number pair is read."""
+
+    HUGE = 10 ** 400
+
+    def test_germ_coefficient(self, tmp_path, capsys):
+        doc = dict(HOPF_DOC, terms=HOPF_DOC["terms"][:-1] + [
+            {"exponents": [2, 0], "component": 2, "coeff": [self.HUGE, 0]}])
+        code, out, err = run_cli(["normal-form", write_doc(tmp_path, "germ.json", doc)], capsys)
+        assert code == 2 and out == ""
+        assert "ValidationError" in err and "too large" in err
+
+    def test_linear_matrix_entry(self, tmp_path, capsys):
+        doc = dict(HOPF_DOC, linear_matrix=[[[0.25, 0.0], [0.0, self.HUGE]],
+                                            [[0.0, 0.0], [0.5, 0.0]]])
+        code, out, err = run_cli(["normal-form", write_doc(tmp_path, "germ.json", doc)], capsys)
+        assert code == 2 and out == "" and "ValidationError" in err
+
+    def test_translation(self, tmp_path, capsys):
+        code, out, err = run_cli(["group", "conjugate-translation", str(DATA / "group_map.json"),
+                                  "--tau", f"[[{self.HUGE}, 0], [0, 0], [0, 0]]"], capsys)
+        assert code == 2 and out == ""
+        assert "ValidationError: --tau[1]" in err
+
+    def test_orbit_point(self, tmp_path, capsys):
+        code, out, err = run_cli(["orbit", str(DATA / "group_g1.json"),
+                                  "--point", f"[[0, 0], [0, {-self.HUGE}], [0, 0]]"], capsys)
+        assert code == 2 and out == "" and "ValidationError: --point[2]" in err
+
+    def test_integer_beyond_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps(HOPF_DOC).replace("0.25", "1" + "0" * 5000))
+        code, out, err = run_cli(["normal-form", str(path)], capsys)
+        assert code == 2 and out == "" and "ValidationError" in err
 
 
 class TestCliSubcommands:
