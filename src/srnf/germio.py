@@ -305,84 +305,50 @@ def dump_json(doc: Any) -> str:
     """Canonical serialization: sorted keys, two-space indent, round-trip floats.
 
     The text is ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
-    plus a newline, byte for byte, and the same ``ValueError`` or
-    ``TypeError`` is raised.  json writes indented documents through nested
-    generators; :func:`_encode` builds the same text by plain recursion.  It
-    nests about twice as deep per level, so a document too deep for it, or
-    one that contains itself, is handed to json, which then encodes it or
-    raises as it always did.
+    plus a newline, byte for byte.  json writes indented documents through
+    nested generators; :func:`_encode` builds the same text by plain
+    recursion for the types documents are made of.  A document with any
+    other key or value, a non-finite float, a nesting too deep for
+    :func:`_encode` (it takes about twice json's stack per level) or a
+    reference to itself is handed to json, which writes it or raises its
+    own ``ValueError`` or ``TypeError``.
     """
     try:
         return _encode(doc, "\n") + "\n"
-    except RecursionError:
+    except (TypeError, RecursionError):
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    """A dict key converted as json converts it, then quoted."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        key = _float_text(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
 
 
 def _encode(value, newline: str) -> str:
     """``value`` as json's indented encoder writes it at the depth ``newline`` indents to.
 
-    The exact types that make up most of a document are tested first; any
-    other value goes through json's order of tests, so ``bool`` is caught
-    before ``int`` and float subclasses are written as floats.
+    Only exact types are taken, and float subclasses such as ``np.float64``
+    (which json also writes as floats), so ``bool`` never reaches ``int``;
+    anything else raises ``TypeError``, as does a key that is not a string.
     """
     kind = type(value)
-    if kind is float and value - value == 0.0:  # finite
+    if kind is int:
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is not list and kind is not dict:
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _float_text(value)
-        if isinstance(value, (list, tuple)):
-            kind = list
-        elif isinstance(value, dict):
-            kind = dict
-        else:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    if not value:
-        return "[]" if kind is list else "{}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     inner = newline + "  "
-    if kind is list:
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
         body = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
-    # Each key is converted before its value is encoded, as json does.
-    body = [_key_text(key) + ": " + _encode(item, inner) for key, item in sorted(value.items())]
-    return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = [encode_basestring_ascii(key) + ": " + _encode(item, inner)
+                for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    raise TypeError(f"{kind.__name__} is left to json")

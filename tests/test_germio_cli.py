@@ -126,7 +126,7 @@ class TestDumpJson:
         {"é": ["ü", "\u2028", "\U0001f600", "\ud800"]},
         [[], {}, (), [[]], {"a": {}}],
         [np.float64(0.1), np.float64(-0.0), True, False, 1, 1.0, None],
-        {"inf": float("inf")}, [float("nan")], {float("-inf"): 1},
+        {"inf": float("inf")}, [float("nan")], {float("-inf"): 1}, [np.float64("-inf")],
         [np.int64(1)], {"a": object()}, {(1, 2): 3}, {"a": 1, 2: 3},
         [1e-320, -0.0, 5e-324, 1.7976931348623157e308, 2**64],
     ])

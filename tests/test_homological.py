@@ -15,11 +15,19 @@ from srnf.homological import (
     basis_dimension,
     basis_ordering,
     build_matrix,
+    operator_columns,
     resonant_positions,
     split_homogeneous,
 )
 from srnf.linalg import analyze_spectrum
-from srnf.polymap import HomogeneousPart, PolyJet, multi_indices, term_sort_key
+from srnf.polymap import (
+    HomogeneousPart,
+    PolyJet,
+    _linear_terms,
+    _PowerTable,
+    multi_indices,
+    term_sort_key,
+)
 from srnf.subresonance import (
     SubResonantMap,
     certify_subresonant,
@@ -455,6 +463,31 @@ class TestArraySplit:
         H = part(3, 3, {(index, j): 1.0 + 0j for index in multi_indices(3, 3) for j in range(3)})
         split = split_homogeneous(s, H)
         assert split.warnings and split.warnings == reference_split(s, H)[4]
+
+
+class TestDiagonalChain:
+    """The diagonal is bit for bit what a power table over ``T`` gives, signed zeros included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(2, 4), st.booleans())
+    def test_matches_power_table(self, seed, n, q, coupled):
+        rng = np.random.default_rng(seed)
+        # real eigenvalues of both signs, some conjugated to -0.0 imaginary
+        # parts, give products with signed zero parts
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 0.9, n) + 0j
+        diag = np.where(rng.random(n) < 0.3, diag * np.exp(2j * np.pi * rng.random(n)), diag)
+        diag = np.where(rng.random(n) < 0.3, np.conj(diag), diag)
+        diag = diag[np.argsort(np.abs(diag), kind="stable")]
+        T = np.diag(diag) + coupled * np.triu(0.3 * rng.normal(size=(n, n)), 1)
+        s = analyze_spectrum(T.astype(complex))
+        ordering, diagonal, _, _ = operator_columns(s, q)
+        table = _PowerTable(n, q)
+        table.reveal(_linear_terms(s.T))
+        codes = ordering.codes(ordering.exponents).tolist()
+        leading = [table.power(index)[q][code]
+                   for index, code in zip(map(tuple, ordering.exponents.tolist()), codes)]
+        expected = (np.array(leading)[:, None] - np.diagonal(s.T)).ravel()
+        assert diagonal.tobytes() == expected.tobytes()
 
 
 class TestRankIdentity:
