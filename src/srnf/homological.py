@@ -44,9 +44,7 @@ class BasisOrdering:
     """All degree-``q`` monomial basis positions in ascending order.
 
     ``exponents`` holds the multi-indices in ascending order, one row each;
-    position ``r`` is row ``r // n`` with component ``r % n``.  With the
-    packed code ``sum_k i_k (q + 1)^k`` the rows are in strictly descending
-    code order, which :meth:`rows_of` uses to find a row without a dict.
+    position ``r`` is row ``r // n`` with component ``r % n``.
     """
 
     q: int
@@ -56,22 +54,16 @@ class BasisOrdering:
     def __len__(self):
         return len(self.exponents) * self.n
 
-    def codes(self, indices: np.ndarray) -> np.ndarray:
-        """Packed codes of multi-index rows; int64 holds them for any basis that fits in memory."""
-        return indices @ (self.q + 1) ** np.arange(self.n, dtype=np.int64)
-
-    def rows_of(self, indices: np.ndarray) -> np.ndarray:
-        """Row of each multi-index of degree ``q`` in ``exponents``."""
-        ascending = self.codes(self.exponents)[::-1]
-        return len(ascending) - 1 - np.searchsorted(ascending, self.codes(indices))
-
     def positions(self, ranks: np.ndarray) -> list[TermKey]:
-        """The ``(index, comp)`` keys of the given ranks, as Python ints; the
-        components of one index share its tuple."""
-        rows, comps = np.divmod(ranks, self.n)
-        needed, at = np.unique(rows, return_inverse=True)
-        indices = list(map(tuple, self.exponents[needed].tolist()))
-        return [(indices[i], comp) for i, comp in zip(at.tolist(), comps.tolist())]
+        """The ``(index, comp)`` keys of ``ranks``, as Python ints; adjacent
+        ranks of one index share its tuple."""
+        out, row, index = [], -1, None
+        for rank in ranks.tolist():
+            if rank // self.n != row:
+                row = rank // self.n
+                index = tuple(self.exponents[row].tolist())
+            out.append((index, rank % self.n))
+        return out
 
     @cached_property
     def pairs(self) -> tuple[TermKey, ...]:
@@ -123,16 +115,11 @@ class OperatorMatrix:
 
 
 def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarray:
-    if (h.n, h.q) != (ordering.n, ordering.q):
-        raise DimensionMismatch(f"a part with n={h.n}, q={h.q} is not in the basis of "
-                                f"n={ordering.n}, q={ordering.q}")
     vec = np.zeros(len(ordering), dtype=complex)
     if h.terms:
-        n, count = ordering.n, len(h.terms)
-        indices = np.fromiter(itertools.chain.from_iterable(index for index, _ in h.terms),
-                              dtype=np.int64, count=count * n).reshape(count, n)
-        comps = np.fromiter((comp for _, comp in h.terms), dtype=np.int64, count=count)
-        vec[ordering.rows_of(indices) * n + comps] = list(h.terms.values())
+        indices = map(tuple, ordering.exponents.tolist())
+        start = dict(zip(indices, range(0, len(ordering), ordering.n)))
+        vec[[start[index] + comp for index, comp in h.terms]] = list(h.terms.values())
     return vec
 
 
@@ -183,7 +170,8 @@ def operator_columns(spectrum: SpectrumData, q: int):
     if any(rows.size for rows in above):
         table = _PowerTable(n, q)
         table.reveal(_linear_terms(T))
-        codes = ordering.codes(exponents).tolist()
+        # Packed codes fit in int64: (q + 1)^n >= 2^63 only for bases far beyond memory.
+        codes = (exponents @ np.array(table.radix)).tolist()
         starts = range(0, len(ordering), n)
         start_of = dict(zip(codes, starts))
         coupling = [0j - T[rows, comp] for comp, rows in enumerate(above)]

@@ -483,7 +483,7 @@ class TestDiagonalChain:
         ordering, diagonal, _, _ = operator_columns(s, q)
         table = _PowerTable(n, q)
         table.reveal(_linear_terms(s.T))
-        codes = ordering.codes(ordering.exponents).tolist()
+        codes = (ordering.exponents @ np.array(table.radix)).tolist()
         leading = [table.power(index)[q][code]
                    for index, code in zip(map(tuple, ordering.exponents.tolist()), codes)]
         expected = (np.array(leading)[:, None] - np.diagonal(s.T)).ravel()
