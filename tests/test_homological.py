@@ -412,8 +412,9 @@ class TestArraySplit:
         assert split.warnings == warnings
 
     def test_diagonal_split_at_n16_q4(self):
-        # dim 62,016; measured 0.23 s and a 15.4 MiB tracemalloc peak on a
-        # 2-core x86-64 machine (one pass per position: 1.05 s, 40.8 MiB).
+        # dim 62,016; measured 0.04-0.06 s and a 6.9 MiB tracemalloc peak on a
+        # 2-core x86-64 machine (with a Python pair per position: 0.17-0.19 s,
+        # 15.5 MiB; one pass per position: 1.05 s, 40.8 MiB).
         s = analyze_spectrum(np.diag(0.7 ** np.array(
             [4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1])).astype(complex))
         H = part(16, 4, {(index, k % 3): 1.0 - 0.5j
@@ -433,9 +434,9 @@ class TestArraySplit:
         assert elapsed < 3.0
 
     def test_dense_split_at_n16_q4_skips_revalidation(self, monkeypatch):
-        # Every one of the 62,016 positions set.  Measured 0.23-0.30 s on a 2-core
-        # x86-64 machine; 0.85 s while both parts went through the
-        # validating constructor.
+        # Every one of the 62,016 positions set.  Measured 0.16-0.20 s on a 2-core
+        # x86-64 machine (0.30-0.32 s with a Python pair per position; 0.85 s
+        # while both parts went through the validating constructor).
         s = analyze_spectrum(np.diag(0.7 ** np.array(
             [4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1])).astype(complex))
         H = part(16, 4, {(index, j): 1.0 - 0.5j
