@@ -46,6 +46,13 @@ CASES = [
     # the same divisors taken as resonances but not sub-resonant: an error document, exit 3
     ("near_resonant.normal-form-restol1e-5",
      ["normal-form", "near_resonant.json", "--res-tol", "1e-5"], 3),
+    # 45 sub-resonant positions of degree 2 among n = 8 exact resonances
+    ("resonant_n8_c2.enumerate-sr-q2",
+     ["enumerate-sr", "resonant_n8_c2.json", "--degree", "2"], 0),
+    ("coupled_n3.enumerate-sr-q3", ["enumerate-sr", "coupled_n3.json", "--degree", "3"], 0),
+    # germs, not sub-resonant maps: 9 and 89 offenders, listed in canonical order
+    ("near_resonant.check-sr", ["check-sr", "near_resonant.json"], 0),
+    ("coupled_n3.check-sr", ["check-sr", "coupled_n3.json"], 0),
 ]
 
 
