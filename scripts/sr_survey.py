@@ -15,8 +15,14 @@ import sys
 
 import numpy as np
 
-from srnf import analyze_spectrum, build_matrix, enumerate_subresonant_basis
-from srnf.homological import basis_dimension, resonant_positions
+from srnf import (
+    HomogeneousPart,
+    analyze_spectrum,
+    build_matrix,
+    enumerate_subresonant_basis,
+    split_homogeneous,
+)
+from srnf.polymap import basis_dimension
 
 
 def draw_spectrum(rng, n):
@@ -49,7 +55,8 @@ def main() -> int:
         s = draw_spectrum(rng, args.dim)
         dims = [len(enumerate_subresonant_basis(s, q))
                 for q in range(2, s.degree_bound + 1)]
-        n_res = sum(len(resonant_positions(s, q))
+        n_res = sum(len(split_homogeneous(s, HomogeneousPart.zero_part(s.n, q))
+                            .resonant_positions)
                     for q in range(2, s.degree_bound + 1))
         min_div = np.inf
         span_ok = True

@@ -30,14 +30,7 @@ from .gx_group import (
     orbit,
     translate_conjugate,
 )
-from .homological import (
-    BasisOrdering,
-    SplitResult,
-    apply_M,
-    basis_ordering,
-    build_matrix,
-    split_homogeneous,
-)
+from .homological import SplitResult, apply_M, build_matrix, split_homogeneous
 from .linalg import SpectrumData, analyze_spectrum, rescale_nilpotent, triangularize
 from .normal_form import (
     ConjugacyReport,
@@ -49,8 +42,10 @@ from .normal_form import (
     verify_conjugacy,
 )
 from .polymap import (
+    BasisOrdering,
     HomogeneousPart,
     PolyJet,
+    basis_ordering,
     compose_truncated,
     homogeneous_part,
     jet_inverse,

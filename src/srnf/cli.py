@@ -27,9 +27,9 @@ from .errors import (
     ValidationError,
 )
 from .gx_group import group_inv, group_mul, hopf_holonomy, orbit, translate_conjugate
-from .homological import basis_dimension, build_matrix
+from .homological import build_matrix
 from .normal_form import ingest, poincare_dulac, verify_conjugacy
-from .polymap import PolyJet
+from .polymap import PolyJet, basis_dimension
 from .subresonance import (
     SubResonantMap,
     certify_subresonant,
@@ -42,8 +42,9 @@ _INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearP
                  SpectrumMismatch, DimensionMismatch, DegreeOutOfRange)
 _NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, CertificationFailure)
 
-# Largest dense operator, in bytes of complex entries, that ``m-matrix`` builds.
-M_MATRIX_MAX_BYTES = 64 * 2**20
+# Largest array, in bytes, that one ``m-matrix`` or ``enumerate-sr`` request allocates:
+# the dense operator's complex entries, or the basis's int64 exponents.
+MAX_REQUEST_BYTES = 64 * 2**20
 
 
 class _UnconvergedReport(Exception):
@@ -135,6 +136,13 @@ def _map_operand(args, cfg: RunConfig):
     return _adapted_map(args.map, cfg)
 
 
+def _check_size(nbytes: int, what: str, command: str) -> None:
+    """Refuse a request before it allocates more than ``MAX_REQUEST_BYTES``."""
+    if nbytes > MAX_REQUEST_BYTES:
+        raise ValidationError(f"{what} needs {nbytes:.3g} bytes, above the {command} "
+                              f"limit of {MAX_REQUEST_BYTES} bytes")
+
+
 def _certified(jet: PolyJet, spectrum, cfg: RunConfig, path: str) -> SubResonantMap:
     certified = certify_subresonant(jet, spectrum, cfg.sr_tol)
     if isinstance(certified, SubResonantMap):
@@ -178,6 +186,8 @@ def _cmd_check_sr(args) -> dict:
 def _cmd_enumerate_sr(args) -> dict:
     cfg = _run_config(args)
     spectrum, _, _ = _adapted_map(args.spectrum_doc, cfg)
+    _check_size(8 * basis_dimension(spectrum.n, args.degree),
+                f"the degree-{args.degree} basis for n={spectrum.n}", "enumerate-sr")
     basis = enumerate_subresonant_basis(spectrum, args.degree, cfg.sr_tol)
     return {
         "degree": args.degree,
@@ -205,11 +215,8 @@ def _cmd_sr_compose(args) -> dict:
 def _cmd_m_matrix(args) -> dict:
     cfg = _run_config(args)
     spectrum, _, _ = _adapted_map(args.spectrum_doc, cfg)
-    size = basis_dimension(spectrum.n, args.degree) ** 2 * 16
-    if size > M_MATRIX_MAX_BYTES:
-        raise ValidationError(
-            f"the dense degree-{args.degree} operator for n={spectrum.n} needs "
-            f"{size:.3g} bytes, above the m-matrix limit of {M_MATRIX_MAX_BYTES} bytes")
+    _check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16,
+                f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
     matrix = build_matrix(spectrum, args.degree)
     return {
         "degree": args.degree,

@@ -10,83 +10,30 @@ normal form) plus an operator image (removable by conjugation).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DegreeOutOfRange, DimensionMismatch, IllConditionedResonance
 from .linalg import SpectrumData
 from .polymap import (
+    BasisOrdering,
     HomogeneousPart,
     PolyJet,
     TermKey,
     _left_multiply,
     _linear_terms,
     _PowerTable,
+    basis_ordering,
     compose_truncated,
-    multi_indices,
-    term_sort_key,
 )
-from .subresonance import DEFAULT_SR_TOL, is_subresonant_monomial
+from .subresonance import DEFAULT_SR_TOL, _subresonant_mask
 
 DEFAULT_RES_TOL = 1e-9
 
 # Divisors between the resonance cutoff and this relative size are reported
 # as small-divisor warnings.
 SMALL_DIVISOR_REL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class BasisOrdering:
-    """All degree-``q`` monomial basis positions in ascending order.
-
-    ``exponents`` holds the multi-indices in ascending order, one row each;
-    position ``r`` is row ``r // n`` with component ``r % n``.
-    """
-
-    q: int
-    n: int
-    exponents: np.ndarray
-
-    def __len__(self):
-        return len(self.exponents) * self.n
-
-    def positions(self, ranks: np.ndarray) -> list[TermKey]:
-        """The ``(index, comp)`` keys of ``ranks``, as Python ints; adjacent
-        ranks of one index share its tuple."""
-        out, row, index = [], -1, None
-        for rank in ranks.tolist():
-            if rank // self.n != row:
-                row = rank // self.n
-                index = tuple(self.exponents[row].tolist())
-            out.append((index, rank % self.n))
-        return out
-
-    @cached_property
-    def pairs(self) -> tuple[TermKey, ...]:
-        return tuple(self.positions(np.arange(len(self))))
-
-    @cached_property
-    def rank(self) -> dict[TermKey, int]:
-        return dict(zip(self.pairs, range(len(self))))
-
-
-def basis_ordering(n: int, q: int) -> BasisOrdering:
-    if q < 1:
-        raise DegreeOutOfRange(f"degree must be >= 1, got {q}")
-    combos = np.array(list(itertools.combinations_with_replacement(range(n), q)))
-    exponents = np.zeros((len(combos), n), dtype=np.int64)
-    np.add.at(exponents, (np.arange(len(combos))[:, None], combos), 1)
-    # lexsort's last key is the primary one: the exponent of z_n, larger first.
-    return BasisOrdering(q=q, n=n, exponents=exponents[np.lexsort(-exponents.T)])
-
-
-def basis_dimension(n: int, q: int) -> int:
-    """dim of the space of q-homogeneous maps: n * C(q + n - 1, n - 1)."""
-    return n * math.comb(q + n - 1, n - 1)
 
 
 def apply_M(spectrum: SpectrumData, h: HomogeneousPart) -> HomogeneousPart:
@@ -240,13 +187,15 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     scale = np.tile([abs(l) for l in spectrum.diag], len(ordering) // spectrum.n)
     resonant = divisors <= res_tol * scale
     resonant_ranks = np.flatnonzero(resonant)
+    rows, comps = np.divmod(resonant_ranks, spectrum.n)
+    failed = resonant_ranks[~_subresonant_mask(ordering.exponents[rows], comps, spectrum, sr_tol)]
+    if failed.size:
+        [position] = ordering.positions(failed[-1:])
+        raise IllConditionedResonance(
+            f"divisor {divisors[failed[-1]]:.3g} at {position} is "
+            "resonantly small but the position is not sub-resonant; res_tol and the "
+            "log-space tolerance are inconsistent for this spectrum")
     positions = ordering.positions(resonant_ranks)
-    for r, (index, comp) in zip(resonant_ranks[::-1].tolist(), positions[::-1]):
-        if not is_subresonant_monomial(index, comp, spectrum, sr_tol):
-            raise IllConditionedResonance(
-                f"divisor {divisors[r]:.3g} at {(index, comp)} is resonantly small "
-                "but the position is not sub-resonant; res_tol and the "
-                "log-space tolerance are inconsistent for this spectrum")
     small_ranks = np.flatnonzero(~resonant & (divisors <= SMALL_DIVISOR_REL * scale))[::-1]
     residual = coefficient_vector(H, ordering)
     removed = np.zeros(len(ordering), dtype=complex)
@@ -268,16 +217,3 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
                        for r, position in zip(small_ranks, ordering.positions(small_ranks))),
         divisor_min=float(positive.min()) if positive.size else float("inf"),
     )
-
-
-def resonant_positions(spectrum: SpectrumData, q: int,
-                       res_tol: float = DEFAULT_RES_TOL) -> tuple[TermKey, ...]:
-    """Basis positions of degree ``q`` with ``|l^I - l_j| <= res_tol |l_j|``."""
-    out = []
-    for index in multi_indices(spectrum.n, q):
-        lam_I = np.prod(spectrum.diag ** np.array(index))
-        for comp in range(spectrum.n):
-            if abs(lam_I - spectrum.diag[comp]) <= res_tol * abs(spectrum.diag[comp]):
-                out.append((index, comp))
-    out.sort(key=term_sort_key)
-    return tuple(out)

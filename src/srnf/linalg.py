@@ -11,7 +11,7 @@ below a requested bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,17 +60,10 @@ class SpectrumData:
     block_of: tuple[int, ...]
     c0: int
     degree_bound: int
-    basis_change: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.basis_change is None:
-            object.__setattr__(self, "basis_change", np.eye(self.n, dtype=complex))
-        for name in ("T", "diag", "moduli", "log_moduli", "basis_change"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-
-    def with_basis_change(self, Q: np.ndarray) -> "SpectrumData":
-        return replace(self, basis_change=np.array(Q, dtype=complex))
+        for name in ("T", "diag", "moduli", "log_moduli"):
+            getattr(self, name).setflags(write=False)
 
     def block_log_modulus(self, block_index: int) -> float:
         return float(self.log_moduli[self.blocks[block_index][0]])

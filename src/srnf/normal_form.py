@@ -113,7 +113,7 @@ def ingest(germ: GermInput, cfg: RunConfig = RunConfig()):
     # replace the numerically conjugated linear part with the exact T
     terms = {k: c for k, c in adapted.terms.items() if sum(k[0]) > 1}
     adapted = PolyJet(germ.n, adapted.degree, terms) + PolyJet.from_linear(T, 1)
-    return spectrum.with_basis_change(Q), adapted, Q
+    return spectrum, adapted, Q
 
 
 def contraction_ball(spectrum: SpectrumData, jet: PolyJet) -> tuple[float, float]:

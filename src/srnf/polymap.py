@@ -7,14 +7,18 @@ canonical sparse association ``(I, j) -> c`` with no exactly-zero
 coefficients, so two jets are equal iff their term dictionaries are equal.
 
 Term iteration is deterministic: graded by total degree, then by the
-anti-lexicographic-from-the-right monomial order used by the homological
-operators (see :mod:`srnf.homological`), then by component.
+anti-lexicographic-from-the-right monomial order that :func:`basis_ordering`
+lays out for the homological operators, then by component.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, Iterator, Mapping
+import itertools
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,6 +30,9 @@ PRUNE_REL_TOL = 1e-14
 
 # Condition-number cap for linear parts that must be inverted.
 COND_CAP = 1e12
+
+# Exponents are held in int64 arrays, so no jet may have a larger degree.
+MAX_DEGREE = 2**63 - 1
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, int]
@@ -45,14 +52,57 @@ def term_sort_key(key: TermKey) -> tuple:
     return (sum(index), monomial_order_key(index), comp)
 
 
-def multi_indices(n: int, degree: int) -> Iterator[MultiIndex]:
-    """All multi-indices of the given total degree in n variables."""
-    if n == 1:
-        yield (degree,)
-        return
-    for head in range(degree, -1, -1):
-        for tail in multi_indices(n - 1, degree - head):
-            yield (head,) + tail
+@dataclass(frozen=True, eq=False)
+class BasisOrdering:
+    """All degree-``q`` monomial basis positions in ascending order.
+
+    ``exponents`` holds the multi-indices in ascending order, one row each;
+    position ``r`` is row ``r // n`` with component ``r % n``.
+    """
+
+    q: int
+    n: int
+    exponents: np.ndarray
+
+    def __len__(self):
+        return len(self.exponents) * self.n
+
+    def positions(self, ranks: np.ndarray) -> list[TermKey]:
+        """The ``(index, comp)`` keys of ``ranks``, as Python ints; adjacent
+        ranks of one index share its tuple."""
+        out, row, index = [], -1, None
+        for rank in ranks.tolist():
+            if rank // self.n != row:
+                row = rank // self.n
+                index = tuple(self.exponents[row].tolist())
+            out.append((index, rank % self.n))
+        return out
+
+    @cached_property
+    def pairs(self) -> tuple[TermKey, ...]:
+        return tuple(self.positions(np.arange(len(self))))
+
+    @cached_property
+    def rank(self) -> dict[TermKey, int]:
+        return dict(zip(self.pairs, range(len(self))))
+
+
+def basis_ordering(n: int, q: int) -> BasisOrdering:
+    """The degree-``q`` positions in the order of :func:`term_sort_key`."""
+    if q < 1:
+        raise DegreeOutOfRange(f"degree must be >= 1, got {q}")
+    combos = np.array(list(itertools.combinations_with_replacement(range(n), q)))
+    exponents = np.zeros((len(combos), n), dtype=np.int64)
+    np.add.at(exponents, (np.arange(len(combos))[:, None], combos), 1)
+    # lexsort's last key is the primary one: the exponent of z_n, larger first.
+    return BasisOrdering(q=q, n=n, exponents=exponents[np.lexsort(-exponents.T)])
+
+
+def basis_dimension(n: int, q: int) -> int:
+    """dim of the space of q-homogeneous maps: n * C(q + n - 1, n - 1)."""
+    if q < 1:
+        raise DegreeOutOfRange(f"degree must be >= 1, got {q}")
+    return n * math.comb(q + n - 1, n - 1)
 
 
 class PolyJet:
@@ -66,8 +116,8 @@ class PolyJet:
     def __init__(self, n: int, degree: int, terms: Mapping[TermKey, complex] | Iterable = ()):
         if n < 1:
             raise DimensionMismatch(f"dimension must be positive, got {n}")
-        if degree < 1:
-            raise DegreeOutOfRange(f"truncation degree must be >= 1, got {degree}")
+        if not 1 <= degree <= MAX_DEGREE:
+            raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
         canonical: dict[TermKey, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (index, comp), coeff in items:

@@ -27,9 +27,9 @@ from .polymap import (
     MultiIndex,
     PolyJet,
     TermKey,
+    basis_ordering,
     compose_truncated,
     jet_inverse,
-    multi_indices,
     term_sort_key,
 )
 
@@ -53,36 +53,44 @@ def monomial_type(index: MultiIndex, spectrum: SpectrumData) -> tuple[int, ...]:
     return tuple(profile)
 
 
-def is_subresonant_monomial(index: MultiIndex, comp: int, spectrum: SpectrumData,
-                            tol: float = DEFAULT_SR_TOL) -> bool:
-    """Test ``ln|l_comp| <= sum_k i_k ln|l_k|`` with one-sided slack ``tol``.
+def _subresonant_mask(exponents: np.ndarray, comps: np.ndarray, spectrum: SpectrumData,
+                      tol: float) -> np.ndarray:
+    """Whether each position ``(exponents[i], comps[i])`` is sub-resonant:
+    ``ln|l_comp| <= sum_k i_k ln|l_k|``, with one-sided slack ``tol``.
 
     The slack is applied on the permissive side only, so exact resonances
-    (equality) are never lost to rounding.
+    (equality) are never lost to rounding.  This is the one place the
+    inequality is evaluated.  Each weight is a separate row-times-vector
+    product, the dot product of one index alone: a matrix-vector product
+    may sum in another order, and then the answer at a margin within an ulp
+    of ``tol`` would depend on which rows were asked about together.
     """
+    log_moduli = spectrum.log_moduli
+    weights = (exponents[..., None, :] @ log_moduli)[..., 0]
+    return log_moduli[comps] <= weights + tol
+
+
+def is_subresonant_monomial(index: MultiIndex, comp: int, spectrum: SpectrumData,
+                            tol: float = DEFAULT_SR_TOL) -> bool:
+    """Whether the monomial ``z^index e_comp`` is sub-resonant (see :func:`_subresonant_mask`)."""
     if len(index) != spectrum.n:
         raise DimensionMismatch(f"multi-index {index} does not match n={spectrum.n}")
     if sum(index) < 1:
         raise DegreeOutOfRange("monomials have degree >= 1")
     if not 0 <= comp < spectrum.n:
         raise DimensionMismatch(f"component {comp} outside 0..{spectrum.n - 1}")
-    weight = float(np.dot(index, spectrum.log_moduli))
-    return spectrum.log_moduli[comp] <= weight + tol
+    return bool(_subresonant_mask(np.array([index], dtype=np.int64), np.array([comp]),
+                                  spectrum, tol)[0])
 
 
 def enumerate_subresonant_basis(spectrum: SpectrumData, r: int,
                                 tol: float = DEFAULT_SR_TOL) -> tuple[TermKey, ...]:
     """All sub-resonant monomial positions of degree ``r``, in canonical order."""
-    if r < 1:
-        raise DegreeOutOfRange(f"degree must be >= 1, got {r}")
-    found = [
-        (index, comp)
-        for index in multi_indices(spectrum.n, r)
-        for comp in range(spectrum.n)
-        if is_subresonant_monomial(index, comp, spectrum, tol)
-    ]
-    found.sort(key=term_sort_key)
-    return tuple(found)
+    ordering = basis_ordering(spectrum.n, r)
+    # each row's weight against every component: ranks in row-major order
+    mask = _subresonant_mask(ordering.exponents[:, None, :], np.arange(spectrum.n),
+                             spectrum, tol)
+    return tuple(ordering.positions(np.flatnonzero(mask)))
 
 
 def subresonant_offenders(jet: PolyJet, spectrum: SpectrumData,
@@ -90,10 +98,11 @@ def subresonant_offenders(jet: PolyJet, spectrum: SpectrumData,
     """Stored monomial positions of ``jet`` that fail the sub-resonance test."""
     if jet.n != spectrum.n:
         raise DimensionMismatch(f"jet dimension {jet.n} does not match n={spectrum.n}")
-    offenders = [key for key in jet.terms
-                 if not is_subresonant_monomial(key[0], key[1], spectrum, tol)]
-    offenders.sort(key=term_sort_key)
-    return offenders
+    keys = list(jet.terms)
+    exponents = np.array([index for index, _ in keys], dtype=np.int64).reshape(-1, jet.n)
+    comps = np.array([comp for _, comp in keys], dtype=np.int64)
+    failed = np.flatnonzero(~_subresonant_mask(exponents, comps, spectrum, tol))
+    return sorted((keys[i] for i in failed.tolist()), key=term_sort_key)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,40 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 from srnf.linalg import SpectrumData, analyze_spectrum
-from srnf.polymap import PolyJet, multi_indices
+from srnf.polymap import PolyJet
 from srnf.subresonance import enumerate_subresonant_basis
+
+
+def multi_indices(n: int, degree: int):
+    """All multi-indices of the given total degree in n variables, largest
+    first exponent first."""
+    if n == 1:
+        yield (degree,)
+        return
+    for head in range(degree, -1, -1):
+        for tail in multi_indices(n - 1, degree - head):
+            yield (head,) + tail
+
+
+def canonical_key(key) -> tuple:
+    """Sort key of ``(index, comp)`` within one degree: larger exponents on
+    later variables first, then the component."""
+    index, comp = key
+    return tuple(-e for e in reversed(index)), comp
+
+
+def resonant_positions(spectrum: SpectrumData, q: int, res_tol: float = 1e-9) -> tuple:
+    """Degree-``q`` positions with ``|l^I - l_j| <= res_tol |l_j|``, in the
+    canonical order (larger exponents on later variables first, then the
+    component), walked from the eigenvalues alone."""
+    out = []
+    for index in multi_indices(spectrum.n, q):
+        lam_I = np.prod(spectrum.diag ** np.array(index))
+        for comp in range(spectrum.n):
+            if abs(lam_I - spectrum.diag[comp]) <= res_tol * abs(spectrum.diag[comp]):
+                out.append((index, comp))
+    out.sort(key=canonical_key)
+    return tuple(out)
 
 
 def char_poly_coeffs(matrix: np.ndarray) -> np.ndarray:

@@ -13,18 +13,18 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_point, random_spectrum, random_sr_map
+from conftest import multi_indices, random_point, random_spectrum, random_sr_map
 from srnf.cli import main
 from srnf.germio import dump_json, jet_document, parse_germ_document
 from srnf.gx_group import GroupElement, group_inv, group_mul
-from srnf.homological import apply_M, basis_dimension, build_matrix
+from srnf.homological import apply_M, build_matrix
 from srnf.normal_form import (
     GermInput,
     phi_numeric,
     poincare_dulac,
     pointwise_conjugacy_residual,
 )
-from srnf.polymap import HomogeneousPart, PolyJet, multi_indices
+from srnf.polymap import HomogeneousPart, PolyJet, basis_dimension
 from srnf.subresonance import (
     SubResonantMap,
     certify_subresonant,

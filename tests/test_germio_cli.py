@@ -13,7 +13,7 @@ from conftest import random_jet
 from srnf import cli, errors, germio
 from srnf.cli import main
 from srnf.errors import ValidationError
-from srnf.polymap import PolyJet
+from srnf.polymap import PolyJet, basis_dimension, basis_ordering
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,6 +249,76 @@ class TestCliOversizedNumbers:
         assert code == 2 and out == "" and "ValidationError" in err
 
 
+class TestCliDegreeRange:
+    """A declared degree beyond int64 is invalid input (exit 2), not a traceback:
+    exponents are held in int64 arrays."""
+
+    BIG = 2**63
+
+    @pytest.mark.parametrize("command", ["normal-form", "verify", "check-sr", "holonomy"])
+    def test_germ_degree(self, tmp_path, capsys, command):
+        doc = dict(HOPF_DOC, degree=self.BIG, terms=HOPF_DOC["terms"] + [
+            {"exponents": [self.BIG, 0], "component": 2, "coeff": [1e-3, 0.0]}])
+        code, out, err = run_cli([command, write_doc(tmp_path, "germ.json", doc)], capsys)
+        assert code == 2 and out == ""
+        assert "DegreeOutOfRange" in err and str(self.BIG) in err
+
+    def test_group_map_degree(self, tmp_path, capsys):
+        doc = json.loads((DATA / "group_g1.json").read_text())
+        doc["map"]["degree"] = self.BIG
+        path = write_doc(tmp_path, "g.json", doc)
+        code, out, err = run_cli(["group", "mul", path, str(DATA / "group_g2.json")], capsys)
+        assert code == 2 and out == ""
+        assert "DegreeOutOfRange" in err
+
+
+QUARTER_HALF_DOC = {"dimension": 2, "degree": 1, "coordinates": "adapted",
+                    "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
+                              {"exponents": [0, 1], "component": 2, "coeff": [0.5, 0.0]}]}
+
+
+def refuse(*args):
+    raise AssertionError("a refused request must allocate nothing")
+
+
+class TestCliSizeLimits:
+    @pytest.mark.parametrize("n, q", [(1, 4), (2, 3), (5, 2), (8, 3)])
+    def test_enumerate_sr_estimate_is_the_basis_array(self, n, q):
+        assert 8 * basis_dimension(n, q) == basis_ordering(n, q).exponents.nbytes
+
+    @pytest.mark.parametrize("slack, exit_code", [(0, 0), (-1, 2)])
+    def test_enumerate_sr_at_the_limit(self, tmp_path, capsys, monkeypatch, slack, exit_code):
+        # n=2, degree 3: 4 rows of 2 int64 exponents
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES",
+                            basis_ordering(2, 3).exponents.nbytes + slack)
+        if exit_code:
+            monkeypatch.setattr(cli, "enumerate_subresonant_basis", refuse)
+        path = write_doc(tmp_path, "spec.json", QUARTER_HALF_DOC)
+        code, out, err = run_cli(["enumerate-sr", path, "--degree", "3"], capsys)
+        assert code == exit_code
+        if exit_code:
+            assert out == "" and "ValidationError: the degree-3 basis for n=2 needs 64" in err
+        else:
+            assert json.loads(out)["count"] == 0
+
+    def test_enumerate_sr_size_limit(self, tmp_path, capsys, monkeypatch):
+        # n=16, degree 12: 278 M positions, whose int64 exponents alone take 2.2 GB
+        doc = {"dimension": 16, "degree": 1, "coordinates": "adapted",
+               "terms": [{"exponents": [int(i == k) for i in range(16)], "component": k + 1,
+                          "coeff": [0.5 + 0.02 * k, 0.0]} for k in range(16)]}
+        monkeypatch.setattr(cli, "enumerate_subresonant_basis", refuse)
+        path = write_doc(tmp_path, "spec.json", doc)
+        code, out, err = run_cli(["enumerate-sr", path, "--degree", "12"], capsys)
+        assert code == 2 and out == ""
+        assert "ValidationError" in err and "2.23e+09 bytes" in err
+
+    @pytest.mark.parametrize("command", ["enumerate-sr", "m-matrix"])
+    def test_negative_degree(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, "spec.json", QUARTER_HALF_DOC)
+        code, out, err = run_cli([command, path, "--degree", "-5"], capsys)
+        assert code == 2 and out == "" and "DegreeOutOfRange" in err
+
+
 class TestCliSubcommands:
     def test_check_sr(self, tmp_path, capsys):
         doc = {"dimension": 2, "degree": 2, "coordinates": "adapted",
@@ -318,9 +388,6 @@ class TestCliSubcommands:
                "terms": [{"exponents": [int(i == k) for i in range(16)], "component": k + 1,
                           "coeff": [0.5 + 0.02 * k, 0.0]} for k in range(16)]}
         path = write_doc(tmp_path, "spec.json", doc)
-
-        def refuse(*args):
-            raise AssertionError("the dense operator must not be built")
 
         monkeypatch.setattr(cli, "build_matrix", refuse)
         code, out, err = run_cli(["m-matrix", path, "--degree", "4"], capsys)

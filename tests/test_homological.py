@@ -6,26 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spectrum
+from conftest import multi_indices, random_spectrum, resonant_positions
 from test_acceptance import naive_operator
 from srnf.homological import (
     DEFAULT_RES_TOL,
     SMALL_DIVISOR_REL,
     apply_M,
-    basis_dimension,
-    basis_ordering,
     build_matrix,
     operator_columns,
-    resonant_positions,
     split_homogeneous,
 )
+from srnf.errors import IllConditionedResonance
 from srnf.linalg import analyze_spectrum
 from srnf.polymap import (
     HomogeneousPart,
     PolyJet,
     _linear_terms,
     _PowerTable,
-    multi_indices,
+    basis_dimension,
+    basis_ordering,
     term_sort_key,
 )
 from srnf.subresonance import (
@@ -235,6 +234,19 @@ def dense_split(s, H):
         return part(s.n, H.q, {m.ordering.pairs[r]: vec[r] for r in range(dim) if vec[r] != 0})
 
     return as_part(kept), as_part(removed)
+
+
+class TestSplitErrors:
+    def test_highest_rank_offender_is_reported(self):
+        # |l_1| lies 2e-6 above l_2^2 and 1e-6 above l_2 l_3: with res_tol 1e-5
+        # both are resonant and neither is sub-resonant (l_3^2 is both)
+        s = analyze_spectrum(np.diag([0.250002, 0.5, 0.500002]))
+        with pytest.raises(IllConditionedResonance) as info:
+            split_homogeneous(s, HomogeneousPart.zero_part(3, 2), res_tol=1e-5)
+        assert str(info.value) == (
+            "divisor 2e-06 at ((0, 2, 0), 0) is resonantly small but the position is "
+            "not sub-resonant; res_tol and the log-space tolerance are inconsistent "
+            "for this spectrum")
 
 
 class TestSparseSplit:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_jet, random_point, random_spectrum
+from conftest import multi_indices, random_jet, random_point, random_spectrum, resonant_positions
 from srnf import germio, normal_form
 from srnf.config import RunConfig
 from srnf.errors import DimensionMismatch, NotContracting, ValidationError
-from srnf.homological import apply_M, resonant_positions, split_homogeneous
+from srnf.homological import apply_M, split_homogeneous
 from srnf.normal_form import (
     GermInput,
     conjugate_step,
@@ -71,7 +71,6 @@ class TestConjugateStep:
         rng = np.random.default_rng(seed)
         spectrum, F = random_contracting_germ(rng, n, q + 1)
         terms = {}
-        from srnf.polymap import multi_indices
         for index in multi_indices(n, q):
             for j in range(n):
                 if rng.random() < 0.5:

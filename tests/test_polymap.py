@@ -21,7 +21,9 @@ from srnf.polymap import (
     jet_inverse,
     linear_conjugate,
 )
+from srnf.linalg import analyze_spectrum
 from srnf.normal_form import poincare_dulac
+from srnf.subresonance import subresonant_offenders
 
 DATA = Path(__file__).parent / "data"
 
@@ -489,3 +491,13 @@ class TestCanonicalForm:
     def test_constant_terms_rejected(self):
         with pytest.raises(DegreeOutOfRange):
             PolyJet(2, 2, {((0, 0), 0): 1.0})
+
+    def test_degree_range_is_int64(self):
+        # exponents are held in int64 arrays: the largest int64 is the largest degree
+        top = 2**63 - 1
+        jet = PolyJet(2, top, {((1, 0), 0): 0.25, ((0, 1), 1): 0.5, ((0, top), 1): 1e-3})
+        assert jet.max_degree() == top
+        assert subresonant_offenders(jet, analyze_spectrum(np.diag([0.25, 0.5]))) == [
+            ((0, top), 1)]
+        with pytest.raises(DegreeOutOfRange, match="2\\*\\*63 - 1, got 9223372036854775808"):
+            PolyJet(2, top + 1, {((1, 0), 0): 0.25})

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divisors_separated, random_spectrum, random_sr_map
+from conftest import (
+    canonical_key,
+    divisors_separated,
+    multi_indices,
+    random_jet,
+    random_spectrum,
+    random_sr_map,
+)
 from test_acceptance import naive_compose
 from srnf import subresonance
 from srnf.errors import CertificationFailure, SingularLinearPart, SpectrumMismatch
 from srnf.linalg import analyze_spectrum
-from srnf.polymap import PolyJet, multi_indices
+from srnf.polymap import PolyJet
 from srnf.subresonance import (
     SubResonantMap,
     certify_subresonant,
@@ -18,6 +25,7 @@ from srnf.subresonance import (
     monomial_type,
     sr_compose,
     sr_inverse,
+    subresonant_offenders,
 )
 
 QUARTER_HALF = analyze_spectrum(np.diag([0.25, 0.5]).astype(complex))
@@ -75,6 +83,73 @@ class TestMonomialPredicate:
             for j in range(n):
                 block_form = s.log_moduli[j] <= weight + 1e-9
                 assert block_form == is_subresonant_monomial(index, j, s)
+
+
+def plain_subresonant(index, comp, log_moduli, tol=1e-9):
+    """``ln|l_comp| <= sum_k i_k ln|l_k| + tol`` in plain Python floats, one
+    position at a time."""
+    weight = 0.0
+    for e, value in zip(index, log_moduli):
+        weight += e * value
+    return log_moduli[comp] <= weight + tol
+
+
+def resonant_spectrum(rng, n):
+    """Diagonal spectrum whose moduli include exact products ``l^k`` of the
+    first ones: at those positions only the one-sided slack decides."""
+    free = (n + 1) // 2
+    moduli = list(rng.uniform(0.35, 0.95, size=free))
+    while len(moduli) < n:
+        k = rng.integers(0, 3, size=free)
+        if k.sum() >= 2:
+            moduli.append(float(np.prod(np.array(moduli[:free]) ** k)))
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    return analyze_spectrum(np.diag(np.sort(moduli) * phases))
+
+
+class TestMask:
+    """Enumeration, certification and the monomial predicate agree with the
+    inequality evaluated position by position."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.sampled_from(["random", "resonant"]))
+    def test_callers_agree_with_plain_loop(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            s = random_spectrum(rng, n, qmax=3, diagonal=True)
+        else:
+            s = resonant_spectrum(rng, n)
+        logs = s.log_moduli.tolist()
+        degree = 3 if n <= 5 else 2
+        for r in range(1, degree + 1):
+            positions = [(index, comp) for index in multi_indices(n, r) for comp in range(n)]
+            expected = [key for key in positions if plain_subresonant(*key, logs)]
+            assert enumerate_subresonant_basis(s, r) == tuple(sorted(expected, key=canonical_key))
+            assert [key for key in positions if is_subresonant_monomial(*key, s)] == expected
+        jet = random_jet(rng, n, degree, density=0.3, invertible_linear=False)
+        offenders = [key for key in jet.terms if not plain_subresonant(*key, logs)]
+        assert subresonant_offenders(jet, s) == sorted(
+            offenders, key=lambda key: (sum(key[0]), canonical_key(key)))
+
+    def test_boundary_is_sub_resonant(self):
+        # tol = ln(1/2) - ln(1/4) puts z1 e2 exactly on the boundary
+        s = QUARTER_HALF
+        tol = s.log_moduli[1] - s.log_moduli[0]
+        assert s.log_moduli[0] + tol == s.log_moduli[1]
+        assert is_subresonant_monomial((1, 0), 1, s, tol)
+        assert ((1, 0), 1) in enumerate_subresonant_basis(s, 1, tol)
+        assert subresonant_offenders(PolyJet(2, 1, {((1, 0), 1): 1.0}), s, tol) == []
+
+    def test_slack_keeps_an_exact_resonance_that_rounding_breaks(self):
+        # |l_1| = |l_2|^3, but the rounded ln|l_1| lies above 3 ln|l_2|
+        for r in np.linspace(0.5, 0.9, 401):
+            s = analyze_spectrum(np.diag([r ** 3, r]))
+            if s.log_moduli[0] > 3 * s.log_moduli[1]:
+                break
+        assert s.log_moduli[0] > 3 * s.log_moduli[1]
+        assert is_subresonant_monomial((0, 3), 0, s)
+        assert enumerate_subresonant_basis(s, 3) == (((0, 3), 0),)
+        assert subresonant_offenders(PolyJet(2, 3, {((0, 3), 0): 1.0}), s) == []
 
 
 class TestEnumerate:
