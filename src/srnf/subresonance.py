@@ -56,14 +56,13 @@ def monomial_type(index: MultiIndex, spectrum: SpectrumData) -> tuple[int, ...]:
 def _subresonant_mask(exponents: np.ndarray, comps: np.ndarray, spectrum: SpectrumData,
                       tol: float) -> np.ndarray:
     """Whether each position ``(exponents[i], comps[i])`` is sub-resonant:
-    ``ln|l_comp| <= sum_k i_k ln|l_k|``, with one-sided slack ``tol``.
+    ``ln|l_comp| <= sum_k i_k ln|l_k| + tol``, the one place this is evaluated.
 
-    The slack is applied on the permissive side only, so exact resonances
-    (equality) are never lost to rounding.  This is the one place the
-    inequality is evaluated.  Each weight is a separate row-times-vector
-    product, the dot product of one index alone: a matrix-vector product
-    may sum in another order, and then the answer at a margin within an ulp
-    of ``tol`` would depend on which rows were asked about together.
+    The slack is on the permissive side only, so exact resonances (equality)
+    are never lost to rounding.  Each weight is its own row-times-vector
+    product: a matrix-vector product may sum in another order, and the answer
+    at a margin within an ulp of ``tol`` would then depend on which rows were
+    asked about together.
     """
     log_moduli = spectrum.log_moduli
     weights = (exponents[..., None, :] @ log_moduli)[..., 0]
