@@ -42,9 +42,12 @@ _INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearP
                  SpectrumMismatch, DimensionMismatch, DegreeOutOfRange)
 _NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, CertificationFailure)
 
-# Largest array, in bytes, that one ``m-matrix`` or ``enumerate-sr`` request allocates:
-# the dense operator's complex entries, or the basis's int64 exponents.
+# Largest allocation, in bytes, of one ``m-matrix`` or ``enumerate-sr`` request.
 MAX_REQUEST_BYTES = 64 * 2**20
+
+# Peak of the enumeration's arrays per basis position: the int64 exponents plus
+# their stars-and-bars source or their float copy (three words at n = 2).
+ENUMERATION_BYTES_PER_POSITION = 24
 
 
 class _UnconvergedReport(Exception):
@@ -186,7 +189,7 @@ def _cmd_check_sr(args) -> dict:
 def _cmd_enumerate_sr(args) -> dict:
     cfg = _run_config(args)
     spectrum, _, _ = _adapted_map(args.spectrum_doc, cfg)
-    _check_size(8 * basis_dimension(spectrum.n, args.degree),
+    _check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
                 f"the degree-{args.degree} basis for n={spectrum.n}", "enumerate-sr")
     basis = enumerate_subresonant_basis(spectrum, args.degree, cfg.sr_tol)
     return {

@@ -88,14 +88,27 @@ class BasisOrdering:
 
 
 def basis_ordering(n: int, q: int) -> BasisOrdering:
-    """The degree-``q`` positions in the order of :func:`term_sort_key`."""
-    if q < 1:
-        raise DegreeOutOfRange(f"degree must be >= 1, got {q}")
-    combos = np.array(list(itertools.combinations_with_replacement(range(n), q)))
-    exponents = np.zeros((len(combos), n), dtype=np.int64)
-    np.add.at(exponents, (np.arange(len(combos))[:, None], combos), 1)
-    # lexsort's last key is the primary one: the exponent of z_n, larger first.
-    return BasisOrdering(q=q, n=n, exponents=exponents[np.lexsort(-exponents.T)])
+    """The degree-``q`` positions in the order of :func:`term_sort_key`, built
+    in a few words of memory per row whatever ``q``."""
+    rows = basis_dimension(n, q) // n
+    if q + n - 1 > MAX_DEGREE:
+        raise DegreeOutOfRange(f"degree {q} at n={n} overflows int64 exponents")
+    if n == 1:
+        return BasisOrdering(q=q, n=n, exponents=np.full((1, 1), q, dtype=np.int64))
+    # Stars and bars: the n - 1 bars of a combination of range(q + n - 1) cut
+    # q stars into the exponents of z_n, z_{n-1}, ..., z_1.  The combinations
+    # come in lexicographic order, so reversed they give the largest z_n
+    # exponent first, ties broken by z_{n-1}, and so on.
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(q + n - 1), n - 1)),
+        dtype=np.int64, count=rows * (n - 1)).reshape(rows, n - 1)[::-1]
+    exponents = np.empty((rows, n), dtype=np.int64)
+    gaps = exponents[:, ::-1]
+    gaps[:, 0] = bars[:, 0]
+    np.subtract(bars[:, 1:], bars[:, :-1], out=gaps[:, 1:-1])
+    gaps[:, 1:-1] -= 1
+    gaps[:, -1] = q + n - 2 - bars[:, -1]
+    return BasisOrdering(q=q, n=n, exponents=exponents)
 
 
 def basis_dimension(n: int, q: int) -> int:

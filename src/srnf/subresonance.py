@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import SpectrumData, same_spectrum
 from .polymap import (
+    MAX_DEGREE,
     MultiIndex,
     PolyJet,
     TermKey,
@@ -74,8 +75,10 @@ def is_subresonant_monomial(index: MultiIndex, comp: int, spectrum: SpectrumData
     """Whether the monomial ``z^index e_comp`` is sub-resonant (see :func:`_subresonant_mask`)."""
     if len(index) != spectrum.n:
         raise DimensionMismatch(f"multi-index {index} does not match n={spectrum.n}")
-    if sum(index) < 1:
-        raise DegreeOutOfRange("monomials have degree >= 1")
+    if any(e < 0 for e in index):
+        raise ValueError(f"negative exponent in multi-index {index}")
+    if not 1 <= sum(index) <= MAX_DEGREE:
+        raise DegreeOutOfRange(f"monomial degree must be in 1..2**63 - 1, got {sum(index)}")
     if not 0 <= comp < spectrum.n:
         raise DimensionMismatch(f"component {comp} outside 0..{spectrum.n - 1}")
     return bool(_subresonant_mask(np.array([index], dtype=np.int64), np.array([comp]),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from conftest import random_jet
 from srnf import cli, errors, germio
 from srnf.cli import main
 from srnf.errors import ValidationError
-from srnf.polymap import PolyJet, basis_dimension, basis_ordering
+from srnf.linalg import analyze_spectrum
+from srnf.polymap import PolyJet, basis_dimension
+from srnf.subresonance import enumerate_subresonant_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -281,36 +284,70 @@ def refuse(*args):
     raise AssertionError("a refused request must allocate nothing")
 
 
+def spectrum_doc(moduli):
+    n = len(moduli)
+    return {"dimension": n, "degree": 1, "coordinates": "adapted",
+            "terms": [{"exponents": [int(i == k) for i in range(n)], "component": k + 1,
+                       "coeff": [modulus, 0.0]} for k, modulus in enumerate(moduli)]}
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCliSizeLimits:
-    @pytest.mark.parametrize("n, q", [(1, 4), (2, 3), (5, 2), (8, 3)])
-    def test_enumerate_sr_estimate_is_the_basis_array(self, n, q):
-        assert 8 * basis_dimension(n, q) == basis_ordering(n, q).exponents.nbytes
+    @pytest.mark.parametrize("n, q", [(3, 400), (4, 40), (8, 10), (16, 5)])
+    def test_enumeration_peak_within_estimate(self, n, q):
+        # equal moduli leave nothing sub-resonant above degree 1: only the arrays count
+        spectrum = analyze_spectrum(np.diag([0.5] * n).astype(complex))
+        basis, peak = traced_peak(lambda: enumerate_subresonant_basis(spectrum, q))
+        assert basis == ()
+        assert peak <= cli.ENUMERATION_BYTES_PER_POSITION * basis_dimension(n, q)
+
+    @pytest.mark.parametrize("moduli, degree", [([0.25, 0.5], 5_000), ([0.5], 2**62)])
+    def test_enumerate_sr_high_degree_low_dimension(self, tmp_path, capsys, moduli, degree):
+        # At n <= 2 a large degree passes the size check: the run must stay within it,
+        # give or take a MiB of fixed overhead.  A basis built from degree-long rows
+        # takes 400 MB at n=2, degree 5000: enough to fail, not to exhaust memory.
+        path = write_doc(tmp_path, "spec.json", spectrum_doc(moduli))
+        (code, out, err), peak = traced_peak(
+            lambda: run_cli(["enumerate-sr", path, "--degree", str(degree)], capsys))
+        assert code == 0 and json.loads(out)["count"] == 0
+        estimate = cli.ENUMERATION_BYTES_PER_POSITION * basis_dimension(len(moduli), degree)
+        assert peak <= estimate + 2**20
+
+    def test_enumerate_sr_degree_past_int64(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "spec.json", spectrum_doc([0.5]))
+        code, out, err = run_cli(["enumerate-sr", path, "--degree", str(2**63)], capsys)
+        assert code == 2 and out == "" and "DegreeOutOfRange" in err and "overflows int64" in err
 
     @pytest.mark.parametrize("slack, exit_code", [(0, 0), (-1, 2)])
     def test_enumerate_sr_at_the_limit(self, tmp_path, capsys, monkeypatch, slack, exit_code):
-        # n=2, degree 3: 4 rows of 2 int64 exponents
+        # n=2, degree 3: 8 positions of 24 bytes
         monkeypatch.setattr(cli, "MAX_REQUEST_BYTES",
-                            basis_ordering(2, 3).exponents.nbytes + slack)
+                            cli.ENUMERATION_BYTES_PER_POSITION * basis_dimension(2, 3) + slack)
         if exit_code:
             monkeypatch.setattr(cli, "enumerate_subresonant_basis", refuse)
         path = write_doc(tmp_path, "spec.json", QUARTER_HALF_DOC)
         code, out, err = run_cli(["enumerate-sr", path, "--degree", "3"], capsys)
         assert code == exit_code
         if exit_code:
-            assert out == "" and "ValidationError: the degree-3 basis for n=2 needs 64" in err
+            assert out == "" and "ValidationError: the degree-3 basis for n=2 needs 192" in err
         else:
             assert json.loads(out)["count"] == 0
 
     def test_enumerate_sr_size_limit(self, tmp_path, capsys, monkeypatch):
         # n=16, degree 12: 278 M positions, whose int64 exponents alone take 2.2 GB
-        doc = {"dimension": 16, "degree": 1, "coordinates": "adapted",
-               "terms": [{"exponents": [int(i == k) for i in range(16)], "component": k + 1,
-                          "coeff": [0.5 + 0.02 * k, 0.0]} for k in range(16)]}
         monkeypatch.setattr(cli, "enumerate_subresonant_basis", refuse)
-        path = write_doc(tmp_path, "spec.json", doc)
+        path = write_doc(tmp_path, "spec.json", spectrum_doc([0.5 + 0.02 * k for k in range(16)]))
         code, out, err = run_cli(["enumerate-sr", path, "--degree", "12"], capsys)
         assert code == 2 and out == ""
-        assert "ValidationError" in err and "2.23e+09 bytes" in err
+        assert "ValidationError" in err and "6.68e+09 bytes" in err
 
     @pytest.mark.parametrize("command", ["enumerate-sr", "m-matrix"])
     def test_negative_degree(self, tmp_path, capsys, command):

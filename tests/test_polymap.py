@@ -16,6 +16,7 @@ from srnf.polymap import (
     PolyJet,
     _PowerTable,
     _prune_terms,
+    basis_ordering,
     compose_truncated,
     homogeneous_part,
     jet_inverse,
@@ -501,3 +502,14 @@ class TestCanonicalForm:
             ((0, top), 1)]
         with pytest.raises(DegreeOutOfRange, match="2\\*\\*63 - 1, got 9223372036854775808"):
             PolyJet(2, top + 1, {((1, 0), 0): 0.25})
+
+    def test_basis_ordering_at_high_degree_and_low_dimension(self):
+        q = 5_000
+        exponents = basis_ordering(2, q).exponents
+        k = np.arange(q + 1)
+        assert np.array_equal(exponents, np.stack([k, q - k], axis=1))
+        top = 2**63 - 1
+        assert basis_ordering(1, top).exponents.tolist() == [[top]]
+        for n, q in [(1, top + 1), (2, top)]:
+            with pytest.raises(DegreeOutOfRange, match="overflows int64"):
+                basis_ordering(n, q)

@@ -13,7 +13,12 @@ from conftest import (
 )
 from test_acceptance import naive_compose
 from srnf import subresonance
-from srnf.errors import CertificationFailure, SingularLinearPart, SpectrumMismatch
+from srnf.errors import (
+    CertificationFailure,
+    DegreeOutOfRange,
+    SingularLinearPart,
+    SpectrumMismatch,
+)
 from srnf.linalg import analyze_spectrum
 from srnf.polymap import PolyJet
 from srnf.subresonance import (
@@ -61,6 +66,15 @@ class TestMonomialPredicate:
 
     def test_reverse_fails(self):
         assert not is_subresonant_monomial((1, 0), 1, QUARTER_HALF)
+
+    def test_index_range(self):
+        top = 2**63 - 1
+        assert not is_subresonant_monomial((top, 0), 0, QUARTER_HALF)
+        for index in [(top + 1, 0), (2**62, 2**62)]:
+            with pytest.raises(DegreeOutOfRange, match="2\\*\\*63 - 1"):
+                is_subresonant_monomial(index, 0, QUARTER_HALF)
+        with pytest.raises(ValueError, match="negative exponent"):
+            is_subresonant_monomial((-1, 3), 0, QUARTER_HALF)
 
     def test_diagonal_linear_always_passes(self):
         rng = np.random.default_rng(5)
