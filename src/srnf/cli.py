@@ -60,26 +60,26 @@ class _UnconvergedReport(Exception):
 
 def _config_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--res-tol", type=float, default=1e-9,
+    parser.add_argument("--res-tol", type=float, default=RunConfig.res_tol,
                         help="relative resonance-detection tolerance")
-    parser.add_argument("--sr-tol", type=float, default=1e-9,
+    parser.add_argument("--sr-tol", type=float, default=RunConfig.sr_tol,
                         help="log-space sub-resonance tolerance")
-    parser.add_argument("--block-tol", type=float, default=1e-9,
+    parser.add_argument("--block-tol", type=float, default=RunConfig.block_tol,
                         help="relative tolerance grouping equal-modulus eigenvalues")
-    parser.add_argument("--cauchy-tol", type=float, default=1e-12,
+    parser.add_argument("--cauchy-tol", type=float, default=RunConfig.cauchy_tol,
                         help="stabilization tolerance of the straightening iteration")
-    parser.add_argument("--trunc-degree", type=int, default=None,
+    parser.add_argument("--trunc-degree", type=int, default=RunConfig.trunc_degree,
                         help="working truncation degree (default c0+1)")
-    parser.add_argument("--p-max", type=int, default=60,
+    parser.add_argument("--p-max", type=int, default=RunConfig.p_max,
                         help="iteration cap of the straightening limit")
-    parser.add_argument("--prune", dest="prune", action="store_true", default=True,
+    parser.add_argument("--prune", dest="prune", action="store_true", default=RunConfig.prune,
                         help="drop relative round-off noise after compositions (default)")
     parser.add_argument("--no-prune", dest="prune", action="store_false")
-    parser.add_argument("--sample-count", type=int, default=20,
+    parser.add_argument("--sample-count", type=int, default=RunConfig.sample_count,
                         help="number of verification sample points")
-    parser.add_argument("--sample-radius", type=float, default=0.05,
+    parser.add_argument("--sample-radius", type=float, default=RunConfig.sample_radius,
                         help="radius of verification sample points")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
                         help="seed for reproducible sampling")
     parser.add_argument("--output", default="-",
                         help="output path (default '-' for stdout)")

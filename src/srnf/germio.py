@@ -14,12 +14,13 @@ from typing import Any
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ValidationError
 from .gx_group import GroupElement, OrbitDiagnostics
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
 from .normal_form import COORDINATE_FRAMES, ConjugacyReport, GermInput, NormalFormResult
 from .polymap import PolyJet, TermKey
-from .subresonance import SubResonantMap
+from .subresonance import SubResonantMap, certify_subresonant
 
 # -- low-level scalar helpers -------------------------------------------
 
@@ -226,10 +227,8 @@ def group_element_document(g: GroupElement) -> dict:
     }
 
 
-def parse_group_element(doc: Any, block_tol: float = 1e-9,
-                        sr_tol: float = 1e-9) -> GroupElement:
-    from .subresonance import certify_subresonant
-
+def parse_group_element(doc: Any, block_tol: float = RunConfig.block_tol,
+                        sr_tol: float = RunConfig.sr_tol) -> GroupElement:
     if not isinstance(doc, dict):
         raise ValidationError("group element document must be a JSON object")
     n = doc.get("dimension")

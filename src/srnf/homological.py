@@ -123,7 +123,7 @@ def operator_columns(spectrum: SpectrumData, q: int):
         start_of = dict(zip(codes, starts))
         coupling = [0j - T[rows, comp] for comp, rows in enumerate(above)]
         for index, code, start in zip(map(tuple, exponents.tolist()), codes, starts):
-            power = table.power(index)[q]
+            power = table.power(index, q)[q]
             monos = [code] + [mono for mono in power if mono != code]
             # 0j + keeps the signed zeros of a dense sum.
             base = np.array([start_of[mono] for mono in monos])
@@ -164,6 +164,10 @@ class SplitResult:
     resonant_positions: tuple[TermKey, ...]
     warnings: tuple[str, ...]
     divisor_min: float
+
+    @property
+    def q(self) -> int:
+        return self.resonant.q
 
 
 def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,

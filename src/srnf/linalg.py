@@ -27,13 +27,13 @@ DEFAULT_MARGIN = 1e-9
 _RATIO_SNAP = 1e-9
 
 
-def require_matrix(matrix, *, max_dim: int = MAX_DIMENSION) -> np.ndarray:
+def require_matrix(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] < 1 or matrix.shape[0] > max_dim:
+    if matrix.shape[0] < 1 or matrix.shape[0] > MAX_DIMENSION:
         raise ValidationError(
-            f"dimension {matrix.shape[0]} outside supported range 1..{max_dim}")
+            f"dimension {matrix.shape[0]} outside supported range 1..{MAX_DIMENSION}")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("matrix has non-finite entries")
     return matrix
@@ -134,8 +134,7 @@ def _swap_adjacent(Q: np.ndarray, T: np.ndarray, k: int) -> None:
     Q[:, idx] = Q[:, idx] @ G
     T[k + 1, k] = 0.0
 
-def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL, *,
-                     margin: float = DEFAULT_MARGIN) -> SpectrumData:
+def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL) -> SpectrumData:
     """Spectrum data of an adapted upper-triangular contracting matrix."""
     T = require_matrix(T)
     n = T.shape[0]
@@ -145,9 +144,9 @@ def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL, *,
         raise NotTriangular(f"nonzero subdiagonal entry at ({bad[0] + 1}, {bad[1] + 1})")
     diag = np.array(np.diag(T), dtype=complex)
     moduli = np.abs(diag)
-    if np.any(moduli <= margin):
+    if np.any(moduli <= DEFAULT_MARGIN):
         raise NotContracting("an eigenvalue modulus is zero or below the margin")
-    if np.any(moduli >= 1.0 - margin):
+    if np.any(moduli >= 1.0 - DEFAULT_MARGIN):
         raise NotContracting(
             f"largest eigenvalue modulus {moduli.max():.6g} is not strictly below 1")
     for k in range(n - 1):

@@ -35,7 +35,6 @@ from .polymap import (
     PolyJet,
     _PowerTable,
     compose_truncated,
-    homogeneous_part,
     jet_inverse,
     linear_conjugate,
 )
@@ -61,31 +60,28 @@ class GermInput:
         return self.jet.n
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One degree: ``resonant`` is added to ``P``, ``eliminated`` to ``phi``."""
-
-    q: int
-    resonant: HomogeneousPart
-    eliminated: HomogeneousPart
-    divisor_min: float
-    warnings: tuple[str, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
+    """Residuals of the computed conjugacy; ``pointwise`` holds the polynomial
+    residual at each row of ``sample_points``."""
+
     coefficient_max: float
     pointwise_max: float
     pointwise_mean: float
     sample_radius: float
     sample_count: int
+    pointwise: tuple[float, ...]
+    sample_points: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class NormalFormResult:
+    """``steps`` holds each degree's split: its ``resonant`` part is added to
+    ``P``, its ``eliminated`` part to ``phi``."""
+
     spectrum: SpectrumData
     normal_form: SubResonantMap
-    steps: tuple[StepRecord, ...]
+    steps: tuple[SplitResult, ...]
     phi: PolyJet
     residuals: ResidualReport
     basis_change: np.ndarray
@@ -93,7 +89,10 @@ class NormalFormResult:
     contraction_radius: float
     contraction_ratio: float
     trunc_degree: int
-    warnings: tuple[str, ...]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(w for step in self.steps for w in step.warnings)
 
 
 def ingest(germ: GermInput, cfg: RunConfig = RunConfig()):
@@ -194,22 +193,14 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     phi_powers, normal_powers = _PowerTable(germ.n, D), _PowerTable(germ.n, D)
     phi_powers.reveal(phi.terms)
     normal_powers.reveal(normal_jet.terms)
-    steps: list[StepRecord] = []
-    warnings: list[str] = []
+    steps: list[SplitResult] = []
     for q in range(2, D + 1):
-        left = phi_powers.compose_block(adapted_full, q, prune=cfg.prune)
-        right = normal_powers.compose_block(phi, q, prune=cfg.prune)
-        error = homogeneous_part(
-            PolyJet._trusted(germ.n, q, left) - PolyJet._trusted(germ.n, q, right), q)
-        split: SplitResult = split_homogeneous(spectrum, error, cfg.res_tol, cfg.sr_tol)
-        steps.append(StepRecord(
-            q=q,
-            resonant=split.resonant,
-            eliminated=split.eliminated,
-            divisor_min=split.divisor_min,
-            warnings=split.warnings,
-        ))
-        warnings.extend(split.warnings)
+        error = phi_powers.compose_block(adapted_full, q, prune=cfg.prune)
+        for key, coeff in normal_powers.compose_block(phi, q, prune=cfg.prune).items():
+            error[key] = error.get(key, 0j) - coeff
+        split = split_homogeneous(spectrum, HomogeneousPart._trusted(germ.n, q, error),
+                                  cfg.res_tol, cfg.sr_tol)
+        steps.append(split)
         if split.eliminated.terms:
             phi = phi + split.eliminated
             phi_powers.reveal(split.eliminated.terms)
@@ -234,7 +225,6 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         contraction_radius=radius,
         contraction_ratio=ratio,
         trunc_degree=D,
-        warnings=tuple(warnings),
     )
 
 
@@ -249,6 +239,8 @@ def _residual_report(adapted_full: PolyJet, phi: PolyJet, P_jet: PolyJet,
         pointwise_mean=float(np.mean(values)) if values else 0.0,
         sample_radius=r,
         sample_count=len(values),
+        pointwise=tuple(values),
+        sample_points=points,
     )
 
 
@@ -289,8 +281,8 @@ def _sample_points(n: int, contraction_radius: float, cfg: RunConfig) -> tuple[f
     return radius, points
 
 
-def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = 60,
-                cauchy_tol: float = 1e-12) -> np.ndarray:
+def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = RunConfig.p_max,
+                cauchy_tol: float = RunConfig.cauchy_tol) -> np.ndarray:
     """Straightening value ``lim_p P^{-(p)}(F^{(p)}(z))``.
 
     The limit ``phi`` sends orbits of ``F`` to orbits of ``P``:
@@ -371,37 +363,31 @@ class ConjugacyReport:
 
 
 def verify_conjugacy(germ: GermInput, result: NormalFormResult,
-                     samples=None, cfg: RunConfig = RunConfig()) -> ConjugacyReport:
+                     cfg: RunConfig = RunConfig()) -> ConjugacyReport:
     """Check ``F o phi = phi o P`` in coefficients and at sample points.
 
-    Coefficient check: the largest gap between both sides composed through
-    the working degree, as :func:`poincare_dulac` reported it.  Point checks,
-    in adapted coordinates: the polynomial-stage residual
-    ``||F(phi(z)) - phi(P(z))||`` and the straightened residual
-    ``||g(F(z)) - P(g(z))||`` where ``g`` composes the inverse of the
-    polynomial stage with the numeric straightening limit.
+    The coefficient gap and the polynomial-stage residual
+    ``||F(phi(z)) - phi(P(z))||`` at each sample point are read from
+    ``result.residuals``, as :func:`poincare_dulac` computed them at the
+    points its configuration drew.  This function adds the straightened
+    residual ``||g(F(z)) - P(g(z))||`` at the same points, in adapted
+    coordinates, where ``g`` composes the inverse of the polynomial stage
+    with the numeric straightening limit.  Of ``cfg`` only ``p_max`` and
+    ``cauchy_tol`` are read; pass the configuration given to
+    :func:`poincare_dulac`.
     """
     spectrum = result.spectrum
     F = result.germ_adapted
     P = result.normal_form
-    D = result.trunc_degree
-    if samples is None:
-        samples = _sample_points(F.n, result.contraction_radius, cfg)[1]
-    rows = [np.asarray(z, dtype=complex) for z in samples]
-    if any(row.shape != (F.n,) for row in rows):
-        raise DimensionMismatch(f"every sample point must have shape ({F.n},)")
-    Z = np.array(rows, dtype=complex).reshape(len(rows), F.n)
+    Z = result.residuals.sample_points
     m = len(Z)
-
-    poly_res = tuple(pointwise_conjugacy_residual(F, result.phi, P.jet, Z))
-
     straightened = [None] * m
     p_used = 0
     if m:
         # rows i and m + i straighten z_i and F(z_i)
         G, stopped_at, gaps = _straightening_iterate(
             F, sr_inverse(P).jet, np.concatenate([Z, F.evaluate(Z)]), cfg.p_max,
-            cfg.cauchy_tol, pullback=jet_inverse(result.phi, D))
+            cfg.cauchy_tol, pullback=jet_inverse(result.phi, result.trunc_degree))
         ok = [i for i in range(m) if gaps[i] is None and gaps[m + i] is None]
         residuals = _row_norms(G[[m + i for i in ok]] - P.jet.evaluate(G[ok]))
         for i, value in zip(ok, residuals):
@@ -410,7 +396,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     amplification = float(spectrum.moduli[0] ** (-p_used)) if p_used else 1.0
     return ConjugacyReport(
         coefficient_max=result.residuals.coefficient_max,
-        polynomial_pointwise=poly_res,
+        polynomial_pointwise=result.residuals.pointwise,
         straightened_pointwise=tuple(straightened),
         sample_points=tuple(tuple(z) for z in Z),
         amplification_estimate=amplification,

@@ -247,8 +247,8 @@ class PolyJet:
         terms = {k: c for k, c in self.terms.items() if sum(k[0]) <= degree}
         return PolyJet._trusted(self.n, degree, terms)
 
-    def pruned(self, rel_tol: float = PRUNE_REL_TOL) -> "PolyJet":
-        return PolyJet._trusted(self.n, self.degree, _prune_terms(self.terms, rel_tol))
+    def pruned(self) -> "PolyJet":
+        return PolyJet._trusted(self.n, self.degree, _prune_terms(self.terms))
 
     def max_coeff_diff(self, other: "PolyJet") -> float:
         keys = set(self.terms) | set(other.terms)
@@ -331,9 +331,7 @@ def _linear_terms(matrix: np.ndarray) -> dict[TermKey, complex]:
             for j in range(n) for k in range(n) if matrix[j, k] != 0}
 
 
-def _prune_terms(terms: Mapping[TermKey, complex], rel_tol: float) -> dict[TermKey, complex]:
-    if rel_tol <= 0 or not terms:
-        return dict(terms)
+def _prune_terms(terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
     degree_max: dict[int, float] = {}
     for (index, _), coeff in terms.items():
         d = sum(index)
@@ -341,7 +339,7 @@ def _prune_terms(terms: Mapping[TermKey, complex], rel_tol: float) -> dict[TermK
         if a > degree_max.get(d, 0.0):
             degree_max[d] = a
     return {key: coeff for key, coeff in terms.items()
-            if abs(coeff) >= rel_tol * degree_max.get(sum(key[0]), 0.0)}
+            if abs(coeff) >= PRUNE_REL_TOL * degree_max.get(sum(key[0]), 0.0)}
 
 
 # Scalar polynomials inside the composition kernel are held in blocks by
@@ -355,13 +353,13 @@ class _PowerTable:
     """Degree blocks ``[g^I]_d`` of the monomial powers of one map ``g``, each made once.
 
     ``g^I`` follows the prefix chain ``((g_1^{i_1}) g_2^{i_2}) ...`` with
-    ``g_k^e = g_k^{e-1} g_k``.  :meth:`power` makes all blocks of a power at
-    once, and :meth:`compose` sums a map's terms over them; there ``g`` may
-    have a constant term if ``f`` has no terms above the cap.
-    :meth:`compose_block` makes blocks as degrees are asked for, so ``g``
-    may be revealed degree by degree: for ``|I| >= 2`` the block
-    ``[g^I]_d`` reads only blocks of ``g`` below ``d`` and stays valid as
-    later degrees arrive.  That needs ``g(0) = 0``.
+    ``g_k^e = g_k^{e-1} g_k``.  :meth:`power` makes a power's blocks through
+    the degree asked for.  :meth:`compose` asks for the cap, and there ``g``
+    may have a constant term if ``f`` has no terms above the cap.
+    :meth:`compose_block` asks for one degree at a time, so ``g`` may be
+    revealed degree by degree: for ``|I| >= 2`` the block ``[g^I]_d`` reads
+    only blocks of ``g`` below ``d`` and stays valid as later degrees
+    arrive.  That needs ``g(0) = 0``.
     """
 
     def __init__(self, n: int, cap: int):
@@ -369,7 +367,7 @@ class _PowerTable:
         self.radix = [self.base ** k for k in range(n)]
         self.components: list[_Blocks] = [{} for _ in range(n)]
         self.powers: dict[MultiIndex, _Blocks] = {}
-        self.filled: dict[MultiIndex, int] = {}   # degree through which compose_block made g^I
+        self.filled: dict[MultiIndex, int] = {}   # degree through which power made g^I
         self.decoded: dict[int, MultiIndex] = {}
 
     def reveal(self, terms: Mapping[TermKey, complex]) -> None:
@@ -405,24 +403,14 @@ class _PowerTable:
                         block[key] = block.get(key, 0j) + va * vb
         return out
 
-    def power(self, index: MultiIndex) -> _Blocks:
-        """All blocks of ``g^I`` through the cap."""
-        blocks = self.powers.get(index)
-        if blocks is None:
-            if sum(index) == 1:
-                return self.components[index.index(1)]
-            a, b = map(self.power, self._factors(index))
-            blocks = self.powers[index] = self._product(a, b, 0, self.cap)
-        return blocks
-
-    def _power_through(self, index: MultiIndex, d: int) -> _Blocks:
-        """``g^I`` with its blocks through degree ``d`` made."""
+    def power(self, index: MultiIndex, d: int) -> _Blocks:
+        """``g^I`` with its blocks of degrees 0 through ``d`` made."""
         if sum(index) == 1:
             return self.components[index.index(1)]
         blocks = self.powers.setdefault(index, {})
-        start = self.filled.get(index, 0) + 1
+        start = self.filled.get(index, -1) + 1
         if start <= d:
-            a, b = (self._power_through(factor, d - 1) for factor in self._factors(index))
+            a, b = (self.power(factor, d) for factor in self._factors(index))
             blocks.update(self._product(a, b, start, d))
             self.filled[index] = d
         return blocks
@@ -444,7 +432,7 @@ class _PowerTable:
         out: dict[TermKey, complex] = {}
         for (index, comp), coeff in f.terms.items():
             if sum(index) <= self.cap:
-                self.accumulate(out, comp, coeff, self.power(index).values())
+                self.accumulate(out, comp, coeff, self.power(index, self.cap).values())
         return out
 
     def compose_block(self, f: PolyJet, d: int, *, prune: bool = False) -> dict[TermKey, complex]:
@@ -452,10 +440,10 @@ class _PowerTable:
         out: dict[TermKey, complex] = {}
         for (index, comp), coeff in f.terms.items():
             if sum(index) <= d:
-                block = self._power_through(index, d).get(d)
+                block = self.power(index, d).get(d)
                 if block:
                     self.accumulate(out, comp, coeff, (block,))
-        return _prune_terms(out, PRUNE_REL_TOL) if prune else out
+        return _prune_terms(out) if prune else out
 
 
 # -- operations --------------------------------------------------------
@@ -476,7 +464,7 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
     table.reveal(g.terms)
     out = table.compose(f)
     if prune:
-        out = _prune_terms(out, PRUNE_REL_TOL)
+        out = _prune_terms(out)
     return PolyJet._trusted(f.n, degree, out)
 
 
@@ -510,7 +498,7 @@ def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int) -> PolyJet:
     _check_invertible(matrix, SingularLinearPart)
     inner = compose_truncated(f, PolyJet.from_linear(matrix, 1), degree, prune=False)
     out = _left_multiply(np.linalg.inv(matrix), inner.terms)
-    return PolyJet._trusted(f.n, degree, _prune_terms(out, PRUNE_REL_TOL))
+    return PolyJet._trusted(f.n, degree, _prune_terms(out))
 
 
 def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:

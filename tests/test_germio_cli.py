@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 from conftest import random_jet
 from srnf import cli, errors, germio
 from srnf.cli import main
+from srnf.config import RunConfig
 from srnf.errors import ValidationError
 from srnf.linalg import analyze_spectrum
+from srnf.normal_form import phi_numeric
 from srnf.polymap import PolyJet, basis_dimension
 from srnf.subresonance import enumerate_subresonant_basis
 
@@ -598,3 +602,13 @@ class TestConsoleEntry:
         second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+def test_defaults_come_from_run_config():
+    args = cli._config_parser().parse_args([])
+    for field in dataclasses.fields(RunConfig):
+        assert getattr(args, field.name) == field.default, field.name
+    for function, names in ((germio.parse_group_element, ("block_tol", "sr_tol")),
+                            (phi_numeric, ("p_max", "cauchy_tol"))):
+        parameters = inspect.signature(function).parameters
+        assert all(parameters[name].default == getattr(RunConfig, name) for name in names)

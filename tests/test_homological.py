@@ -497,7 +497,7 @@ class TestDiagonalChain:
         table = _PowerTable(n, q)
         table.reveal(_linear_terms(s.T))
         codes = (ordering.exponents @ np.array(table.radix)).tolist()
-        leading = [table.power(index)[q][code]
+        leading = [table.power(index, q)[q][code]
                    for index, code in zip(map(tuple, ordering.exponents.tolist()), codes)]
         expected = (np.array(leading)[:, None] - np.diagonal(s.T)).ravel()
         assert diagonal.tobytes() == expected.tobytes()

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_jet, random_point
+from conftest import random_jet, random_point, random_sr_map
 from srnf import germio
+from srnf.gx_group import translate_conjugate
 from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart
 from srnf.polymap import (
     PRUNE_REL_TOL,
@@ -24,7 +25,7 @@ from srnf.polymap import (
 )
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import poincare_dulac
-from srnf.subresonance import subresonant_offenders
+from srnf.subresonance import certify_subresonant, subresonant_offenders
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,10 +115,14 @@ class TestTrustedConstruction:
         f = random_jet(rng, n, degree)
         g = random_jet(rng, n, degree)
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        # one term below PRUNE_REL_TOL times the largest of its degree
+        noisy = PolyJet(2, 2, {((1, 0), 0): 1.0, ((0, 1), 1): PRUNE_REL_TOL / 2,
+                               ((1, 1), 0): 0.5})
+        assert len(noisy.pruned().terms) == 2
         results = [
             compose_truncated(f, g, degree), compose_truncated(f, g, degree, prune=False),
             f + g, -f, f - g, f - f, f.scaled(0.3 - 1.2j), f.scaled(np.float64(2.5)),
-            f.pruned(0.5), f.truncated(1), homogeneous_part(f, degree),
+            noisy.pruned(), f.truncated(1), homogeneous_part(f, degree),
             jet_inverse(f, degree), linear_conjugate(f, Q, degree),
         ]
         for jet in results:
@@ -268,7 +273,7 @@ def reference_compose(f, g, degree, prune=True):
                 key = (decode(code), comp)
                 out[key] = out.get(key, 0j) + coeff * value
     if prune:
-        out = _prune_terms(out, PRUNE_REL_TOL)
+        out = _prune_terms(out)
     return PolyJet._trusted(n, degree, out)
 
 
@@ -335,10 +340,14 @@ class TestOnlineBlocks:
     """Blocks of ``f o g`` read while ``g`` is revealed one degree at a time."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5), st.booleans())
-    def test_blocks_equal_composition(self, seed, n, degree, shuffle):
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5), st.booleans(),
+           st.booleans())
+    def test_blocks_equal_composition(self, seed, n, degree, shuffle, sparse):
         rng = np.random.default_rng(seed)
-        f, g = modest_jet(rng, n, degree), modest_jet(rng, n, degree)
+        if sparse:   # supports that skip degrees
+            f, g = (sparse_jet(rng, n, degree, int(rng.integers(1, 7))) for _ in range(2))
+        else:
+            f, g = modest_jet(rng, n, degree), modest_jet(rng, n, degree)
         if shuffle:
             f, g = shuffled(rng, f), shuffled(rng, g)
         whole = compose_truncated(f, g, degree, prune=False).terms
@@ -353,7 +362,8 @@ class TestOnlineBlocks:
                 gap = abs(block.get(key, 0j) - expected.get(key, 0j))
                 assert gap <= 4 * 2.0 ** -52 * magnitude[key].real
 
-    @pytest.mark.parametrize("user", ["compose_truncated", "jet_inverse", "poincare_dulac"])
+    @pytest.mark.parametrize("user", ["compose_truncated", "jet_inverse", "poincare_dulac",
+                                      "translate_conjugate"])
     def test_each_block_built_once(self, monkeypatch, user):
         # every block the kernel builds is one the tables keep: none is rebuilt
         tables, built = [], []
@@ -375,6 +385,11 @@ class TestOnlineBlocks:
             compose_truncated(f, f, 5)
         elif user == "jet_inverse":
             jet_inverse(f, 5)
+        elif user == "translate_conjugate":
+            # a table whose g has constant terms, made through the cap at once
+            spectrum = analyze_spectrum(np.diag([0.125, 0.25, 0.5]).astype(complex))
+            h = certify_subresonant(random_sr_map(np.random.default_rng(5), spectrum), spectrum)
+            translate_conjugate(h, np.array([0.3, -0.2j, 0.4 + 0.1j]))
         else:
             document = json.loads((DATA / "coupled_n3.json").read_text(encoding="utf-8"))
             poincare_dulac(germio.parse_germ_document(document))
