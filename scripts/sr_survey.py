@@ -62,7 +62,8 @@ def main() -> int:
         span_ok = True
         for q in range(2, s.c0 + 2):
             m = build_matrix(s, q)
-            nonzero = np.abs(m.diag[np.abs(m.diag) > 1e-9])
+            divisors = np.abs(np.diagonal(m.entries))
+            nonzero = divisors[divisors > 1e-9]
             if nonzero.size:
                 min_div = min(min_div, float(nonzero.min()))
             dim = basis_dimension(s.n, q)

@@ -225,7 +225,7 @@ def _cmd_m_matrix(args) -> dict:
         "degree": args.degree,
         "basis": [{"exponents": list(index), "component": comp + 1}
                   for index, comp in matrix.ordering.pairs],
-        "diagonal": [germio.complex_to_pair(complex(v)) for v in matrix.diag],
+        "diagonal": [germio.complex_to_pair(complex(v)) for v in np.diagonal(matrix.entries)],
         "matrix": germio.matrix_to_json(matrix.entries),
     }
 

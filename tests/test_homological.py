@@ -21,8 +21,6 @@ from srnf.linalg import analyze_spectrum
 from srnf.polymap import (
     HomogeneousPart,
     PolyJet,
-    _linear_terms,
-    _PowerTable,
     basis_dimension,
     basis_ordering,
     term_sort_key,
@@ -77,12 +75,27 @@ class TestApplyM:
         assert out.terms == {}
 
 
+class TestOperatorColumns:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 4), st.booleans())
+    def test_block_holds_entries_above_the_diagonal_only(self, seed, n, q, diagonal):
+        s = random_spectrum(np.random.default_rng(seed), n, diagonal=diagonal)
+        ordering, divisors, (cols, indptr, rows, values) = operator_columns(s, q)
+        assert divisors.shape == (len(ordering),)
+        assert len(indptr) == len(cols) + 1 and indptr[0] == 0
+        assert indptr[-1] == len(rows) == len(values)
+        assert np.all(np.diff(cols) > 0) and np.all(np.diff(indptr) > 0)
+        assert np.all(rows < np.repeat(cols, np.diff(indptr)))
+        assert cols.size == 0 if diagonal or n == 1 else cols.size > 0
+
+
 class TestBuildMatrix:
     def test_diagonal_spectrum_is_diagonal(self):
         m = build_matrix(QUARTER_HALF, 2)
         off = m.entries - np.diag(np.diag(m.entries))
         assert np.count_nonzero(off) == 0
-        assert np.allclose(np.diag(m.entries), m.diag, atol=1e-15)
+        assert np.diag(m.entries).tolist() == [0, 1 / 4 - 1 / 2, 1 / 8 - 1 / 4,
+                                               1 / 8 - 1 / 2, 1 / 16 - 1 / 4, 1 / 16 - 1 / 2]
 
     def test_hand_entries(self):
         m = build_matrix(QUARTER_HALF, 2)
@@ -223,7 +236,7 @@ def dense_split(s, H):
     removed = np.zeros(dim, dtype=complex)
     for r in range(dim - 1, -1, -1):
         comp = m.ordering.pairs[r][1]
-        if abs(m.diag[r]) <= DEFAULT_RES_TOL * abs(s.diag[comp]):
+        if abs(m.entries[r, r]) <= DEFAULT_RES_TOL * abs(s.diag[comp]):
             kept[r], residual[r] = residual[r], 0.0
         elif residual[r] != 0:
             removed[r] = residual[r] / m.entries[r, r]
@@ -295,7 +308,7 @@ def reference_multiply(a, b):
 def reference_split(s, H, res_tol=DEFAULT_RES_TOL):
     """The split as one pass per basis position: every column of the
     operator assembled on its own, diagonal entry first, then
-    back-substituted from the largest rank down.
+    back-substituted from the largest rank down, dividing by ``l^I - l_j``.
 
     Returns ``(kept, removed, divisor_min, resonant_positions, warnings)``.
     """
@@ -350,7 +363,7 @@ def reference_split(s, H, res_tol=DEFAULT_RES_TOL):
             warnings.append(f"small divisor {divisor:.3g} at position {(index, comp)}")
         if residual[r] != 0:
             rows, values = columns[r]
-            removed[r] = residual[r] / values[0]
+            removed[r] = residual[r] / diag[r]
             residual[rows] -= removed[r] * values
             residual[r] = 0.0
 
@@ -476,31 +489,6 @@ class TestArraySplit:
         H = part(3, 3, {(index, j): 1.0 + 0j for index in multi_indices(3, 3) for j in range(3)})
         split = split_homogeneous(s, H)
         assert split.warnings and split.warnings == reference_split(s, H)[4]
-
-
-class TestDiagonalChain:
-    """The diagonal is bit for bit what a power table over ``T`` gives, signed zeros included."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(2, 4), st.booleans())
-    def test_matches_power_table(self, seed, n, q, coupled):
-        rng = np.random.default_rng(seed)
-        # real eigenvalues of both signs, some conjugated to -0.0 imaginary
-        # parts, give products with signed zero parts
-        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 0.9, n) + 0j
-        diag = np.where(rng.random(n) < 0.3, diag * np.exp(2j * np.pi * rng.random(n)), diag)
-        diag = np.where(rng.random(n) < 0.3, np.conj(diag), diag)
-        diag = diag[np.argsort(np.abs(diag), kind="stable")]
-        T = np.diag(diag) + coupled * np.triu(0.3 * rng.normal(size=(n, n)), 1)
-        s = analyze_spectrum(T.astype(complex))
-        ordering, diagonal, _, _ = operator_columns(s, q)
-        table = _PowerTable(n, q)
-        table.reveal(_linear_terms(s.T))
-        codes = (ordering.exponents @ np.array(table.radix)).tolist()
-        leading = [table.power(index, q)[q][code]
-                   for index, code in zip(map(tuple, ordering.exponents.tolist()), codes)]
-        expected = (np.array(leading)[:, None] - np.diagonal(s.T)).ravel()
-        assert diagonal.tobytes() == expected.tobytes()
 
 
 class TestRankIdentity:
