@@ -25,6 +25,7 @@ from .errors import (
     SingularLinearPart,
     SpectrumMismatch,
     ValidationError,
+    check_size,
 )
 from .gx_group import group_inv, group_mul, hopf_holonomy, orbit, translate_conjugate
 from .homological import build_matrix
@@ -114,12 +115,6 @@ def _load_germ(path: str):
     return germio.parse_germ_document(germio.load_json(path))
 
 
-def _adapted_map(path: str, cfg: RunConfig):
-    """Germ document -> (spectrum of its linear part, adapted jet, Q)."""
-    germ = _load_germ(path)
-    return ingest(germ, cfg)
-
-
 def _adapted_operand(path: str) -> PolyJet:
     """The jet of an operand taken against a spectrum fixed elsewhere, as given."""
     germ = _load_germ(path)
@@ -134,16 +129,9 @@ def _map_operand(args, cfg: RunConfig):
     """``(spectrum, adapted jet, Q)`` of ``args.map``: against ``--spectrum`` the
     operand is taken as given (``Q`` the identity), else against its own spectrum."""
     if args.spectrum:
-        spectrum, _, _ = _adapted_map(args.spectrum, cfg)
+        spectrum, _, _ = ingest(_load_germ(args.spectrum), cfg)
         return spectrum, _adapted_operand(args.map), np.eye(spectrum.n, dtype=complex)
-    return _adapted_map(args.map, cfg)
-
-
-def _check_size(nbytes: int, what: str, command: str) -> None:
-    """Refuse a request before it allocates more than ``MAX_REQUEST_BYTES``."""
-    if nbytes > MAX_REQUEST_BYTES:
-        raise ValidationError(f"{what} needs {nbytes:.3g} bytes, above the {command} "
-                              f"limit of {MAX_REQUEST_BYTES} bytes")
+    return ingest(_load_germ(args.map), cfg)
 
 
 def _certified(jet: PolyJet, spectrum, cfg: RunConfig, path: str) -> SubResonantMap:
@@ -188,9 +176,10 @@ def _cmd_check_sr(args) -> dict:
 
 def _cmd_enumerate_sr(args) -> dict:
     cfg = _run_config(args)
-    spectrum, _, _ = _adapted_map(args.spectrum_doc, cfg)
-    _check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
-                f"the degree-{args.degree} basis for n={spectrum.n}", "enumerate-sr")
+    spectrum, _, _ = ingest(_load_germ(args.spectrum_doc), cfg)
+    check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
+               MAX_REQUEST_BYTES, f"the degree-{args.degree} basis for n={spectrum.n}",
+               "enumerate-sr")
     basis = enumerate_subresonant_basis(spectrum, args.degree, cfg.sr_tol)
     return {
         "degree": args.degree,
@@ -209,7 +198,7 @@ def _cmd_sr_invert(args) -> dict:
 
 def _cmd_sr_compose(args) -> dict:
     cfg = _run_config(args)
-    spectrum, _, _ = _adapted_map(args.spectrum or args.first, cfg)
+    spectrum, _, _ = ingest(_load_germ(args.spectrum or args.first), cfg)
     F, G = (_certified(_adapted_operand(path), spectrum, cfg, path)
             for path in (args.first, args.second))
     return germio.jet_document(sr_compose(F, G, cfg.sr_tol).jet)
@@ -217,9 +206,9 @@ def _cmd_sr_compose(args) -> dict:
 
 def _cmd_m_matrix(args) -> dict:
     cfg = _run_config(args)
-    spectrum, _, _ = _adapted_map(args.spectrum_doc, cfg)
-    _check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16,
-                f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
+    spectrum, _, _ = ingest(_load_germ(args.spectrum_doc), cfg)
+    check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16, MAX_REQUEST_BYTES,
+               f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
     matrix = build_matrix(spectrum, args.degree)
     return {
         "degree": args.degree,

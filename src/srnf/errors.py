@@ -61,3 +61,10 @@ class SpectrumMismatch(SrnfError):
 
 class ValidationError(SrnfError):
     """Invalid input document or configuration."""
+
+
+def check_size(size: int, limit: int, what: str, command: str, unit: str = "bytes") -> None:
+    """Refuse a request of ``size`` units above ``limit`` before it allocates."""
+    if size > limit:
+        raise ValidationError(f"{what} needs {size:.3g} {unit}, above the {command} "
+                              f"limit of {limit} {unit}")

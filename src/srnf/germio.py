@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .gx_group import GroupElement, OrbitDiagnostics
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
 from .normal_form import COORDINATE_FRAMES, ConjugacyReport, GermInput, NormalFormResult
-from .polymap import PolyJet, TermKey
+from .polymap import PolyJet, TermKey, _linear_terms
 from .subresonance import SubResonantMap, certify_subresonant
 
 # -- low-level scalar helpers -------------------------------------------
@@ -138,11 +138,7 @@ def parse_germ_document(doc: Any) -> GermInput:
     if "linear_matrix" in doc:
         matrix = json_to_matrix(doc["linear_matrix"], n, "linear_matrix")
         terms = {key: coeff for key, coeff in terms.items() if sum(key[0]) != 1}
-        for j in range(n):
-            for k in range(n):
-                if matrix[j, k] != 0:
-                    index = tuple(1 if i == k else 0 for i in range(n))
-                    terms[(index, j)] = complex(matrix[j, k])
+        terms.update(_linear_terms(matrix))
     jet = PolyJet(n, degree, terms)
     return GermInput(jet=jet, coordinates=coordinates)
 

@@ -11,6 +11,7 @@ nonlinear support, with the conjugating jet and residual diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     ValidationError,
+    check_size,
 )
 from .homological import SplitResult, split_homogeneous
 from .linalg import (
@@ -41,6 +43,11 @@ from .polymap import (
 from .subresonance import SubResonantMap, _certify_or_raise, sr_inverse
 
 COORDINATE_FRAMES = ("original", "adapted")
+
+# Largest number of basis positions, summed over degrees 2..D, that
+# poincare_dulac splits: a sparse resonant germ at n = 16, D = 9 (32.7 M
+# positions) peaks at 1.9 GB RSS; D = 10 (85.0 M positions) is refused.
+MAX_SPLIT_POSITIONS = 2**25
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,21 @@ class ResidualReport:
     residual at each row of ``sample_points``."""
 
     coefficient_max: float
-    pointwise_max: float
-    pointwise_mean: float
     sample_radius: float
-    sample_count: int
     pointwise: tuple[float, ...]
     sample_points: np.ndarray
+
+    @property
+    def pointwise_max(self) -> float:
+        return max(self.pointwise) if self.pointwise else 0.0
+
+    @property
+    def pointwise_mean(self) -> float:
+        return float(np.mean(self.pointwise)) if self.pointwise else 0.0
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.pointwise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +166,12 @@ def contraction_ball(spectrum: SpectrumData, jet: PolyJet) -> tuple[float, float
     return radius, ratio
 
 
+def split_positions(n: int, D: int) -> int:
+    """Basis positions of degrees 2..D, the sum of ``basis_dimension(n, q)``:
+    ``n * (C(D + n, n) - 1 - n)`` by the hockey-stick identity."""
+    return n * (math.comb(D + n, n) - 1 - n)
+
+
 def conjugate_step(F: PolyJet, f_q: HomogeneousPart, degree: int, *,
                    prune: bool = True) -> PolyJet:
     """Conjugate ``F`` by ``id + f_q`` and truncate at ``degree``.
@@ -179,7 +201,9 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     ``P`` and an operator image whose preimage is added to ``phi``.  The
     blocks read at ``q`` involve only degrees below ``q``, so adding ``h_q``
     and ``R_q`` afterwards leaves them valid.  ``D`` defaults to ``c0 + 1``;
-    larger values refine the conjugator but add no resonant terms.
+    larger values refine the conjugator but add no resonant terms.  A
+    request of more than ``MAX_SPLIT_POSITIONS`` positions is refused before
+    the degree loop.
     """
     spectrum, adapted_full, Q = ingest(germ, cfg)
     D = cfg.trunc_degree if cfg.trunc_degree is not None else spectrum.c0 + 1
@@ -187,7 +211,9 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         raise ValidationError(
             f"trunc_degree {D} is below c0+1 = {spectrum.c0 + 1} for this spectrum")
 
-    phi = PolyJet.identity(germ.n, D)
+    phi = PolyJet.identity(germ.n, D)   # refuses a D past int64 first
+    check_size(split_positions(germ.n, D), MAX_SPLIT_POSITIONS,
+               f"the split through degree {D} for n={germ.n}", "normal form", "positions")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
     phi_powers, normal_powers = _PowerTable(germ.n, D), _PowerTable(germ.n, D)
@@ -233,15 +259,8 @@ def _residual_report(adapted_full: PolyJet, phi: PolyJet, P_jet: PolyJet,
     coeff_res = conjugacy_coefficient_residual(adapted_full, phi, P_jet, D)
     r, points = _sample_points(adapted_full.n, radius, cfg)
     values = pointwise_conjugacy_residual(adapted_full, phi, P_jet, points)
-    return ResidualReport(
-        coefficient_max=coeff_res,
-        pointwise_max=max(values) if values else 0.0,
-        pointwise_mean=float(np.mean(values)) if values else 0.0,
-        sample_radius=r,
-        sample_count=len(values),
-        pointwise=tuple(values),
-        sample_points=points,
-    )
+    return ResidualReport(coefficient_max=coeff_res, sample_radius=r,
+                          pointwise=tuple(values), sample_points=points)
 
 
 def conjugacy_coefficient_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,

@@ -4,6 +4,8 @@ reference of ``exact_reference``.
 Measured distances, in units of 2**-52 times each degree's largest exact
 coefficient (largest over degrees): Hopf P 0, phi 0.2; ``coupled_n3`` P 7.8,
 phi 6.4 (max |phi| 425); diag(1/8, 1/4, 1/2) P 0.4, phi 1.3 (max |phi| 560);
+diag(1/16, 1/4, 1/2) P 0.9, phi 1.3 (max |phi| 4.6e5); coupled ``l = (w^2, w)``
+P 0.7, phi 1.8; coupled ``l = (w^3, w^2, w)`` P 1.2, phi 2.1 (max |phi| 1,590);
 ``translate_conjugate`` at most 6.3 over 1,000 seeded draws like those of the
 last test below.
 """
@@ -31,13 +33,19 @@ DATA = Path(__file__).parent / "data"
 ULPS = 16
 
 
-def diagonal_germ():
-    """diag(1/8, 1/4, 1/2) with random terms through degree 4: resonances at degrees 2 and 3."""
-    rng = np.random.default_rng(7)
-    jet = random_jet(rng, 3, 4, density=0.6, scale=0.5, invertible_linear=False)
+def triangular_germ(T, degree, seed=7):
+    """Linear part ``T`` plus random terms of degrees 2 through ``degree``."""
+    rng = np.random.default_rng(seed)
+    jet = random_jet(rng, len(T), degree, density=0.6, scale=0.5, invertible_linear=False)
     terms = {k: c for k, c in jet.terms.items() if sum(k[0]) >= 2}
-    return PolyJet.from_linear(np.diag([1 / 8, 1 / 4, 1 / 2]).astype(complex), 1) \
-        + PolyJet(3, 4, terms)
+    return PolyJet.from_linear(np.asarray(T, dtype=complex), 1) + PolyJet(len(T), degree, terms)
+
+
+def resonant_coupled(exponents):
+    """``l_k = w^{e_k}``, exact resonances such as ``l_1 = l_2^2``, coupled above the diagonal."""
+    w = 0.6 * np.exp(0.7j)
+    n = len(exponents)
+    return np.diag(w ** np.array(exponents)) + np.triu(np.full((n, n), 0.3 - 0.2j), 1)
 
 
 def document_case(name):
@@ -47,15 +55,21 @@ def document_case(name):
     return germ, terms
 
 
-def diagonal_case():
-    jet = diagonal_germ()
+def jet_case(T, degree, seed=7):
+    jet = triangular_germ(T, degree, seed)
     return GermInput(jet=jet), {key: complex(c) for key, c in jet.terms.items()}
 
 
 CASES = {
     "hopf": lambda: document_case("hopf"),
     "coupled_n3": lambda: document_case("coupled_n3"),
-    "diag-8-4-2": diagonal_case,
+    # resonances at degrees 2 and 3
+    "diag-8-4-2": lambda: jet_case(np.diag([1 / 8, 1 / 4, 1 / 2]), 4),
+    # resonances at degrees 2 to 4; seed 1 keeps a term at each of the four
+    "diag-16-4-2": lambda: jet_case(np.diag([1 / 16, 1 / 4, 1 / 2]), 5, seed=1),
+    # coupled columns whose pivots are exact zeros or l^I - l_j
+    "coupled-w2-w": lambda: jet_case(resonant_coupled([2, 1]), 3),
+    "coupled-w3-w2-w": lambda: jet_case(resonant_coupled([3, 2, 1]), 4),
 }
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet
-from srnf import cli, errors, germio
+from srnf import cli, errors, germio, normal_form
 from srnf.cli import main
 from srnf.config import RunConfig
 from srnf.errors import ValidationError
@@ -352,6 +353,18 @@ class TestCliSizeLimits:
         code, out, err = run_cli(["enumerate-sr", path, "--degree", "12"], capsys)
         assert code == 2 and out == ""
         assert "ValidationError" in err and "6.68e+09 bytes" in err
+
+    @pytest.mark.parametrize("degree, message", [
+        ("100000", "ValidationError: the split through degree 100000 for n=2 needs 1e+10 "
+                   "positions, above the normal form limit of 33554432 positions"),
+        (str(2**63), "DegreeOutOfRange: truncation degree must be in 1..2**63 - 1")])
+    def test_normal_form_degree_past_the_limit(self, capsys, monkeypatch, degree, message):
+        monkeypatch.setattr(normal_form, "_PowerTable", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(["normal-form", str(DATA / "hopf.json"),
+                                  "--trunc-degree", degree], capsys)
+        assert code == 2 and out == "" and message in err
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("command", ["enumerate-sr", "m-matrix"])
     def test_negative_degree(self, tmp_path, capsys, command):

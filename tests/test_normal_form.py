@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from srnf.normal_form import (
 from srnf.polymap import (
     HomogeneousPart,
     PolyJet,
+    basis_dimension,
     compose_truncated,
     homogeneous_part,
     jet_inverse,
@@ -275,6 +277,65 @@ class TestDirectScheme:
         result = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=trunc_degree))
         # the loop reads power tables; only the coefficient residual recomposes
         assert calls == [(result.trunc_degree, False)] * 2
+
+
+class Admitted(Exception):
+    pass
+
+
+def admitted(*args):
+    raise Admitted
+
+
+def refuse(*args):
+    raise AssertionError("a refused request must allocate nothing")
+
+
+def linear_resonant_16(c0):
+    """n = 16, ``l_k = 0.6^{e_k}`` with ``e_k`` from ``c0`` down to 1: degree bound ``c0 + 1``."""
+    exps = np.append(np.maximum(1, c0 - np.arange(15) // 2), 1)
+    return GermInput(jet=PolyJet.from_linear(np.diag(0.6 ** exps).astype(complex), c0 + 1))
+
+
+class TestAdmission:
+    """poincare_dulac refuses more than MAX_SPLIT_POSITIONS positions before its degree loop."""
+
+    def test_split_positions_sums_basis_dimensions(self):
+        for n in range(1, 7):
+            for D in range(1, 9):
+                assert normal_form.split_positions(n, D) == sum(
+                    basis_dimension(n, q) for q in range(2, D + 1))
+        assert normal_form.split_positions(16, 9) == 32_687_328
+        assert normal_form.split_positions(16, 10) == 84_987_488
+
+    def test_limit_lies_between_n16_degrees_9_and_10(self, monkeypatch):
+        # c0 = 8 is admitted, and stopped where the degree loop would start
+        monkeypatch.setattr(normal_form, "_PowerTable", admitted)
+        with pytest.raises(Admitted):
+            poincare_dulac(linear_resonant_16(8))
+        monkeypatch.setattr(normal_form, "_PowerTable", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"the split through degree 10 for n=16 "
+                                                      r"needs 8.5e\+07 positions"):
+                poincare_dulac(linear_resonant_16(9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_at_the_limit(self, monkeypatch, slack):
+        # the Hopf germ at D = 3: 6 + 8 positions
+        monkeypatch.setattr(normal_form, "MAX_SPLIT_POSITIONS",
+                            normal_form.split_positions(2, 3) + slack)
+        if slack:
+            monkeypatch.setattr(normal_form, "_PowerTable", refuse)
+            with pytest.raises(ValidationError, match="needs 14 positions, above the normal "
+                                                      "form limit of 13 positions"):
+                poincare_dulac(GermInput(jet=HOPF_GERM))
+        else:
+            assert poincare_dulac(GermInput(jet=HOPF_GERM)).trunc_degree == 3
 
 
 class TestPhiNumeric:
