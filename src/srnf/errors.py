@@ -66,5 +66,6 @@ class ValidationError(SrnfError):
 def check_size(size: int, limit: int, what: str, command: str, unit: str = "bytes") -> None:
     """Refuse a request of ``size`` units above ``limit`` before it allocates."""
     if size > limit:
-        raise ValidationError(f"{what} needs {size:.3g} {unit}, above the {command} "
+        need = f"{size:.3g}" if size < 1e300 else "more than 1e+300"  # a float would overflow
+        raise ValidationError(f"{what} needs {need} {unit}, above the {command} "
                               f"limit of {limit} {unit}")

@@ -83,13 +83,12 @@ def operator_columns(spectrum: SpectrumData, q: int):
     ``(Tz)^I``.  ``off`` holds the entries off the diagonal as compressed
     columns ``(cols, indptr, rows, values)``: column ``cols[k]``, in
     ascending rank, has its entries at ``rows[indptr[k]:indptr[k + 1]]``;
-    ``T`` diagonal leaves no columns.  The entries are read from
-    the powers ``(Tz)^I`` in one power table over the linear forms of
-    ``T``, made only when ``T`` has entries off the diagonal; the components
-    of one index are adjacent in the ordering.  :func:`apply_M` composes
-    with the same kernel, so neither is an oracle for the other.
-    Off-diagonal entries land at strictly smaller ranks: the operator is
-    upper triangular.
+    ``T`` diagonal leaves no columns.  The entries are read from the powers
+    ``(Tz)^I`` in one power table over the linear forms of ``T``, made only
+    when ``T`` has entries off the diagonal; the components of one index
+    are adjacent in the ordering.  :func:`apply_M` composes with the same
+    kernel, so neither is an oracle for the other.  Off-diagonal entries
+    land at strictly smaller ranks: the operator is upper triangular.
     """
     if q < 2:
         raise DegreeOutOfRange(f"operator matrices start at degree 2, got {q}")

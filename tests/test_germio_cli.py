@@ -326,6 +326,12 @@ class TestCliSizeLimits:
         estimate = cli.ENUMERATION_BYTES_PER_POSITION * basis_dimension(len(moduli), degree)
         assert peak <= estimate + 2**20
 
+    def test_enumerate_sr_size_past_float_range(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_subresonant_basis", refuse)
+        path = write_doc(tmp_path, "spec.json", spectrum_doc([0.5 + 0.02 * k for k in range(16)]))
+        code, out, err = run_cli(["enumerate-sr", path, "--degree", str(10**30)], capsys)
+        assert code == 2 and out == "" and "needs more than 1e+300 bytes" in err
+
     def test_enumerate_sr_degree_past_int64(self, tmp_path, capsys):
         path = write_doc(tmp_path, "spec.json", spectrum_doc([0.5]))
         code, out, err = run_cli(["enumerate-sr", path, "--degree", str(2**63)], capsys)
