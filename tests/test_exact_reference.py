@@ -33,14 +33,6 @@ DATA = Path(__file__).parent / "data"
 ULPS = 16
 
 
-def triangular_germ(T, degree, seed=7):
-    """Linear part ``T`` plus random terms of degrees 2 through ``degree``."""
-    rng = np.random.default_rng(seed)
-    jet = random_jet(rng, len(T), degree, density=0.6, scale=0.5, invertible_linear=False)
-    terms = {k: c for k, c in jet.terms.items() if sum(k[0]) >= 2}
-    return PolyJet.from_linear(np.asarray(T, dtype=complex), 1) + PolyJet(len(T), degree, terms)
-
-
 def resonant_coupled(exponents):
     """``l_k = w^{e_k}``, exact resonances such as ``l_1 = l_2^2``, coupled above the diagonal."""
     w = 0.6 * np.exp(0.7j)
@@ -56,7 +48,11 @@ def document_case(name):
 
 
 def jet_case(T, degree, seed=7):
-    jet = triangular_germ(T, degree, seed)
+    """Linear part ``T`` plus random terms of degrees 2 through ``degree``."""
+    rng = np.random.default_rng(seed)
+    jet = random_jet(rng, len(T), degree, density=0.6, scale=0.5, invertible_linear=False)
+    terms = {k: c for k, c in jet.terms.items() if sum(k[0]) >= 2}
+    jet = PolyJet.from_linear(np.asarray(T, dtype=complex), 1) + PolyJet(len(T), degree, terms)
     return GermInput(jet=jet), {key: complex(c) for key, c in jet.terms.items()}
 
 
@@ -67,7 +63,7 @@ CASES = {
     "diag-8-4-2": lambda: jet_case(np.diag([1 / 8, 1 / 4, 1 / 2]), 4),
     # resonances at degrees 2 to 4; seed 1 keeps a term at each of the four
     "diag-16-4-2": lambda: jet_case(np.diag([1 / 16, 1 / 4, 1 / 2]), 5, seed=1),
-    # coupled columns whose pivots are exact zeros or l^I - l_j
+    # coupled columns at exact resonances
     "coupled-w2-w": lambda: jet_case(resonant_coupled([2, 1]), 3),
     "coupled-w3-w2-w": lambda: jet_case(resonant_coupled([3, 2, 1]), 4),
 }

@@ -86,7 +86,7 @@ class TestOperatorColumns:
         assert indptr[-1] == len(rows) == len(values)
         assert np.all(np.diff(cols) > 0) and np.all(np.diff(indptr) > 0)
         assert np.all(rows < np.repeat(cols, np.diff(indptr)))
-        assert cols.size == 0 if diagonal or n == 1 else cols.size > 0
+        assert (cols.size > 0) == bool(np.count_nonzero(np.triu(s.T, 1)))
 
 
 class TestBuildMatrix:
