@@ -27,6 +27,8 @@ CASES = [
     ("hopf.normal-form", ["normal-form", "hopf.json"], 0),
     ("hopf.verify-seed3", ["verify", "hopf.json", "--seed", "3"], 0),
     ("coupled_n3.normal-form", ["normal-form", "coupled_n3.json"], 0),
+    # coupled_n3's spectrum behind a non-triangular linear_matrix: the Schur path
+    ("coupled_n3_original.normal-form", ["normal-form", "coupled_n3_original.json"], 0),
     ("resonant_n8_c2.normal-form", ["normal-form", "resonant_n8_c2.json"], 0),
     ("hopf.m-matrix-q2", ["m-matrix", "hopf.json", "--degree", "2"], 0),
     ("coupled_n3.m-matrix-q3", ["m-matrix", "coupled_n3.json", "--degree", "3"], 0),
