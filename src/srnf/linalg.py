@@ -81,8 +81,12 @@ def triangularize(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Unitary change of basis to upper triangular form with ordered diagonal.
 
     Returns ``(Q, T)`` with ``Q`` unitary, ``T = Q^H A Q`` upper triangular
-    and ``|T[0,0]| <= ... <= |T[n-1,n-1]|``; equal moduli keep their
-    first-seen order.
+    and ``|T[0,0]| <= ... <= |T[n-1,n-1]|``.  A final stable sort swaps only
+    strictly decreasing neighbours.  So an already triangular input keeps
+    equal moduli in their given order (and ``Q = I`` if it is ordered);
+    otherwise eigenvalues are deflated smallest computed modulus first, an
+    exact tie going to the one ``np.linalg.eig`` lists first, and equal
+    moduli come out in the order their rounded moduli give.
     """
     matrix = require_matrix(matrix)
     n = matrix.shape[0]
@@ -91,14 +95,22 @@ def triangularize(matrix) -> tuple[np.ndarray, np.ndarray]:
         Q = np.eye(n, dtype=complex)
         T = matrix.copy()
     else:
-        import scipy.linalg  # its only use here; deferred, as it dominates import time
-
-        try:
-            T, Q = scipy.linalg.schur(matrix, output="complex")
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-            raise NoConvergence(f"Schur iteration failed: {exc}") from exc
-        T = np.asarray(T, dtype=complex)
-        Q = np.asarray(Q, dtype=complex)
+        # Schur form by deflation: a reflector H with H e_1 parallel to an
+        # eigenvector of the trailing block zeroes column k below the diagonal.
+        Q = np.eye(n, dtype=complex)
+        T = matrix.copy()
+        for k in range(n - 1):
+            try:
+                vals, vecs = np.linalg.eig(T[k:, k:])
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+                raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
+            w = vecs[:, np.argmin(np.abs(vals))]
+            w[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)  # v - alpha e_1, no cancellation
+            H = np.eye(n - k) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())
+            T[k:, k:] = H @ T[k:, k:]
+            T[:, k:] = T[:, k:] @ H
+            Q[:, k:] = Q[:, k:] @ H
+            T[k + 1:, k] = 0.0
     _sort_triangular_inplace(Q, T)
     return Q, T
 
