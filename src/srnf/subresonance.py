@@ -41,6 +41,11 @@ DEFAULT_SR_TOL = 1e-9
 # genuine defect rather than rounding noise.
 _EXCESS_TOL = 1e-10
 
+# Second stage for ``F o F^{-1}`` when the absolute test fails: each nonlinear
+# residue is rounding if it is below this multiple of the same coefficient of
+# ``|F| o |F^{-1}|``, the sum of the magnitudes of every product that made it.
+_EXCESS_RTOL = 1e-12
+
 
 def monomial_type(index: MultiIndex, spectrum: SpectrumData) -> tuple[int, ...]:
     """Block-grouped exponent profile of a monomial."""
@@ -186,15 +191,25 @@ def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL) -> SubResonantMap
     The inverse of a sub-resonant map is a sub-resonant polynomial, so its
     degree is at most the degree bound and the degree-by-degree jet inverse
     truncated there is exact.  The result is certified, and ``F o F^{-1}``
-    must carry no nonlinear term above ``_EXCESS_TOL``.
+    must carry no nonlinear term above ``_EXCESS_TOL``, or failing that none
+    above ``_EXCESS_RTOL`` times the same term of ``|F| o |F^{-1}|``: large
+    coefficients leave rounding residues above any absolute bound.
     """
-    inverse = _certify_or_raise(jet_inverse(F.jet, max(1, F.spectrum.degree_bound)),
-                                F.spectrum, tol, "sr_inverse")
-    leftover = max((abs(c) for key, c in sr_compose(F, inverse, tol).jet.terms.items()
-                    if sum(key[0]) > 1), default=0.0)
-    if leftover > _EXCESS_TOL:
-        raise CertificationFailure(f"inverse left nonlinear residue of size {leftover:.3g}")
+    bound = max(1, F.spectrum.degree_bound)
+    inverse = _certify_or_raise(jet_inverse(F.jet, bound), F.spectrum, tol, "sr_inverse")
+    excess = {key: abs(c) for key, c in sr_compose(F, inverse, tol).jet.terms.items()
+              if sum(key[0]) > 1 and abs(c) > _EXCESS_TOL}
+    if excess:
+        scale = compose_truncated(_magnitudes(F.jet), _magnitudes(inverse.jet), bound,
+                                  prune=False).terms
+        if any(a > _EXCESS_RTOL * abs(scale.get(key, 0.0)) for key, a in excess.items()):
+            raise CertificationFailure(
+                f"inverse left nonlinear residue of size {max(excess.values()):.3g}")
     return inverse
+
+
+def _magnitudes(jet: PolyJet) -> PolyJet:
+    return PolyJet._trusted(jet.n, jet.degree, {key: abs(c) for key, c in jet.terms.items()})
 
 
 def is_linear_subresonant(matrix, spectrum: SpectrumData) -> bool:

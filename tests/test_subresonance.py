@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +16,17 @@ from conftest import (
 )
 from test_acceptance import naive_compose
 from srnf import subresonance
+from srnf.cli import main
 from srnf.errors import (
     CertificationFailure,
     DegreeOutOfRange,
     SingularLinearPart,
     SpectrumMismatch,
 )
+from srnf.germio import parse_germ_document
 from srnf.linalg import analyze_spectrum
-from srnf.polymap import PolyJet
+from srnf.normal_form import poincare_dulac
+from srnf.polymap import PolyJet, jet_inverse
 from srnf.subresonance import (
     SubResonantMap,
     certify_subresonant,
@@ -389,6 +395,43 @@ class TestInverseChecks:
         h = self.patched_inverse(monkeypatch, {**self.INVERSE, ((0, 2), 0): -16.0 + error})
         with pytest.raises(CertificationFailure, match="nonlinear residue"):
             sr_inverse(h)
+
+
+# Resonant n = 2 germ with l_1 = l_2^7, |l_2| = 0.6 and couplings 0.3: its
+# normal form P has max|P| = 1.1e5 and max|P^-1| = 1.5e8, so P o P^-1 rounds
+# to nonlinear residues of 2.3e-10, above the absolute _EXCESS_TOL.
+LARGE_GERM = Path(__file__).parent / "data" / "resonant_n2_c7.json"
+
+
+class TestInverseOfLargeMap:
+    @pytest.fixture(scope="class")
+    def P(self):
+        germ = parse_germ_document(json.loads(LARGE_GERM.read_text(encoding="utf-8")))
+        return poincare_dulac(germ).normal_form
+
+    def test_rounding_residue_passes(self, P):
+        inv = sr_inverse(P)
+        residue = max(abs(c) for key, c in sr_compose(P, inv).jet.terms.items()
+                      if sum(key[0]) > 1)
+        assert residue > subresonance._EXCESS_TOL  # the relative stage decided
+        assert inv.jet.max_coeff_diff(jet_inverse(P.jet, P.spectrum.degree_bound)) == 0
+
+    def test_perturbed_coefficient_raises(self, P, monkeypatch):
+        exact = jet_inverse(P.jet, P.spectrum.degree_bound)
+        key = max((k for k in exact.terms if sum(k[0]) > 1), key=lambda k: abs(exact.terms[k]))
+        terms = {**exact.terms, key: exact.terms[key] * (1 + 1e-6)}
+        monkeypatch.setattr(subresonance, "jet_inverse",
+                            lambda f, degree: PolyJet(f.n, degree, terms))
+        with pytest.raises(CertificationFailure, match="nonlinear residue"):
+            sr_inverse(P)
+
+    def test_cli_verify_writes_a_report(self, capsys):
+        code = main(["verify", str(LARGE_GERM)])
+        report = json.loads(capsys.readouterr().out)
+        assert "error" not in report
+        # samples whose straightening does not stabilize by p_max are null, exit 3
+        assert code == (3 if None in report["straightened_pointwise"] else 0)
+        assert report["straightened_max"] < 1e-9
 
 
 class TestLinearFlag:
