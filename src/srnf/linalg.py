@@ -102,7 +102,7 @@ def triangularize(matrix) -> tuple[np.ndarray, np.ndarray]:
         for k in range(n - 1):
             try:
                 vals, vecs = np.linalg.eig(T[k:, k:])
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+            except np.linalg.LinAlgError as exc:
                 raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
             w = vecs[:, np.argmin(np.abs(vals))]
             w[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)  # v - alpha e_1, no cancellation

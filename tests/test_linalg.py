@@ -10,8 +10,36 @@ from hypothesis import strategies as st
 
 from conftest import char_poly_coeffs, random_spectrum
 import srnf
-from srnf.errors import NotContracting, NotTriangular, ValidationError
+from srnf.errors import NoConvergence, NotContracting, NotTriangular, ValidationError
 from srnf.linalg import analyze_spectrum, rescale_nilpotent, triangularize
+
+
+def random_unitary(rng, n):
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def schur_of(A):
+    """``triangularize(A)`` after checking it is a Schur form of ``A``.
+
+    Backward error and unitarity are relative to ``||A||_F``; entries below
+    the diagonal are exact zeros, and moduli are nondecreasing up to the ulp a
+    swap of two equal moduli may leave.  For n <= 6 the eigenvalues are
+    checked without an eigenvalue solver: Faddeev-LeVerrier coefficients of
+    A and T agree to a bound scaled by ``||A||_F^k`` in degree k.
+    """
+    n = len(A)
+    Q, T = triangularize(A)
+    scale = np.linalg.norm(A)
+    assert np.linalg.norm(Q.conj().T @ A @ Q - T) <= 1e-13 * scale
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-13
+    assert not np.any(np.tril(T, -1))
+    moduli = np.abs(np.diag(T))
+    assert np.all(moduli[:-1] <= moduli[1:] * (1 + 4 * np.finfo(float).eps))
+    if n <= 6:
+        gap = np.abs(char_poly_coeffs(A) - char_poly_coeffs(T))
+        assert np.all(gap <= 1e-12 * max(1.0, scale) ** np.arange(n + 1))
+    return Q, T
 
 
 class TestTriangularize:
@@ -51,6 +79,66 @@ class TestTriangularize:
         assert np.all(moduli[:-1] <= moduli[1:] * (1 + 1e-12))
         assert np.allclose(char_poly_coeffs(A), char_poly_coeffs(T),
                            atol=1e-8 * max(1, np.linalg.norm(A) ** n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 16))
+    def test_random_schur_forms(self, seed, n):
+        rng = np.random.default_rng(seed)
+        schur_of(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 16))
+    def test_conjugated_jordan_block(self, seed, n):
+        # defective: eig returns n nearly parallel eigenvectors of one eigenvalue
+        rng = np.random.default_rng(seed)
+        lam = 0.6 * np.exp(2j * np.pi * rng.random())
+        J = lam * np.eye(n) + np.eye(n, k=1)
+        U = random_unitary(rng, n)
+        _, T = schur_of(U @ J @ U.conj().T)
+        if n <= 6:
+            assert np.allclose(char_poly_coeffs(T), np.poly(np.full(n, lam)), atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 16))
+    def test_equal_moduli_distinct_arguments(self, seed, n):
+        rng = np.random.default_rng(seed)
+        angles = 2 * np.pi * (np.arange(n) + 0.5 * rng.random(n)) / n
+        diag = 0.5 * np.exp(1j * angles)
+        U = random_unitary(rng, n)
+        _, T = schur_of(U @ np.diag(diag) @ U.conj().T)
+        # a normal matrix with arguments pi/n apart: each eigenvalue is
+        # conditioned to ||A|| eps and sits next to exactly one of diag
+        distance = np.abs(np.diag(T)[:, None] - diag[None, :])
+        assert np.max(distance.min(axis=0)) < 1e-13
+        assert np.max(distance.min(axis=1)) < 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 16))
+    def test_permuted_diagonal(self, seed, n):
+        # P D P^T is diagonal again: the triangular path, where only swaps act
+        rng = np.random.default_rng(seed)
+        diag = rng.uniform(0.1, 0.9, n) * np.exp(2j * np.pi * rng.random(n))
+        P = np.eye(n)[rng.permutation(n)]
+        Q, T = schur_of(P @ np.diag(diag) @ P.T)
+        order = np.argsort(np.abs(diag), kind="stable")
+        # each swap is a rotation by a unit phase: a few ulps per entry
+        assert np.allclose(np.diag(T), diag[order], rtol=1e-14, atol=0)
+        assert np.allclose(np.abs(Q), P[:, order], rtol=0, atol=1e-14)
+
+    def test_permuted_triangular_is_deflated(self):
+        # reversing the basis of an upper triangular matrix makes it lower triangular
+        T0 = np.triu(np.arange(1.0, 17.0).reshape(4, 4)) / 20 + np.diag([0.1, 0.2, 0.3, 0.4])
+        R = np.eye(4)[::-1]
+        _, T = schur_of(R @ T0 @ R)
+        assert np.allclose(np.diag(T), np.diag(T0), atol=1e-14)
+
+    def test_eigenvalue_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(NoConvergence, match="eigenvalue iteration failed"):
+            triangularize(np.array([[0.5, 0.0], [1.0, 0.25]]))
 
 
 class TestAnalyzeSpectrum:
@@ -135,8 +223,25 @@ class TestRescaleNilpotent:
         assert np.array_equal(np.diag(scaled), np.diag(T))
 
 
-def test_import_defers_scipy_linalg():
-    # Schur is scipy.linalg's only use; importing the package must not load it.
+# Runs ``python -m srnf`` as runpy does, then lists the scipy modules loaded.
+_SCIPY_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("srnf", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+sys.stderr.write(f"\\nscipy modules: {loaded}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["normal-form", "verify"])
+def test_cli_runs_without_scipy(command):
+    # a non-triangular germ in original coordinates goes through triangularize
+    germ = Path(__file__).parent / "data" / "coupled_n3_original.json"
     env = dict(os.environ, PYTHONPATH=str(Path(srnf.__file__).parents[1]))
-    probe = "import sys, srnf; sys.exit('scipy.linalg' in sys.modules)"
-    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, command, str(germ)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.endswith("scipy modules: []\n")
