@@ -90,22 +90,19 @@ def triangularize(matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     matrix = require_matrix(matrix)
     n = matrix.shape[0]
-    if np.count_nonzero(np.tril(matrix, -1)) == 0:
-        # Already triangular: only the stable reorder is needed.
-        Q = np.eye(n, dtype=complex)
-        T = matrix.copy()
-    else:
+    Q = np.eye(n, dtype=complex)
+    T = matrix.copy()
+    if np.count_nonzero(np.tril(matrix, -1)):
         # Schur form by deflation: a reflector H with H e_1 parallel to an
         # eigenvector of the trailing block zeroes column k below the diagonal.
-        Q = np.eye(n, dtype=complex)
-        T = matrix.copy()
         for k in range(n - 1):
             try:
                 vals, vecs = np.linalg.eig(T[k:, k:])
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
             w = vecs[:, np.argmin(np.abs(vals))]
-            w[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)  # v - alpha e_1, no cancellation
+            # w = v - alpha e_1, alpha = -|v| v[0] / |v[0]|: magnitudes add, nothing cancels
+            w[0] += np.exp(1j * np.angle(w[0])) * np.linalg.norm(w)
             H = np.eye(n - k) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())
             T[k:, k:] = H @ T[k:, k:]
             T[:, k:] = T[:, k:] @ H
