@@ -7,6 +7,7 @@ and equal inputs produce byte-identical documents.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -37,7 +38,7 @@ def pair_to_complex(pair, where: str) -> complex:
         value = complex(float(pair[0]), float(pair[1]))
     except OverflowError:  # an integer beyond the float range
         raise ValidationError(f"{where}: number too large for a float") from None
-    if not np.isfinite(value.real) or not np.isfinite(value.imag):
+    if not cmath.isfinite(value):
         raise ValidationError(f"{where}: non-finite coefficient")
     return value
 

@@ -21,6 +21,7 @@ from .polymap import (
     HomogeneousPart,
     PolyJet,
     TermKey,
+    _columns,
     _left_multiply,
     _linear_terms,
     _PowerTable,
@@ -43,7 +44,7 @@ def apply_M(spectrum: SpectrumData, h: HomogeneousPart) -> HomogeneousPart:
     if h.q < 2:
         raise DegreeOutOfRange(f"operator is defined for degree >= 2, got {h.q}")
     right = compose_truncated(h, PolyJet.from_linear(spectrum.T, 1), h.q, prune=False)
-    diff = right - PolyJet(h.n, h.q, _left_multiply(spectrum.T, h.terms))
+    diff = right - PolyJet(h.n, h.q, _left_multiply(_columns(spectrum.T), h.terms))
     return HomogeneousPart(h.n, h.q, diff.terms)
 
 

@@ -35,6 +35,7 @@ from .linalg import (
 from .polymap import (
     HomogeneousPart,
     PolyJet,
+    _nonlinear,
     _PowerTable,
     compose_truncated,
     jet_inverse,
@@ -211,29 +212,32 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         raise ValidationError(
             f"trunc_degree {D} is below c0+1 = {spectrum.c0 + 1} for this spectrum")
 
-    phi = PolyJet.identity(germ.n, D)   # refuses a D past int64 first
+    identity = PolyJet.identity(germ.n, D)   # refuses a D past int64 first
     check_size(split_positions(germ.n, D), MAX_SPLIT_POSITIONS,
                f"the split through degree {D} for n={germ.n}", "normal form", "positions")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
     phi_powers, normal_powers = _PowerTable(germ.n, D), _PowerTable(germ.n, D)
-    phi_powers.reveal(phi.terms)
+    phi_powers.reveal(identity.terms)
     normal_powers.reveal(normal_jet.terms)
+    # phi = id + corrections; only nonlinear terms add to a degree-q block
+    nonlinear, corrections = _nonlinear(adapted_full), PolyJet.zero(germ.n, D)
     steps: list[SplitResult] = []
     for q in range(2, D + 1):
-        error = phi_powers.compose_block(adapted_full, q, prune=cfg.prune)
-        for key, coeff in normal_powers.compose_block(phi, q, prune=cfg.prune).items():
+        error = phi_powers.compose_block(nonlinear, q, prune=cfg.prune)
+        for key, coeff in normal_powers.compose_block(corrections, q, prune=cfg.prune).items():
             error[key] = error.get(key, 0j) - coeff
         split = split_homogeneous(spectrum, HomogeneousPart._trusted(germ.n, q, error),
                                   cfg.res_tol, cfg.sr_tol)
         steps.append(split)
         if split.eliminated.terms:
-            phi = phi + split.eliminated
+            corrections = corrections + split.eliminated
             phi_powers.reveal(split.eliminated.terms)
         if split.resonant.terms:
             normal_jet = normal_jet + split.resonant
             normal_powers.reveal(split.resonant.terms)
     del phi_powers, normal_powers   # free the blocks before the residual recomposes
+    phi = identity + corrections
 
     normal_form = _certify_or_raise(normal_jet, spectrum, cfg.sr_tol,
                                     "normal form output")

@@ -127,10 +127,7 @@ class PolyJet:
     __slots__ = ("n", "degree", "terms", "_eval_arrays")
 
     def __init__(self, n: int, degree: int, terms: Mapping[TermKey, complex] | Iterable = ()):
-        if n < 1:
-            raise DimensionMismatch(f"dimension must be positive, got {n}")
-        if not 1 <= degree <= MAX_DEGREE:
-            raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
+        _check_size(n, degree)
         canonical: dict[TermKey, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (index, comp), coeff in items:
@@ -146,7 +143,7 @@ class PolyJet:
                 raise DegreeOutOfRange(f"term degree {total} outside 1..{degree}")
             if not 0 <= comp < n:
                 raise DimensionMismatch(f"component {comp} outside 0..{n - 1}")
-            if not np.isfinite(coeff.real) or not np.isfinite(coeff.imag):
+            if not cmath.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient at {(index, comp)}")
             if coeff != 0:
                 canonical[(index, comp)] = coeff
@@ -186,13 +183,14 @@ class PolyJet:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-        return cls(matrix.shape[0], degree, _linear_terms(matrix))
+        _check_size(matrix.shape[0], degree)
+        return cls._trusted(matrix.shape[0], degree, _linear_terms(matrix))
 
     # -- views ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[MultiIndex, int, complex]]:
-        return [(index, comp, self.terms[(index, comp)])
-                for index, comp in sorted(self.terms, key=term_sort_key)]
+        items = list(self.terms.items())
+        return [(*items[i][0], items[i][1]) for i in _term_arrays(self.terms, self.n)[2].tolist()]
 
     def linear_part(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -276,11 +274,9 @@ class PolyJet:
     def _evaluation_arrays(self):
         cached = self._eval_arrays
         if cached is None:
-            items = self.sorted_terms()
-            exps = np.array([index for index, _, _ in items], dtype=np.int64)
-            comps = np.array([comp for _, comp, _ in items], dtype=np.int64)
-            coeffs = np.array([coeff for _, _, coeff in items], dtype=complex)
-            cached = (exps, comps, coeffs)
+            exps, comps, order = _term_arrays(self.terms, self.n)
+            coeffs = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
+            cached = (exps[order], comps[order], coeffs[order])
             object.__setattr__(self, "_eval_arrays", cached)
         return cached
 
@@ -324,22 +320,40 @@ class HomogeneousPart(PolyJet):
 # -- term-level helpers ------------------------------------------------
 
 
+def _check_size(n: int, degree: int) -> None:
+    if n < 1:
+        raise DimensionMismatch(f"dimension must be positive, got {n}")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
+
+
 def _linear_terms(matrix: np.ndarray) -> dict[TermKey, complex]:
     """Terms of ``z -> matrix @ z``, row by row."""
-    n = len(matrix)
-    return {(tuple(int(i == k) for i in range(n)), j): complex(matrix[j, k])
-            for j in range(n) for k in range(n) if matrix[j, k] != 0}
+    matrix = np.asarray(matrix, dtype=complex)
+    units = [tuple(unit) for unit in np.eye(len(matrix), dtype=int).tolist()]
+    rows, cols = np.nonzero(matrix)
+    return dict(zip(zip([units[k] for k in cols.tolist()], rows.tolist()),
+                    matrix[rows, cols].tolist()))
+
+
+def _term_arrays(terms: Mapping[TermKey, complex], n: int):
+    """Exponent rows and components of ``terms`` in stored order, and the
+    permutation that sorts them by :func:`term_sort_key`."""
+    exps = np.array([index for index, _ in terms], dtype=np.int64).reshape(-1, n)
+    comps = np.array([comp for _, comp in terms], dtype=np.int64)
+    # the last key sorts first: degree, then -e_n, ..., -e_1, then component
+    return exps, comps, np.lexsort((comps, *(-exps.T), exps.sum(axis=1)))
 
 
 def _prune_terms(terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
+    degrees = [sum(index) for index, _ in terms]
     degree_max: dict[int, float] = {}
-    for (index, _), coeff in terms.items():
-        d = sum(index)
+    for d, coeff in zip(degrees, terms.values()):
         a = abs(coeff)
         if a > degree_max.get(d, 0.0):
             degree_max[d] = a
-    return {key: coeff for key, coeff in terms.items()
-            if abs(coeff) >= PRUNE_REL_TOL * degree_max.get(sum(key[0]), 0.0)}
+    return {key: coeff for (key, coeff), d in zip(terms.items(), degrees)
+            if abs(coeff) >= PRUNE_REL_TOL * degree_max.get(d, 0.0)}
 
 
 # Scalar polynomials inside the composition kernel are held in blocks by
@@ -369,13 +383,15 @@ class _PowerTable:
         self.powers: dict[MultiIndex, _Blocks] = {}
         self.filled: dict[MultiIndex, int] = {}   # degree through which power made g^I
         self.decoded: dict[int, MultiIndex] = {}
+        self.packed: dict[MultiIndex, tuple[int, int]] = {}   # I -> (|I|, code)
 
     def reveal(self, terms: Mapping[TermKey, complex]) -> None:
         """Add terms of ``g``: all of it, or its next degree block."""
+        packed = self.packed
         for (index, comp), coeff in terms.items():
-            d = sum(index)
+            d, code = packed.get(index) or packed.setdefault(
+                index, (sum(index), sum(e * r for e, r in zip(index, self.radix))))
             if d <= self.cap:
-                code = sum(e * r for e, r in zip(index, self.radix))
                 self.components[comp].setdefault(d, {})[code] = coeff
 
     def _factors(self, index: MultiIndex) -> tuple[MultiIndex, MultiIndex]:
@@ -478,16 +494,17 @@ def jet_inverse(f: PolyJet, degree: int) -> PolyJet:
     linear = f.linear_part()
     _check_invertible(linear, SingularLinearPart, "linear part")
     inv_linear = np.linalg.inv(linear)
-    g = PolyJet.from_linear(inv_linear, degree)
+    terms = dict(PolyJet.from_linear(inv_linear, degree).terms)
     table = _PowerTable(f.n, degree)
-    table.reveal(g.terms)
+    table.reveal(terms)
+    nonlinear, columns = _nonlinear(f), _columns(-inv_linear)
     for d in range(2, degree + 1):
         # the degree-d part of f o g - id, which g's degree-d terms must cancel
         block = PolyJet._trusted(f.n, degree,
-                                 _left_multiply(-inv_linear, table.compose_block(f, d)))
-        g = g + block
+                                 _left_multiply(columns, table.compose_block(nonlinear, d)))
+        terms.update(block.terms)
         table.reveal(block.terms)
-    return g.pruned()
+    return PolyJet._trusted(f.n, degree, _prune_terms(terms))
 
 
 def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int) -> PolyJet:
@@ -497,7 +514,7 @@ def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int) -> PolyJet:
         raise DimensionMismatch(f"matrix shape {matrix.shape} does not match n={f.n}")
     _check_invertible(matrix, SingularLinearPart)
     inner = compose_truncated(f, PolyJet.from_linear(matrix, 1), degree, prune=False)
-    out = _left_multiply(np.linalg.inv(matrix), inner.terms)
+    out = _left_multiply(_columns(np.linalg.inv(matrix)), inner.terms)
     return PolyJet._trusted(f.n, degree, _prune_terms(out))
 
 
@@ -509,14 +526,26 @@ def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
     return HomogeneousPart._trusted(f.n, q, terms)
 
 
-def _left_multiply(matrix: np.ndarray, terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
-    """Terms of ``z -> matrix @ f(z)`` for the map ``f`` with the given terms."""
-    rows = [np.flatnonzero(column).tolist() for column in matrix.T]
+def _nonlinear(f: PolyJet) -> PolyJet:
+    """``f`` without its linear terms, which add nothing to ``compose_block(f, d)``
+    while ``g``'s degree-``d`` block is not yet revealed."""
+    return PolyJet._trusted(f.n, f.degree,
+                            {key: c for key, c in f.terms.items() if sum(key[0]) > 1})
+
+
+def _columns(matrix: np.ndarray) -> list[list[tuple[int, complex]]]:
+    """Each column's nonzero ``(row, entry)`` pairs, for :func:`_left_multiply`."""
+    return [[(i, column[i]) for i in np.flatnonzero(column).tolist()] for column in matrix.T]
+
+
+def _left_multiply(columns: list[list[tuple[int, complex]]],
+                   terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
+    """Terms of ``z -> matrix @ f(z)`` from ``f``'s terms and ``matrix``'s :func:`_columns`."""
     out: dict[TermKey, complex] = {}
     for (index, comp), coeff in terms.items():
-        for i in rows[comp]:
+        for i, entry in columns[comp]:
             key = (index, i)
-            out[key] = out.get(key, 0j) + matrix[i, comp] * coeff
+            out[key] = out.get(key, 0j) + entry * coeff
     return out
 
 

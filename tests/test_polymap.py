@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_jet, random_point, random_sr_map
+from conftest import random_jet, random_point, random_spectrum, random_sr_map
 from srnf import germio
 from srnf.gx_group import translate_conjugate
-from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart
+from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
 from srnf.polymap import (
+    MAX_DEGREE,
     PRUNE_REL_TOL,
     HomogeneousPart,
     PolyJet,
@@ -22,6 +23,7 @@ from srnf.polymap import (
     homogeneous_part,
     jet_inverse,
     linear_conjugate,
+    term_sort_key,
 )
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import poincare_dulac
@@ -427,6 +429,112 @@ class TestJetInverse:
         ident = PolyJet.identity(n)
         assert compose_truncated(f, g, degree).max_coeff_diff(ident) < 1e-10
         assert compose_truncated(g, f, degree).max_coeff_diff(ident) < 1e-10
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    def test_equals_loop_it_replaced(self, seed, n):
+        rng = np.random.default_rng(seed)
+        f = random_sr_map(rng, random_spectrum(rng, n, max_ratio=4.5))
+        degree = int(rng.integers(1, 6))
+        assert term_bytes(jet_inverse(f, degree)) == term_bytes(reference_jet_inverse(f, degree))
+
+
+def row_by_row_terms(matrix):
+    """The terms of ``z -> matrix @ z`` in row-major order, one entry at a time."""
+    n = len(matrix)
+    return {(tuple(int(i == k) for i in range(n)), j): complex(matrix[j, k])
+            for j in range(n) for k in range(n) if matrix[j, k] != 0}
+
+
+def reference_jet_inverse(f, degree):
+    """``jet_inverse`` as it was before it kept one term dict: ``g = g + block``
+    at every degree, all of ``f`` read at every step, columns found per step."""
+    inv_linear = np.linalg.inv(f.linear_part())
+    g = PolyJet(f.n, degree, row_by_row_terms(inv_linear))
+    table = _PowerTable(f.n, degree)
+    table.reveal(g.terms)
+    matrix = -inv_linear
+    for d in range(2, degree + 1):
+        rows = [np.flatnonzero(column).tolist() for column in matrix.T]
+        out = {}
+        for (index, comp), coeff in table.compose_block(f, d).items():
+            for i in rows[comp]:
+                out[(index, i)] = out.get((index, i), 0j) + matrix[i, comp] * coeff
+        block = PolyJet._trusted(f.n, degree, out)
+        g = g + block
+        table.reveal(block.terms)
+    return g.pruned()
+
+
+class TestFromLinear:
+    """``from_linear`` skips per-term validation but raises what the validated constructor does."""
+
+    @staticmethod
+    def raised(build):
+        with pytest.raises(Exception) as info:
+            build()
+        return type(info.value), str(info.value)
+
+    def test_terms_equal_validated_construction(self):
+        A = np.array([[0.5, 0, 2], [0, -0.0, 1j], [3, 0, 0.25]])
+        for matrix in (A, A.astype(complex), np.eye(4, dtype=int)):
+            jet = PolyJet.from_linear(matrix, 3)
+            again = PolyJet(len(matrix), 3, row_by_row_terms(np.asarray(matrix, dtype=complex)))
+            assert list(jet.terms.items()) == list(again.terms.items())
+            assert all(type(c) is complex for c in jet.terms.values())
+            assert jet.degree == 3
+
+    def test_shape_errors(self):
+        assert self.raised(lambda: PolyJet.from_linear(np.ones((2, 3)))) == (
+            DimensionMismatch, "expected a square matrix, got shape (2, 3)")
+        assert self.raised(lambda: PolyJet.from_linear(np.ones((0, 0)))) \
+            == self.raised(lambda: PolyJet(0, 1, {})) \
+            == (DimensionMismatch, "dimension must be positive, got 0")
+
+    def test_first_non_finite_entry_named(self):
+        A = np.ones((3, 3), dtype=complex)
+        A[1, 2], A[1, 0], A[2, 1] = np.nan, complex(0, -np.inf), np.inf
+        expected = self.raised(lambda: PolyJet(3, 2, row_by_row_terms(A)))
+        assert self.raised(lambda: PolyJet.from_linear(A, 2)) == expected \
+            == (ValueError, "non-finite coefficient at ((1, 0, 0), 1)")
+
+    @pytest.mark.parametrize("degree", [0, -1, MAX_DEGREE + 1])
+    def test_degree_out_of_range(self, degree):
+        A = np.eye(2)
+        got = self.raised(lambda: PolyJet.from_linear(A, degree))
+        assert got == self.raised(lambda: PolyJet(2, degree, row_by_row_terms(A)))
+        assert got[0] is DegreeOutOfRange
+
+
+NON_FINITE = [complex(x, 0.5) for x in (np.inf, -np.inf, np.nan)] \
+    + [complex(0.5, x) for x in (np.inf, -np.inf, np.nan)]
+
+
+@pytest.mark.parametrize("coeff", NON_FINITE)
+def test_non_finite_coefficients_rejected(coeff):
+    with pytest.raises(ValueError, match=r"^non-finite coefficient at \(\(2,\), 0\)$"):
+        PolyJet(1, 2, {((1,), 0): 1.0, ((2,), 0): coeff})
+    with pytest.raises(ValidationError, match=r"^germ: term 2: coeff: non-finite coefficient$"):
+        germio.pair_to_complex([coeff.real, coeff.imag], "germ: term 2: coeff")
+
+
+class TestSortedTerms:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 16), st.integers(0, 60), st.integers(1, 6))
+    def test_equals_term_sort_key(self, seed, n, count, degree):
+        rng = np.random.default_rng(seed)
+        terms = {}
+        for _ in range(count):
+            index = tuple(rng.multinomial(int(rng.integers(1, degree + 1)), [1 / n] * n).tolist())
+            terms[(index, int(rng.integers(n)))] = complex(rng.normal(), rng.normal())
+        jet = shuffled(rng, PolyJet(n, degree, terms))
+        expected = [(index, comp, jet.terms[(index, comp)])
+                    for index, comp in sorted(jet.terms, key=term_sort_key)]
+        assert jet.sorted_terms() == expected
+
+    def test_empty_jet(self):
+        assert PolyJet.zero(3).sorted_terms() == []
 
 
 class TestLinearConjugate:

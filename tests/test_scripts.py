@@ -25,3 +25,10 @@ def test_sr_survey():
     lines = run_script("sr_survey.py", "--trials", "4", "--seed", "1")
     assert len(lines) == 1 + 4
     assert [line.split()[-1] for line in lines] == ["span"] + ["ok"] * 4
+
+
+def test_bench_digest():
+    lines = run_script("bench_digest.py", "--workload", "group", "--seed", "1")
+    assert len(lines) == 40
+    assert all(line.startswith("group 1 n") and len(line.split()[-1]) == 64 for line in lines)
+    assert run_script("bench_digest.py", "--workload", "group", "--seed", "1") == lines
