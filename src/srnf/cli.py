@@ -30,13 +30,12 @@ from .errors import (
 from .gx_group import group_inv, group_mul, hopf_holonomy, orbit, translate_conjugate
 from .homological import build_matrix
 from .normal_form import ingest, poincare_dulac, verify_conjugacy
-from .polymap import PolyJet, basis_dimension
+from .polymap import basis_dimension
 from .subresonance import (
-    SubResonantMap,
-    certify_subresonant,
     enumerate_subresonant_basis,
     sr_compose,
     sr_inverse,
+    subresonant_offenders,
 )
 
 _INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearPart,
@@ -115,39 +114,26 @@ def _load_germ(path: str):
     return germio.parse_germ_document(germio.load_json(path))
 
 
-def _adapted_operand(path: str) -> PolyJet:
-    """The jet of an operand taken against a spectrum fixed elsewhere, as given."""
+def _map_operand(path: str, spectrum_path: str | None, cfg: RunConfig):
+    """``(spectrum, adapted jet, Q)`` of the map at ``path``: against the spectrum
+    of ``spectrum_path`` it is taken as given (``Q`` the identity), else it is
+    moved to adapted coordinates against its own spectrum."""
+    if not spectrum_path:
+        return ingest(_load_germ(path), cfg)
+    spectrum, _, _ = ingest(_load_germ(spectrum_path), cfg)
     germ = _load_germ(path)
     if germ.coordinates != "adapted":
         raise ValidationError(
-            f"{path}: operand must be in adapted coordinates when the spectrum "
-            "is fixed elsewhere")
-    return germ.jet
+            f"{path}: operand must be in adapted coordinates, since it is taken as "
+            f"given against the spectrum of {spectrum_path}")
+    return spectrum, germ.jet, np.eye(spectrum.n, dtype=complex)
 
 
-def _map_operand(args, cfg: RunConfig):
-    """``(spectrum, adapted jet, Q)`` of ``args.map``: against ``--spectrum`` the
-    operand is taken as given (``Q`` the identity), else against its own spectrum."""
-    if args.spectrum:
-        spectrum, _, _ = ingest(_load_germ(args.spectrum), cfg)
-        return spectrum, _adapted_operand(args.map), np.eye(spectrum.n, dtype=complex)
-    return ingest(_load_germ(args.map), cfg)
-
-
-def _certified(jet: PolyJet, spectrum, cfg: RunConfig, path: str) -> SubResonantMap:
-    certified = certify_subresonant(jet, spectrum, cfg.sr_tol)
-    if isinstance(certified, SubResonantMap):
-        return certified
-    raise ValidationError(
-        f"{path}: map is not sub-resonant for the reference spectrum; "
-        f"offenders: {certified[:4]}")
-
-
-def _certified_map(args, cfg: RunConfig):
-    """``args.map`` certified as :func:`_map_operand` takes it; returns
-    ``(spectrum, certified map)``."""
-    spectrum, jet, _ = _map_operand(args, cfg)
-    return spectrum, _certified(jet, spectrum, cfg, args.map)
+def _certified_map(path: str, spectrum_path: str | None, cfg: RunConfig):
+    """``(spectrum, certified map)`` of the map at ``path``, taken as by
+    :func:`_map_operand`."""
+    spectrum, jet, _ = _map_operand(path, spectrum_path, cfg)
+    return spectrum, germio.certify_map(jet, spectrum, cfg.sr_tol, path)
 
 
 # -- handlers -------------------------------------------------------------
@@ -161,15 +147,12 @@ def _cmd_normal_form(args) -> dict:
 
 def _cmd_check_sr(args) -> dict:
     cfg = _run_config(args)
-    spectrum, adapted, Q = _map_operand(args, cfg)
-    outcome = certify_subresonant(adapted, spectrum, cfg.sr_tol)
-    if isinstance(outcome, SubResonantMap):
-        return {"certified": True, "offenders": [],
-                "basis_change": germio.matrix_to_json(Q)}
+    spectrum, adapted, Q = _map_operand(args.map, args.spectrum, cfg)
+    offenders = subresonant_offenders(adapted, spectrum, cfg.sr_tol)
     return {
-        "certified": False,
+        "certified": not offenders,
         "offenders": [{"exponents": list(index), "component": comp + 1}
-                      for index, comp in outcome],
+                      for index, comp in offenders],
         "basis_change": germio.matrix_to_json(Q),
     }
 
@@ -191,16 +174,16 @@ def _cmd_enumerate_sr(args) -> dict:
 
 def _cmd_sr_invert(args) -> dict:
     cfg = _run_config(args)
-    _, certified = _certified_map(args, cfg)
+    _, certified = _certified_map(args.map, args.spectrum, cfg)
     inverse = sr_inverse(certified, cfg.sr_tol)
     return germio.jet_document(inverse.jet)
 
 
 def _cmd_sr_compose(args) -> dict:
     cfg = _run_config(args)
-    spectrum, _, _ = ingest(_load_germ(args.spectrum or args.first), cfg)
-    F, G = (_certified(_adapted_operand(path), spectrum, cfg, path)
-            for path in (args.first, args.second))
+    # the second operand is taken against the first's spectrum or --spectrum
+    _, F = _certified_map(args.first, args.spectrum, cfg)
+    _, G = _certified_map(args.second, args.spectrum or args.first, cfg)
     return germio.jet_document(sr_compose(F, G, cfg.sr_tol).jet)
 
 
@@ -234,7 +217,7 @@ def _cmd_group_inv(args) -> dict:
 
 def _cmd_group_conjugate_translation(args) -> dict:
     cfg = _run_config(args)
-    spectrum, certified = _certified_map(args, cfg)
+    spectrum, certified = _certified_map(args.map, args.spectrum, cfg)
     try:
         tau_doc = json.loads(args.tau)
     except ValueError as exc:

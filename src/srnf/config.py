@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .homological import DEFAULT_RES_TOL
+from .linalg import DEFAULT_BLOCK_TOL
+from .subresonance import DEFAULT_SR_TOL
 
 
 @dataclass(frozen=True)
@@ -16,9 +19,9 @@ class RunConfig:
     raising it refines the conjugating jet without changing the normal form.
     """
 
-    res_tol: float = 1e-9
-    sr_tol: float = 1e-9
-    block_tol: float = 1e-9
+    res_tol: float = DEFAULT_RES_TOL
+    sr_tol: float = DEFAULT_SR_TOL
+    block_tol: float = DEFAULT_BLOCK_TOL
     cauchy_tol: float = 1e-12
     trunc_degree: int | None = None
     p_max: int = 60

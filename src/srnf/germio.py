@@ -19,7 +19,7 @@ from .config import RunConfig
 from .errors import ValidationError
 from .gx_group import GroupElement, OrbitDiagnostics
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
-from .normal_form import COORDINATE_FRAMES, ConjugacyReport, GermInput, NormalFormResult
+from .normal_form import ConjugacyReport, GermInput, NormalFormResult
 from .polymap import PolyJet, TermKey, _linear_terms
 from .subresonance import SubResonantMap, certify_subresonant
 
@@ -132,16 +132,13 @@ def parse_germ_document(doc: Any) -> GermInput:
     degree = doc.get("degree")
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'degree' must be a positive integer")
-    coordinates = doc.get("coordinates", "adapted")
-    if coordinates not in COORDINATE_FRAMES:
-        raise ValidationError(f"'coordinates' must be one of {COORDINATE_FRAMES}")
     terms = json_to_terms(doc.get("terms", []), n, degree, "germ")
     if "linear_matrix" in doc:
         matrix = json_to_matrix(doc["linear_matrix"], n, "linear_matrix")
         terms = {key: coeff for key, coeff in terms.items() if sum(key[0]) != 1}
         terms.update(_linear_terms(matrix))
-    jet = PolyJet(n, degree, terms)
-    return GermInput(jet=jet, coordinates=coordinates)
+    return GermInput(jet=PolyJet(n, degree, terms),
+                     coordinates=doc.get("coordinates", "adapted"))
 
 
 # -- spectra and results --------------------------------------------------
@@ -198,14 +195,15 @@ def result_document(result: NormalFormResult) -> dict:
 
 
 def report_document(report: ConjugacyReport) -> dict:
+    residuals = report.residuals
     return {
-        "coefficient_max": report.coefficient_max,
-        "polynomial_pointwise": list(report.polynomial_pointwise),
-        "polynomial_max": report.polynomial_max,
+        "coefficient_max": residuals.coefficient_max,
+        "polynomial_pointwise": list(residuals.pointwise),
+        "polynomial_max": residuals.pointwise_max,
         "straightened_pointwise": list(report.straightened_pointwise),
         "straightened_max": report.straightened_max,
         "amplification_estimate": report.amplification_estimate,
-        "sample_points": [point_to_json(np.array(z)) for z in report.sample_points],
+        "sample_points": [point_to_json(z) for z in residuals.sample_points],
     }
 
 
@@ -242,13 +240,19 @@ def parse_group_element(doc: Any, block_tol: float = RunConfig.block_tol,
     degree = map_doc.get("degree", max(1, spectrum.degree_bound))
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'map.degree' must be a positive integer")
-    terms = json_to_terms(map_doc.get("terms", []), n, degree, "map")
-    jet = PolyJet(n, degree, terms)
+    jet = PolyJet(n, degree, json_to_terms(map_doc.get("terms", []), n, degree, "map"))
+    return GroupElement(tau=tau, h=certify_map(jet, spectrum, sr_tol, "'map'"))
+
+
+def certify_map(jet: PolyJet, spectrum: SpectrumData, sr_tol: float,
+                where: str) -> SubResonantMap:
+    """``jet``, a map read from ``where``, certified sub-resonant for ``spectrum``:
+    a map from outside that fails is invalid input, a ``ValidationError``."""
     certified = certify_subresonant(jet, spectrum, sr_tol)
-    if not isinstance(certified, SubResonantMap):
-        raise ValidationError(
-            f"map is not sub-resonant for the given spectrum; offenders: {certified[:4]}")
-    return GroupElement(tau=tau, h=certified)
+    if isinstance(certified, SubResonantMap):
+        return certified
+    raise ValidationError(f"{where}: map is not sub-resonant for the reference spectrum; "
+                          f"offenders: {certified[:4]}")
 
 
 def orbit_document(points: np.ndarray, diagnostics: OrbitDiagnostics) -> dict:

@@ -125,11 +125,9 @@ def ingest(germ: GermInput, cfg: RunConfig = RunConfig()):
         return spectrum, germ.jet, np.eye(germ.n, dtype=complex)
     Q, T = triangularize(linear)
     spectrum = analyze_spectrum(T, cfg.block_tol)
-    adapted = linear_conjugate(germ.jet, Q, germ.jet.degree)
-    # replace the numerically conjugated linear part with the exact T
-    terms = {k: c for k, c in adapted.terms.items() if sum(k[0]) > 1}
-    adapted = PolyJet(germ.n, adapted.degree, terms) + PolyJet.from_linear(T, 1)
-    return spectrum, adapted, Q
+    # conjugate only the nonlinear terms: the linear part is exactly T
+    adapted = linear_conjugate(_nonlinear(germ.jet), Q, germ.jet.degree)
+    return spectrum, adapted + PolyJet.from_linear(T, 1), Q
 
 
 def contraction_ball(spectrum: SpectrumData, jet: PolyJet) -> tuple[float, float]:
@@ -360,19 +358,15 @@ def _straightening_iterate(F: PolyJet, P_inv: PolyJet, Z: np.ndarray,
 class ConjugacyReport:
     """Coefficient- and point-level evidence for one computed conjugacy.
 
-    A straightened residual is ``None`` where the straightening iteration did
-    not stabilize within ``p_max`` steps at that sample.
+    ``residuals`` is the normal form's own report: the coefficient gap, the
+    polynomial-stage residuals and the sample points.  A straightened
+    residual is ``None`` where the straightening iteration did not stabilize
+    within ``p_max`` steps at that sample.
     """
 
-    coefficient_max: float
-    polynomial_pointwise: tuple[float, ...]
+    residuals: ResidualReport
     straightened_pointwise: tuple[float | None, ...]
-    sample_points: tuple[tuple[complex, ...], ...]
     amplification_estimate: float
-
-    @property
-    def polynomial_max(self) -> float:
-        return max(self.polynomial_pointwise, default=0.0)
 
     @property
     def straightened_max(self) -> float | None:
@@ -389,10 +383,10 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
                      cfg: RunConfig = RunConfig()) -> ConjugacyReport:
     """Check ``F o phi = phi o P`` in coefficients and at sample points.
 
-    The coefficient gap and the polynomial-stage residual
-    ``||F(phi(z)) - phi(P(z))||`` at each sample point are read from
-    ``result.residuals``, as :func:`poincare_dulac` computed them at the
-    points its configuration drew.  This function adds the straightened
+    The report holds ``result.residuals``: the coefficient gap and the
+    polynomial-stage residual ``||F(phi(z)) - phi(P(z))||`` at each sample
+    point, as :func:`poincare_dulac` computed them at the points its
+    configuration drew.  This function adds the straightened
     residual ``||g(F(z)) - P(g(z))||`` at the same points, in adapted
     coordinates, where ``g`` composes the inverse of the polynomial stage
     with the numeric straightening limit.  Of ``cfg`` only ``p_max`` and
@@ -417,10 +411,6 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
             straightened[i] = value
             p_used = max(p_used, stopped_at[i], stopped_at[m + i])
     amplification = float(spectrum.moduli[0] ** (-p_used)) if p_used else 1.0
-    return ConjugacyReport(
-        coefficient_max=result.residuals.coefficient_max,
-        polynomial_pointwise=result.residuals.pointwise,
-        straightened_pointwise=tuple(straightened),
-        sample_points=tuple(tuple(z) for z in Z),
-        amplification_estimate=amplification,
-    )
+    return ConjugacyReport(residuals=result.residuals,
+                           straightened_pointwise=tuple(straightened),
+                           amplification_estimate=amplification)

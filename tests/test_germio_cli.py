@@ -18,10 +18,11 @@ from srnf import cli, errors, germio, normal_form
 from srnf.cli import main
 from srnf.config import RunConfig
 from srnf.errors import ValidationError
+from srnf.homological import split_homogeneous
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import phi_numeric
 from srnf.polymap import PolyJet, basis_dimension
-from srnf.subresonance import enumerate_subresonant_basis
+from srnf.subresonance import certify_subresonant, enumerate_subresonant_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -429,6 +430,61 @@ class TestCliSubcommands:
             {"exponents": [1, 0], "component": 1, "coeff": [1.0, 0.0]},
         ]
 
+    # (w1/2, w2/4 + w1^2), the Hopf normal form with its coordinates swapped
+    SWAPPED_HOPF_DOC = {
+        "dimension": 2, "degree": 2, "coordinates": "original",
+        "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.5, 0.0]},
+                  {"exponents": [0, 1], "component": 2, "coeff": [0.25, 0.0]},
+                  {"exponents": [2, 0], "component": 2, "coeff": [1.0, 0.0]}],
+    }
+    HOPF_MAP_DOC = {
+        "dimension": 2, "degree": 2, "coordinates": "adapted",
+        "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
+                  {"exponents": [0, 2], "component": 1, "coeff": [1.0, 0.0]},
+                  {"exponents": [0, 1], "component": 2, "coeff": [0.5, 0.0]}],
+    }
+
+    def test_sr_compose_original_first_operand(self, tmp_path, capsys):
+        first = write_doc(tmp_path, "first.json", self.SWAPPED_HOPF_DOC)
+        second = write_doc(tmp_path, "second.json", self.HOPF_MAP_DOC)
+        code, out, err = run_cli(["sr-compose", first, second], capsys)
+        assert code == 0, err
+        # the first operand is ingested as (z1/4 - z2^2, z2/2): its z2^2 term
+        # cancels the second operand's
+        assert jet_terms(json.loads(out)) == {((1, 0), 1): 0.0625, ((0, 1), 2): 0.25}
+
+    def test_sr_compose_original_second_operand_is_exit_2(self, tmp_path, capsys):
+        first = write_doc(tmp_path, "first.json", self.HOPF_MAP_DOC)
+        second = write_doc(tmp_path, "second.json", self.SWAPPED_HOPF_DOC)
+        code, out, err = run_cli(["sr-compose", first, second], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ValidationError: {second}: operand must be in adapted coordinates, "
+                       f"since it is taken as given against the spectrum of {first}\n")
+
+    def test_group_element_not_subresonant_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        g_doc = json.loads((DATA / "group_g1.json").read_text())
+        g_doc["map"]["terms"].append(
+            {"exponents": [2, 0, 0], "component": 3, "coeff": [1.0, 0.0]})
+        path = write_doc(tmp_path, "g.json", g_doc)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            return certify_map(*args)
+
+        certify_map = germio.certify_map
+        monkeypatch.setattr(germio, "certify_map", spy)
+        code, out, err = run_cli(["group", "inv", path], capsys)
+        assert code == 2 and out == "" and calls == ["'map'"]
+        assert err == ("ValidationError: 'map': map is not sub-resonant for the reference "
+                       "spectrum; offenders: [((2, 0, 0), 2)]\n")
+
+    def test_unknown_coordinates_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "germ.json", dict(HOPF_DOC, coordinates="sideways"))
+        code, out, err = run_cli(["normal-form", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("ValidationError: coordinates must be one of")
+
     def test_m_matrix(self, tmp_path, capsys):
         doc = {"dimension": 2, "degree": 1, "coordinates": "adapted",
                "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
@@ -631,3 +687,13 @@ def test_defaults_come_from_run_config():
                             (phi_numeric, ("p_max", "cauchy_tol"))):
         parameters = inspect.signature(function).parameters
         assert all(parameters[name].default == getattr(RunConfig, name) for name in names)
+
+
+def test_library_tolerances_default_to_run_config():
+    cfg = RunConfig()
+    for function, parameter, field in ((split_homogeneous, "res_tol", "res_tol"),
+                                       (split_homogeneous, "sr_tol", "sr_tol"),
+                                       (certify_subresonant, "tol", "sr_tol"),
+                                       (analyze_spectrum, "block_tol", "block_tol")):
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == getattr(cfg, field), (function.__name__, parameter)

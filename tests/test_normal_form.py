@@ -375,15 +375,20 @@ class TestVerify:
         germ = GermInput(jet=PolyJet.from_linear(T, 1))
         result = poincare_dulac(germ)
         report = verify_conjugacy(germ, result)
-        assert report.coefficient_max <= 1e-14
-        assert report.polynomial_max <= 1e-14
+        assert report.residuals.coefficient_max <= 1e-14
+        assert report.residuals.pointwise_max <= 1e-14
 
     def test_hopf_example(self):
         germ = GermInput(jet=HOPF_GERM)
         result = poincare_dulac(germ)
         report = verify_conjugacy(germ, result)
-        assert report.coefficient_max < 1e-10
+        assert report.residuals.coefficient_max < 1e-10
         assert report.straightened_max < 1e-8
+
+    def test_report_holds_the_normal_form_residuals(self):
+        germ = GermInput(jet=HOPF_GERM)
+        result = poincare_dulac(germ)
+        assert verify_conjugacy(germ, result).residuals is result.residuals
 
     @pytest.mark.parametrize("seed", range(4))
     def test_remainder_decay(self, seed):
@@ -491,10 +496,10 @@ class TestBatchedStraightening:
         monkeypatch.setattr(normal_form, "_sample_points", refuse)
         report = verify_conjugacy(germ, result, cfg=cfg)
         poly_res, straightened, points, amplification = reference_verify(result, cfg)
-        assert report.coefficient_max == result.residuals.coefficient_max
-        assert report.polynomial_pointwise == poly_res
+        assert report.residuals.coefficient_max == result.residuals.coefficient_max
+        assert report.residuals.pointwise == poly_res
         assert report.straightened_pointwise == straightened
-        assert report.sample_points == points
+        assert tuple(tuple(z) for z in report.residuals.sample_points) == points
         assert report.amplification_estimate == amplification
         assert repr(report.straightened_pointwise) == repr(straightened)
         # the normal-form report's own residuals use the same points
@@ -543,5 +548,6 @@ class TestBatchedStraightening:
         monkeypatch.setattr(normal_form, "jet_inverse", refuse)
         monkeypatch.setattr(normal_form, "sr_inverse", refuse)
         report = verify_conjugacy(germ, result, cfg=cfg)
-        assert report.polynomial_pointwise == report.straightened_pointwise == ()
-        assert report.sample_points == () and report.amplification_estimate == 1.0
+        assert report.residuals.pointwise == report.straightened_pointwise == ()
+        assert len(report.residuals.sample_points) == 0
+        assert report.amplification_estimate == 1.0

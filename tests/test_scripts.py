@@ -32,3 +32,13 @@ def test_bench_digest():
     assert len(lines) == 40
     assert all(line.startswith("group 1 n") and len(line.split()[-1]) == 64 for line in lines)
     assert run_script("bench_digest.py", "--workload", "group", "--seed", "1") == lines
+
+
+def test_src_size():
+    lines = run_script("src_size.py")
+    counts = {name: int(count) for count, name in (line.split() for line in lines)}
+    total = counts.pop("total")
+    files = sorted((ROOT / "src" / "srnf").glob("*.py"))
+    assert list(counts) == [f"src/srnf/{path.name}" for path in files]
+    assert total == sum(counts.values())
+    assert total == sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
