@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -87,18 +88,7 @@ def _config_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(
-        res_tol=args.res_tol,
-        sr_tol=args.sr_tol,
-        block_tol=args.block_tol,
-        cauchy_tol=args.cauchy_tol,
-        trunc_degree=args.trunc_degree,
-        p_max=args.p_max,
-        prune=args.prune,
-        sample_count=args.sample_count,
-        sample_radius=args.sample_radius,
-        seed=args.seed,
-    )
+    return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
 
 
 def _emit(args, doc) -> None:
@@ -134,6 +124,15 @@ def _certified_map(path: str, spectrum_path: str | None, cfg: RunConfig):
     :func:`_map_operand`."""
     spectrum, jet, _ = _map_operand(path, spectrum_path, cfg)
     return spectrum, germio.certify_map(jet, spectrum, cfg.sr_tol, path)
+
+
+def _group_element(path: str, cfg: RunConfig):
+    """The group element at ``path``; a refusal of its document names ``path``."""
+    doc = germio.load_json(path)
+    try:
+        return germio.parse_group_element(doc, cfg.block_tol, cfg.sr_tol)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # -- handlers -------------------------------------------------------------
@@ -204,14 +203,13 @@ def _cmd_m_matrix(args) -> dict:
 
 def _cmd_group_mul(args) -> dict:
     cfg = _run_config(args)
-    g1 = germio.parse_group_element(germio.load_json(args.first), cfg.block_tol, cfg.sr_tol)
-    g2 = germio.parse_group_element(germio.load_json(args.second), cfg.block_tol, cfg.sr_tol)
+    g1, g2 = _group_element(args.first, cfg), _group_element(args.second, cfg)
     return germio.group_element_document(group_mul(g1, g2, cfg.sr_tol))
 
 
 def _cmd_group_inv(args) -> dict:
     cfg = _run_config(args)
-    g = germio.parse_group_element(germio.load_json(args.element), cfg.block_tol, cfg.sr_tol)
+    g = _group_element(args.element, cfg)
     return germio.group_element_document(group_inv(g, cfg.sr_tol))
 
 
@@ -237,8 +235,7 @@ def _cmd_holonomy(args) -> dict:
 
 def _cmd_orbit(args) -> dict:
     cfg = _run_config(args)
-    element = germio.parse_group_element(germio.load_json(args.element),
-                                         cfg.block_tol, cfg.sr_tol)
+    element = _group_element(args.element, cfg)
     try:
         point_doc = json.loads(args.point)
     except ValueError as exc:

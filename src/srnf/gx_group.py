@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import same_spectrum
 from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
-from .polymap import PolyJet, _check_invertible, _linear_terms, _PowerTable
+from .polymap import PolyJet, _check_invertible, compose_truncated
 from .subresonance import (
     DEFAULT_SR_TOL,
     SubResonantMap,
@@ -80,34 +80,24 @@ def translate_conjugate(h: SubResonantMap, tau,
                         tol: float = DEFAULT_SR_TOL) -> SubResonantMap:
     """The map ``z -> h(z + tau) - h(tau)``, certified sub-resonant.
 
-    ``h`` is composed with ``z + tau`` in one power table and the constant
-    terms, which make up ``h(tau)``, are dropped.  Every surviving monomial
-    divides one of ``h`` and inherits its sub-resonance inequality, so
-    re-certification can only fail on a defect.
+    It is the map part of the group product ``(0, h) (tau, id)``: one
+    composition of ``h`` with ``tau + z``, whose constant ``h(tau)`` is
+    dropped.  Every surviving monomial divides one of ``h`` and inherits its
+    sub-resonance inequality, so re-certification can only fail on a defect.
     """
-    tau = np.asarray(tau, dtype=complex)
-    n = h.jet.n
-    if tau.shape != (n,):
-        raise DimensionMismatch(f"translation shape {tau.shape} does not match n={n}")
-    origin = (0,) * n
-    table = _PowerTable(n, h.jet.degree)
-    table.reveal(_linear_terms(np.eye(n)))
-    table.reveal({(origin, k): t for k, t in enumerate(tau.tolist()) if t != 0})
-    out = table.compose(h.jet)
-    for k in range(n):
-        out.pop((origin, k), None)
-    jet = PolyJet._trusted(n, h.jet.degree, out)
+    jet = compose_truncated(h.jet, PolyJet.identity(h.jet.n), h.jet.degree,
+                            prune=False, shift=tau)
     return _certify_or_raise(jet, h.spectrum, tol, "translate_conjugate")
 
 
 def group_mul(g1: GroupElement, g2: GroupElement,
               tol: float = DEFAULT_SR_TOL) -> GroupElement:
-    """Canonical form of the composition ``z -> g1(g2(z))``."""
+    """Canonical form ``(tau1 + h1(tau2), h1(tau2 + h2) - h1(tau2))`` of ``z -> g1(g2(z))``;
+    its map part is one :func:`sr_compose` shifted by ``tau2``."""
     if not same_spectrum(g1.h.spectrum, g2.h.spectrum):
         raise SpectrumMismatch("group elements are relative to different spectra")
     tau = g1.tau + g1.h.evaluate(g2.tau)
-    shifted = translate_conjugate(g1.h, g2.tau, tol)
-    return GroupElement(tau=tau, h=sr_compose(shifted, g2.h, tol))
+    return GroupElement(tau=tau, h=sr_compose(g1.h, g2.h, tol, shift=g2.tau))
 
 
 def group_inv(g: GroupElement, tol: float = DEFAULT_SR_TOL) -> GroupElement:

@@ -368,8 +368,8 @@ class _PowerTable:
 
     ``g^I`` follows the prefix chain ``((g_1^{i_1}) g_2^{i_2}) ...`` with
     ``g_k^e = g_k^{e-1} g_k``.  :meth:`power` makes a power's blocks through
-    the degree asked for.  :meth:`compose` asks for the cap, and there ``g``
-    may have a constant term if ``f`` has no terms above the cap.
+    the degree asked for.  :func:`compose_truncated` asks for the cap, and
+    there ``g`` may have constant terms if ``f`` has no terms above the cap.
     :meth:`compose_block` asks for one degree at a time, so ``g`` may be
     revealed degree by degree: for ``|I| >= 2`` the block ``[g^I]_d`` reads
     only blocks of ``g`` below ``d`` and stays valid as later degrees
@@ -443,14 +443,6 @@ class _PowerTable:
                 key = (index, comp)
                 out[key] = out.get(key, 0j) + coeff * value
 
-    def compose(self, f: PolyJet) -> dict[TermKey, complex]:
-        """Terms of ``f o g`` through the cap, ``f``'s terms summed in stored order."""
-        out: dict[TermKey, complex] = {}
-        for (index, comp), coeff in f.terms.items():
-            if sum(index) <= self.cap:
-                self.accumulate(out, comp, coeff, self.power(index, self.cap).values())
-        return out
-
     def compose_block(self, f: PolyJet, d: int, *, prune: bool = False) -> dict[TermKey, complex]:
         """The degree-``d`` terms of ``f o g``, from ``g``'s blocks revealed so far."""
         out: dict[TermKey, complex] = {}
@@ -465,20 +457,38 @@ class _PowerTable:
 # -- operations --------------------------------------------------------
 
 
-def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True) -> PolyJet:
-    """Jet of ``f`` after ``g``, with all terms of degree > ``degree`` dropped.
+def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True,
+                      shift=None) -> PolyJet:
+    """Jet of ``f`` after ``g``, with all terms of degree > ``degree`` dropped;
+    with a vector ``shift``, of ``z -> f(shift + g(z)) - f(shift)``.
 
     ``g`` fixes the origin by type, so every substituted factor has degree
-    >= 1 and the truncation commutes with the term-by-term expansion.  Each
-    power ``g^I`` is made once, however many terms of ``f`` use it.
+    >= 1 and the truncation commutes with the term-by-term expansion.  A
+    shifted power has parts in every lower degree, so a shifted ``f`` may
+    have no term above ``degree``.  Each power ``g^I`` is made once, however
+    many terms of ``f`` use it, and ``f``'s terms are summed in stored order.
     """
     if f.n != g.n:
         raise DimensionMismatch(f"composing maps of dimensions {f.n} and {g.n}")
     if degree < 1:
         raise DegreeOutOfRange(f"truncation degree must be >= 1, got {degree}")
+    if shift is not None:
+        shift = np.asarray(shift, dtype=complex)
+        if shift.shape != (f.n,):
+            raise DimensionMismatch(f"shift shape {shift.shape} does not match n={f.n}")
+        if f.max_degree() > degree:
+            raise DegreeOutOfRange(f"a shifted f has terms above degree {degree}")
+    origin = (0,) * f.n
     table = _PowerTable(f.n, degree)
     table.reveal(g.terms)
-    out = table.compose(f)
+    if shift is not None:
+        table.reveal({(origin, k): t for k, t in enumerate(shift.tolist()) if t != 0})
+    out: dict[TermKey, complex] = {}
+    for (index, comp), coeff in f.terms.items():
+        if sum(index) <= degree:
+            table.accumulate(out, comp, coeff, table.power(index, degree).values())
+    for k in range(f.n):
+        out.pop((origin, k), None)   # f(shift); there is no constant without a shift
     if prune:
         out = _prune_terms(out)
     return PolyJet._trusted(f.n, degree, out)

@@ -163,9 +163,11 @@ def _certify_or_raise(jet: PolyJet, spectrum: SpectrumData, tol: float,
 
 
 def sr_compose(F: SubResonantMap, G: SubResonantMap,
-               tol: float = DEFAULT_SR_TOL) -> SubResonantMap:
+               tol: float = DEFAULT_SR_TOL, *, shift=None) -> SubResonantMap:
     """Composition ``F o G`` inside the sub-resonant algebra.
 
+    With a translation ``shift`` it is ``z -> F(shift + G(z)) - F(shift)``,
+    the map part of the group product ``(tau, F) (shift, G)`` in one composition.
     Closure is a theorem, so the composition is computed without a
     truncation cap; any surviving term beyond the degree bound, or any
     certification failure, signals a defect rather than a runtime state.
@@ -174,7 +176,7 @@ def sr_compose(F: SubResonantMap, G: SubResonantMap,
         raise SpectrumMismatch("operands are relative to different spectra")
     spectrum = F.spectrum
     cap = max(1, F.jet.max_degree()) * max(1, G.jet.max_degree())
-    composed = compose_truncated(F.jet, G.jet, cap)
+    composed = compose_truncated(F.jet, G.jet, cap, shift=shift)
     bound = spectrum.degree_bound
     excess = {key: c for key, c in composed.terms.items() if sum(key[0]) > bound}
     worst = max((abs(c) for c in excess.values()), default=0.0)

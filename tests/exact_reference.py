@@ -17,7 +17,8 @@ applied to each basis element by composition.  Jets are dictionaries
 ``{(exponents, component): coefficient}`` with 0-based components.
 
 :func:`translate_conjugate` expands ``h(z + tau) - h(tau)`` binomially,
-monomial by monomial.
+monomial by monomial, and :func:`group_mul` composes ``h1`` with
+``tau2 + h2`` through :func:`compose` and drops the constant ``h1(tau2)``.
 """
 
 from __future__ import annotations
@@ -151,6 +152,21 @@ def translate_conjugate(terms: dict, tau) -> dict:
                 key = (sub, comp)
                 out[key] = out.get(key, 0) + value
         return {key: value for key, value in out.items() if value != 0}
+
+
+def group_mul(h1: dict, tau2, h2: dict, n: int) -> dict:
+    """Map part ``z -> h1(tau2 + h2(z)) - h1(tau2)`` of the group product
+    ``(tau1, h1) (tau2, h2)``, nonzero terms only."""
+    with mpmath.workdps(DPS):
+        outer = {key: mpmath.mpc(c.real, c.imag) for key, c in h1.items()}
+        inner = {key: mpmath.mpc(c.real, c.imag) for key, c in h2.items()}
+        origin = (0,) * n
+        for k, t in enumerate(tau2):
+            inner[(origin, k)] = mpmath.mpc(t.real, t.imag)
+        cap = max(_degree(index) for index, _ in h1) * max(_degree(index) for index, _ in h2)
+        out = compose(outer, inner, n, cap)
+        return {key: value for key, value in out.items()
+                if _degree(key[0]) > 0 and value != 0}
 
 
 def distance(computed: dict, exact: dict) -> dict:

@@ -1,13 +1,14 @@
-"""The pipeline's P and phi, and ``translate_conjugate``, against the 50-digit
-reference of ``exact_reference``.
+"""The pipeline's P and phi, ``translate_conjugate`` and ``group_mul``, against
+the 50-digit reference of ``exact_reference``.
 
 Measured distances, in units of 2**-52 times each degree's largest exact
 coefficient (largest over degrees): Hopf P 0, phi 0.2; ``coupled_n3`` P 7.8,
 phi 6.4 (max |phi| 425); diag(1/8, 1/4, 1/2) P 0.4, phi 1.3 (max |phi| 560);
 diag(1/16, 1/4, 1/2) P 0.9, phi 1.3 (max |phi| 4.6e5); coupled ``l = (w^2, w)``
 P 0.7, phi 1.8; coupled ``l = (w^3, w^2, w)`` P 1.2, phi 2.1 (max |phi| 1,590);
-``translate_conjugate`` at most 6.3 over 1,000 seeded draws like those of the
-last test below.
+``translate_conjugate`` at most 6.3 over 1,000 seeded draws like those of its
+test below; ``group_mul``'s map part at most 5.7 (median 0.48) over 1,000
+draws like those of the last test.
 """
 
 import json
@@ -21,10 +22,10 @@ from hypothesis import strategies as st
 import exact_reference
 from conftest import random_jet, random_spectrum, random_sr_map
 from srnf import germio
-from srnf.gx_group import translate_conjugate
+from srnf.gx_group import GroupElement, group_mul, translate_conjugate
 from srnf.normal_form import GermInput, poincare_dulac
 from srnf.polymap import PolyJet
-from srnf.subresonance import certify_subresonant
+from srnf.subresonance import certify_subresonant, sr_compose
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,5 +105,23 @@ def test_translate_conjugate_matches_exact_reference(seed, n, kind):
     assert set(computed) == set(exact)
     if kind == "zero":
         assert computed == h.jet.terms
+    distance = exact_reference.distance(computed, exact)
+    assert max(distance.values()) <= ULPS, distance
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.sampled_from(["real", "complex", "zero"]))
+def test_group_mul_matches_exact_reference(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    s = random_spectrum(rng, n, max_ratio=5.4, qmax=5)
+    h1, h2 = (certify_subresonant(random_sr_map(rng, s), s) for _ in range(2))
+    tau1, tau2 = ({"real": 0.6 * rng.normal(size=n),
+                   "complex": 0.6 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                   "zero": np.zeros(n)}[kind].astype(complex) for _ in range(2))
+    computed = group_mul(GroupElement(tau1, h1), GroupElement(tau2, h2)).h.jet.terms
+    exact = exact_reference.group_mul(h1.jet.terms, tau2, h2.jet.terms, n)
+    assert set(computed) <= set(exact)
+    if kind == "zero":
+        assert list(computed.items()) == list(sr_compose(h1, h2).jet.terms.items())
     distance = exact_reference.distance(computed, exact)
     assert max(distance.values()) <= ULPS, distance

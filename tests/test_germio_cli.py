@@ -461,11 +461,16 @@ class TestCliSubcommands:
         assert err == (f"ValidationError: {second}: operand must be in adapted coordinates, "
                        f"since it is taken as given against the spectrum of {first}\n")
 
-    def test_group_element_not_subresonant_is_exit_2(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def not_subresonant_element(tmp_path):
+        """``group_g1.json`` with the term ``z1^2 e3``, which fails certification."""
         g_doc = json.loads((DATA / "group_g1.json").read_text())
         g_doc["map"]["terms"].append(
             {"exponents": [2, 0, 0], "component": 3, "coeff": [1.0, 0.0]})
-        path = write_doc(tmp_path, "g.json", g_doc)
+        return write_doc(tmp_path, "bad.json", g_doc)
+
+    def test_group_element_not_subresonant_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = self.not_subresonant_element(tmp_path)
         calls = []
 
         def spy(*args):
@@ -476,8 +481,24 @@ class TestCliSubcommands:
         monkeypatch.setattr(germio, "certify_map", spy)
         code, out, err = run_cli(["group", "inv", path], capsys)
         assert code == 2 and out == "" and calls == ["'map'"]
-        assert err == ("ValidationError: 'map': map is not sub-resonant for the reference "
-                       "spectrum; offenders: [((2, 0, 0), 2)]\n")
+        assert err == (f"ValidationError: {path}: 'map': map is not sub-resonant for the "
+                       "reference spectrum; offenders: [((2, 0, 0), 2)]\n")
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_group_mul_refusal_names_the_operand(self, tmp_path, capsys, bad_first):
+        bad, good = self.not_subresonant_element(tmp_path), str(DATA / "group_g1.json")
+        code, out, err = run_cli(["group", "mul", *((bad, good) if bad_first else (good, bad))],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: {bad}: 'map': map is not sub-resonant")
+        assert good not in err
+
+    def test_orbit_refusal_names_the_element(self, tmp_path, capsys):
+        bad = self.not_subresonant_element(tmp_path)
+        code, out, err = run_cli(["orbit", bad, "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: {bad}: 'map': map is not sub-resonant")
 
     def test_unknown_coordinates_is_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, "germ.json", dict(HOPF_DOC, coordinates="sideways"))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_spectrum, random_sr_map
-from srnf.errors import SingularLinearPart
+from srnf import gx_group, subresonance
+from srnf.errors import SingularLinearPart, SpectrumMismatch
 from srnf.gx_group import (
     AnnulusCheck,
     GroupElement,
@@ -16,7 +17,7 @@ from srnf.gx_group import (
 )
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import GermInput
-from srnf.polymap import PolyJet
+from srnf.polymap import PolyJet, compose_truncated
 from srnf.subresonance import SubResonantMap, certify_subresonant
 
 QUARTER_HALF = analyze_spectrum(np.diag([0.25, 0.5]).astype(complex))
@@ -107,6 +108,35 @@ class TestGroupLaw:
         left = group_mul(group_mul(g1, g2), g3)
         right = group_mul(g1, group_mul(g2, g3))
         assert left.coeff_distance(right) < 1e-9
+
+    def test_one_composition_and_one_certification(self, monkeypatch):
+        # the law (t1 + h1(t2), h1(t2 + h2) - h1(t2)) is one shifted composition
+        rng = np.random.default_rng(11)
+        s = random_spectrum(rng, 3)
+        g1, g2 = random_element(rng, s), random_element(rng, s)
+        composed, certified_jets = [], []
+
+        def counting_compose(*args, **kwargs):
+            composed.append(kwargs.get("shift"))
+            return compose_truncated(*args, **kwargs)
+
+        def counting_certify(*args, **kwargs):
+            certified_jets.append(args[0])
+            return certify_subresonant(*args, **kwargs)
+
+        for module in (gx_group, subresonance):
+            monkeypatch.setattr(module, "compose_truncated", counting_compose)
+        monkeypatch.setattr(subresonance, "certify_subresonant", counting_certify)
+        group_mul(g1, g2)
+        assert len(composed) == 1 and composed[0] is g2.tau
+        assert len(certified_jets) == 1
+
+    def test_different_spectra_refused_before_arithmetic(self):
+        rng = np.random.default_rng(4)
+        g2 = random_element(rng, random_spectrum(rng, 2))
+        g3 = random_element(rng, random_spectrum(rng, 3))
+        with pytest.raises(SpectrumMismatch):
+            group_mul(g2, g3)
 
     def test_identity_laws(self):
         rng = np.random.default_rng(3)

@@ -213,6 +213,55 @@ class TestCompose:
             assert big / max(small, 1e-300) >= 2 ** (degree + 1) * 0.8
 
 
+class TestShiftedCompose:
+    def test_hand_1d(self):
+        # f = z + z^2 after s + (z + z^2), s = 0.5, minus f(s):
+        # 2 z + 3 z^2 + 2 z^3 + z^4
+        f = jet1d(4, **{"1": 1.0, "2": 1.0})
+        out = compose_truncated(f, f, 4, shift=[0.5])
+        assert out == jet1d(4, **{"1": 2.0, "2": 3.0, "3": 2.0, "4": 1.0})
+
+    def test_constant_dropped_where_shift_is_zero(self):
+        # f = z1 e2 after (1, 0) + id: f(shift) = e2 lies on a component
+        # whose own shift is zero, and is dropped all the same
+        f = PolyJet(2, 1, {((1, 0), 1): 1.0})
+        assert compose_truncated(f, PolyJet.identity(2), 1, shift=[1.0, 0.0]) == f
+
+    def test_term_above_degree_refused_before_any_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused composition must build no table")
+
+        monkeypatch.setattr(_PowerTable, "__init__", refuse)
+        f = jet1d(3, **{"1": 1.0, "3": 1.0})
+        with pytest.raises(DegreeOutOfRange):
+            compose_truncated(f, f, 2, shift=[0.1])
+
+    def test_shift_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            compose_truncated(PolyJet.identity(2), PolyJet.identity(2), 2, shift=[0.1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4), st.booleans())
+    def test_zero_shift_is_no_shift(self, seed, n, degree, prune):
+        rng = np.random.default_rng(seed)
+        f, g = random_jet(rng, n, degree), random_jet(rng, n, degree)
+        plain = compose_truncated(f, g, degree, prune=prune).terms
+        shifted = compose_truncated(f, g, degree, prune=prune, shift=np.zeros(n)).terms
+        assert repr(list(shifted.items())) == repr(list(plain.items()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3))
+    def test_pointwise(self, seed, n, degree):
+        # f(s + g(z)) - f(s), kept whole: the cap is deg f * deg g
+        rng = np.random.default_rng(seed)
+        f, g = random_jet(rng, n, degree), random_jet(rng, n, degree)
+        s = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        out = compose_truncated(f, g, degree * degree, shift=s)
+        for z in 0.3 * (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))):
+            want = f.evaluate(s + g.evaluate(z)) - f.evaluate(s)
+            assert np.allclose(out.evaluate(z), want, rtol=1e-12, atol=1e-12)
+
+
 def bucket_mul(a, b, cap):
     """The product kernel composition used before the power table, kept as its reference."""
     out = {}
