@@ -87,10 +87,6 @@ def _config_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
-
-
 def _emit(args, doc) -> None:
     text = germio.dump_json(doc)
     if args.output == "-":
@@ -104,14 +100,29 @@ def _load_germ(path: str):
     return germio.parse_germ_document(germio.load_json(path))
 
 
+def _read(path: str, read, *args):
+    """``read(document, *args)`` for the document at ``path``.  Every document of
+    the map and group commands is read here: an input refusal raised while
+    parsing or ingesting it names ``path``, as ``load_json``'s refusals do."""
+    doc = germio.load_json(path)
+    try:
+        return read(doc, *args)
+    except _INPUT_ERRORS as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _ingested(doc, cfg: RunConfig):
+    return ingest(germio.parse_germ_document(doc), cfg)
+
+
 def _map_operand(path: str, spectrum_path: str | None, cfg: RunConfig):
     """``(spectrum, adapted jet, Q)`` of the map at ``path``: against the spectrum
     of ``spectrum_path`` it is taken as given (``Q`` the identity), else it is
     moved to adapted coordinates against its own spectrum."""
     if not spectrum_path:
-        return ingest(_load_germ(path), cfg)
-    spectrum, _, _ = ingest(_load_germ(spectrum_path), cfg)
-    germ = _load_germ(path)
+        return _read(path, _ingested, cfg)
+    spectrum, _, _ = _read(spectrum_path, _ingested, cfg)
+    germ = _read(path, germio.parse_germ_document)
     if germ.coordinates != "adapted":
         raise ValidationError(
             f"{path}: operand must be in adapted coordinates, since it is taken as "
@@ -127,25 +138,18 @@ def _certified_map(path: str, spectrum_path: str | None, cfg: RunConfig):
 
 
 def _group_element(path: str, cfg: RunConfig):
-    """The group element at ``path``; a refusal of its document names ``path``."""
-    doc = germio.load_json(path)
-    try:
-        return germio.parse_group_element(doc, cfg.block_tol, cfg.sr_tol)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _read(path, germio.parse_group_element, cfg.block_tol, cfg.sr_tol)
 
 
 # -- handlers -------------------------------------------------------------
 
 
-def _cmd_normal_form(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_normal_form(args, cfg: RunConfig) -> dict:
     result = poincare_dulac(_load_germ(args.germ), cfg)
     return germio.result_document(result)
 
 
-def _cmd_check_sr(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_check_sr(args, cfg: RunConfig) -> dict:
     spectrum, adapted, Q = _map_operand(args.map, args.spectrum, cfg)
     offenders = subresonant_offenders(adapted, spectrum, cfg.sr_tol)
     return {
@@ -156,9 +160,8 @@ def _cmd_check_sr(args) -> dict:
     }
 
 
-def _cmd_enumerate_sr(args) -> dict:
-    cfg = _run_config(args)
-    spectrum, _, _ = ingest(_load_germ(args.spectrum_doc), cfg)
+def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
+    spectrum, _, _ = _read(args.spectrum_doc, _ingested, cfg)
     check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
                MAX_REQUEST_BYTES, f"the degree-{args.degree} basis for n={spectrum.n}",
                "enumerate-sr")
@@ -171,24 +174,21 @@ def _cmd_enumerate_sr(args) -> dict:
     }
 
 
-def _cmd_sr_invert(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_sr_invert(args, cfg: RunConfig) -> dict:
     _, certified = _certified_map(args.map, args.spectrum, cfg)
     inverse = sr_inverse(certified, cfg.sr_tol)
     return germio.jet_document(inverse.jet)
 
 
-def _cmd_sr_compose(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_sr_compose(args, cfg: RunConfig) -> dict:
     # the second operand is taken against the first's spectrum or --spectrum
     _, F = _certified_map(args.first, args.spectrum, cfg)
     _, G = _certified_map(args.second, args.spectrum or args.first, cfg)
     return germio.jet_document(sr_compose(F, G, cfg.sr_tol).jet)
 
 
-def _cmd_m_matrix(args) -> dict:
-    cfg = _run_config(args)
-    spectrum, _, _ = ingest(_load_germ(args.spectrum_doc), cfg)
+def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
+    spectrum, _, _ = _read(args.spectrum_doc, _ingested, cfg)
     check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16, MAX_REQUEST_BYTES,
                f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
     matrix = build_matrix(spectrum, args.degree)
@@ -201,20 +201,17 @@ def _cmd_m_matrix(args) -> dict:
     }
 
 
-def _cmd_group_mul(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_group_mul(args, cfg: RunConfig) -> dict:
     g1, g2 = _group_element(args.first, cfg), _group_element(args.second, cfg)
     return germio.group_element_document(group_mul(g1, g2, cfg.sr_tol))
 
 
-def _cmd_group_inv(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_group_inv(args, cfg: RunConfig) -> dict:
     g = _group_element(args.element, cfg)
     return germio.group_element_document(group_inv(g, cfg.sr_tol))
 
 
-def _cmd_group_conjugate_translation(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_group_conjugate_translation(args, cfg: RunConfig) -> dict:
     spectrum, certified = _certified_map(args.map, args.spectrum, cfg)
     try:
         tau_doc = json.loads(args.tau)
@@ -224,8 +221,7 @@ def _cmd_group_conjugate_translation(args) -> dict:
     return germio.jet_document(translate_conjugate(certified, tau, cfg.sr_tol).jet)
 
 
-def _cmd_holonomy(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_holonomy(args, cfg: RunConfig) -> dict:
     generator, result = hopf_holonomy(_load_germ(args.germ), cfg)
     return {
         "generator": germio.group_element_document(generator),
@@ -233,8 +229,7 @@ def _cmd_holonomy(args) -> dict:
     }
 
 
-def _cmd_orbit(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_orbit(args, cfg: RunConfig) -> dict:
     element = _group_element(args.element, cfg)
     try:
         point_doc = json.loads(args.point)
@@ -252,8 +247,7 @@ def _cmd_orbit(args) -> dict:
     return germio.orbit_document(points, diagnostics)
 
 
-def _cmd_verify(args) -> dict:
-    cfg = _run_config(args)
+def _cmd_verify(args, cfg: RunConfig) -> dict:
     germ = _load_germ(args.germ)
     result = poincare_dulac(germ, cfg)
     report = verify_conjugacy(germ, result, cfg=cfg)
@@ -359,7 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
+        cfg = RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
+        doc = args.handler(args, cfg)
     except _INPUT_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Germ interchange documents: bit-exact JSON parsing and serialization.
 
 Complex scalars travel as ``[re, im]`` pairs; floats serialize through
-Python's shortest round-trip repr, so ``parse(serialize(x)) == x`` exactly
-and equal inputs produce byte-identical documents.
+Python's shortest round-trip repr, so ``parse(serialize(x)) == x`` exactly.
+Jets are written in term order, and the same values in any term order give
+byte-identical documents.
 """
 
 from __future__ import annotations

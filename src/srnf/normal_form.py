@@ -37,6 +37,7 @@ from .polymap import (
     PolyJet,
     _nonlinear,
     _PowerTable,
+    _sum_terms,
     compose_truncated,
     jet_inverse,
     linear_conjugate,
@@ -146,10 +147,7 @@ def contraction_ball(spectrum: SpectrumData, jet: PolyJet) -> tuple[float, float
     # Nonlinear coefficient mass in the rescaled frame: the coefficient of
     # z^I e_j picks up the factor delta^(w(I) - (j+1)), w(I) = sum (k+1) i_k.
     mass = np.zeros(spectrum.n)
-    for (index, comp), coeff in jet.terms.items():
-        d = sum(index)
-        if d < 2:
-            continue
+    for (index, comp), coeff in _nonlinear(jet).terms.items():
         weight = sum((k + 1) * e for k, e in enumerate(index))
         mass[comp] += abs(coeff) * delta ** (weight - (comp + 1))
     C = float(np.linalg.norm(mass))
@@ -210,32 +208,32 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         raise ValidationError(
             f"trunc_degree {D} is below c0+1 = {spectrum.c0 + 1} for this spectrum")
 
-    identity = PolyJet.identity(germ.n, D)   # refuses a D past int64 first
+    phi = PolyJet.identity(germ.n, D)   # refuses a D past int64 first
     check_size(split_positions(germ.n, D), MAX_SPLIT_POSITIONS,
                f"the split through degree {D} for n={germ.n}", "normal form", "positions")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
     phi_powers, normal_powers = _PowerTable(germ.n, D), _PowerTable(germ.n, D)
-    phi_powers.reveal(identity.terms)
+    phi_powers.reveal(phi.terms)
     normal_powers.reveal(normal_jet.terms)
-    # phi = id + corrections; only nonlinear terms add to a degree-q block
-    nonlinear, corrections = _nonlinear(adapted_full), PolyJet.zero(germ.n, D)
+    # only nonlinear terms of F add to a degree-q block, and phi's linear
+    # terms add nothing while P's degree-q block is not yet revealed
+    nonlinear = _nonlinear(adapted_full)
     steps: list[SplitResult] = []
     for q in range(2, D + 1):
-        error = phi_powers.compose_block(nonlinear, q, prune=cfg.prune)
-        for key, coeff in normal_powers.compose_block(corrections, q, prune=cfg.prune).items():
-            error[key] = error.get(key, 0j) - coeff
+        error = _sum_terms(phi_powers.compose_block(nonlinear, q, prune=cfg.prune),
+                           {key: -c for key, c in
+                            normal_powers.compose_block(phi, q, prune=cfg.prune).items()})
         split = split_homogeneous(spectrum, HomogeneousPart._trusted(germ.n, q, error),
                                   cfg.res_tol, cfg.sr_tol)
         steps.append(split)
         if split.eliminated.terms:
-            corrections = corrections + split.eliminated
+            phi = phi + split.eliminated
             phi_powers.reveal(split.eliminated.terms)
         if split.resonant.terms:
             normal_jet = normal_jet + split.resonant
             normal_powers.reveal(split.resonant.terms)
     del phi_powers, normal_powers   # free the blocks before the residual recomposes
-    phi = identity + corrections
 
     normal_form = _certify_or_raise(normal_jet, spectrum, cfg.sr_tol,
                                     "normal form output")
@@ -290,16 +288,10 @@ def _sample_points(n: int, contraction_radius: float, cfg: RunConfig) -> tuple[f
     """Radius and seeded sample points ``(cfg.sample_count, n)`` of the pointwise checks."""
     radius = min(cfg.sample_radius, 0.5 * contraction_radius) if contraction_radius > 0 \
         else cfg.sample_radius
-    rng = np.random.default_rng(cfg.seed)
-    points = np.zeros((cfg.sample_count, n), dtype=complex)
-    for point in points:
-        direction = rng.normal(size=n) + 1j * rng.normal(size=n)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            direction = np.ones(n, dtype=complex)
-            norm = np.linalg.norm(direction)
-        point[:] = radius * direction / norm
-    return radius, points
+    # per point, n real parts then n imaginary parts of one seeded stream
+    draws = np.random.default_rng(cfg.seed).normal(size=(cfg.sample_count, 2, n))
+    directions = draws[:, 0] + 1j * draws[:, 1]
+    return radius, radius * directions / np.array(_row_norms(directions))[:, None]
 
 
 def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = RunConfig.p_max,

@@ -6,9 +6,12 @@ fix the origin by construction; affine parts live elsewhere.  Storage is a
 canonical sparse association ``(I, j) -> c`` with no exactly-zero
 coefficients, so two jets are equal iff their term dictionaries are equal.
 
-Term iteration is deterministic: graded by total degree, then by the
-anti-lexicographic-from-the-right monomial order that :func:`basis_ordering`
-lays out for the homological operators, then by component.
+Every jet stores its terms in one order, :func:`term_sort_key`'s: graded by
+total degree, then by the anti-lexicographic-from-the-right monomial order
+that :func:`basis_ordering` lays out for the homological operators, then by
+component.  Arithmetic sums in that order, so a result depends on the
+coefficients only, not on the order in which a jet's terms were given.
+This module is the only one that orders terms.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,18 +42,11 @@ MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, int]
 
 
-def monomial_order_key(index: MultiIndex) -> tuple[int, ...]:
-    """Sort key for the ordering in which later-variable exponents dominate.
-
-    Sorting multi-indices of one degree by this key puts first the index
-    with the largest exponent on z_n, ties broken by z_{n-1}, and so on.
-    """
-    return tuple(-e for e in reversed(index))
-
-
 def term_sort_key(key: TermKey) -> tuple:
+    """Sort key of the one term order: by degree, then the largest exponent on
+    z_n first, ties broken by z_{n-1}, and so on, then by component."""
     index, comp = key
-    return (sum(index), monomial_order_key(index), comp)
+    return sum(index), tuple(-e for e in reversed(index)), comp
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +125,7 @@ class PolyJet:
 
     def __init__(self, n: int, degree: int, terms: Mapping[TermKey, complex] | Iterable = ()):
         _check_size(n, degree)
-        canonical: dict[TermKey, complex] = {}
+        checked: dict[TermKey, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (index, comp), coeff in items:
             index = tuple(int(e) for e in index)
@@ -143,27 +140,15 @@ class PolyJet:
                 raise DegreeOutOfRange(f"term degree {total} outside 1..{degree}")
             if not 0 <= comp < n:
                 raise DimensionMismatch(f"component {comp} outside 0..{n - 1}")
-            if not cmath.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient at {(index, comp)}")
             if coeff != 0:
-                canonical[(index, comp)] = coeff
-        for name, value in zip(PolyJet.__slots__, (n, degree, canonical, None)):
-            object.__setattr__(self, name, value)
+                checked[(index, comp)] = coeff
+        _fill(self, n, degree, _in_term_order(checked))
 
     @classmethod
     def _trusted(cls, n: int, degree: int, terms: Mapping[TermKey, complex]):
-        """Jet from terms that this package's arithmetic built: only finiteness is checked."""
-        canonical: dict[TermKey, complex] = {}
-        for key, coeff in terms.items():
-            coeff = complex(coeff)
-            if not cmath.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient at {key}")
-            if coeff != 0:
-                canonical[key] = coeff
-        jet = object.__new__(cls)
-        for name, value in zip(PolyJet.__slots__, (n, degree, canonical, None)):
-            object.__setattr__(jet, name, value)
-        return jet
+        """Jet from terms that this package's arithmetic built in term order:
+        only finiteness is checked."""
+        return _fill(object.__new__(cls), n, degree, terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyJet instances are immutable")
@@ -189,19 +174,19 @@ class PolyJet:
     # -- views ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[MultiIndex, int, complex]]:
-        items = list(self.terms.items())
-        return [(*items[i][0], items[i][1]) for i in _term_arrays(self.terms, self.n)[2].tolist()]
+        return [(index, comp, coeff) for (index, comp), coeff in self.terms.items()]
 
     def linear_part(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
         for (index, comp), coeff in self.terms.items():
-            if sum(index) == 1:
-                out[comp, index.index(1)] = coeff
+            if sum(index) > 1:
+                break
+            out[comp, index.index(1)] = coeff
         return out
 
     def max_degree(self) -> int:
         """Largest degree actually present (0 for the zero jet)."""
-        return max((sum(index) for index, _ in self.terms), default=0)
+        return sum(next(reversed(self.terms))[0]) if self.terms else 0
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -224,10 +209,8 @@ class PolyJet:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch("cannot add jets of different dimensions")
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0j) + coeff
-        return PolyJet._trusted(self.n, max(self.degree, other.degree), merged)
+        return PolyJet._trusted(self.n, max(self.degree, other.degree),
+                                _sum_terms(self.terms, other.terms))
 
     def __neg__(self) -> "PolyJet":
         return PolyJet._trusted(self.n, self.degree, {k: -c for k, c in self.terms.items()})
@@ -274,9 +257,8 @@ class PolyJet:
     def _evaluation_arrays(self):
         cached = self._eval_arrays
         if cached is None:
-            exps, comps, order = _term_arrays(self.terms, self.n)
-            coeffs = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
-            cached = (exps[order], comps[order], coeffs[order])
+            cached = (*_term_arrays(self.terms, self.n),
+                      np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms)))
             object.__setattr__(self, "_eval_arrays", cached)
         return cached
 
@@ -327,22 +309,50 @@ def _check_size(n: int, degree: int) -> None:
         raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
 
 
+def _fill(jet: PolyJet, n: int, degree: int, terms: Mapping[TermKey, complex]) -> PolyJet:
+    """``jet`` with its slots set from ``terms``, given in term order: the first
+    non-finite coefficient is refused and exact zeros are dropped."""
+    canonical: dict[TermKey, complex] = {}
+    for key, coeff in terms.items():
+        coeff = complex(coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"non-finite coefficient at {key}")
+        if coeff != 0:
+            canonical[key] = coeff
+    for name, value in zip(PolyJet.__slots__, (n, degree, canonical, None)):
+        object.__setattr__(jet, name, value)
+    return jet
+
+
+def _in_term_order(terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
+    """``terms`` stored in :func:`term_sort_key` order."""
+    return {key: terms[key] for key in sorted(terms, key=term_sort_key)}
+
+
+def _sum_terms(terms: Mapping[TermKey, complex],
+               other: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
+    """``terms + other`` key by key, in term order."""
+    merged = dict(terms)
+    for key, coeff in other.items():
+        merged[key] = merged.get(key, 0j) + coeff
+    # keys of other alone were appended: sort unless they follow terms in order
+    tail = list(itertools.islice(merged, max(len(terms) - 1, 0), None))
+    return merged if sorted(tail, key=term_sort_key) == tail else _in_term_order(merged)
+
+
 def _linear_terms(matrix: np.ndarray) -> dict[TermKey, complex]:
-    """Terms of ``z -> matrix @ z``, row by row."""
-    matrix = np.asarray(matrix, dtype=complex)
-    units = [tuple(unit) for unit in np.eye(len(matrix), dtype=int).tolist()]
-    rows, cols = np.nonzero(matrix)
+    """Terms of ``z -> matrix @ z`` in term order: the last column first, rows ascending."""
+    columns = np.asarray(matrix, dtype=complex).T[::-1]
+    units = [tuple(unit) for unit in np.eye(len(columns), dtype=int)[::-1].tolist()]
+    cols, rows = np.nonzero(columns)
     return dict(zip(zip([units[k] for k in cols.tolist()], rows.tolist()),
-                    matrix[rows, cols].tolist()))
+                    columns[cols, rows].tolist()))
 
 
-def _term_arrays(terms: Mapping[TermKey, complex], n: int):
-    """Exponent rows and components of ``terms`` in stored order, and the
-    permutation that sorts them by :func:`term_sort_key`."""
+def _term_arrays(terms: Mapping[TermKey, complex], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows and components of ``terms``, in their order."""
     exps = np.array([index for index, _ in terms], dtype=np.int64).reshape(-1, n)
-    comps = np.array([comp for _, comp in terms], dtype=np.int64)
-    # the last key sorts first: degree, then -e_n, ..., -e_1, then component
-    return exps, comps, np.lexsort((comps, *(-exps.T), exps.sum(axis=1)))
+    return exps, np.array([comp for _, comp in terms], dtype=np.int64)
 
 
 def _prune_terms(terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
@@ -382,7 +392,7 @@ class _PowerTable:
         self.components: list[_Blocks] = [{} for _ in range(n)]
         self.powers: dict[MultiIndex, _Blocks] = {}
         self.filled: dict[MultiIndex, int] = {}   # degree through which power made g^I
-        self.decoded: dict[int, MultiIndex] = {}
+        self.decoded: dict[int, MultiIndex] = {}   # negated code -> I
         self.packed: dict[MultiIndex, tuple[int, int]] = {}   # I -> (|I|, code)
 
     def reveal(self, terms: Mapping[TermKey, complex]) -> None:
@@ -431,27 +441,33 @@ class _PowerTable:
             self.filled[index] = d
         return blocks
 
-    def accumulate(self, out: dict[TermKey, complex], comp: int, coeff: complex,
-                   blocks: Iterable[dict[int, complex]]) -> None:
-        """Add ``coeff * blocks`` to component ``comp`` of ``out``."""
-        decoded = self.decoded
-        for block in blocks:
-            for code, value in block.items():
-                index = decoded.get(code)
-                if index is None:
-                    index = decoded[code] = tuple(code // r % self.base for r in self.radix)
-                key = (index, comp)
-                out[key] = out.get(key, 0j) + coeff * value
+    def compose(self, f: PolyJet, low: int, high: int) -> dict[TermKey, complex]:
+        """The terms of ``f o g`` of degrees ``low`` through ``high``, in term order,
+        from ``g``'s blocks revealed so far."""
+        n, decoded, blocks = self.n, self.decoded, {}
+        for (index, comp), coeff in f.terms.items():
+            if sum(index) > high:
+                break
+            for d, block in self.power(index, high).items():
+                if low <= d <= high:
+                    out = blocks.setdefault(d, {})
+                    for code, value in block.items():
+                        key = comp - code * n   # keys of one degree ascend in term order
+                        out[key] = out.get(key, 0j) + coeff * value
+        terms: dict[TermKey, complex] = {}
+        for d in sorted(blocks):
+            out = blocks[d]
+            for key in sorted(out):
+                code, comp = divmod(key, n)   # code negated
+                index = decoded.get(code) or decoded.setdefault(
+                    code, tuple(-code // r % self.base for r in self.radix))
+                terms[(index, comp)] = out[key]
+        return terms
 
     def compose_block(self, f: PolyJet, d: int, *, prune: bool = False) -> dict[TermKey, complex]:
         """The degree-``d`` terms of ``f o g``, from ``g``'s blocks revealed so far."""
-        out: dict[TermKey, complex] = {}
-        for (index, comp), coeff in f.terms.items():
-            if sum(index) <= d:
-                block = self.power(index, d).get(d)
-                if block:
-                    self.accumulate(out, comp, coeff, (block,))
-        return _prune_terms(out) if prune else out
+        terms = self.compose(f, d, d)
+        return _prune_terms(terms) if prune else terms
 
 
 # -- operations --------------------------------------------------------
@@ -466,7 +482,7 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
     >= 1 and the truncation commutes with the term-by-term expansion.  A
     shifted power has parts in every lower degree, so a shifted ``f`` may
     have no term above ``degree``.  Each power ``g^I`` is made once, however
-    many terms of ``f`` use it, and ``f``'s terms are summed in stored order.
+    many terms of ``f`` use it, and ``f``'s terms are summed in term order.
     """
     if f.n != g.n:
         raise DimensionMismatch(f"composing maps of dimensions {f.n} and {g.n}")
@@ -478,17 +494,11 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
             raise DimensionMismatch(f"shift shape {shift.shape} does not match n={f.n}")
         if f.max_degree() > degree:
             raise DegreeOutOfRange(f"a shifted f has terms above degree {degree}")
-    origin = (0,) * f.n
     table = _PowerTable(f.n, degree)
     table.reveal(g.terms)
     if shift is not None:
-        table.reveal({(origin, k): t for k, t in enumerate(shift.tolist()) if t != 0})
-    out: dict[TermKey, complex] = {}
-    for (index, comp), coeff in f.terms.items():
-        if sum(index) <= degree:
-            table.accumulate(out, comp, coeff, table.power(index, degree).values())
-    for k in range(f.n):
-        out.pop((origin, k), None)   # f(shift); there is no constant without a shift
+        table.reveal({((0,) * f.n, k): t for k, t in enumerate(shift.tolist()) if t != 0})
+    out = table.compose(f, 1, degree)   # degree 0 is f(shift), dropped
     if prune:
         out = _prune_terms(out)
     return PolyJet._trusted(f.n, degree, out)
@@ -550,12 +560,17 @@ def _columns(matrix: np.ndarray) -> list[list[tuple[int, complex]]]:
 
 def _left_multiply(columns: list[list[tuple[int, complex]]],
                    terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
-    """Terms of ``z -> matrix @ f(z)`` from ``f``'s terms and ``matrix``'s :func:`_columns`."""
+    """Terms of ``z -> matrix @ f(z)`` in term order, from ``f``'s terms in term
+    order and ``matrix``'s :func:`_columns`."""
     out: dict[TermKey, complex] = {}
-    for (index, comp), coeff in terms.items():
-        for i, entry in columns[comp]:
-            key = (index, i)
-            out[key] = out.get(key, 0j) + entry * coeff
+    for index, keys in itertools.groupby(terms, key=itemgetter(0)):
+        row: dict[int, complex] = {}
+        for key in keys:
+            coeff = terms[key]
+            for i, entry in columns[key[1]]:
+                row[i] = row.get(i, 0j) + entry * coeff
+        for i in sorted(row):
+            out[(index, i)] = row[i]
     return out
 
 

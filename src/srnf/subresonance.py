@@ -28,10 +28,10 @@ from .polymap import (
     MultiIndex,
     PolyJet,
     TermKey,
+    _term_arrays,
     basis_ordering,
     compose_truncated,
     jet_inverse,
-    term_sort_key,
 )
 
 DEFAULT_SR_TOL = 1e-9
@@ -102,14 +102,12 @@ def enumerate_subresonant_basis(spectrum: SpectrumData, r: int,
 
 def subresonant_offenders(jet: PolyJet, spectrum: SpectrumData,
                           tol: float = DEFAULT_SR_TOL) -> list[TermKey]:
-    """Stored monomial positions of ``jet`` that fail the sub-resonance test."""
+    """Stored monomial positions of ``jet`` that fail the sub-resonance test, in term order."""
     if jet.n != spectrum.n:
         raise DimensionMismatch(f"jet dimension {jet.n} does not match n={spectrum.n}")
     keys = list(jet.terms)
-    exponents = np.array([index for index, _ in keys], dtype=np.int64).reshape(-1, jet.n)
-    comps = np.array([comp for _, comp in keys], dtype=np.int64)
-    failed = np.flatnonzero(~_subresonant_mask(exponents, comps, spectrum, tol))
-    return sorted((keys[i] for i in failed.tolist()), key=term_sort_key)
+    failed = np.flatnonzero(~_subresonant_mask(*_term_arrays(jet.terms, jet.n), spectrum, tol))
+    return [keys[i] for i in failed.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +127,6 @@ class SubResonantMap:
 
     def evaluate(self, z) -> np.ndarray:
         return self.jet.evaluate(z)
-
-    def max_degree(self) -> int:
-        return self.jet.max_degree()
 
     def __repr__(self):
         return f"SubResonantMap(n={self.jet.n}, terms={len(self.jet.terms)})"
@@ -183,7 +178,7 @@ def sr_compose(F: SubResonantMap, G: SubResonantMap,
     if worst > _EXCESS_TOL:
         raise CertificationFailure(
             f"composition produced degree > {bound} terms of size {worst:.3g}",
-            offenders=sorted(excess, key=term_sort_key))
+            offenders=list(excess))
     return _certify_or_raise(composed.truncated(max(bound, 1)), spectrum, tol, "sr_compose")
 
 

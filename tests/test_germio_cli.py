@@ -500,6 +500,38 @@ class TestCliSubcommands:
         assert code == 2 and out == ""
         assert err.startswith(f"ValidationError: {bad}: 'map': map is not sub-resonant")
 
+    @staticmethod
+    def with_degree_9_term(tmp_path):
+        """``group_map.json`` with a term above its declared degree 4."""
+        doc = json.loads((DATA / "group_map.json").read_text())
+        doc["terms"].append({"exponents": [9, 0, 0], "component": 1, "coeff": [1.0, 0.0]})
+        return write_doc(tmp_path, "bad.json", doc)
+
+    @pytest.mark.parametrize("command", ["sr-compose-second", "sr-compose-first", "check-sr"])
+    def test_map_refusal_names_the_document(self, tmp_path, capsys, command):
+        bad, good = self.with_degree_9_term(tmp_path), str(DATA / "group_map.json")
+        argv = {"sr-compose-second": ["sr-compose", good, bad],
+                "sr-compose-first": ["sr-compose", bad, good],
+                "check-sr": ["check-sr", bad]}[command]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ValidationError: {bad}: germ: term 12: degree 9 exceeds "
+                       "declared degree 4\n")
+
+    @pytest.mark.parametrize("defect, error", [
+        ("not contracting", "NotContracting"), ("singular map part", "SingularLinearPart")])
+    def test_group_element_refusal_names_the_document(self, tmp_path, capsys, defect, error):
+        doc = json.loads((DATA / "group_g1.json").read_text())
+        if defect == "not contracting":
+            doc["spectrum_matrix"][2][2] = [1.5, 0.0]
+        else:   # without its z3 e3 term the map part is singular
+            doc["map"]["terms"] = [t for t in doc["map"]["terms"]
+                                   if (t["exponents"], t["component"]) != ([0, 0, 1], 3)]
+        path = write_doc(tmp_path, "bad.json", doc)
+        code, out, err = run_cli(["group", "inv", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"{error}: {path}: ")
+
     def test_unknown_coordinates_is_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, "germ.json", dict(HOPF_DOC, coordinates="sideways"))
         code, out, err = run_cli(["normal-form", path], capsys)

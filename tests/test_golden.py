@@ -14,6 +14,8 @@ is a coupled 3-d germ whose results carry strings: small-divisor warnings,
 and with ``--res-tol 1e-5`` an ``{"error": ...}`` document.
 """
 
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,21 @@ def test_cli_output_is_byte_identical(name, argv, exit_code, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert out == (DATA / "expected" / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("order", ["reversed", 1, 2, 3])
+@pytest.mark.parametrize("name, argv", [
+    ("coupled_n3.normal-form", ["normal-form"]),
+    ("coupled_n3.verify-seed1", ["verify", "--seed", "1"])])
+def test_term_order_of_the_document_does_not_matter(name, argv, order, tmp_path, capsys):
+    document = json.loads((DATA / "coupled_n3.json").read_text(encoding="utf-8"))
+    if order == "reversed":
+        document["terms"].reverse()
+    else:
+        random.Random(order).shuffle(document["terms"])
+    path = tmp_path / "coupled_n3.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code = main([argv[0], str(path), *argv[1:]])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / "expected" / f"{name}.json").read_text(
+        encoding="utf-8")

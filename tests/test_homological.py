@@ -317,8 +317,9 @@ def reference_split(s, H, res_tol=DEFAULT_RES_TOL):
                    key=term_sort_key)
     rank = {pair: r for r, pair in enumerate(pairs)}
     columns, diag = [], np.zeros(len(pairs), dtype=complex)
+    # T's linear terms in term order: the last variable first
     linear_forms = [{tuple(int(i == k) for i in range(n)): complex(T[t, k])
-                     for k in range(t, n) if T[t, k] != 0} for t in range(n)]
+                     for k in reversed(range(t, n)) if T[t, k] != 0} for t in range(n)]
     one = {(0,) * n: 1.0 + 0j}
     powers = [[one] for _ in range(n)]
     for start in range(0, len(pairs), n):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_jet, random_point, random_spectrum, random_sr_map
 from srnf import germio
-from srnf.gx_group import translate_conjugate
+from srnf.gx_group import GroupElement, group_inv, group_mul, translate_conjugate
 from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
 from srnf.polymap import (
     MAX_DEGREE,
@@ -27,7 +27,14 @@ from srnf.polymap import (
 )
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import poincare_dulac
-from srnf.subresonance import certify_subresonant, subresonant_offenders
+from srnf.homological import apply_M, split_homogeneous
+from srnf.subresonance import (
+    certify_subresonant,
+    enumerate_subresonant_basis,
+    sr_compose,
+    sr_inverse,
+    subresonant_offenders,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -333,6 +340,11 @@ def term_bytes(jet):
     return [(key, c.real.hex(), c.imag.hex()) for key, c in jet.terms.items()]
 
 
+def term_bytes_sorted(jet):
+    """:func:`term_bytes` of a jet, sorted by ``term_sort_key``."""
+    return sorted(term_bytes(jet), key=lambda item: term_sort_key(item[0]))
+
+
 def shuffled(rng, jet):
     """The same jet with its terms stored in a random order."""
     items = list(jet.terms.items())
@@ -357,7 +369,9 @@ def modest_jet(rng, n, degree, **kwargs):
 
 
 class TestComposeBytes:
-    """``compose_truncated`` is bit-identical to the per-term product chain it replaced."""
+    """``compose_truncated`` is bit-identical to the per-term product chain it
+    replaced, which sums in the operands' term order, and stores its terms in
+    term order."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 6), st.booleans(),
@@ -370,7 +384,7 @@ class TestComposeBytes:
             f, g = shuffled(rng, f), shuffled(rng, g)
         cap = int(rng.integers(1, degree + 1))
         assert term_bytes(compose_truncated(f, g, cap, prune=prune)) \
-            == term_bytes(reference_compose(f, g, cap, prune=prune))
+            == term_bytes_sorted(reference_compose(f, g, cap, prune=prune))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 6), st.integers(2, 6))
@@ -380,7 +394,8 @@ class TestComposeBytes:
         f = sparse_jet(rng, n, deg_f, int(rng.integers(1, 7)))
         g = sparse_jet(rng, n, deg_g, int(rng.integers(1, 7))) + PolyJet.identity(n)
         cap = deg_f * deg_g
-        assert term_bytes(compose_truncated(f, g, cap)) == term_bytes(reference_compose(f, g, cap))
+        assert term_bytes(compose_truncated(f, g, cap)) \
+            == term_bytes_sorted(reference_compose(f, g, cap))
 
 
 def unsigned(jet):
@@ -545,8 +560,9 @@ class TestFromLinear:
         A = np.ones((3, 3), dtype=complex)
         A[1, 2], A[1, 0], A[2, 1] = np.nan, complex(0, -np.inf), np.inf
         expected = self.raised(lambda: PolyJet(3, 2, row_by_row_terms(A)))
+        # the first in term order: z3's column first, rows ascending
         assert self.raised(lambda: PolyJet.from_linear(A, 2)) == expected \
-            == (ValueError, "non-finite coefficient at ((1, 0, 0), 1)")
+            == (ValueError, "non-finite coefficient at ((0, 0, 1), 1)")
 
     @pytest.mark.parametrize("degree", [0, -1, MAX_DEGREE + 1])
     def test_degree_out_of_range(self, degree):
@@ -685,3 +701,76 @@ class TestCanonicalForm:
         for n, q in [(1, top + 1), (2, top)]:
             with pytest.raises(DegreeOutOfRange, match="overflows int64"):
                 basis_ordering(n, q)
+
+
+def is_term_ordered(keys):
+    keys = list(keys)
+    return keys == sorted(keys, key=term_sort_key)
+
+
+class TestTermOrder:
+    """Every jet holds its terms in ``term_sort_key`` order, so results depend on
+    the coefficients only, not on the order in which terms were given."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_results_independent_of_given_order(self, seed, n):
+        rng = np.random.default_rng(seed)
+        spectrum = random_spectrum(rng, n, max_ratio=4.5)
+        F, G = random_sr_map(rng, spectrum), random_sr_map(rng, spectrum)
+        tau = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        degree = max(1, spectrum.degree_bound)
+
+        def results(F, G):
+            f, g = certify_subresonant(F, spectrum), certify_subresonant(G, spectrum)
+            return [compose_truncated(F, G, degree), compose_truncated(F, G, degree, prune=False),
+                    compose_truncated(F, G, degree * degree, shift=tau), jet_inverse(F, degree),
+                    translate_conjugate(f, tau).jet, sr_compose(f, g).jet,
+                    sr_compose(f, g, shift=tau).jet, sr_inverse(f).jet]
+
+        permuted = results(shuffled(rng, F), shuffled(rng, G))
+        for given, again in zip(results(F, G), permuted):
+            assert term_bytes(again) == term_bytes(given)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4))
+    def test_every_producer_returns_term_order(self, seed, n, degree):
+        rng = np.random.default_rng(seed)
+        f, g = shuffled(rng, modest_jet(rng, n, degree)), shuffled(rng, modest_jet(rng, n, degree))
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        A[rng.random((n, n)) < 0.3] = 0
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        shift = rng.normal(size=n) + 0j
+        top = homogeneous_part(f, degree)
+        jets = [f, PolyJet.from_linear(A, degree), PolyJet.identity(n, degree), f + g, f - g, -f,
+                f.scaled(0.5j), f.truncated(max(1, degree - 1)), f.pruned(), top,
+                HomogeneousPart(n, degree, dict(reversed(list(top.terms.items())))),
+                compose_truncated(f, g, degree), compose_truncated(f, g, degree, prune=False),
+                compose_truncated(f, g, degree * degree, shift=shift),
+                jet_inverse(f, degree), linear_conjugate(f, Q, degree)]
+        spectrum = random_spectrum(rng, n, max_ratio=4.5)
+        F, G = (certify_subresonant(random_sr_map(rng, spectrum), spectrum) for _ in range(2))
+        jets += [sr_compose(F, G).jet, sr_compose(F, G, shift=shift).jet, sr_inverse(F).jet,
+                 translate_conjugate(F, shift).jet]
+        if degree >= 2:
+            split = split_homogeneous(spectrum, homogeneous_part(g, degree))
+            jets += [apply_M(spectrum, top), split.resonant, split.eliminated]
+        for jet in jets:
+            assert is_term_ordered(jet.terms), jet
+        assert is_term_ordered(subresonant_offenders(f, spectrum))
+        assert is_term_ordered(enumerate_subresonant_basis(spectrum, degree))
+
+    @pytest.mark.parametrize("name", ["coupled_n3", "coupled_n3_original"])
+    def test_pipeline_and_group_outputs_in_term_order(self, name):
+        document = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        document["terms"].reverse()
+        germ = germio.parse_germ_document(document)
+        result = poincare_dulac(germ)
+        h = result.normal_form
+        g1 = GroupElement(tau=np.array([0.1, -0.2j, 0.05]), h=h)
+        g2 = GroupElement(tau=np.array([0.03j, 0.1, -0.1]), h=sr_inverse(h))
+        jets = [germ.jet, result.germ_adapted, h.jet, result.phi, group_mul(g1, g2).h.jet,
+                group_inv(g1).h.jet]
+        jets += [part for step in result.steps for part in (step.resonant, step.eliminated)]
+        for jet in jets:
+            assert is_term_ordered(jet.terms)
