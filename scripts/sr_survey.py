@@ -67,10 +67,11 @@ def main() -> int:
             if nonzero.size:
                 min_div = min(min_div, float(nonzero.min()))
             dim = basis_dimension(s.n, q)
+            rank = {pair: r for r, pair in enumerate(m.ordering.pairs)}
             cols = [m.entries]
             for key in enumerate_subresonant_basis(s, q):
                 e = np.zeros((dim, 1), dtype=complex)
-                e[m.ordering.rank[key], 0] = 1.0
+                e[rank[key], 0] = 1.0
                 cols.append(e)
             if np.linalg.matrix_rank(np.hstack(cols), tol=1e-10) != dim:
                 span_ok = False

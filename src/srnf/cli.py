@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -28,9 +27,9 @@ from .errors import (
     ValidationError,
     check_size,
 )
-from .gx_group import group_inv, group_mul, hopf_holonomy, orbit, translate_conjugate
+from .gx_group import GroupElement, group_inv, group_mul, orbit, translate_conjugate
 from .homological import build_matrix
-from .normal_form import ingest, poincare_dulac, verify_conjugacy
+from .normal_form import _poincare_dulac, ingest, verify_conjugacy
 from .polymap import basis_dimension
 from .subresonance import (
     enumerate_subresonant_basis,
@@ -59,31 +58,29 @@ class _UnconvergedReport(Exception):
         self.document = document
 
 
-def _config_parser() -> argparse.ArgumentParser:
+# The flag of each RunConfig field, default from RunConfig; a command takes those it reads.
+_CONFIG_FLAGS = {
+    "res_tol": dict(type=float, help="relative resonance-detection tolerance"),
+    "sr_tol": dict(type=float, help="log-space sub-resonance tolerance"),
+    "block_tol": dict(type=float, help="relative tolerance grouping equal-modulus eigenvalues"),
+    "cauchy_tol": dict(type=float, help="stabilization tolerance of the straightening iteration"),
+    "trunc_degree": dict(type=int, help="working truncation degree (default c0+1)"),
+    "p_max": dict(type=int, help="iteration cap of the straightening limit"),
+    "prune": dict(action=argparse.BooleanOptionalAction,
+                  help="drop relative round-off noise after compositions (default)"),
+    "sample_count": dict(type=int, help="number of verification sample points"),
+    "sample_radius": dict(type=float, help="radius of verification sample points"),
+    "seed": dict(type=int, help="seed for reproducible sampling"),
+}
+
+
+def _config_parser(names=tuple(_CONFIG_FLAGS)) -> argparse.ArgumentParser:
+    """A parent parser with ``--output`` and the flags of the fields ``names``."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--res-tol", type=float, default=RunConfig.res_tol,
-                        help="relative resonance-detection tolerance")
-    parser.add_argument("--sr-tol", type=float, default=RunConfig.sr_tol,
-                        help="log-space sub-resonance tolerance")
-    parser.add_argument("--block-tol", type=float, default=RunConfig.block_tol,
-                        help="relative tolerance grouping equal-modulus eigenvalues")
-    parser.add_argument("--cauchy-tol", type=float, default=RunConfig.cauchy_tol,
-                        help="stabilization tolerance of the straightening iteration")
-    parser.add_argument("--trunc-degree", type=int, default=RunConfig.trunc_degree,
-                        help="working truncation degree (default c0+1)")
-    parser.add_argument("--p-max", type=int, default=RunConfig.p_max,
-                        help="iteration cap of the straightening limit")
-    parser.add_argument("--prune", dest="prune", action="store_true", default=RunConfig.prune,
-                        help="drop relative round-off noise after compositions (default)")
-    parser.add_argument("--no-prune", dest="prune", action="store_false")
-    parser.add_argument("--sample-count", type=int, default=RunConfig.sample_count,
-                        help="number of verification sample points")
-    parser.add_argument("--sample-radius", type=float, default=RunConfig.sample_radius,
-                        help="radius of verification sample points")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed,
-                        help="seed for reproducible sampling")
-    parser.add_argument("--output", default="-",
-                        help="output path (default '-' for stdout)")
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), default=getattr(RunConfig, name),
+                            **_CONFIG_FLAGS[name])
+    parser.add_argument("--output", default="-", help="output path (default '-' for stdout)")
     return parser
 
 
@@ -96,14 +93,10 @@ def _emit(args, doc) -> None:
             handle.write(text)
 
 
-def _load_germ(path: str):
-    return germio.parse_germ_document(germio.load_json(path))
-
-
 def _read(path: str, read, *args):
-    """``read(document, *args)`` for the document at ``path``.  Every document of
-    the map and group commands is read here: an input refusal raised while
-    parsing or ingesting it names ``path``, as ``load_json``'s refusals do."""
+    """``read(document, *args)`` for the document at ``path``.  Every document
+    is read here: an input refusal raised while parsing or ingesting it names
+    ``path``, as ``load_json``'s refusals do."""
     doc = germio.load_json(path)
     try:
         return read(doc, *args)
@@ -112,7 +105,9 @@ def _read(path: str, read, *args):
 
 
 def _ingested(doc, cfg: RunConfig):
-    return ingest(germio.parse_germ_document(doc), cfg)
+    """The germ of ``doc`` and its :func:`ingest` triple ``(spectrum, adapted jet, Q)``."""
+    germ = germio.parse_germ_document(doc)
+    return germ, ingest(germ, cfg)
 
 
 def _map_operand(path: str, spectrum_path: str | None, cfg: RunConfig):
@@ -120,8 +115,8 @@ def _map_operand(path: str, spectrum_path: str | None, cfg: RunConfig):
     of ``spectrum_path`` it is taken as given (``Q`` the identity), else it is
     moved to adapted coordinates against its own spectrum."""
     if not spectrum_path:
-        return _read(path, _ingested, cfg)
-    spectrum, _, _ = _read(spectrum_path, _ingested, cfg)
+        return _read(path, _ingested, cfg)[1]
+    _, (spectrum, _, _) = _read(spectrum_path, _ingested, cfg)
     germ = _read(path, germio.parse_germ_document)
     if germ.coordinates != "adapted":
         raise ValidationError(
@@ -145,8 +140,7 @@ def _group_element(path: str, cfg: RunConfig):
 
 
 def _cmd_normal_form(args, cfg: RunConfig) -> dict:
-    result = poincare_dulac(_load_germ(args.germ), cfg)
-    return germio.result_document(result)
+    return germio.result_document(_poincare_dulac(*_read(args.germ, _ingested, cfg)[1], cfg))
 
 
 def _cmd_check_sr(args, cfg: RunConfig) -> dict:
@@ -161,7 +155,7 @@ def _cmd_check_sr(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
-    spectrum, _, _ = _read(args.spectrum_doc, _ingested, cfg)
+    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested, cfg)
     check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
                MAX_REQUEST_BYTES, f"the degree-{args.degree} basis for n={spectrum.n}",
                "enumerate-sr")
@@ -188,7 +182,7 @@ def _cmd_sr_compose(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
-    spectrum, _, _ = _read(args.spectrum_doc, _ingested, cfg)
+    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested, cfg)
     check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16, MAX_REQUEST_BYTES,
                f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
     matrix = build_matrix(spectrum, args.degree)
@@ -222,7 +216,8 @@ def _cmd_group_conjugate_translation(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_holonomy(args, cfg: RunConfig) -> dict:
-    generator, result = hopf_holonomy(_load_germ(args.germ), cfg)
+    result = _poincare_dulac(*_read(args.germ, _ingested, cfg)[1], cfg)
+    generator = GroupElement(np.zeros(result.spectrum.n, dtype=complex), result.normal_form)
     return {
         "generator": germio.group_element_document(generator),
         "result": germio.result_document(result),
@@ -248,9 +243,8 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> dict:
-    germ = _load_germ(args.germ)
-    result = poincare_dulac(germ, cfg)
-    report = verify_conjugacy(germ, result, cfg=cfg)
+    germ, ingested = _read(args.germ, _ingested, cfg)
+    report = verify_conjugacy(germ, _poincare_dulac(*ingested, cfg), cfg=cfg)
     if report.unconverged:
         raise _UnconvergedReport(
             f"straightening did not stabilize in {cfg.p_max} iterations at "
@@ -262,90 +256,62 @@ def _cmd_verify(args, cfg: RunConfig) -> dict:
 # -- parser ---------------------------------------------------------------
 
 
+def _command(subparsers, name: str, handler, parent, help: str, *documents: str,
+             spectrum: bool = False):
+    """A subcommand reading ``documents``, with ``parent``'s flags and maybe ``--spectrum``."""
+    p = subparsers.add_parser(name, parents=[parent], help=help)
+    for document in documents:
+        p.add_argument(document, help="document path (or '-')")
+    if spectrum:
+        p.add_argument("--spectrum", help="document whose linear part fixes the spectrum")
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srnf",
         description="Polynomial normal forms of contracting germs and the "
                     "sub-resonant automorphism group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _config_parser()
+    germ_fields = ("res_tol", "sr_tol", "block_tol", "trunc_degree", "prune",
+                   "sample_count", "sample_radius", "seed")
+    normal_form, sr = _config_parser(germ_fields), _config_parser(("sr_tol", "block_tol"))
 
-    p = sub.add_parser("normal-form", parents=[common],
-                       help="compute the polynomial normal form of a germ")
-    p.add_argument("germ", help="germ document (path or '-')")
-    p.set_defaults(handler=_cmd_normal_form)
-
-    p = sub.add_parser("check-sr", parents=[common],
-                       help="certify a map as sub-resonant")
-    p.add_argument("map", help="map document (path or '-')")
-    p.add_argument("--spectrum", help="document whose linear part fixes the spectrum")
-    p.set_defaults(handler=_cmd_check_sr)
-
-    p = sub.add_parser("enumerate-sr", parents=[common],
-                       help="enumerate the sub-resonant basis of one degree")
-    p.add_argument("spectrum_doc", help="document whose linear part fixes the spectrum")
+    _command(sub, "normal-form", _cmd_normal_form, normal_form,
+             "compute the polynomial normal form of a germ", "germ")
+    _command(sub, "check-sr", _cmd_check_sr, sr, "certify a map as sub-resonant", "map",
+             spectrum=True)
+    p = _command(sub, "enumerate-sr", _cmd_enumerate_sr, sr,
+                 "enumerate the sub-resonant basis of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(handler=_cmd_enumerate_sr)
-
-    p = sub.add_parser("sr-invert", parents=[common],
-                       help="exact polynomial inverse of a sub-resonant map")
-    p.add_argument("map")
-    p.add_argument("--spectrum")
-    p.set_defaults(handler=_cmd_sr_invert)
-
-    p = sub.add_parser("sr-compose", parents=[common],
-                       help="compose two sub-resonant maps")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--spectrum")
-    p.set_defaults(handler=_cmd_sr_compose)
-
-    p = sub.add_parser("m-matrix", parents=[common],
-                       help="dump the homological operator matrix of one degree")
-    p.add_argument("spectrum_doc")
+    _command(sub, "sr-invert", _cmd_sr_invert, sr,
+             "exact polynomial inverse of a sub-resonant map", "map", spectrum=True)
+    _command(sub, "sr-compose", _cmd_sr_compose, sr,
+             "compose two sub-resonant maps", "first", "second", spectrum=True)
+    p = _command(sub, "m-matrix", _cmd_m_matrix, _config_parser(("block_tol",)),
+                 "dump the homological operator matrix of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(handler=_cmd_m_matrix)
 
     group = sub.add_parser("group", help="operations in the affine sub-resonant group")
     group_sub = group.add_subparsers(dest="group_command", required=True)
+    _command(group_sub, "mul", _cmd_group_mul, sr, "compose two group elements",
+             "first", "second")
+    _command(group_sub, "inv", _cmd_group_inv, sr, "invert a group element", "element")
+    p = _command(group_sub, "conjugate-translation", _cmd_group_conjugate_translation, sr,
+                 "conjugate a sub-resonant map by a translation", "map", spectrum=True)
+    p.add_argument("--tau", required=True, help="translation vector as JSON [[re, im], ...]")
 
-    p = group_sub.add_parser("mul", parents=[common], help="compose two group elements")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=_cmd_group_mul)
-
-    p = group_sub.add_parser("inv", parents=[common], help="invert a group element")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_group_inv)
-
-    p = group_sub.add_parser("conjugate-translation", parents=[common],
-                             help="conjugate a sub-resonant map by a translation")
-    p.add_argument("map")
-    p.add_argument("--tau", required=True,
-                   help="translation vector as JSON [[re, im], ...]")
-    p.add_argument("--spectrum")
-    p.set_defaults(handler=_cmd_group_conjugate_translation)
-
-    p = sub.add_parser("holonomy", parents=[common],
-                       help="holonomy generator of the quotient defined by a germ")
-    p.add_argument("germ")
-    p.set_defaults(handler=_cmd_holonomy)
-
-    p = sub.add_parser("orbit", parents=[common],
-                       help="iterate a group element with contraction diagnostics")
-    p.add_argument("element")
+    _command(sub, "holonomy", _cmd_holonomy, normal_form,
+             "holonomy generator of the quotient defined by a germ", "germ")
+    p = _command(sub, "orbit", _cmd_orbit, _config_parser(("sr_tol", "block_tol", "seed")),
+                 "iterate a group element with contraction diagnostics", "element")
     p.add_argument("--point", required=True, help="start point as JSON [[re, im], ...]")
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--ball-radius", type=float, default=None)
-    p.add_argument("--annulus-inner", type=float, default=None)
-    p.add_argument("--annulus-outer", type=float, default=None)
-    p.set_defaults(handler=_cmd_orbit)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="recompute a germ's normal form and verify the conjugacy")
-    p.add_argument("germ")
-    p.set_defaults(handler=_cmd_verify)
-
+    for flag in ("--ball-radius", "--annulus-inner", "--annulus-outer"):
+        p.add_argument(flag, type=float)
+    _command(sub, "verify", _cmd_verify, _config_parser(germ_fields + ("cauchy_tol", "p_max")),
+             "recompute a germ's normal form and verify the conjugacy", "germ")
     return parser
 
 
@@ -353,7 +319,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(**{field.name: getattr(args, field.name) for field in fields(RunConfig)})
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FLAGS})
         doc = args.handler(args, cfg)
     except _INPUT_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

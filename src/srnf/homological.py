@@ -11,6 +11,7 @@ normal form) plus an operator image (removable by conjugation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .polymap import (
     _left_multiply,
     _linear_terms,
     _PowerTable,
+    _term_arrays,
     basis_ordering,
     compose_truncated,
 )
@@ -62,11 +64,12 @@ class OperatorMatrix:
 
 
 def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarray:
+    if h.q != ordering.q:   # exponents past q would pack to other rows' codes
+        raise DegreeOutOfRange(f"a degree-{h.q} part in the degree-{ordering.q} basis")
     vec = np.zeros(len(ordering), dtype=complex)
     if h.terms:
-        indices = map(tuple, ordering.exponents.tolist())
-        start = dict(zip(indices, range(0, len(ordering), ordering.n)))
-        vec[[start[index] + comp for index, comp in h.terms]] = list(h.terms.values())
+        exps, comps = _term_arrays(h.terms, h.n)
+        vec[ordering.rows(ordering.pack(exps)) * ordering.n + comps] = list(h.terms.values())
     return vec
 
 
@@ -104,24 +107,28 @@ def operator_columns(spectrum: SpectrumData, q: int):
     if any(above):
         table = _PowerTable(n, q)
         table.reveal(_linear_terms(T))
-        # Packed codes fit in int64: (q + 1)^n >= 2^63 only for bases far beyond memory.
-        codes = (exponents @ np.array(table.radix)).tolist()
-        starts = range(0, len(ordering), n)
-        start_of = dict(zip(codes, starts))
+        codes = ordering.codes.tolist()
+        powers = [table.power(index, q)[q] for index in map(tuple, exponents.tolist())]
+        # one lookup for the monomials off the diagonal of every power
+        found = iter((ordering.rows([mono for power, code in zip(powers, codes)
+                                     for mono in power if mono != code]) * n).tolist())
         coupling = [(0j - T[rows_above, comp]).tolist() for comp, rows_above in enumerate(above)]
-        for index, code, start in zip(map(tuple, exponents.tolist()), codes, starts):
-            power = table.power(index, q)[q]
-            bases = [start_of[mono] for mono in power if mono != code]
+        for start, code, power in zip(range(0, len(ordering), n), codes, powers):
             # 0j + keeps the signed zeros of a dense sum.
             expanded = [0j + coeff for mono, coeff in power.items() if mono != code]
+            bases = list(islice(found, len(expanded)))
             for comp in range(n):
                 if bases or above[comp]:
                     cols.append(start + comp)
-                    rows += [base + comp for base in bases] + [start + i for i in above[comp]]
-                    values += expanded + coupling[comp]
+                    rows += [base + comp for base in bases]
+                    rows += [start + i for i in above[comp]]
+                    values += expanded
+                    values += coupling[comp]
                     indptr.append(len(rows))
-    off = (np.array(cols, dtype=np.intp), np.array(indptr, dtype=np.intp),
-           np.array(rows, dtype=np.intp), np.array(values, dtype=complex))
+    # each long list is freed before the next array is made
+    rows = np.array(rows, dtype=np.intp)
+    values = np.array(values, dtype=complex)
+    off = (np.array(cols, dtype=np.intp), np.array(indptr, dtype=np.intp), rows, values)
     return ordering, divisors, off
 
 

@@ -202,18 +202,23 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     request of more than ``MAX_SPLIT_POSITIONS`` positions is refused before
     the degree loop.
     """
-    spectrum, adapted_full, Q = ingest(germ, cfg)
+    return _poincare_dulac(*ingest(germ, cfg), cfg)
+
+
+def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray,
+                    cfg: RunConfig) -> NormalFormResult:
+    """:func:`poincare_dulac` of a germ that :func:`ingest` has read."""
     D = cfg.trunc_degree if cfg.trunc_degree is not None else spectrum.c0 + 1
     if D < spectrum.c0 + 1:
         raise ValidationError(
             f"trunc_degree {D} is below c0+1 = {spectrum.c0 + 1} for this spectrum")
 
-    phi = PolyJet.identity(germ.n, D)   # refuses a D past int64 first
-    check_size(split_positions(germ.n, D), MAX_SPLIT_POSITIONS,
-               f"the split through degree {D} for n={germ.n}", "normal form", "positions")
+    phi = PolyJet.identity(spectrum.n, D)   # refuses a D past int64 first
+    check_size(split_positions(spectrum.n, D), MAX_SPLIT_POSITIONS,
+               f"the split through degree {D} for n={spectrum.n}", "normal form", "positions")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
-    phi_powers, normal_powers = _PowerTable(germ.n, D), _PowerTable(germ.n, D)
+    phi_powers, normal_powers = _PowerTable(spectrum.n, D), _PowerTable(spectrum.n, D)
     phi_powers.reveal(phi.terms)
     normal_powers.reveal(normal_jet.terms)
     # only nonlinear terms of F add to a degree-q block, and phi's linear
@@ -224,7 +229,7 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
         error = _sum_terms(phi_powers.compose_block(nonlinear, q, prune=cfg.prune),
                            {key: -c for key, c in
                             normal_powers.compose_block(phi, q, prune=cfg.prune).items()})
-        split = split_homogeneous(spectrum, HomogeneousPart._trusted(germ.n, q, error),
+        split = split_homogeneous(spectrum, HomogeneousPart._trusted(spectrum.n, q, error),
                                   cfg.res_tol, cfg.sr_tol)
         steps.append(split)
         if split.eliminated.terms:

@@ -79,9 +79,25 @@ class BasisOrdering:
     def pairs(self) -> tuple[TermKey, ...]:
         return tuple(self.positions(np.arange(len(self))))
 
+    def pack(self, exponents: np.ndarray) -> np.ndarray:
+        """The :func:`packing_radix` codes of exponent rows; Python ints past int64."""
+        radix = packing_radix(self.n, self.q)
+        dtype = np.int64 if radix[-1] * (self.q + 1) <= 2**63 else object
+        return exponents.astype(dtype, copy=False).dot(np.array(radix, dtype=dtype))
+
     @cached_property
-    def rank(self) -> dict[TermKey, int]:
-        return dict(zip(self.pairs, range(len(self))))
+    def codes(self) -> np.ndarray:
+        """Each row's code; they descend in term order."""
+        return self.pack(self.exponents)
+
+    def rows(self, codes) -> np.ndarray:
+        """The rows of the monomials packed to ``codes``; a code of no row is refused."""
+        ascending = self.codes[::-1]
+        codes = np.asarray(codes, dtype=ascending.dtype)
+        at = ascending.searchsorted(codes)
+        if (ascending.take(at, mode="clip") != codes).any():
+            raise ValueError(f"a code is not that of a degree-{self.q} monomial")
+        return len(ascending) - 1 - at
 
 
 def basis_ordering(n: int, q: int) -> BasisOrdering:
@@ -106,6 +122,12 @@ def basis_ordering(n: int, q: int) -> BasisOrdering:
     gaps[:, 1:-1] -= 1
     gaps[:, -1] = q + n - 2 - bars[:, -1]
     return BasisOrdering(q=q, n=n, exponents=exponents)
+
+
+def packing_radix(n: int, degree: int) -> list[int]:
+    """Place values of the packing ``I -> I @ radix`` in base ``degree + 1``: later variables
+    weigh more, and adding codes multiplies monomials while exponents stay <= ``degree``."""
+    return [(degree + 1) ** k for k in range(n)]
 
 
 def basis_dimension(n: int, q: int) -> int:
@@ -367,9 +389,9 @@ def _prune_terms(terms: Mapping[TermKey, complex]) -> dict[TermKey, complex]:
 
 
 # Scalar polynomials inside the composition kernel are held in blocks by
-# total degree and keyed by a mixed-radix packing of the exponents; integer key
-# addition then realizes monomial multiplication without carries, because
-# every surviving exponent is bounded by the truncation degree.
+# total degree and keyed by the packing_radix codes of the truncation degree;
+# integer key addition then realizes monomial multiplication without carries,
+# because every surviving exponent is bounded by the truncation degree.
 _Blocks = dict[int, dict[int, complex]]
 
 
@@ -388,7 +410,7 @@ class _PowerTable:
 
     def __init__(self, n: int, cap: int):
         self.n, self.cap, self.base = n, cap, cap + 1
-        self.radix = [self.base ** k for k in range(n)]
+        self.radix = packing_radix(n, cap)
         self.components: list[_Blocks] = [{} for _ in range(n)]
         self.powers: dict[MultiIndex, _Blocks] = {}
         self.filled: dict[MultiIndex, int] = {}   # degree through which power made g^I

@@ -160,10 +160,11 @@ def test_criterion_04_rank_identity():
         for q in range(2, s.c0 + 2):
             m = build_matrix(s, q)
             dim = basis_dimension(n, q)
+            rank = {pair: r for r, pair in enumerate(m.ordering.pairs)}
             cols = [m.entries]
             for key in enumerate_subresonant_basis(s, q):
                 e = np.zeros((dim, 1), dtype=complex)
-                e[m.ordering.rank[key], 0] = 1.0
+                e[rank[key], 0] = 1.0
                 cols.append(e)
             rank = np.linalg.matrix_rank(np.hstack(cols), tol=1e-10)
             assert rank == dim, f"rank {rank} != {dim} at degree {q}"

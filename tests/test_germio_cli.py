@@ -536,7 +536,28 @@ class TestCliSubcommands:
         path = write_doc(tmp_path, "germ.json", dict(HOPF_DOC, coordinates="sideways"))
         code, out, err = run_cli(["normal-form", path], capsys)
         assert code == 2 and out == ""
-        assert err.startswith("ValidationError: coordinates must be one of")
+        assert err.startswith(f"ValidationError: {path}: coordinates must be one of")
+
+    @pytest.mark.parametrize("command", ["normal-form", "verify", "holonomy"])
+    def test_germ_refusal_names_the_document(self, tmp_path, capsys, command):
+        doc = json.loads((DATA / "hopf.json").read_text())
+        doc["terms"].append({"exponents": [9, 0], "component": 1, "coeff": [1.0, 0.0]})
+        path = write_doc(tmp_path, "bad.json", doc)
+        code, out, err = run_cli([command, path], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ValidationError: {path}: germ: term 6: degree 9 exceeds "
+                       "declared degree 3\n")
+
+    @pytest.mark.parametrize("command", ["normal-form", "verify", "holonomy"])
+    def test_germ_not_contracting_names_the_document(self, tmp_path, capsys, command):
+        doc = json.loads((DATA / "hopf.json").read_text())
+        for term in doc["terms"]:
+            if term["exponents"] == [0, 1] and term["component"] == 2:
+                term["coeff"] = [1.5, 0.0]
+        path = write_doc(tmp_path, "bad.json", doc)
+        code, out, err = run_cli([command, path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"NotContracting: {path}: ")
 
     def test_m_matrix(self, tmp_path, capsys):
         doc = {"dimension": 2, "degree": 1, "coordinates": "adapted",
@@ -700,6 +721,72 @@ class TestCliSpectrumOption:
         code, out, err = self.run(tmp_path, capsys, command, doc)
         assert code == 2 and out == ""
         assert "ValidationError" in err and "adapted coordinates" in err
+
+
+# A placeholder command line of each subcommand, and a setting of each flag:
+# parsing reads no file.
+COMMAND_LINES = {
+    "normal-form": ["normal-form", "g.json"],
+    "holonomy": ["holonomy", "g.json"],
+    "verify": ["verify", "g.json"],
+    "check-sr": ["check-sr", "m.json"],
+    "enumerate-sr": ["enumerate-sr", "s.json", "--degree", "2"],
+    "sr-invert": ["sr-invert", "m.json"],
+    "sr-compose": ["sr-compose", "a.json", "b.json"],
+    "group mul": ["group", "mul", "a.json", "b.json"],
+    "group inv": ["group", "inv", "a.json"],
+    "group conjugate-translation": ["group", "conjugate-translation", "m.json", "--tau", "[]"],
+    "m-matrix": ["m-matrix", "s.json", "--degree", "2"],
+    "orbit": ["orbit", "e.json", "--point", "[]"],
+}
+FLAG_SETTINGS = {
+    "res_tol": ["--res-tol", "0.5"], "sr_tol": ["--sr-tol", "0.5"],
+    "block_tol": ["--block-tol", "0.5"], "cauchy_tol": ["--cauchy-tol", "0.5"],
+    "trunc_degree": ["--trunc-degree", "4"], "p_max": ["--p-max", "5"],
+    "prune": ["--no-prune"], "sample_count": ["--sample-count", "3"],
+    "sample_radius": ["--sample-radius", "0.5"], "seed": ["--seed", "1"],
+    "output": ["--output", "out.json"],
+}
+NORMAL_FORM_FLAGS = {"res_tol", "sr_tol", "block_tol", "trunc_degree", "prune",
+                     "sample_count", "sample_radius", "seed", "output"}
+SR_FLAGS = {"sr_tol", "block_tol", "output"}
+
+
+class TestCliFlags:
+    """Each command accepts only the settings it reads."""
+
+    def test_each_command_accepts_only_the_settings_it_reads(self, capsys):
+        parser = cli.build_parser()
+        accepted = {}
+        for command, argv in COMMAND_LINES.items():
+            accepted[command] = set()
+            for name, setting in FLAG_SETTINGS.items():
+                try:
+                    parser.parse_args(argv + setting)
+                except SystemExit:
+                    continue
+                accepted[command].add(name)
+        assert accepted == {
+            "normal-form": NORMAL_FORM_FLAGS, "holonomy": NORMAL_FORM_FLAGS,
+            "verify": NORMAL_FORM_FLAGS | {"cauchy_tol", "p_max"},
+            **{command: SR_FLAGS for command in ("check-sr", "enumerate-sr", "sr-invert",
+                                                 "sr-compose", "group mul", "group inv",
+                                                 "group conjugate-translation")},
+            "m-matrix": {"block_tol", "output"}, "orbit": SR_FLAGS | {"seed"}}
+        assert sum(map(len, accepted.values())) == 56
+
+    @pytest.mark.parametrize("argv", [
+        ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
+        ["group", "inv", str(DATA / "group_g1.json"), "--p-max", "5", "--no-prune"],
+        ["m-matrix", str(DATA / "hopf.json"), "--degree", "2", "--res-tol", "0.5"],
+        ["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
+         "--sample-count", "3"],
+    ])
+    def test_an_unread_flag_is_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -13,10 +13,11 @@ from srnf.homological import (
     SMALL_DIVISOR_REL,
     apply_M,
     build_matrix,
+    coefficient_vector,
     operator_columns,
     split_homogeneous,
 )
-from srnf.errors import IllConditionedResonance
+from srnf.errors import DegreeOutOfRange, IllConditionedResonance
 from srnf.linalg import analyze_spectrum
 from srnf.polymap import (
     HomogeneousPart,
@@ -46,9 +47,55 @@ class TestOrderCompare:
                 expected = tuple(sorted(
                     ((index, comp) for index in multi_indices(n, q) for comp in range(n)),
                     key=term_sort_key))
+                assert basis_ordering(n, q).pairs == expected
+
+    def test_rows_finds_every_row_by_its_code(self):
+        for n in range(1, 7):
+            for q in range(1, 9):
                 ordering = basis_ordering(n, q)
-                assert ordering.pairs == expected
-                assert ordering.rank == {pair: r for r, pair in enumerate(expected)}
+                codes = ordering.exponents @ (q + 1) ** np.arange(n)
+                assert np.all(np.diff(codes) < 0)
+                assert np.array_equal(ordering.rows(codes), np.arange(len(ordering.exponents)))
+
+    def test_rows_past_int64(self):
+        # (q + 1)^n = 3^40 > 2^63: the codes are Python ints
+        ordering = basis_ordering(40, 2)
+        codes = [sum(int(e) * 3 ** k for k, e in enumerate(row)) for row in ordering.exponents]
+        assert ordering.codes.tolist() == codes
+        assert ordering.rows(codes[::-1]).tolist() == list(range(len(codes)))[::-1]
+
+    @pytest.mark.parametrize("exponents", [
+        (1, 0, 0), (0, 0, 1), (2, 2, 0), (3, 1, 0), (0, 0, 0)])
+    def test_rows_refuses_a_monomial_of_another_degree(self, exponents):
+        ordering = basis_ordering(3, 3)
+        code = int(np.array(exponents) @ 4 ** np.arange(3))
+        with pytest.raises(ValueError, match="not that of a degree-3 monomial"):
+            ordering.rows([code])
+        with pytest.raises(ValueError, match="not that of a degree-3 monomial"):
+            ordering.rows([int(ordering.codes[0]), code])
+
+    @pytest.mark.parametrize("code", [-1, 4**3, 2**40])
+    def test_rows_refuses_a_code_outside_the_basis(self, code):
+        with pytest.raises(ValueError, match="not that of a degree-3 monomial"):
+            basis_ordering(3, 3).rows([code])
+
+    def test_coefficient_vector_refuses_another_degree(self):
+        # (3, 1) packs in base 3 to the code of (0, 2)
+        with pytest.raises(DegreeOutOfRange):
+            coefficient_vector(part(2, 4, {((3, 1), 0): 1.0}), basis_ordering(2, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 6))
+    def test_coefficient_vector_matches_the_pairs(self, seed, n, q):
+        rng = np.random.default_rng(seed)
+        ordering = basis_ordering(n, q)
+        keys = [ordering.pairs[r] for r in rng.permutation(len(ordering))[:rng.integers(0, 12)]]
+        coeffs = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        expected = np.zeros(len(ordering), dtype=complex)
+        for key, coeff in zip(keys, coeffs):
+            expected[ordering.pairs.index(key)] = coeff
+        vec = coefficient_vector(part(n, q, dict(zip(keys, coeffs))), ordering)
+        assert np.array_equal(vec, expected)
 
     def test_matches_basis_ordering(self):
         ordering = basis_ordering(2, 2)
@@ -99,8 +146,9 @@ class TestBuildMatrix:
 
     def test_hand_entries(self):
         m = build_matrix(QUARTER_HALF, 2)
-        r1 = m.ordering.rank[((0, 2), 0)]
-        r2 = m.ordering.rank[((2, 0), 1)]
+        # (0, 2) and (2, 0) pack to 2 * 3 and 2 in base q + 1 = 3
+        r1, r2 = m.ordering.rows([6, 2]) * 2 + [0, 1]
+        assert m.ordering.pairs[r1] == ((0, 2), 0) and m.ordering.pairs[r2] == ((2, 0), 1)
         assert m.entries[r1, r1] == 0
         assert m.entries[r2, r2] == pytest.approx(-7 / 16)
 
@@ -229,9 +277,10 @@ def dense_split(s, H):
     """Back-substitution on the dense matrix: the split without sparse columns."""
     m = build_matrix(s, H.q)
     dim = len(m.ordering)
+    rank = {pair: r for r, pair in enumerate(m.ordering.pairs)}
     residual = np.zeros(dim, dtype=complex)
     for key, coeff in H.terms.items():
-        residual[m.ordering.rank[key]] = coeff
+        residual[rank[key]] = coeff
     kept = np.zeros(dim, dtype=complex)
     removed = np.zeros(dim, dtype=complex)
     for r in range(dim - 1, -1, -1):
@@ -503,10 +552,11 @@ class TestRankIdentity:
         for q in range(2, s.c0 + 2):
             m = build_matrix(s, q)
             dim = basis_dimension(n, q)
+            rank = {pair: r for r, pair in enumerate(m.ordering.pairs)}
             columns = [m.entries]
             for key in enumerate_subresonant_basis(s, q):
                 e = np.zeros((dim, 1), dtype=complex)
-                e[m.ordering.rank[key], 0] = 1.0
+                e[rank[key], 0] = 1.0
                 columns.append(e)
             stacked = np.hstack(columns)
             assert np.linalg.matrix_rank(stacked, tol=1e-10) == dim
