@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the line count of each ``src/srnf/*.py`` module and their total.
+"""Print the line count of each ``src/srnf/*.py`` module and their total,
+then the line total of the test modules ``tests/*.py`` on a line of its own.
 
 Lines are counted as ``wc -l`` counts them, one per newline.
 
@@ -9,16 +10,22 @@ Run from anywhere:  python3 scripts/src_size.py
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "srnf"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "srnf"
+
+
+def count(path: Path) -> int:
+    return path.read_bytes().count(b"\n")
 
 
 def main() -> int:
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = path.read_bytes().count(b"\n")
+        lines = count(path)
         total += lines
         print(f"{lines:6d} src/srnf/{path.name}")
     print(f"{total:6d} total")
+    print(f"{sum(map(count, (ROOT / 'tests').glob('*.py'))):6d} tests/*.py")
     return 0
 
 

@@ -30,7 +30,7 @@ from .gx_group import (
     orbit,
     translate_conjugate,
 )
-from .homological import SplitResult, apply_M, build_matrix, split_homogeneous
+from .homological import SplitResult, build_matrix, split_homogeneous
 from .linalg import SpectrumData, analyze_spectrum, rescale_nilpotent, triangularize
 from .normal_form import (
     ConjugacyReport,
@@ -55,9 +55,6 @@ from .subresonance import (
     SubResonantMap,
     certify_subresonant,
     enumerate_subresonant_basis,
-    is_linear_subresonant,
-    is_subresonant_monomial,
-    monomial_type,
     sr_compose,
     sr_inverse,
 )

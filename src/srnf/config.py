@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -32,8 +33,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("res_tol", "sr_tol", "block_tol", "cauchy_tol", "sample_radius"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:   # NaN fails both comparisons
+                raise ValidationError(f"{name} must be finite and positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.trunc_degree is not None and self.trunc_degree < 2:
             raise ValidationError("trunc_degree must be at least 2")
         if self.p_max < 1:

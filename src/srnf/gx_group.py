@@ -67,11 +67,6 @@ class GroupElement:
     def evaluate(self, z) -> np.ndarray:
         return self.tau + self.h.evaluate(z)
 
-    def coeff_distance(self, other: "GroupElement") -> float:
-        """Largest gap across the translation and the map coefficients."""
-        gap = float(np.max(np.abs(self.tau - other.tau))) if self.n else 0.0
-        return max(gap, self.h.jet.max_coeff_diff(other.h.jet))
-
     def __repr__(self):
         return f"GroupElement(n={self.n}, |tau|={np.linalg.norm(self.tau):.3g})"
 

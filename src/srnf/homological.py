@@ -20,15 +20,11 @@ from .linalg import SpectrumData
 from .polymap import (
     BasisOrdering,
     HomogeneousPart,
-    PolyJet,
     TermKey,
-    _columns,
-    _left_multiply,
     _linear_terms,
     _PowerTable,
     _term_arrays,
     basis_ordering,
-    compose_truncated,
 )
 from .subresonance import DEFAULT_SR_TOL, _subresonant_mask
 
@@ -37,17 +33,6 @@ DEFAULT_RES_TOL = 1e-9
 # Divisors between the resonance cutoff and this relative size are reported
 # as small-divisor warnings.
 SMALL_DIVISOR_REL = 1e-6
-
-
-def apply_M(spectrum: SpectrumData, h: HomogeneousPart) -> HomogeneousPart:
-    """The operator value ``h o T - T o h``, computed by jet composition."""
-    if h.n != spectrum.n:
-        raise DimensionMismatch(f"map dimension {h.n} does not match n={spectrum.n}")
-    if h.q < 2:
-        raise DegreeOutOfRange(f"operator is defined for degree >= 2, got {h.q}")
-    right = compose_truncated(h, PolyJet.from_linear(spectrum.T, 1), h.q, prune=False)
-    diff = right - PolyJet(h.n, h.q, _left_multiply(_columns(spectrum.T), h.terms))
-    return HomogeneousPart(h.n, h.q, diff.terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +75,8 @@ def operator_columns(spectrum: SpectrumData, q: int):
     ``T`` diagonal leaves no columns.  The entries are read from the powers
     ``(Tz)^I`` in one power table over the linear forms of ``T``, made only
     when ``T`` has entries off the diagonal; the components of one index
-    are adjacent in the ordering.  :func:`apply_M` composes with the same
-    kernel, so neither is an oracle for the other.  Off-diagonal entries
-    land at strictly smaller ranks: the operator is upper triangular.
+    are adjacent in the ordering.  Off-diagonal entries land at strictly
+    smaller ranks: the operator is upper triangular.
     """
     if q < 2:
         raise DegreeOutOfRange(f"operator matrices start at degree 2, got {q}")

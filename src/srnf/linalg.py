@@ -44,8 +44,7 @@ class SpectrumData:
     """Validated spectral data of an adapted contracting linear part.
 
     ``blocks`` partitions coordinate indices (0-based) into groups of equal
-    eigenvalue modulus, ordered by increasing modulus; ``block_of`` maps each
-    coordinate to its block.  ``c0`` is the ceiling of
+    eigenvalue modulus, ordered by increasing modulus.  ``c0`` is the ceiling of
     ``ln|l_1| / ln|l_n|`` and bounds the degrees that matter for the normal
     form; ``degree_bound`` is the floor of the same ratio and bounds the
     degree of any sub-resonant polynomial.
@@ -57,16 +56,12 @@ class SpectrumData:
     moduli: np.ndarray
     log_moduli: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
     c0: int
     degree_bound: int
 
     def __post_init__(self):
         for name in ("T", "diag", "moduli", "log_moduli"):
             getattr(self, name).setflags(write=False)
-
-    def block_log_modulus(self, block_index: int) -> float:
-        return float(self.log_moduli[self.blocks[block_index][0]])
 
     def __repr__(self):
         moduli = ", ".join(f"{m:.4g}" for m in self.moduli)
@@ -172,10 +167,6 @@ def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL) -> SpectrumData:
             blocks.append(tuple(current))
             current = [k]
     blocks.append(tuple(current))
-    block_of = [0] * n
-    for b, coords in enumerate(blocks):
-        for k in coords:
-            block_of[k] = b
 
     log_moduli = np.log(moduli)
     ratio = float(log_moduli[0] / log_moduli[-1])
@@ -191,7 +182,6 @@ def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL) -> SpectrumData:
         moduli=moduli,
         log_moduli=log_moduli,
         blocks=tuple(blocks),
-        block_of=tuple(block_of),
         c0=int(math.ceil(snapped)),
         degree_bound=int(math.floor(snapped)),
     )

@@ -4,10 +4,10 @@ A monomial ``z^I e_j`` is sub-resonant when
 ``ln|l_j| <= sum_k i_k ln|l_k|`` (equivalently the block-grouped form of the
 same inequality, since moduli are constant on blocks).  Sub-resonant maps
 with invertible linear part form a group under composition; this module
-provides the monomial classifier, the per-degree basis enumeration, the
-certification of whole maps, and the composition/inversion operations of
-that group; an inverse is the jet inverse through the degree bound, which
-is exact because the group consists of polynomials of bounded degree.
+provides the per-degree basis enumeration, the certification of whole maps,
+and the composition/inversion operations of that group; an inverse is the
+jet inverse through the degree bound, which is exact because the group
+consists of polynomials of bounded degree.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ import numpy as np
 
 from .errors import (
     CertificationFailure,
-    DegreeOutOfRange,
     DimensionMismatch,
     SpectrumMismatch,
 )
 from .linalg import SpectrumData, same_spectrum
 from .polymap import (
-    MAX_DEGREE,
-    MultiIndex,
     PolyJet,
     TermKey,
     _term_arrays,
@@ -47,18 +44,6 @@ _EXCESS_TOL = 1e-10
 _EXCESS_RTOL = 1e-12
 
 
-def monomial_type(index: MultiIndex, spectrum: SpectrumData) -> tuple[int, ...]:
-    """Block-grouped exponent profile of a monomial."""
-    if len(index) != spectrum.n:
-        raise DimensionMismatch(f"multi-index {index} does not match n={spectrum.n}")
-    if sum(index) < 1:
-        raise DegreeOutOfRange("monomials have degree >= 1")
-    profile = [0] * len(spectrum.blocks)
-    for k, e in enumerate(index):
-        profile[spectrum.block_of[k]] += e
-    return tuple(profile)
-
-
 def _subresonant_mask(exponents: np.ndarray, comps: np.ndarray, spectrum: SpectrumData,
                       tol: float) -> np.ndarray:
     """Whether each position ``(exponents[i], comps[i])`` is sub-resonant:
@@ -73,21 +58,6 @@ def _subresonant_mask(exponents: np.ndarray, comps: np.ndarray, spectrum: Spectr
     log_moduli = spectrum.log_moduli
     weights = (exponents[..., None, :] @ log_moduli)[..., 0]
     return log_moduli[comps] <= weights + tol
-
-
-def is_subresonant_monomial(index: MultiIndex, comp: int, spectrum: SpectrumData,
-                            tol: float = DEFAULT_SR_TOL) -> bool:
-    """Whether the monomial ``z^index e_comp`` is sub-resonant (see :func:`_subresonant_mask`)."""
-    if len(index) != spectrum.n:
-        raise DimensionMismatch(f"multi-index {index} does not match n={spectrum.n}")
-    if any(e < 0 for e in index):
-        raise ValueError(f"negative exponent in multi-index {index}")
-    if not 1 <= sum(index) <= MAX_DEGREE:
-        raise DegreeOutOfRange(f"monomial degree must be in 1..2**63 - 1, got {sum(index)}")
-    if not 0 <= comp < spectrum.n:
-        raise DimensionMismatch(f"component {comp} outside 0..{spectrum.n - 1}")
-    return bool(_subresonant_mask(np.array([index], dtype=np.int64), np.array([comp]),
-                                  spectrum, tol)[0])
 
 
 def enumerate_subresonant_basis(spectrum: SpectrumData, r: int,
@@ -207,22 +177,3 @@ def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL) -> SubResonantMap
 
 def _magnitudes(jet: PolyJet) -> PolyJet:
     return PolyJet._trusted(jet.n, jet.degree, {key: abs(c) for key, c in jet.terms.items()})
-
-
-def is_linear_subresonant(matrix, spectrum: SpectrumData) -> bool:
-    """Whether a matrix preserves each subspace spanned by small-modulus blocks.
-
-    Equivalent to being block upper triangular in the modulus-block
-    partition, and to every nonzero entry ``A[j, k]`` (the monomial
-    ``z_k e_j``) passing the sub-resonance test.  Entries are compared to
-    exact zero, matching the canonical sparse semantics of jets.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (spectrum.n, spectrum.n):
-        raise DimensionMismatch(
-            f"matrix shape {matrix.shape} does not match n={spectrum.n}")
-    for j in range(spectrum.n):
-        for k in range(spectrum.n):
-            if matrix[j, k] != 0 and spectrum.block_of[j] > spectrum.block_of[k]:
-                return False
-    return True

@@ -9,7 +9,7 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 from srnf.linalg import SpectrumData, analyze_spectrum
-from srnf.polymap import PolyJet
+from srnf.polymap import HomogeneousPart, PolyJet
 from srnf.subresonance import enumerate_subresonant_basis
 
 
@@ -43,6 +43,58 @@ def resonant_positions(spectrum: SpectrumData, q: int, res_tol: float = 1e-9) ->
                 out.append((index, comp))
     out.sort(key=canonical_key)
     return tuple(out)
+
+
+def naive_compose(f: PolyJet, g: PolyJet, degree: int) -> dict:
+    """Brute-force substitution oracle, independent of the library kernel."""
+    n = f.n
+
+    def mul(a, b):
+        prod = {}
+        for ia, ca in a.items():
+            for ib, cb in b.items():
+                key = tuple(x + y for x, y in zip(ia, ib))
+                if sum(key) <= degree:
+                    prod[key] = prod.get(key, 0j) + ca * cb
+        return prod
+
+    components = [{} for _ in range(n)]
+    for (index, j), c in g.terms.items():
+        components[j][index] = c
+    out = {}
+    for (index, j), c in f.terms.items():
+        acc = {(0,) * n: 1.0 + 0j}
+        for k, e in enumerate(index):
+            for _ in range(e):
+                acc = mul(acc, components[k])
+        for mono, v in acc.items():
+            if sum(mono) >= 1 and v != 0:
+                key = (mono, j)
+                out[key] = out.get(key, 0j) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def naive_operator(T: np.ndarray, h: HomogeneousPart) -> HomogeneousPart:
+    """``h o T - T o h`` from :func:`naive_compose`, independent of the library kernel."""
+    n = h.n
+    linear = PolyJet(n, 1, {(tuple(int(i == k) for i in range(n)), row): T[row, k]
+                            for row in range(n) for k in range(n) if T[row, k] != 0})
+    out = naive_compose(h, linear, h.q)
+    for (index, comp), c in h.terms.items():
+        for row in range(n):
+            key = (index, row)
+            out[key] = out.get(key, 0j) - T[row, comp] * c
+    return HomogeneousPart(n, h.q, out)
+
+
+def block_of(spectrum: SpectrumData) -> list[int]:
+    """The index of each coordinate's block in ``spectrum.blocks``."""
+    return [b for k in range(spectrum.n) for b, block in enumerate(spectrum.blocks) if k in block]
+
+
+def coeff_distance(g, h) -> float:
+    """Largest gap across two group elements' translations and map coefficients."""
+    return max(float(np.max(np.abs(g.tau - h.tau))), g.h.jet.max_coeff_diff(h.h.jet))
 
 
 def char_poly_coeffs(matrix: np.ndarray) -> np.ndarray:
@@ -116,13 +168,13 @@ def random_spectrum(rng: np.random.Generator, n: int, *, max_ratio: float = 3.4,
 def random_sr_map(rng: np.random.Generator, spectrum: SpectrumData, *,
                   density: float = 0.7, coeff_scale: float = 0.5):
     """Random certified element of the sub-resonant group (as a raw jet)."""
-    n = spectrum.n
+    n, blocks = spectrum.n, block_of(spectrum)
     A = np.zeros((n, n), dtype=complex)
     for j in range(n):
         A[j, j] = (0.6 + 0.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
     for j in range(n):
         for k in range(n):
-            if j != k and spectrum.block_of[j] <= spectrum.block_of[k] \
+            if j != k and blocks[j] <= blocks[k] \
                     and rng.random() < 0.5:
                 A[j, k] = 0.3 * (rng.normal() + 1j * rng.normal())
     terms = {}

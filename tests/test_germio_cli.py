@@ -806,6 +806,23 @@ class TestExitCodes:
             assert (cls in cli._INPUT_ERRORS) == (code == 2)
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "nan"], "sample_radius"),
+        (["normal-form", str(DATA / "hopf.json"), "--res-tol", "nan"], "res_tol"),
+        (["normal-form", str(DATA / "hopf.json"), "--sr-tol", "nan"], "sr_tol"),
+        (["normal-form", str(DATA / "hopf.json"), "--block-tol", "nan"], "block_tol"),
+        (["verify", str(DATA / "hopf.json"), "--cauchy-tol", "inf"], "cauchy_tol"),
+        (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),
+        (["normal-form", str(DATA / "hopf.json"), "--seed", "-1"], "seed"),
+        (["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
+          "--seed", "-1"], "seed"),
+    ])
+    def test_a_setting_out_of_range_is_exit_2(self, capsys, argv, field):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: {field} must be ")
+
+
 class TestConsoleEntry:
     def test_module_invocation_byte_identical(self, tmp_path):
         germ = tmp_path / "germ.json"

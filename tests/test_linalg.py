@@ -171,7 +171,6 @@ class TestAnalyzeSpectrum:
     def test_equal_moduli_share_a_block(self):
         s = analyze_spectrum(np.diag([0.5, 0.5j]).astype(complex))
         assert s.blocks == ((0, 1),)
-        assert s.block_of == (0, 0)
         assert s.c0 == 1
 
     def test_idempotent_on_own_matrix(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_jet, random_point, random_spectrum, random_sr_map
+from conftest import naive_operator, random_jet, random_point, random_spectrum, random_sr_map
 from srnf import germio
 from srnf.gx_group import GroupElement, group_inv, group_mul, translate_conjugate
 from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
@@ -27,7 +27,7 @@ from srnf.polymap import (
 )
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import poincare_dulac
-from srnf.homological import apply_M, split_homogeneous
+from srnf.homological import split_homogeneous
 from srnf.subresonance import (
     certify_subresonant,
     enumerate_subresonant_basis,
@@ -754,7 +754,7 @@ class TestTermOrder:
                  translate_conjugate(F, shift).jet]
         if degree >= 2:
             split = split_homogeneous(spectrum, homogeneous_part(g, degree))
-            jets += [apply_M(spectrum, top), split.resonant, split.eliminated]
+            jets += [naive_operator(spectrum.T, top), split.resonant, split.eliminated]
         for jet in jets:
             assert is_term_ordered(jet.terms), jet
         assert is_term_ordered(subresonant_offenders(f, spectrum))

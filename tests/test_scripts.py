@@ -37,8 +37,11 @@ def test_bench_digest():
 def test_src_size():
     lines = run_script("src_size.py")
     counts = {name: int(count) for count, name in (line.split() for line in lines)}
-    total = counts.pop("total")
+    total, tests = counts.pop("total"), counts.pop("tests/*.py")
+    assert lines[-1].split()[1] == "tests/*.py"
     files = sorted((ROOT / "src" / "srnf").glob("*.py"))
     assert list(counts) == [f"src/srnf/{path.name}" for path in files]
     assert total == sum(counts.values())
     assert total == sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    assert tests == sum(len(path.read_text(encoding="utf-8").splitlines())
+                        for path in (ROOT / "tests").glob("*.py"))

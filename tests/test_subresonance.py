@@ -7,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_of,
     canonical_key,
     divisors_separated,
     multi_indices,
+    naive_compose,
     random_jet,
     random_spectrum,
     random_sr_map,
 )
-from test_acceptance import naive_compose
 from srnf import subresonance
 from srnf.cli import main
 from srnf.errors import (
     CertificationFailure,
-    DegreeOutOfRange,
     SingularLinearPart,
     SpectrumMismatch,
 )
@@ -31,9 +31,6 @@ from srnf.subresonance import (
     SubResonantMap,
     certify_subresonant,
     enumerate_subresonant_basis,
-    is_linear_subresonant,
-    is_subresonant_monomial,
-    monomial_type,
     sr_compose,
     sr_inverse,
     subresonant_offenders,
@@ -48,6 +45,22 @@ def certified(jet, spectrum):
     return out
 
 
+def monomial_type(index, spectrum) -> tuple[int, ...]:
+    """Block-grouped exponent profile of a monomial, read from ``spectrum.blocks``."""
+    return tuple(sum(index[k] for k in block) for block in spectrum.blocks)
+
+
+def block_triangular(A, spectrum) -> bool:
+    """Whether ``A`` is block upper triangular in the modulus-block partition,
+    its entries compared to exact zero."""
+    blocks = block_of(spectrum)
+    return all(blocks[j] <= blocks[k] for j, k in zip(*np.nonzero(A)))
+
+
+def linear_certified(A, spectrum) -> bool:
+    return isinstance(certify_subresonant(PolyJet.from_linear(A), spectrum), SubResonantMap)
+
+
 class TestMonomialType:
     def test_singleton_blocks(self):
         assert monomial_type((0, 2), QUARTER_HALF) == (0, 2)
@@ -59,36 +72,31 @@ class TestMonomialType:
 
     def test_unit_vector(self):
         s = analyze_spectrum(np.diag([0.3, 0.3, 0.6]).astype(complex))
+        blocks = block_of(s)
         for k in range(3):
             index = tuple(1 if i == k else 0 for i in range(3))
-            expected = tuple(1 if b == s.block_of[k] else 0 for b in range(len(s.blocks)))
+            expected = tuple(1 if b == blocks[k] else 0 for b in range(len(s.blocks)))
             assert monomial_type(index, s) == expected
 
 
 class TestMonomialPredicate:
+    """A monomial is sub-resonant when it is in its degree's sub-resonant basis."""
+
     def test_resonant_equality_case(self):
         # ln(1/4) = 2 ln(1/2): equality must classify as sub-resonant
-        assert is_subresonant_monomial((0, 2), 0, QUARTER_HALF)
+        assert ((0, 2), 0) in enumerate_subresonant_basis(QUARTER_HALF, 2)
 
     def test_reverse_fails(self):
-        assert not is_subresonant_monomial((1, 0), 1, QUARTER_HALF)
-
-    def test_index_range(self):
-        top = 2**63 - 1
-        assert not is_subresonant_monomial((top, 0), 0, QUARTER_HALF)
-        for index in [(top + 1, 0), (2**62, 2**62)]:
-            with pytest.raises(DegreeOutOfRange, match="2\\*\\*63 - 1"):
-                is_subresonant_monomial(index, 0, QUARTER_HALF)
-        with pytest.raises(ValueError, match="negative exponent"):
-            is_subresonant_monomial((-1, 3), 0, QUARTER_HALF)
+        assert ((1, 0), 1) not in enumerate_subresonant_basis(QUARTER_HALF, 1)
 
     def test_diagonal_linear_always_passes(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = random_spectrum(rng, 3)
+            basis = enumerate_subresonant_basis(s, 1)
             for j in range(3):
                 index = tuple(1 if i == j else 0 for i in range(3))
-                assert is_subresonant_monomial(index, j, s)
+                assert (index, j) in basis
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 5))
@@ -97,12 +105,13 @@ class TestMonomialPredicate:
         # block-constant, so both weighted sums agree
         rng = np.random.default_rng(seed)
         s = random_spectrum(rng, n)
+        basis = enumerate_subresonant_basis(s, degree)
+        block_logs = [s.log_moduli[block[0]] for block in s.blocks]
         for index in multi_indices(n, degree):
-            profile = monomial_type(index, s)
-            weight = sum(p * s.block_log_modulus(b) for b, p in enumerate(profile))
+            weight = sum(p * log for p, log in zip(monomial_type(index, s), block_logs))
             for j in range(n):
                 block_form = s.log_moduli[j] <= weight + 1e-9
-                assert block_form == is_subresonant_monomial(index, j, s)
+                assert block_form == ((index, j) in basis)
 
 
 def plain_subresonant(index, comp, log_moduli, tol=1e-9):
@@ -128,8 +137,8 @@ def resonant_spectrum(rng, n):
 
 
 class TestMask:
-    """Enumeration, certification and the monomial predicate agree with the
-    inequality evaluated position by position."""
+    """Enumeration and certification agree with the inequality evaluated
+    position by position."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 8), st.sampled_from(["random", "resonant"]))
@@ -145,7 +154,6 @@ class TestMask:
             positions = [(index, comp) for index in multi_indices(n, r) for comp in range(n)]
             expected = [key for key in positions if plain_subresonant(*key, logs)]
             assert enumerate_subresonant_basis(s, r) == tuple(sorted(expected, key=canonical_key))
-            assert [key for key in positions if is_subresonant_monomial(*key, s)] == expected
         jet = random_jet(rng, n, degree, density=0.3, invertible_linear=False)
         offenders = [key for key in jet.terms if not plain_subresonant(*key, logs)]
         assert subresonant_offenders(jet, s) == sorted(
@@ -156,7 +164,6 @@ class TestMask:
         s = QUARTER_HALF
         tol = s.log_moduli[1] - s.log_moduli[0]
         assert s.log_moduli[0] + tol == s.log_moduli[1]
-        assert is_subresonant_monomial((1, 0), 1, s, tol)
         assert ((1, 0), 1) in enumerate_subresonant_basis(s, 1, tol)
         assert subresonant_offenders(PolyJet(2, 1, {((1, 0), 1): 1.0}), s, tol) == []
 
@@ -167,7 +174,6 @@ class TestMask:
             if s.log_moduli[0] > 3 * s.log_moduli[1]:
                 break
         assert s.log_moduli[0] > 3 * s.log_moduli[1]
-        assert is_subresonant_monomial((0, 3), 0, s)
         assert enumerate_subresonant_basis(s, 3) == (((0, 3), 0),)
         assert subresonant_offenders(PolyJet(2, 3, {((0, 3), 0): 1.0}), s) == []
 
@@ -194,11 +200,12 @@ class TestEnumerate:
         s = random_spectrum(rng, n)
         for r in range(s.degree_bound + 1, s.degree_bound + 3):
             assert enumerate_subresonant_basis(s, r) == ()
+        blocks = block_of(s)
         for r in range(1, s.c0 + 2):
             for index, comp in enumerate_subresonant_basis(s, r):
                 for k, e in enumerate(index):
                     if e > 0:
-                        assert s.block_of[k] >= s.block_of[comp]
+                        assert blocks[k] >= blocks[comp]
 
 
 class TestCertify:
@@ -318,12 +325,12 @@ def block_spectrum(rng: np.random.Generator):
 
 def full_block_sr_map(rng: np.random.Generator, spectrum):
     """Random sub-resonant map whose linear part fills every diagonal block."""
-    n = spectrum.n
+    n, blocks = spectrum.n, block_of(spectrum)
     jet = random_sr_map(rng, spectrum)
     terms = dict(jet.terms)
     for j in range(n):
         for k in range(n):
-            if spectrum.block_of[j] == spectrum.block_of[k]:
+            if blocks[j] == blocks[k]:
                 index = tuple(int(i == k) for i in range(n))
                 terms[(index, j)] = (2.0 if j == k else 0.5) * complex(rng.normal(), rng.normal())
     return PolyJet(n, jet.degree, terms)
@@ -340,7 +347,7 @@ def check_inverse(F):
     inv = sr_inverse(F)
     assert isinstance(certify_subresonant(inv.jet, s), SubResonantMap)
     assert inv.jet.max_degree() <= s.degree_bound
-    assert is_linear_subresonant(inv.linear_part(), s)
+    assert block_triangular(inv.linear_part(), s)
     identity = PolyJet.identity(s.n).terms
     cap = max(1, s.degree_bound) ** 2
     for f, g in ((F.jet, inv.jet), (inv.jet, F.jet)):
@@ -435,16 +442,20 @@ class TestInverseOfLargeMap:
 
 
 class TestLinearFlag:
+    """A linear map is certified exactly when it is block upper triangular."""
+
     def test_diagonal_true(self):
-        assert is_linear_subresonant(np.diag([3.0, 7.0]), QUARTER_HALF)
+        assert linear_certified(np.diag([3.0, 7.0]), QUARTER_HALF)
 
     def test_lower_entry_false(self):
         A = np.array([[0.25, 0.0], [1.0, 0.5]], dtype=complex)
-        assert not is_linear_subresonant(A, QUARTER_HALF)
+        assert not linear_certified(A, QUARTER_HALF)
+        assert not block_triangular(A, QUARTER_HALF)
 
     def test_upper_entry_true(self):
         A = np.array([[0.25, 1.0], [0.0, 0.5]], dtype=complex)
-        assert is_linear_subresonant(A, QUARTER_HALF)
+        assert linear_certified(A, QUARTER_HALF)
+        assert block_triangular(A, QUARTER_HALF)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 3))
@@ -456,6 +467,4 @@ class TestLinearFlag:
             for k in range(n):
                 if rng.random() < 0.6:
                     A[j, k] = rng.normal() + 1j * rng.normal()
-        jet = PolyJet.from_linear(A, 1)
-        outcome = certify_subresonant(jet, s)
-        assert is_linear_subresonant(A, s) == isinstance(outcome, SubResonantMap)
+        assert block_triangular(A, s) == linear_certified(A, s)
