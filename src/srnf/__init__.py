@@ -37,7 +37,6 @@ from .normal_form import (
     GermInput,
     NormalFormResult,
     conjugate_step,
-    phi_numeric,
     poincare_dulac,
     verify_conjugacy,
 )

@@ -18,13 +18,9 @@ class SingularLinearPart(SrnfError):
 
 
 class NoConvergence(SrnfError):
-    """An iteration did not converge: Schur triangularization, or the
-    straightening limit within its iteration cap."""
-
-    def __init__(self, message, last_gap=None, iterations=None):
-        super().__init__(message)
-        self.last_gap = last_gap
-        self.iterations = iterations
+    """An iteration did not converge: Schur triangularization.  The
+    straightening limit does not raise; it reports unconverged samples as
+    ``None``."""
 
 
 class NotContracting(SrnfError):

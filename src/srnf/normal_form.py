@@ -20,7 +20,6 @@ from .config import RunConfig
 from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
-    NoConvergence,
     ValidationError,
     check_size,
 )
@@ -299,55 +298,44 @@ def _sample_points(n: int, contraction_radius: float, cfg: RunConfig) -> tuple[f
     return radius, radius * directions / np.array(_row_norms(directions))[:, None]
 
 
-def phi_numeric(F: PolyJet, P: SubResonantMap, z, *, p_max: int = RunConfig.p_max,
-                cauchy_tol: float = RunConfig.cauchy_tol) -> np.ndarray:
-    """Straightening value ``lim_p P^{-(p)}(F^{(p)}(z))``.
+def _straighten(F: PolyJet, P_inv: PolyJet, pullback: PolyJet, Z: np.ndarray,
+                FZ: np.ndarray, p_max: int, cauchy_tol: float):
+    """Straightening limit ``lim_p P^{-(p)}(pullback(F^{(p)}(y)))`` at ``y = z_i``,
+    row ``i`` of ``Z`` ``(m, n)``, and at ``y = F(z_i)``, row ``i`` of ``FZ``,
+    given ``P_inv = P^{-1}``; the limits are rows ``i`` and ``m + i`` of the result.
 
-    The limit ``phi`` sends orbits of ``F`` to orbits of ``P``:
-    ``phi(F(z)) = P(phi(z))``, ``phi(0) = 0``, ``phi'(0) = id``.  Requires
-    ``F`` and ``P`` to agree through degree ``c0`` and ``z`` inside the
-    contraction ball; iterates until the update gap falls below
-    ``cauchy_tol * max(1, ||z||)``.
+    Both sequences of a sample follow one forward orbit: at step ``q`` the
+    chain ``P^{-(k)}(pullback(F^{(q)}(z)))``, ``k <= q``, gives ``z`` its
+    ``p = q`` iterate and ``F(z)`` its ``p = q - 1`` iterate.  A row stops once
+    its update gap is at most ``cauchy_tol * max(1, ||y||)``, and a sample
+    leaves once both rows stopped.  Returns the ``(2m, n)`` values, the ``p``
+    each row stopped at, and per row ``None`` or its last gap.
     """
-    values, _, (gap,) = _straightening_iterate(
-        F, sr_inverse(P).jet, np.asarray(z, dtype=complex)[None], p_max, cauchy_tol)
-    if gap is None:
-        return values[0]
-    raise NoConvergence(
-        f"straightening did not stabilize in {p_max} iterations (last gap {gap:.3g})",
-        last_gap=gap, iterations=p_max)
-
-
-def _straightening_iterate(F: PolyJet, P_inv: PolyJet, Z: np.ndarray,
-                           p_max: int, cauchy_tol: float, *, pullback: PolyJet = None):
-    """Straightening limit at every row of ``Z`` ``(m, n)``, given ``P_inv = P^{-1}``.
-
-    With ``pullback`` given, computes ``lim_p P^{-(p)}(pullback(F^{(p)}(z)))``,
-    the straightening of ``pullback^{-1} o F o pullback``-conjugated germs
-    evaluated through the polynomial stage.  A row leaves the batch once its
-    update gap is at most ``cauchy_tol * max(1, ||z||)``.  Returns the values,
-    the ``p`` each row stopped at, and per row ``None`` or its last gap.
-    """
-    if F.n != P_inv.n or Z.ndim != 2 or Z.shape[1] != F.n:
-        raise DimensionMismatch("dimensions of germ, normal form and points differ")
-    tol = [cauchy_tol * max(1.0, norm) for norm in _row_norms(Z)]
-    values = np.empty_like(Z)
-    stopped_at, gaps = [p_max] * len(Z), [float("inf")] * len(Z)
-    active = np.arange(len(Z))
+    m = len(Z)
+    tol = [cauchy_tol * max(1.0, norm) for norm in _row_norms(np.concatenate([Z, FZ]))]
+    values = np.empty((2 * m, F.n), dtype=complex)
+    stopped_at, gaps = [p_max] * (2 * m), [float("inf")] * (2 * m)
+    active = np.arange(m)
     forward = Z
-    for p in range(p_max + 1):
-        w = pullback.evaluate(forward) if pullback is not None else forward
-        for _ in range(p):
-            w = P_inv.evaluate(w)
-        if p:
-            for row, gap in zip(active, _row_norms(w - values[active])):
-                gaps[row], stopped_at[row] = (None, p) if gap <= tol[row] else (gap, p_max)
-        values[active] = w
-        keep = [gaps[row] is not None for row in active]
+    for q in range(p_max + 2):
+        chain = [pullback.evaluate(forward)]
+        for _ in range(min(q, p_max)):
+            chain.append(P_inv.evaluate(chain[-1]))
+        # the z rows take their p = q iterate, the F(z) rows their p = q - 1 iterate
+        for rows, p in ((active, q), (active + m, q - 1)):
+            if not 0 <= p <= p_max:
+                continue
+            keep = [gaps[row] is not None for row in rows]
+            rows, w = rows[keep], chain[p][keep]
+            if p:
+                for row, gap in zip(rows, _row_norms(w - values[rows])):
+                    gaps[row], stopped_at[row] = (None, p) if gap <= tol[row] else (gap, p_max)
+            values[rows] = w
+        keep = [gaps[i] is not None or gaps[m + i] is not None for i in active]
         active = active[keep]
-        if not len(active) or p == p_max:
+        if not len(active) or q > p_max:
             break
-        forward = F.evaluate(forward[keep])
+        forward = FZ[active] if q == 0 else F.evaluate(forward[keep])
     return values, stopped_at, gaps
 
 
@@ -399,9 +387,9 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     p_used = 0
     if m:
         # rows i and m + i straighten z_i and F(z_i)
-        G, stopped_at, gaps = _straightening_iterate(
-            F, sr_inverse(P).jet, np.concatenate([Z, F.evaluate(Z)]), cfg.p_max,
-            cfg.cauchy_tol, pullback=jet_inverse(result.phi, result.trunc_degree))
+        G, stopped_at, gaps = _straighten(
+            F, sr_inverse(P).jet, jet_inverse(result.phi, result.trunc_degree), Z,
+            F.evaluate(Z), cfg.p_max, cfg.cauchy_tol)
         ok = [i for i in range(m) if gaps[i] is None and gaps[m + i] is None]
         residuals = _row_norms(G[[m + i for i in ok]] - P.jet.evaluate(G[ok]))
         for i, value in zip(ok, residuals):

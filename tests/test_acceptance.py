@@ -29,9 +29,9 @@ from srnf.gx_group import GroupElement, group_inv, group_mul
 from srnf.homological import build_matrix
 from srnf.normal_form import (
     GermInput,
-    phi_numeric,
     poincare_dulac,
     pointwise_conjugacy_residual,
+    verify_conjugacy,
 )
 from srnf.polymap import HomogeneousPart, PolyJet, basis_dimension
 from srnf.subresonance import (
@@ -78,13 +78,13 @@ def test_criterion_02_one_dimensional_linearization():
         for q in (2, 3):
             a = rng.uniform(0.05, 1.0) * np.exp(2j * np.pi * rng.random())
             coeffs[((q,), 0)] = a
-        F = PolyJet(1, 3, coeffs)
-        result = poincare_dulac(GermInput(jet=F))
+        germ = GermInput(jet=PolyJet(1, 3, coeffs))
+        result = poincare_dulac(germ)
         assert result.normal_form.jet == P_expected
-        z = 0.05 * np.exp(2j * np.pi * rng.random()) * np.ones(1)
-        left = phi_numeric(F, result.normal_form, F.evaluate(z))
-        right = result.normal_form.jet.evaluate(phi_numeric(F, result.normal_form, z))
-        worst = max(worst, float(np.linalg.norm(left - right)))
+        # every sample straightens: ||phi(F(z)) - P(phi(z))|| at each
+        report = verify_conjugacy(germ, result)
+        assert report.unconverged == 0
+        worst = max(worst, report.straightened_max)
     assert worst < 1e-8
     print(f"ACCEPTANCE 2: PASS 1-d linearization (worst residual {worst:.2e})")
 

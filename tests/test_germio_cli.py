@@ -20,7 +20,6 @@ from srnf.config import RunConfig
 from srnf.errors import ValidationError
 from srnf.homological import split_homogeneous
 from srnf.linalg import analyze_spectrum
-from srnf.normal_form import phi_numeric
 from srnf.polymap import PolyJet, basis_dimension
 from srnf.subresonance import certify_subresonant, enumerate_subresonant_basis
 
@@ -840,10 +839,9 @@ def test_defaults_come_from_run_config():
     args = cli._config_parser().parse_args([])
     for field in dataclasses.fields(RunConfig):
         assert getattr(args, field.name) == field.default, field.name
-    for function, names in ((germio.parse_group_element, ("block_tol", "sr_tol")),
-                            (phi_numeric, ("p_max", "cauchy_tol"))):
-        parameters = inspect.signature(function).parameters
-        assert all(parameters[name].default == getattr(RunConfig, name) for name in names)
+    parameters = inspect.signature(germio.parse_group_element).parameters
+    assert all(parameters[name].default == getattr(RunConfig, name)
+               for name in ("block_tol", "sr_tol"))
 
 
 def test_library_tolerances_default_to_run_config():

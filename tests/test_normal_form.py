@@ -23,7 +23,6 @@ from srnf.normal_form import (
     GermInput,
     conjugate_step,
     ingest,
-    phi_numeric,
     poincare_dulac,
     pointwise_conjugacy_residual,
     verify_conjugacy,
@@ -345,35 +344,38 @@ class TestAdmission:
             assert poincare_dulac(GermInput(jet=HOPF_GERM)).trunc_degree == 3
 
 
+def straighten(F, P, Z, p_max=RunConfig.p_max):
+    """``_straighten`` of ``F`` towards ``P`` at the rows of ``Z`` and their
+    images under ``F``, with the identity for the polynomial stage."""
+    Z = np.asarray(Z, dtype=complex)
+    return normal_form._straighten(F, sr_inverse(P).jet, PolyJet.identity(F.n), Z,
+                                   F.evaluate(Z), p_max, RunConfig.cauchy_tol)
+
+
 class TestPhiNumeric:
+    """The numeric straightening map ``phi = lim_p P^{-(p)} o F^{(p)}``."""
+
     def test_normal_form_is_fixed(self):
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
         P = result.normal_form
         z = np.array([0.02 + 0.01j, -0.03 + 0.005j])
-        out = phi_numeric(P.jet, P, z)
-        assert np.linalg.norm(out - z) < 1e-13
+        values, _, gaps = straighten(P.jet, P, [z])
+        assert gaps == [None, None]
+        assert np.linalg.norm(values[0] - z) < 1e-13
 
     def test_origin(self):
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
-        out = phi_numeric(HOPF_GERM, result.normal_form, np.zeros(2, dtype=complex))
-        assert np.all(out == 0)
+        values, _, _ = straighten(HOPF_GERM, result.normal_form, np.zeros((1, 2)))
+        assert np.all(values == 0)
 
     def test_koenigs_functional_equation(self):
         F = PolyJet(1, 3, {((1,), 0): 0.5, ((2,), 0): 1.0})
         result = poincare_dulac(GermInput(jet=F))
         P = result.normal_form
-        z = np.array([0.1 + 0j])
-        left = phi_numeric(F, P, F.evaluate(z))
-        right = P.jet.evaluate(phi_numeric(F, P, z))
-        assert np.linalg.norm(left - right) < 1e-10
-
-    def test_iteration_cap_raises(self):
-        from srnf.errors import NoConvergence
-        F = PolyJet(1, 3, {((1,), 0): 0.5, ((2,), 0): 1.0})
-        result = poincare_dulac(GermInput(jet=F))
-        with pytest.raises(NoConvergence) as info:
-            phi_numeric(F, result.normal_form, np.array([0.1 + 0j]), p_max=2)
-        assert info.value.last_gap is not None and info.value.last_gap > 0
+        # rows z and F(z): phi(F(z)) = P(phi(z))
+        values, _, gaps = straighten(F, P, [[0.1 + 0j]])
+        assert gaps == [None, None]
+        assert np.linalg.norm(values[1] - P.jet.evaluate(values[0])) < 1e-10
 
 
 class TestVerify:
@@ -526,23 +528,17 @@ class TestBatchedStraightening:
         # sequences unconverged at p_max
         rng = np.random.default_rng(1)
         Z = np.array([z for r in (1e-3, 0.01, 0.05) for z in reference_points(rng, F.n, r, 6)])
-        values, stopped_at, gaps = normal_form._straightening_iterate(
-            F, P_inv, Z, cfg.p_max, cfg.cauchy_tol, pullback=phi_inv)
+        FZ = F.evaluate(Z)
+        values, stopped_at, gaps = normal_form._straighten(
+            F, P_inv, phi_inv, Z, FZ, cfg.p_max, cfg.cauchy_tol)
         assert len(set(stopped_at)) > 3
         assert name == "hopf" or any(gap is not None for gap in gaps)
-        for i, z in enumerate(Z):
-            value, p, gap = reference_iterate(F, P_inv, z, cfg.p_max, cfg.cauchy_tol,
+        # row i straightens z_i, row m + i straightens F(z_i)
+        for i, y in enumerate(np.concatenate([Z, FZ])):
+            value, p, gap = reference_iterate(F, P_inv, y, cfg.p_max, cfg.cauchy_tol,
                                               pullback=phi_inv)
             assert values[i].tobytes() == value.tobytes()
             assert (stopped_at[i], gaps[i]) == (p, gap)
-
-    def test_phi_numeric_is_one_row(self):
-        F = HOPF_GERM
-        P = poincare_dulac(GermInput(jet=F)).normal_form
-        for z in reference_points(np.random.default_rng(5), 2, 0.01, 4):
-            value, _, gap = reference_iterate(F, sr_inverse(P).jet, z, 60, 1e-12)
-            assert gap is None
-            assert phi_numeric(F, P, z).tobytes() == value.tobytes()
 
     def test_no_samples_no_inversions(self, monkeypatch):
         germ = GermInput(jet=HOPF_GERM)
