@@ -42,12 +42,17 @@ _INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearP
                  SpectrumMismatch, DimensionMismatch, DegreeOutOfRange)
 _NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, CertificationFailure)
 
-# Largest allocation, in bytes, of one ``m-matrix`` or ``enumerate-sr`` request.
+# Largest allocation, in bytes, of one ``m-matrix``, ``enumerate-sr`` or ``orbit`` request.
 MAX_REQUEST_BYTES = 64 * 2**20
 
 # Peak of the enumeration's arrays per basis position: the int64 exponents plus
 # their stars-and-bars source or their float copy (three words at n = 2).
 ENUMERATION_BYTES_PER_POSITION = 24
+
+# Peak of an orbit per point coordinate: the points, their norms, the document
+# and its text (tracemalloc, 1,000-20,000 iterations: 466 bytes at n = 2,
+# 366 at n = 16).
+ORBIT_BYTES_PER_COORDINATE = 480
 
 
 class _UnconvergedReport(Exception):
@@ -226,6 +231,9 @@ def _cmd_holonomy(args, cfg: RunConfig) -> dict:
 
 def _cmd_orbit(args, cfg: RunConfig) -> dict:
     element = _group_element(args.element, cfg)
+    check_size(ORBIT_BYTES_PER_COORDINATE * (args.iterations + 1) * element.n,
+               MAX_REQUEST_BYTES, f"an orbit of {args.iterations} iterations for "
+               f"n={element.n}", "orbit")
     try:
         point_doc = json.loads(args.point)
     except ValueError as exc:

@@ -17,6 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import (
     DimensionMismatch,
+    NoConvergence,
     SingularLinearPart,
     SpectrumMismatch,
     ValidationError,
@@ -91,15 +92,15 @@ def group_mul(g1: GroupElement, g2: GroupElement,
     its map part is one :func:`sr_compose` shifted by ``tau2``."""
     if not same_spectrum(g1.h.spectrum, g2.h.spectrum):
         raise SpectrumMismatch("group elements are relative to different spectra")
-    tau = g1.tau + g1.h.evaluate(g2.tau)
-    return GroupElement(tau=tau, h=sr_compose(g1.h, g2.h, tol, shift=g2.tau))
+    h = sr_compose(g1.h, g2.h, tol, shift=g2.tau)   # refuses a shift that overflows
+    return GroupElement(tau=g1.tau + g1.h.evaluate(g2.tau), h=h)
 
 
 def group_inv(g: GroupElement, tol: float = DEFAULT_SR_TOL) -> GroupElement:
     """Canonical form of the functional inverse ``z -> h^{-1}(z - tau)``."""
     h_inv = sr_inverse(g.h, tol)
-    tau = h_inv.evaluate(-g.tau)
-    return GroupElement(tau=tau, h=translate_conjugate(h_inv, -g.tau, tol))
+    h = translate_conjugate(h_inv, -g.tau, tol)   # refuses a shift that overflows
+    return GroupElement(tau=h_inv.evaluate(-g.tau), h=h)
 
 
 def hopf_holonomy(germ: GermInput,
@@ -151,23 +152,21 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
     if z.shape != (g.n,):
         raise DimensionMismatch(f"point shape {z.shape} does not match n={g.n}")
     points = [z]
-    for _ in range(k):
-        points.append(g.evaluate(points[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+        for _ in range(k):
+            points.append(g.evaluate(points[-1]))
     points_arr = np.array(points)
-    norms = tuple(float(np.linalg.norm(p)) for p in points)
+    finite = np.isfinite(points_arr).all(axis=1)
+    if not finite.all():
+        raise NoConvergence(f"the orbit left the float range at step {int(finite.argmin())} "
+                            f"of {k}")
+    norms = tuple(_row_norms(points_arr))
 
-    lam_max = float(g.h.spectrum.moduli[-1])
-    ratio_bound = (1.0 + lam_max) / 2.0
-    entered = None
-    if ball_radius is not None and ball_radius > 0:
-        for i, val in enumerate(norms):
-            if val <= ball_radius:
-                entered = i
-                break
-    ratios = tuple(norms[i + 1] / norms[i]
-                   for i in range((entered if entered is not None else len(norms)),
-                                  len(norms) - 1)
-                   if norms[i] > 0)
+    ratio_bound = (1.0 + float(g.h.spectrum.moduli[-1])) / 2.0
+    entered = next((i for i, norm in enumerate(norms) if norm <= ball_radius), None) \
+        if ball_radius is not None and ball_radius > 0 else None
+    start = len(norms) if entered is None else entered
+    ratios = tuple(norms[i + 1] / norms[i] for i in range(start, len(norms) - 1) if norms[i] > 0)
     ratio_certified = all(r <= ratio_bound * (1 + 1e-12) for r in ratios)
 
     annulus_check = None
@@ -184,19 +183,9 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
             grid.append(radius * direction)
         images = g.evaluate(np.array(grid).reshape(-1, g.n))
         worst = max([0.0, *_row_norms(images)])
-        annulus_check = AnnulusCheck(
-            inner=inner,
-            outer=outer,
-            max_image_norm=worst,
-            separated=worst < inner,
-            certified=ratio_bound * outer < inner,
-        )
-    diagnostics = OrbitDiagnostics(
-        norms=norms,
-        entered_ball_at=entered,
-        ratio_bound=ratio_bound,
-        ratios_after_entry=ratios,
-        ratio_certified=ratio_certified,
-        annulus=annulus_check,
-    )
-    return points_arr, diagnostics
+        annulus_check = AnnulusCheck(inner=inner, outer=outer, max_image_norm=worst,
+                                     separated=worst < inner,
+                                     certified=ratio_bound * outer < inner)
+    return points_arr, OrbitDiagnostics(
+        norms=norms, entered_ball_at=entered, ratio_bound=ratio_bound, ratios_after_entry=ratios,
+        ratio_certified=ratio_certified, annulus=annulus_check)

@@ -284,8 +284,11 @@ def pointwise_conjugacy_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
 
 
 def _row_norms(rows: np.ndarray) -> list[float]:
-    """The 1-D norm of each row (``norm(axis=1)`` reduces in another order)."""
-    return [float(np.linalg.norm(row)) for row in rows]
+    """The norm of each row, bit for bit as ``np.linalg.norm(row)`` takes it:
+    ``sqrt(re . re + im . im)``, each dot a ``(1, n) @ (n, 1)`` product
+    (``norm(axis=1)`` reduces in another order)."""
+    re, im = rows.real[:, None], rows.imag[:, None]
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel().tolist()
 
 
 def _sample_points(n: int, contraction_radius: float, cfg: RunConfig) -> tuple[float, np.ndarray]:
@@ -325,8 +328,8 @@ def _straighten(F: PolyJet, P_inv: PolyJet, pullback: PolyJet, Z: np.ndarray,
         for rows, p in ((active, q), (active + m, q - 1)):
             if not 0 <= p <= p_max:
                 continue
-            keep = [gaps[row] is not None for row in rows]
-            rows, w = rows[keep], chain[p][keep]
+            running = [gaps[row] is not None for row in rows]
+            rows, w = rows[running], chain[p][running]
             if p:
                 for row, gap in zip(rows, _row_norms(w - values[rows])):
                     gaps[row], stopped_at[row] = (None, p) if gap <= tol[row] else (gap, p_max)

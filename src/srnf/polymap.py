@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart
+from .errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
 
 # Coefficients below PRUNE_REL_TOL times the largest same-degree coefficient
 # are treated as arithmetic noise.
@@ -37,6 +37,11 @@ COND_CAP = 1e12
 
 # Exponents are held in int64 arrays, so no jet may have a larger degree.
 MAX_DEGREE = 2**63 - 1
+
+# log2 of the largest max|f| (1 + |shift|)^deg(f) in a shifted composition
+# f(shift + g): it bounds every power of shift + g formed while g's coefficients
+# sum to at most 1, with 2^64 of the float range left for the sums over terms.
+MAX_SHIFTED_LOG2 = 960
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, int]
@@ -516,6 +521,11 @@ def compose_truncated(f: PolyJet, g: PolyJet, degree: int, *, prune: bool = True
             raise DimensionMismatch(f"shift shape {shift.shape} does not match n={f.n}")
         if f.max_degree() > degree:
             raise DegreeOutOfRange(f"a shifted f has terms above degree {degree}")
+        size = max(map(abs, shift.tolist()))
+        if f.max_degree() * math.log2(1.0 + size) + math.log2(max(1.0, f.max_abs_coeff())) \
+                > MAX_SHIFTED_LOG2:
+            raise ValidationError(f"shifted composition would overflow: |shift| = "
+                                  f"{size:.3g} at degree {f.max_degree()}")
     table = _PowerTable(f.n, degree)
     table.reveal(g.terms)
     if shift is not None:

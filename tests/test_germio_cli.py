@@ -18,6 +18,7 @@ from srnf import cli, errors, germio, normal_form
 from srnf.cli import main
 from srnf.config import RunConfig
 from srnf.errors import ValidationError
+from srnf.gx_group import GroupElement
 from srnf.homological import split_homogeneous
 from srnf.linalg import analyze_spectrum
 from srnf.polymap import PolyJet, basis_dimension
@@ -280,6 +281,38 @@ class TestCliDegreeRange:
         assert "DegreeOutOfRange" in err
 
 
+class TestCliOverflow:
+    """Finite input whose arithmetic leaves the float range ends in an exit
+    code and a message, not a traceback."""
+
+    POINT = "[[0.01, 0], [0.01, 0], [0.01, 0]]"
+
+    def test_orbit_leaving_the_float_range_is_exit_3(self, capsys):
+        # the z3 coefficient of group_g1's map has modulus 1.2
+        code, out, err = run_cli(["orbit", str(DATA / "group_g1.json"), "--point", self.POINT,
+                                  "--iterations", "1000"], capsys)
+        message = "the orbit left the float range at step 986 of 1000"
+        assert code == 3
+        assert json.loads(out) == {"error": {"type": "NoConvergence", "message": message}}
+        assert err == f"NoConvergence: {message}\n"
+
+    @pytest.mark.parametrize("command", ["mul", "inv", "conjugate-translation"])
+    def test_shifted_composition_past_the_float_range_is_exit_2(self, tmp_path, capsys,
+                                                                command):
+        big = [[1e200, 0.0]] * 3
+        doc = json.loads((DATA / ("group_g2.json" if command == "inv" else
+                                  "group_g1.json")).read_text())
+        path = write_doc(tmp_path, "g.json", dict(doc, tau=big))
+        argv = {"mul": ["mul", str(DATA / "group_g1.json"), path],
+                "inv": ["inv", path],
+                "conjugate-translation": ["conjugate-translation", str(DATA / "group_map.json"),
+                                          "--tau", json.dumps(big)]}[command]
+        code, out, err = run_cli(["group", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err == ("ValidationError: shifted composition would overflow: "
+                       "|shift| = 1e+200 at degree 4\n")
+
+
 QUARTER_HALF_DOC = {"dimension": 2, "degree": 1, "coordinates": "adapted",
                     "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
                               {"exponents": [0, 1], "component": 2, "coeff": [0.5, 0.0]}]}
@@ -371,6 +404,46 @@ class TestCliSizeLimits:
                                   "--trunc-degree", degree], capsys)
         assert code == 2 and out == "" and message in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, iterations", [(2, 1000), (16, 200)])
+    def test_orbit_peak_within_estimate(self, tmp_path, capsys, n, iterations):
+        diag = [0.3 + 0.02 * k for k in range(n)]
+        doc = {"dimension": n, "tau": [[0.1, -0.05]] * n,
+               "spectrum_matrix": [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)]
+                                   for i in range(n)],
+               "map": {"degree": 1, "terms": spectrum_doc(diag)["terms"]}}
+        path = write_doc(tmp_path, "g.json", doc)
+        point = json.dumps([[0.3, 0.2]] * n)
+
+        def peak(k):
+            (code, _, _), peak = traced_peak(lambda: run_cli(
+                ["orbit", path, "--point", point, "--iterations", str(k),
+                 "--output", str(tmp_path / "orbit.json")], capsys))
+            assert code == 0
+            return peak
+
+        # the peak grows by at most the estimate per point, over a fixed MiB
+        small, large = peak(iterations), peak(5 * iterations)
+        assert large - small <= cli.ORBIT_BYTES_PER_COORDINATE * 4 * iterations * n
+        assert large <= cli.ORBIT_BYTES_PER_COORDINATE * (5 * iterations + 1) * n + 2**20
+
+    @pytest.mark.parametrize("slack, exit_code", [(0, 0), (-1, 2)])
+    def test_orbit_at_the_limit(self, capsys, monkeypatch, slack, exit_code):
+        # n=3, 10 iterations: 11 points of 3 coordinates
+        monkeypatch.setattr(cli, "MAX_REQUEST_BYTES",
+                            cli.ORBIT_BYTES_PER_COORDINATE * 11 * 3 + slack)
+        if exit_code:
+            monkeypatch.setattr(GroupElement, "evaluate", refuse)
+        code, out, err = run_cli(["orbit", str(DATA / "group_g1.json"), "--point",
+                                  "[[0.01, 0], [0.01, 0], [0.01, 0]]", "--iterations", "10"],
+                                 capsys)
+        assert code == exit_code
+        if exit_code:
+            assert out == "" and err.startswith(
+                "ValidationError: an orbit of 10 iterations for n=3 needs 1.58e+04 bytes, "
+                "above the orbit limit of 15839 bytes")
+        else:
+            assert len(json.loads(out)["points"]) == 11
 
     @pytest.mark.parametrize("command", ["enumerate-sr", "m-matrix"])
     def test_negative_degree(self, tmp_path, capsys, command):

@@ -344,12 +344,12 @@ class TestAdmission:
             assert poincare_dulac(GermInput(jet=HOPF_GERM)).trunc_degree == 3
 
 
-def straighten(F, P, Z, p_max=RunConfig.p_max):
+def straighten(F, P, Z):
     """``_straighten`` of ``F`` towards ``P`` at the rows of ``Z`` and their
     images under ``F``, with the identity for the polynomial stage."""
     Z = np.asarray(Z, dtype=complex)
     return normal_form._straighten(F, sr_inverse(P).jet, PolyJet.identity(F.n), Z,
-                                   F.evaluate(Z), p_max, RunConfig.cauchy_tol)
+                                   F.evaluate(Z), RunConfig.p_max, RunConfig.cauchy_tol)
 
 
 class TestPhiNumeric:
@@ -539,6 +539,17 @@ class TestBatchedStraightening:
                                               pullback=phi_inv)
             assert values[i].tobytes() == value.tobytes()
             assert (stopped_at[i], gaps[i]) == (p, gap)
+
+    @pytest.mark.parametrize("n, scale", [(1, 1e-20), (2, 0.05), (3, 1.0), (16, 1e5)])
+    def test_row_norms_match_the_one_row_norm(self, n, scale):
+        rng = np.random.default_rng(n)
+        rows = scale * (rng.normal(size=(49, n)) + 1j * rng.normal(size=(49, n)))
+        # a contiguous batch, every other row, and every other column
+        for batch in (rows, rows[::2], np.concatenate([rows, rows], axis=1)[:, ::2]):
+            norms = normal_form._row_norms(batch)
+            assert all(type(value) is float for value in norms)
+            assert np.array(norms).tobytes() == np.array(
+                [np.linalg.norm(row) for row in batch]).tobytes()
 
     def test_no_samples_no_inversions(self, monkeypatch):
         germ = GermInput(jet=HOPF_GERM)
