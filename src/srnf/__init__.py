@@ -13,9 +13,11 @@ from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     IllConditionedResonance,
+    InputError,
     NoConvergence,
     NotContracting,
     NotTriangular,
+    NumericalCondition,
     SingularLinearPart,
     SpectrumMismatch,
     SrnfError,

@@ -1,7 +1,7 @@
 """Command-line interface: JSON documents in, JSON documents out.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical condition (the output
-document is still written and carries the diagnostics).
+Exit codes: 0 success, 2 an ``InputError`` (nothing is written), 3 a
+``NumericalCondition`` (its document, or an error document, is written).
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ import numpy as np
 from . import germio
 from .config import RunConfig
 from .errors import (
-    CertificationFailure,
-    DegreeOutOfRange,
-    DimensionMismatch,
-    IllConditionedResonance,
+    MAX_REQUEST_BYTES,
+    InputError,
     NoConvergence,
-    NotContracting,
-    NotTriangular,
-    SingularLinearPart,
-    SpectrumMismatch,
+    NumericalCondition,
     ValidationError,
     check_size,
 )
@@ -38,13 +33,6 @@ from .subresonance import (
     subresonant_offenders,
 )
 
-_INPUT_ERRORS = (ValidationError, NotContracting, NotTriangular, SingularLinearPart,
-                 SpectrumMismatch, DimensionMismatch, DegreeOutOfRange)
-_NUMERICAL_ERRORS = (IllConditionedResonance, NoConvergence, CertificationFailure)
-
-# Largest allocation, in bytes, of one ``m-matrix``, ``enumerate-sr`` or ``orbit`` request.
-MAX_REQUEST_BYTES = 64 * 2**20
-
 # Peak of the enumeration's arrays per basis position: the int64 exponents plus
 # their stars-and-bars source or their float copy (three words at n = 2).
 ENUMERATION_BYTES_PER_POSITION = 24
@@ -53,14 +41,6 @@ ENUMERATION_BYTES_PER_POSITION = 24
 # and its text (tracemalloc, 1,000-20,000 iterations: 466 bytes at n = 2,
 # 366 at n = 16).
 ORBIT_BYTES_PER_COORDINATE = 480
-
-
-class _UnconvergedReport(Exception):
-    """Straightening did not stabilize at some samples; the report is still written."""
-
-    def __init__(self, message: str, document: dict):
-        super().__init__(message)
-        self.document = document
 
 
 # The flag of each RunConfig field, default from RunConfig; a command takes those it reads.
@@ -105,7 +85,7 @@ def _read(path: str, read, *args):
     doc = germio.load_json(path)
     try:
         return read(doc, *args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
@@ -141,6 +121,19 @@ def _group_element(path: str, cfg: RunConfig):
     return _read(path, germio.parse_group_element, cfg.block_tol, cfg.sr_tol)
 
 
+def _point(text: str, n: int, flag: str) -> np.ndarray:
+    """The point that the JSON ``text`` of ``flag`` gives in dimension ``n``."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
+    return germio.json_to_point(doc, n, flag)
+
+
+def _positions(keys) -> list[dict]:
+    return [{"exponents": list(index), "component": comp + 1} for index, comp in keys]
+
+
 # -- handlers -------------------------------------------------------------
 
 
@@ -153,8 +146,7 @@ def _cmd_check_sr(args, cfg: RunConfig) -> dict:
     offenders = subresonant_offenders(adapted, spectrum, cfg.sr_tol)
     return {
         "certified": not offenders,
-        "offenders": [{"exponents": list(index), "component": comp + 1}
-                      for index, comp in offenders],
+        "offenders": _positions(offenders),
         "basis_change": germio.matrix_to_json(Q),
     }
 
@@ -168,8 +160,7 @@ def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
     return {
         "degree": args.degree,
         "count": len(basis),
-        "basis": [{"exponents": list(index), "component": comp + 1}
-                  for index, comp in basis],
+        "basis": _positions(basis),
     }
 
 
@@ -193,8 +184,7 @@ def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
     matrix = build_matrix(spectrum, args.degree)
     return {
         "degree": args.degree,
-        "basis": [{"exponents": list(index), "component": comp + 1}
-                  for index, comp in matrix.ordering.pairs],
+        "basis": _positions(matrix.ordering.pairs),
         "diagonal": [germio.complex_to_pair(complex(v)) for v in np.diagonal(matrix.entries)],
         "matrix": germio.matrix_to_json(matrix.entries),
     }
@@ -212,11 +202,7 @@ def _cmd_group_inv(args, cfg: RunConfig) -> dict:
 
 def _cmd_group_conjugate_translation(args, cfg: RunConfig) -> dict:
     spectrum, certified = _certified_map(args.map, args.spectrum, cfg)
-    try:
-        tau_doc = json.loads(args.tau)
-    except ValueError as exc:
-        raise ValidationError(f"--tau: {exc}") from exc
-    tau = germio.json_to_point(tau_doc, spectrum.n, "--tau")
+    tau = _point(args.tau, spectrum.n, "--tau")
     return germio.jet_document(translate_conjugate(certified, tau, cfg.sr_tol).jet)
 
 
@@ -234,11 +220,7 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
     check_size(ORBIT_BYTES_PER_COORDINATE * (args.iterations + 1) * element.n,
                MAX_REQUEST_BYTES, f"an orbit of {args.iterations} iterations for "
                f"n={element.n}", "orbit")
-    try:
-        point_doc = json.loads(args.point)
-    except ValueError as exc:
-        raise ValidationError(f"--point: {exc}") from exc
-    z = germio.json_to_point(point_doc, element.n, "--point")
+    z = _point(args.point, element.n, "--point")
     annulus = None
     if args.annulus_inner is not None or args.annulus_outer is not None:
         if args.annulus_inner is None or args.annulus_outer is None:
@@ -253,12 +235,12 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
 def _cmd_verify(args, cfg: RunConfig) -> dict:
     germ, ingested = _read(args.germ, _ingested, cfg)
     report = verify_conjugacy(germ, _poincare_dulac(*ingested, cfg), cfg=cfg)
+    document = germio.report_document(report)
     if report.unconverged:
-        raise _UnconvergedReport(
+        raise NoConvergence(
             f"straightening did not stabilize in {cfg.p_max} iterations at "
-            f"{report.unconverged} of {len(report.straightened_pointwise)} samples",
-            germio.report_document(report))
-    return germio.report_document(report)
+            f"{report.unconverged} of {len(report.straightened_pointwise)} samples", document)
+    return document
 
 
 # -- parser ---------------------------------------------------------------
@@ -329,16 +311,12 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FLAGS})
         doc = args.handler(args, cfg)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
+    except NumericalCondition as exc:
+        _emit(args, exc.document or {"error": {"type": type(exc).__name__, "message": str(exc)}})
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _UnconvergedReport as exc:
-        _emit(args, exc.document)
-        print(f"NoConvergence: {exc}", file=sys.stderr)
         return 3
     _emit(args, doc)
     return 0

@@ -5,33 +5,45 @@ class SrnfError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(SrnfError):
+class InputError(SrnfError):
+    """Invalid input or configuration: the CLI writes nothing and exits 2."""
+
+
+class NumericalCondition(SrnfError):
+    """A numerical condition: the CLI exits 3 and writes ``document`` or an error document."""
+
+    def __init__(self, message, document=None):
+        super().__init__(message)
+        self.document = document
+
+
+class DimensionMismatch(InputError):
     pass
 
 
-class DegreeOutOfRange(SrnfError):
+class DegreeOutOfRange(InputError):
     pass
 
 
-class SingularLinearPart(SrnfError):
+class SingularLinearPart(InputError):
     pass
 
 
-class NoConvergence(SrnfError):
-    """An iteration did not converge: Schur triangularization.  The
-    straightening limit does not raise; it reports unconverged samples as
+class NoConvergence(NumericalCondition):
+    """An iteration did not converge, or a computation left the float range.
+    The straightening limit does not raise; it reports unconverged samples as
     ``None``."""
 
 
-class NotContracting(SrnfError):
+class NotContracting(InputError):
     pass
 
 
-class NotTriangular(SrnfError):
+class NotTriangular(InputError):
     pass
 
 
-class CertificationFailure(SrnfError):
+class CertificationFailure(NumericalCondition):
     """A map that must be sub-resonant by theory failed certification.
 
     Signals an implementation defect or inconsistent tolerances, never an
@@ -43,7 +55,7 @@ class CertificationFailure(SrnfError):
         self.offenders = tuple(offenders)
 
 
-class IllConditionedResonance(SrnfError):
+class IllConditionedResonance(NumericalCondition):
     """A divisor is resonantly small at a position that is not sub-resonant.
 
     Indicates that the resonance tolerance and the log-space sub-resonance
@@ -51,12 +63,17 @@ class IllConditionedResonance(SrnfError):
     """
 
 
-class SpectrumMismatch(SrnfError):
+class SpectrumMismatch(InputError):
     pass
 
 
-class ValidationError(SrnfError):
+class ValidationError(InputError):
     """Invalid input document or configuration."""
+
+
+# Largest allocation, in bytes, of one request whose size the caller sets:
+# a dense operator, a basis enumeration, an orbit or a set of samples.
+MAX_REQUEST_BYTES = 64 * 2**20
 
 
 def check_size(size: int, limit: int, what: str, command: str, unit: str = "bytes") -> None:

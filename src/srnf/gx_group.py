@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    SingularLinearPart,
-    SpectrumMismatch,
-    ValidationError,
-)
-from .linalg import same_spectrum
+from .errors import DimensionMismatch, NoConvergence, SingularLinearPart, ValidationError
 from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
 from .polymap import PolyJet, _check_invertible, compose_truncated
 from .subresonance import (
@@ -90,8 +83,6 @@ def group_mul(g1: GroupElement, g2: GroupElement,
               tol: float = DEFAULT_SR_TOL) -> GroupElement:
     """Canonical form ``(tau1 + h1(tau2), h1(tau2 + h2) - h1(tau2))`` of ``z -> g1(g2(z))``;
     its map part is one :func:`sr_compose` shifted by ``tau2``."""
-    if not same_spectrum(g1.h.spectrum, g2.h.spectrum):
-        raise SpectrumMismatch("group elements are relative to different spectra")
     h = sr_compose(g1.h, g2.h, tol, shift=g2.tau)   # refuses a shift that overflows
     return GroupElement(tau=g1.tau + g1.h.evaluate(g2.tau), h=h)
 
@@ -155,12 +146,13 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
         for _ in range(k):
             points.append(g.evaluate(points[-1]))
-    points_arr = np.array(points)
-    finite = np.isfinite(points_arr).all(axis=1)
-    if not finite.all():
-        raise NoConvergence(f"the orbit left the float range at step {int(finite.argmin())} "
-                            f"of {k}")
-    norms = tuple(_row_norms(points_arr))
+        points_arr = np.array(points)
+        norms = tuple(_row_norms(points_arr))
+    # the first point that is not finite, else the first finite point whose norm is not
+    for finite in (np.isfinite(points_arr).all(axis=1), np.isfinite(norms)):
+        if not finite.all():
+            raise NoConvergence(f"the orbit left the float range at step "
+                                f"{int(finite.argmin())} of {k}")
 
     ratio_bound = (1.0 + float(g.h.spectrum.moduli[-1])) / 2.0
     entered = next((i for i, norm in enumerate(norms) if norm <= ball_radius), None) \
@@ -181,8 +173,13 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
             direction /= np.linalg.norm(direction)
             radius = rng.uniform(inner, outer)
             grid.append(radius * direction)
-        images = g.evaluate(np.array(grid).reshape(-1, g.n))
-        worst = max([0.0, *_row_norms(images)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            image_norms = _row_norms(g.evaluate(np.array(grid).reshape(-1, g.n)))
+        finite = np.isfinite(image_norms)
+        if not finite.all():
+            raise NoConvergence(f"the annulus image left the float range at sample "
+                                f"{int(finite.argmin())} of {annulus_samples}")
+        worst = max([0.0, *image_norms])
         annulus_check = AnnulusCheck(inner=inner, outer=outer, max_image_norm=worst,
                                      separated=worst < inner,
                                      certified=ratio_bound * outer < inner)

@@ -12,14 +12,17 @@ nonlinear support, with the conjugating jet and residual diagnostics.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import (
+    MAX_REQUEST_BYTES,
     DegreeOutOfRange,
     DimensionMismatch,
+    NoConvergence,
     ValidationError,
     check_size,
 )
@@ -33,6 +36,7 @@ from .linalg import (
 )
 from .polymap import (
     HomogeneousPart,
+    NonFiniteCoefficient,
     PolyJet,
     _nonlinear,
     _PowerTable,
@@ -49,6 +53,14 @@ COORDINATE_FRAMES = ("original", "adapted")
 # poincare_dulac splits: a sparse resonant germ at n = 16, D = 9 (32.7 M
 # positions) peaks at 1.9 GB RSS; D = 10 (85.0 M positions) is refused.
 MAX_SPLIT_POSITIONS = 2**25
+
+# Peak of a verification per sample coordinate: the samples, the residual and
+# straightening arrays, the document and its text (tracemalloc over ``srnf
+# verify``, 2,000-10,000 samples: 562 bytes at n = 2 on the Hopf germ, 1,325 at
+# n = 16 on a germ with 16 quadratic terms).  Evaluating a jet takes 16 bytes per
+# term and coordinate, so a germ with many more terms can go past it.
+SAMPLE_BYTES_PER_COORDINATE = 1400
+
 
 
 @dataclass(frozen=True)
@@ -198,8 +210,9 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     blocks read at ``q`` involve only degrees below ``q``, so adding ``h_q``
     and ``R_q`` afterwards leaves them valid.  ``D`` defaults to ``c0 + 1``;
     larger values refine the conjugator but add no resonant terms.  A
-    request of more than ``MAX_SPLIT_POSITIONS`` positions is refused before
-    the degree loop.
+    request of more than ``MAX_SPLIT_POSITIONS`` positions, or of samples
+    above ``MAX_REQUEST_BYTES``, is refused before the degree loop; a
+    coefficient that leaves the float range raises ``NoConvergence``.
     """
     return _poincare_dulac(*ingest(germ, cfg), cfg)
 
@@ -215,6 +228,8 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
     phi = PolyJet.identity(spectrum.n, D)   # refuses a D past int64 first
     check_size(split_positions(spectrum.n, D), MAX_SPLIT_POSITIONS,
                f"the split through degree {D} for n={spectrum.n}", "normal form", "positions")
+    check_size(SAMPLE_BYTES_PER_COORDINATE * cfg.sample_count * spectrum.n, MAX_REQUEST_BYTES,
+               f"a sample count of {cfg.sample_count} for n={spectrum.n}", "normal form")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
     phi_powers, normal_powers = _PowerTable(spectrum.n, D), _PowerTable(spectrum.n, D)
@@ -224,26 +239,28 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
     # terms add nothing while P's degree-q block is not yet revealed
     nonlinear = _nonlinear(adapted_full)
     steps: list[SplitResult] = []
-    for q in range(2, D + 1):
-        error = _sum_terms(phi_powers.compose_block(nonlinear, q, prune=cfg.prune),
-                           {key: -c for key, c in
-                            normal_powers.compose_block(phi, q, prune=cfg.prune).items()})
-        split = split_homogeneous(spectrum, HomogeneousPart._trusted(spectrum.n, q, error),
-                                  cfg.res_tol, cfg.sr_tol)
-        steps.append(split)
-        if split.eliminated.terms:
-            phi = phi + split.eliminated
-            phi_powers.reveal(split.eliminated.terms)
-        if split.resonant.terms:
-            normal_jet = normal_jet + split.resonant
-            normal_powers.reveal(split.resonant.terms)
+    with _float_range(lambda: f"the normal form left the float range at degree {q} of {D}"):
+        for q in range(2, D + 1):
+            error = _sum_terms(phi_powers.compose_block(nonlinear, q, prune=cfg.prune),
+                               {key: -c for key, c in
+                                normal_powers.compose_block(phi, q, prune=cfg.prune).items()})
+            split = split_homogeneous(spectrum, HomogeneousPart._trusted(spectrum.n, q, error),
+                                      cfg.res_tol, cfg.sr_tol)
+            steps.append(split)
+            if split.eliminated.terms:
+                phi = phi + split.eliminated
+                phi_powers.reveal(split.eliminated.terms)
+            if split.resonant.terms:
+                normal_jet = normal_jet + split.resonant
+                normal_powers.reveal(split.resonant.terms)
     del phi_powers, normal_powers   # free the blocks before the residual recomposes
 
     normal_form = _certify_or_raise(normal_jet, spectrum, cfg.sr_tol,
                                     "normal form output")
 
-    radius, ratio = contraction_ball(spectrum, adapted_full)
-    residuals = _residual_report(adapted_full, phi, normal_form.jet, D, radius, cfg)
+    with _float_range(lambda: f"the residual check through degree {D} left the float range"):
+        radius, ratio = contraction_ball(spectrum, adapted_full)
+        residuals = _residual_report(adapted_full, phi, normal_form.jet, D, radius, cfg)
     return NormalFormResult(
         spectrum=spectrum,
         normal_form=normal_form,
@@ -256,6 +273,18 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
         contraction_ratio=ratio,
         trunc_degree=D,
     )
+
+
+@contextmanager
+def _float_range(message):
+    """Raise ``NoConvergence(message())`` where a coefficient inside leaves the
+    float range, non-finite or with an overflowing modulus; numpy's overflow
+    warnings are silenced, since the overflow is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except (NonFiniteCoefficient, OverflowError) as exc:
+            raise NoConvergence(message()) from exc
 
 
 def _residual_report(adapted_full: PolyJet, phi: PolyJet, P_jet: PolyJet,

@@ -47,6 +47,10 @@ MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, int]
 
 
+class NonFiniteCoefficient(ValueError):
+    """This package's arithmetic made an infinite or NaN coefficient: it overflowed."""
+
+
 def term_sort_key(key: TermKey) -> tuple:
     """Sort key of the one term order: by degree, then the largest exponent on
     z_n first, ties broken by z_{n-1}, and so on, then by component."""
@@ -174,8 +178,8 @@ class PolyJet:
     @classmethod
     def _trusted(cls, n: int, degree: int, terms: Mapping[TermKey, complex]):
         """Jet from terms that this package's arithmetic built in term order:
-        only finiteness is checked."""
-        return _fill(object.__new__(cls), n, degree, terms)
+        only finiteness is checked, and a non-finite coefficient is an overflow."""
+        return _fill(object.__new__(cls), n, degree, terms, NonFiniteCoefficient)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PolyJet instances are immutable")
@@ -196,7 +200,7 @@ class PolyJet:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
         _check_size(matrix.shape[0], degree)
-        return cls._trusted(matrix.shape[0], degree, _linear_terms(matrix))
+        return _fill(object.__new__(cls), matrix.shape[0], degree, _linear_terms(matrix))
 
     # -- views ---------------------------------------------------------
 
@@ -336,14 +340,15 @@ def _check_size(n: int, degree: int) -> None:
         raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
 
 
-def _fill(jet: PolyJet, n: int, degree: int, terms: Mapping[TermKey, complex]) -> PolyJet:
+def _fill(jet: PolyJet, n: int, degree: int, terms: Mapping[TermKey, complex],
+          refusal: type[ValueError] = ValueError) -> PolyJet:
     """``jet`` with its slots set from ``terms``, given in term order: the first
-    non-finite coefficient is refused and exact zeros are dropped."""
+    non-finite coefficient is refused with ``refusal`` and exact zeros are dropped."""
     canonical: dict[TermKey, complex] = {}
     for key, coeff in terms.items():
         coeff = complex(coeff)
         if not cmath.isfinite(coeff):
-            raise ValueError(f"non-finite coefficient at {key}")
+            raise refusal(f"non-finite coefficient at {key}")
         if coeff != 0:
             canonical[key] = coeff
     for name, value in zip(PolyJet.__slots__, (n, degree, canonical, None)):

@@ -286,6 +286,7 @@ class TestCliOverflow:
     code and a message, not a traceback."""
 
     POINT = "[[0.01, 0], [0.01, 0], [0.01, 0]]"
+    SHIFT_OVERFLOW = "shifted composition would overflow: |shift| = 1e+200 at degree 4"
 
     def test_orbit_leaving_the_float_range_is_exit_3(self, capsys):
         # the z3 coefficient of group_g1's map has modulus 1.2
@@ -311,6 +312,62 @@ class TestCliOverflow:
         assert code == 2 and out == ""
         assert err == ("ValidationError: shifted composition would overflow: "
                        "|shift| = 1e+200 at degree 4\n")
+
+    @staticmethod
+    def overflow_documents(tmp_path):
+        """Finite documents whose arithmetic overflows: germs whose nonlinear
+        coefficients are scaled up (the Hopf germ's to 1e160 or 3e153, which
+        overflow in the degree-3 error or its split, and ``resonant_n2_c7``'s by
+        1e52, which overflows only in the residual check), ``group_g2`` at the
+        origin with 1e200 coefficients of degree 3 and 4 (its points stay finite,
+        their norms do not), and ``group_g1`` translated by 1e200."""
+        def scaled(name, factor):
+            doc = json.loads((DATA / name).read_text())
+            doc["terms"] = [dict(t, coeff=[factor * c for c in t["coeff"]])
+                            if sum(t["exponents"]) > 1 else t for t in doc["terms"]]
+            return write_doc(tmp_path, f"{factor}-{name}", doc)
+
+        g2 = json.loads((DATA / "group_g2.json").read_text())
+        g2["tau"] = [[0.0, 0.0]] * 3
+        g2["map"]["terms"] = [dict(t, coeff=[1e200, 0.0]) if sum(t["exponents"]) > 2 else t
+                              for t in g2["map"]["terms"]]
+        g1 = json.loads((DATA / "group_g1.json").read_text())
+        return {"germ": scaled("hopf.json", 1e160), "split": scaled("hopf.json", 3e153),
+                "residual": scaled("resonant_n2_c7.json", 1e52),
+                "norms": write_doc(tmp_path, "norms.json", g2),
+                "shift": write_doc(tmp_path, "shift.json", dict(g1, tau=[[1e200, 0.0]] * 3)),
+                "g1": str(DATA / "group_g1.json"), "map": str(DATA / "group_map.json")}
+
+    @pytest.mark.parametrize("argv, exit_code, message", [
+        (["normal-form", "{germ}"], 3, "the normal form left the float range at degree 3 of 3"),
+        (["verify", "{germ}"], 3, "the normal form left the float range at degree 3 of 3"),
+        (["holonomy", "{germ}"], 3, "the normal form left the float range at degree 3 of 3"),
+        (["normal-form", "{split}"], 3, "the normal form left the float range at degree 3 of 3"),
+        (["verify", "{residual}"], 3, "the residual check through degree 8 left the float range"),
+        (["orbit", "{norms}", "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]", "--iterations", "1"],
+         3, "the orbit left the float range at step 1 of 1"),
+        (["orbit", "{norms}", "--point", POINT, "--iterations", "0",
+          "--annulus-inner", "0.1", "--annulus-outer", "0.2"],
+         3, "the annulus image left the float range at sample 0 of 64"),
+        (["orbit", "{g1}", "--point", POINT, "--iterations", "1000"],
+         3, "the orbit left the float range at step 986 of 1000"),
+        (["orbit", "{shift}", "--point", POINT, "--iterations", "1"],
+         3, "the orbit left the float range at step 1 of 1"),
+        (["group", "mul", "{g1}", "{shift}"], 2, SHIFT_OVERFLOW),
+        (["group", "inv", "{shift}"], 2, SHIFT_OVERFLOW),
+        (["group", "conjugate-translation", "{map}", "--tau", json.dumps([[1e200, 0.0]] * 3)],
+         2, SHIFT_OVERFLOW),
+    ])
+    def test_overflow_is_an_exit_code_not_a_traceback(self, tmp_path, capsys, argv, exit_code,
+                                                      message):
+        paths = self.overflow_documents(tmp_path)
+        code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+        kind = "NoConvergence" if exit_code == 3 else "ValidationError"
+        assert code == exit_code and err == f"{kind}: {message}\n"
+        if code == 3:
+            assert json.loads(out) == {"error": {"type": kind, "message": message}}
+        else:
+            assert out == ""
 
 
 QUARTER_HALF_DOC = {"dimension": 2, "degree": 1, "coordinates": "adapted",
@@ -444,6 +501,49 @@ class TestCliSizeLimits:
                 "above the orbit limit of 15839 bytes")
         else:
             assert len(json.loads(out)["points"]) == 11
+
+    @pytest.mark.parametrize("slack, exit_code", [(0, 0), (-1, 2)])
+    @pytest.mark.parametrize("command", ["normal-form", "verify", "holonomy"])
+    def test_sample_count_at_the_limit(self, capsys, monkeypatch, command, slack, exit_code):
+        # the Hopf germ, n=2, with its default 20 samples
+        monkeypatch.setattr(normal_form, "MAX_REQUEST_BYTES",
+                            normal_form.SAMPLE_BYTES_PER_COORDINATE * 20 * 2 + slack)
+        if exit_code:
+            monkeypatch.setattr(normal_form, "_PowerTable", refuse)
+            monkeypatch.setattr(normal_form, "_sample_points", refuse)
+        code, out, err = run_cli([command, str(DATA / "hopf.json")], capsys)
+        assert code == exit_code
+        if exit_code:
+            assert out == "" and err == (
+                "ValidationError: a sample count of 20 for n=2 needs 5.6e+04 bytes, "
+                "above the normal form limit of 55999 bytes\n")
+
+    def test_sample_count_past_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(normal_form, "_sample_points", refuse)
+        code, out, err = run_cli(["verify", str(DATA / "hopf.json"), "--sample-count",
+                                  "200000"], capsys)
+        assert code == 2 and out == "" and "a sample count of 200000 for n=2" in err
+
+    @pytest.mark.parametrize("n, samples", [(2, 400), (16, 60)])
+    def test_verification_peak_within_estimate(self, tmp_path, capsys, n, samples):
+        diag = [0.5 + 0.005 * k for k in range(n)]
+        doc = spectrum_doc(diag)
+        doc["degree"] = 2
+        doc["terms"] += [{"exponents": [int(i in (k, (k + 1) % n)) for i in range(n)],
+                          "component": k + 1, "coeff": [0.3, 0.1]} for k in range(n)]
+        path = write_doc(tmp_path, "germ.json", doc)
+
+        def peak(m):
+            (code, _, _), peak = traced_peak(lambda: run_cli(
+                ["verify", path, "--sample-count", str(m), "--output",
+                 str(tmp_path / "report.json")], capsys))
+            assert code == 0
+            return peak
+
+        # the peak grows by at most the estimate per sample coordinate, over a fixed MiB
+        small, large = peak(samples), peak(5 * samples)
+        assert large - small <= normal_form.SAMPLE_BYTES_PER_COORDINATE * 4 * samples * n
+        assert large <= normal_form.SAMPLE_BYTES_PER_COORDINATE * 5 * samples * n + 2**20
 
     @pytest.mark.parametrize("command", ["enumerate-sr", "m-matrix"])
     def test_negative_degree(self, tmp_path, capsys, command):
@@ -870,12 +970,13 @@ class TestExitCodes:
             errors.IllConditionedResonance: 3, errors.NoConvergence: 3,
             errors.CertificationFailure: 3,
         }
+        bases = (errors.SrnfError, errors.InputError, errors.NumericalCondition)
         classes = {c for c in vars(errors).values() if isinstance(c, type)
-                   and issubclass(c, errors.SrnfError) and c is not errors.SrnfError}
+                   and issubclass(c, errors.SrnfError) and c not in bases}
         assert classes == set(expected)
         for cls, code in expected.items():
-            assert (cls in cli._INPUT_ERRORS) != (cls in cli._NUMERICAL_ERRORS)
-            assert (cls in cli._INPUT_ERRORS) == (code == 2)
+            assert issubclass(cls, errors.InputError) != issubclass(cls, errors.NumericalCondition)
+            assert issubclass(cls, errors.InputError) == (code == 2)
 
 
     @pytest.mark.parametrize("argv, field", [
