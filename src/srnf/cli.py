@@ -47,7 +47,6 @@ ORBIT_BYTES_PER_COORDINATE = 480
 _CONFIG_FLAGS = {
     "res_tol": dict(type=float, help="relative resonance-detection tolerance"),
     "sr_tol": dict(type=float, help="log-space sub-resonance tolerance"),
-    "block_tol": dict(type=float, help="relative tolerance grouping equal-modulus eigenvalues"),
     "cauchy_tol": dict(type=float, help="stabilization tolerance of the straightening iteration"),
     "trunc_degree": dict(type=int, help="working truncation degree (default c0+1)"),
     "p_max": dict(type=int, help="iteration cap of the straightening limit"),
@@ -118,7 +117,7 @@ def _certified_map(path: str, spectrum_path: str | None, cfg: RunConfig):
 
 
 def _group_element(path: str, cfg: RunConfig):
-    return _read(path, germio.parse_group_element, cfg.block_tol, cfg.sr_tol)
+    return _read(path, germio.parse_group_element, cfg.sr_tol)
 
 
 def _point(text: str, n: int, flag: str) -> np.ndarray:
@@ -264,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polynomial normal forms of contracting germs and the "
                     "sub-resonant automorphism group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    germ_fields = ("res_tol", "sr_tol", "block_tol", "trunc_degree", "prune",
-                   "sample_count", "sample_radius", "seed")
-    normal_form, sr = _config_parser(germ_fields), _config_parser(("sr_tol", "block_tol"))
+    germ_fields = ("res_tol", "sr_tol", "trunc_degree", "prune", "sample_count",
+                   "sample_radius", "seed")
+    normal_form, sr = _config_parser(germ_fields), _config_parser(("sr_tol",))
 
     _command(sub, "normal-form", _cmd_normal_form, normal_form,
              "compute the polynomial normal form of a germ", "germ")
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
              "exact polynomial inverse of a sub-resonant map", "map", spectrum=True)
     _command(sub, "sr-compose", _cmd_sr_compose, sr,
              "compose two sub-resonant maps", "first", "second", spectrum=True)
-    p = _command(sub, "m-matrix", _cmd_m_matrix, _config_parser(("block_tol",)),
+    p = _command(sub, "m-matrix", _cmd_m_matrix, _config_parser(()),
                  "dump the homological operator matrix of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
 
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "holonomy", _cmd_holonomy, normal_form,
              "holonomy generator of the quotient defined by a germ", "germ")
-    p = _command(sub, "orbit", _cmd_orbit, _config_parser(("sr_tol", "block_tol", "seed")),
+    p = _command(sub, "orbit", _cmd_orbit, _config_parser(("sr_tol", "seed")),
                  "iterate a group element with contraction diagnostics", "element")
     p.add_argument("--point", required=True, help="start point as JSON [[re, im], ...]")
     p.add_argument("--iterations", type=int, default=10)

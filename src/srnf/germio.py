@@ -223,8 +223,7 @@ def group_element_document(g: GroupElement) -> dict:
     }
 
 
-def parse_group_element(doc: Any, block_tol: float = RunConfig.block_tol,
-                        sr_tol: float = RunConfig.sr_tol) -> GroupElement:
+def parse_group_element(doc: Any, sr_tol: float = RunConfig.sr_tol) -> GroupElement:
     if not isinstance(doc, dict):
         raise ValidationError("group element document must be a JSON object")
     n = doc.get("dimension")
@@ -232,8 +231,7 @@ def parse_group_element(doc: Any, block_tol: float = RunConfig.block_tol,
         raise ValidationError(f"'dimension' must be an integer in 1..{MAX_DIMENSION}")
     if "spectrum_matrix" not in doc:
         raise ValidationError("group element document requires 'spectrum_matrix'")
-    spectrum = analyze_spectrum(json_to_matrix(doc["spectrum_matrix"], n, "spectrum_matrix"),
-                                block_tol)
+    spectrum = analyze_spectrum(json_to_matrix(doc["spectrum_matrix"], n, "spectrum_matrix"))
     tau = json_to_point(doc.get("tau", [[0.0, 0.0]] * n), n, "tau")
     map_doc = doc.get("map")
     if not isinstance(map_doc, dict):

@@ -19,7 +19,7 @@ from .errors import NoConvergence, NotContracting, NotTriangular, ValidationErro
 
 MAX_DIMENSION = 16
 
-DEFAULT_BLOCK_TOL = 1e-9
+BLOCK_TOL = 1e-9   # relative gap within which two moduli count as equal
 DEFAULT_MARGIN = 1e-9
 
 # Relative window inside which a log-moduli ratio is snapped to the nearest
@@ -44,10 +44,10 @@ class SpectrumData:
     """Validated spectral data of an adapted contracting linear part.
 
     ``blocks`` partitions coordinate indices (0-based) into groups of equal
-    eigenvalue modulus, ordered by increasing modulus.  ``c0`` is the ceiling of
-    ``ln|l_1| / ln|l_n|`` and bounds the degrees that matter for the normal
-    form; ``degree_bound`` is the floor of the same ratio and bounds the
-    degree of any sub-resonant polynomial.
+    eigenvalue modulus within ``BLOCK_TOL``, ordered by increasing modulus.
+    ``c0`` is the ceiling of ``ln|l_1| / ln|l_n|`` and bounds the degrees that
+    matter for the normal form; ``degree_bound`` is the floor of the same ratio
+    and bounds the degree of any sub-resonant polynomial.
     """
 
     n: int
@@ -138,8 +138,9 @@ def _swap_adjacent(Q: np.ndarray, T: np.ndarray, k: int) -> None:
     Q[:, idx] = Q[:, idx] @ G
     T[k + 1, k] = 0.0
 
-def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL) -> SpectrumData:
-    """Spectrum data of an adapted upper-triangular contracting matrix."""
+def analyze_spectrum(T) -> SpectrumData:
+    """Spectrum data of an adapted upper-triangular contracting matrix, whose
+    moduli may decrease along the diagonal by at most ``BLOCK_TOL``."""
     T = require_matrix(T)
     n = T.shape[0]
     sub = np.tril(T, -1)
@@ -154,14 +155,14 @@ def analyze_spectrum(T, block_tol: float = DEFAULT_BLOCK_TOL) -> SpectrumData:
         raise NotContracting(
             f"largest eigenvalue modulus {moduli.max():.6g} is not strictly below 1")
     for k in range(n - 1):
-        if moduli[k] > moduli[k + 1] * (1.0 + block_tol):
+        if moduli[k] > moduli[k + 1] * (1.0 + BLOCK_TOL):
             raise ValidationError(
                 "diagonal moduli must be nondecreasing; re-run triangularize first")
 
     blocks: list[tuple[int, ...]] = []
     current = [0]
     for k in range(1, n):
-        if abs(moduli[k] - moduli[current[0]]) <= block_tol * moduli[current[0]]:
+        if abs(moduli[k] - moduli[current[0]]) <= BLOCK_TOL * moduli[current[0]]:
             current.append(k)
         else:
             blocks.append(tuple(current))

@@ -133,10 +133,10 @@ def ingest(germ: GermInput, cfg: RunConfig = RunConfig()):
     linear = require_matrix(germ.jet.linear_part())
     if germ.coordinates == "adapted":
         # must already be upper triangular with ordered moduli
-        spectrum = analyze_spectrum(linear, cfg.block_tol)
+        spectrum = analyze_spectrum(linear)
         return spectrum, germ.jet, np.eye(germ.n, dtype=complex)
     Q, T = triangularize(linear)
-    spectrum = analyze_spectrum(T, cfg.block_tol)
+    spectrum = analyze_spectrum(T)
     # conjugate only the nonlinear terms: the linear part is exactly T
     adapted = linear_conjugate(_nonlinear(germ.jet), Q, germ.jet.degree)
     return spectrum, adapted + PolyJet.from_linear(T, 1), Q

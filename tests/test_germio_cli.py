@@ -731,6 +731,22 @@ class TestCliSubcommands:
         assert code == 2 and out == ""
         assert err.startswith(f"NotContracting: {path}: ")
 
+    @pytest.mark.parametrize("command", ["normal-form", "verify", "holonomy"])
+    def test_adapted_moduli_out_of_order_are_refused(self, tmp_path, capsys, command):
+        # diag(0.6, 0.5) breaks the modulus order that c0 and the degree bound
+        # are read from; in original coordinates it is sorted to diag(0.5, 0.6)
+        doc = spectrum_doc([0.6, 0.5])
+        path = write_doc(tmp_path, "adapted.json", doc)
+        code, out, err = run_cli([command, path], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ValidationError: {path}: diagonal moduli must be nondecreasing; "
+                       "re-run triangularize first\n")
+        path = write_doc(tmp_path, "original.json", dict(doc, coordinates="original"))
+        code, out, _ = run_cli(["normal-form", path], capsys)
+        spectrum = json.loads(out)["spectrum"]
+        assert code == 0 and (spectrum["c0"], spectrum["degree_bound"]) == (2, 1)
+        assert spectrum["blocks"] == [[1], [2]]
+
     def test_m_matrix(self, tmp_path, capsys):
         doc = {"dimension": 2, "degree": 1, "coordinates": "adapted",
                "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
@@ -919,13 +935,14 @@ FLAG_SETTINGS = {
     "sample_radius": ["--sample-radius", "0.5"], "seed": ["--seed", "1"],
     "output": ["--output", "out.json"],
 }
-NORMAL_FORM_FLAGS = {"res_tol", "sr_tol", "block_tol", "trunc_degree", "prune",
-                     "sample_count", "sample_radius", "seed", "output"}
-SR_FLAGS = {"sr_tol", "block_tol", "output"}
+NORMAL_FORM_FLAGS = {"res_tol", "sr_tol", "trunc_degree", "prune", "sample_count",
+                     "sample_radius", "seed", "output"}
+SR_FLAGS = {"sr_tol", "output"}
 
 
 class TestCliFlags:
-    """Each command accepts only the settings it reads."""
+    """Each command accepts only the settings it reads; ``--block-tol``, a
+    retired setting, stays among the probes and no command accepts it."""
 
     def test_each_command_accepts_only_the_settings_it_reads(self, capsys):
         parser = cli.build_parser()
@@ -944,8 +961,8 @@ class TestCliFlags:
             **{command: SR_FLAGS for command in ("check-sr", "enumerate-sr", "sr-invert",
                                                  "sr-compose", "group mul", "group inv",
                                                  "group conjugate-translation")},
-            "m-matrix": {"block_tol", "output"}, "orbit": SR_FLAGS | {"seed"}}
-        assert sum(map(len, accepted.values())) == 56
+            "m-matrix": {"output"}, "orbit": SR_FLAGS | {"seed"}}
+        assert sum(map(len, accepted.values())) == 44
 
     @pytest.mark.parametrize("argv", [
         ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
@@ -953,6 +970,7 @@ class TestCliFlags:
         ["m-matrix", str(DATA / "hopf.json"), "--degree", "2", "--res-tol", "0.5"],
         ["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
          "--sample-count", "3"],
+        ["normal-form", str(DATA / "hopf.json"), "--block-tol", "1e-9"],
     ])
     def test_an_unread_flag_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -983,7 +1001,7 @@ class TestExitCodes:
         (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "nan"], "sample_radius"),
         (["normal-form", str(DATA / "hopf.json"), "--res-tol", "nan"], "res_tol"),
         (["normal-form", str(DATA / "hopf.json"), "--sr-tol", "nan"], "sr_tol"),
-        (["normal-form", str(DATA / "hopf.json"), "--block-tol", "nan"], "block_tol"),
+        (["verify", str(DATA / "hopf.json"), "--p-max", "0"], "p_max"),
         (["verify", str(DATA / "hopf.json"), "--cauchy-tol", "inf"], "cauchy_tol"),
         (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),
         (["normal-form", str(DATA / "hopf.json"), "--seed", "-1"], "seed"),
@@ -1014,15 +1032,15 @@ def test_defaults_come_from_run_config():
     for field in dataclasses.fields(RunConfig):
         assert getattr(args, field.name) == field.default, field.name
     parameters = inspect.signature(germio.parse_group_element).parameters
-    assert all(parameters[name].default == getattr(RunConfig, name)
-               for name in ("block_tol", "sr_tol"))
+    assert parameters["sr_tol"].default == RunConfig.sr_tol
 
 
 def test_library_tolerances_default_to_run_config():
     cfg = RunConfig()
     for function, parameter, field in ((split_homogeneous, "res_tol", "res_tol"),
                                        (split_homogeneous, "sr_tol", "sr_tol"),
-                                       (certify_subresonant, "tol", "sr_tol"),
-                                       (analyze_spectrum, "block_tol", "block_tol")):
+                                       (certify_subresonant, "tol", "sr_tol")):
         default = inspect.signature(function).parameters[parameter].default
         assert default == getattr(cfg, field), (function.__name__, parameter)
+    # equal moduli are grouped and ordered within one fixed tolerance, not a setting
+    assert "block_tol" not in inspect.signature(analyze_spectrum).parameters
