@@ -1,21 +1,40 @@
 #!/usr/bin/env python3
 """Print the line count of each ``src/srnf/*.py`` module and their total,
-then the line total of the test modules ``tests/*.py`` on a line of its own.
+then the line total of the test modules ``tests/*.py`` on a line of its own,
+then the size of the options: the number of ``RunConfig`` fields, and the
+number of command flag slots, a slot being a ``RunConfig`` flag or
+``--output`` that one subcommand of ``cli.build_parser()`` accepts.
 
 Lines are counted as ``wc -l`` counts them, one per newline.
 
 Run from anywhere:  python3 scripts/src_size.py
 """
 
+import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "srnf"
+sys.path.insert(0, str(ROOT / "src"))
+
+from srnf import cli  # noqa: E402
+from srnf.config import RunConfig  # noqa: E402
 
 
 def count(path: Path) -> int:
     return path.read_bytes().count(b"\n")
+
+
+def commands(parser: argparse.ArgumentParser):
+    """The parsers of the leaf subcommands under ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield parser
+    for action in subparsers:
+        for child in action.choices.values():
+            yield from commands(child)
 
 
 def main() -> int:
@@ -26,6 +45,11 @@ def main() -> int:
         print(f"{lines:6d} src/srnf/{path.name}")
     print(f"{total:6d} total")
     print(f"{sum(map(count, (ROOT / 'tests').glob('*.py'))):6d} tests/*.py")
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    slots = sum(action.dest in fields | {"output"}
+                for command in commands(cli.build_parser()) for action in command._actions)
+    print(f"{len(fields):6d} RunConfig fields")
+    print(f"{slots:6d} command flag slots")
     return 0
 
 

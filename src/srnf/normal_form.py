@@ -57,8 +57,9 @@ MAX_SPLIT_POSITIONS = 2**25
 # Peak of a verification per sample coordinate: the samples, the residual and
 # straightening arrays, the document and its text (tracemalloc over ``srnf
 # verify``, 2,000-10,000 samples: 562 bytes at n = 2 on the Hopf germ, 1,325 at
-# n = 16 on a germ with 16 quadratic terms).  Evaluating a jet takes 16 bytes per
-# term and coordinate, so a germ with many more terms can go past it.
+# n = 16 on a germ with 16 quadratic terms).  Evaluating a jet adds a temporary
+# of at most ``polymap.EVALUATION_CHUNK_BYTES``, or one sample's powers, whatever
+# the sample count.
 SAMPLE_BYTES_PER_COORDINATE = 1400
 
 
@@ -292,6 +293,8 @@ def _residual_report(adapted_full: PolyJet, phi: PolyJet, P_jet: PolyJet,
     coeff_res = conjugacy_coefficient_residual(adapted_full, phi, P_jet, D)
     r, points = _sample_points(adapted_full.n, radius, cfg)
     values = pointwise_conjugacy_residual(adapted_full, phi, P_jet, points)
+    if not np.isfinite(values).all():
+        raise NoConvergence(f"the pointwise residual check at radius {r:g} left the float range")
     return ResidualReport(coefficient_max=coeff_res, sample_radius=r,
                           pointwise=tuple(values), sample_points=points)
 

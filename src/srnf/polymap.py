@@ -26,7 +26,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
+from .errors import (
+    DegreeOutOfRange,
+    DimensionMismatch,
+    NoConvergence,
+    SingularLinearPart,
+    ValidationError,
+)
 
 # Coefficients below PRUNE_REL_TOL times the largest same-degree coefficient
 # are treated as arithmetic noise.
@@ -43,12 +49,17 @@ MAX_DEGREE = 2**63 - 1
 # sum to at most 1, with 2^64 of the float range left for the sums over terms.
 MAX_SHIFTED_LOG2 = 960
 
+# Largest (rows, terms, n) array of complex powers that one evaluation pass
+# makes: a larger batch is evaluated in chunks of rows (one row at least).
+EVALUATION_CHUNK_BYTES = 4 * 2**20
+
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, int]
 
 
-class NonFiniteCoefficient(ValueError):
-    """This package's arithmetic made an infinite or NaN coefficient: it overflowed."""
+class NonFiniteCoefficient(NoConvergence, ValueError):
+    """This package's arithmetic made an infinite or NaN coefficient: it
+    overflowed, a numerical condition (CLI exit 3)."""
 
 
 def term_sort_key(key: TermKey) -> tuple:
@@ -279,10 +290,13 @@ class PolyJet:
         out = np.zeros(points.shape, dtype=complex)
         if self.terms:
             exps, comps, coeffs = self._evaluation_arrays()
-            # Operands of equal ndim: numpy multiplies a size-1 pair of
-            # unequal ndim by another loop, which rounds differently.
-            monomials = np.prod(points[:, None, :] ** exps[None], axis=2)
-            np.add.at(out, (slice(None), comps), coeffs[None] * monomials)
+            step = max(1, EVALUATION_CHUNK_BYTES // (16 * exps.size))
+            for start in range(0, len(points), step):
+                rows = slice(start, start + step)
+                # Operands of equal ndim: numpy multiplies a size-1 pair of
+                # unequal ndim by another loop, which rounds differently.
+                monomials = np.prod(points[rows, None, :] ** exps[None], axis=2)
+                np.add.at(out[rows], (slice(None), comps), coeffs[None] * monomials)
         return out.reshape(z.shape)
 
     def _evaluation_arrays(self):

@@ -287,6 +287,7 @@ class TestCliOverflow:
 
     POINT = "[[0.01, 0], [0.01, 0], [0.01, 0]]"
     SHIFT_OVERFLOW = "shifted composition would overflow: |shift| = 1e+200 at degree 4"
+    POINTWISE_OVERFLOW = "the pointwise residual check at radius 0.05 left the float range"
 
     def test_orbit_leaving_the_float_range_is_exit_3(self, capsys):
         # the z3 coefficient of group_g1's map has modulus 1.2
@@ -318,15 +319,21 @@ class TestCliOverflow:
         """Finite documents whose arithmetic overflows: germs whose nonlinear
         coefficients are scaled up (the Hopf germ's to 1e160 or 3e153, which
         overflow in the degree-3 error or its split, and ``resonant_n2_c7``'s by
-        1e52, which overflows only in the residual check), ``group_g2`` at the
-        origin with 1e200 coefficients of degree 3 and 4 (its points stay finite,
-        their norms do not), and ``group_g1`` translated by 1e200."""
+        1e52, which overflows only in the residual check), the germ with linear
+        part diag(1e-8, 0.5) (c0 = 27), whose Phi reaches 2.6e202 and overflows
+        at the pointwise samples, ``group_g2`` at the origin with 1e200
+        coefficients of degree 3 and 4 (its points stay finite, their norms do
+        not), and ``group_g1`` translated by 1e200."""
         def scaled(name, factor):
             doc = json.loads((DATA / name).read_text())
             doc["terms"] = [dict(t, coeff=[factor * c for c in t["coeff"]])
                             if sum(t["exponents"]) > 1 else t for t in doc["terms"]]
             return write_doc(tmp_path, f"{factor}-{name}", doc)
 
+        tiny = spectrum_doc([1e-8, 0.5])
+        tiny["degree"] = 2
+        tiny["terms"] += [{"exponents": [1, 1], "component": 1, "coeff": [0.3, 0.0]},
+                          {"exponents": [0, 2], "component": 2, "coeff": [0.2, 0.0]}]
         g2 = json.loads((DATA / "group_g2.json").read_text())
         g2["tau"] = [[0.0, 0.0]] * 3
         g2["map"]["terms"] = [dict(t, coeff=[1e200, 0.0]) if sum(t["exponents"]) > 2 else t
@@ -334,6 +341,7 @@ class TestCliOverflow:
         g1 = json.loads((DATA / "group_g1.json").read_text())
         return {"germ": scaled("hopf.json", 1e160), "split": scaled("hopf.json", 3e153),
                 "residual": scaled("resonant_n2_c7.json", 1e52),
+                "tiny": write_doc(tmp_path, "tiny.json", tiny),
                 "norms": write_doc(tmp_path, "norms.json", g2),
                 "shift": write_doc(tmp_path, "shift.json", dict(g1, tau=[[1e200, 0.0]] * 3)),
                 "g1": str(DATA / "group_g1.json"), "map": str(DATA / "group_map.json")}
@@ -357,6 +365,9 @@ class TestCliOverflow:
         (["group", "inv", "{shift}"], 2, SHIFT_OVERFLOW),
         (["group", "conjugate-translation", "{map}", "--tau", json.dumps([[1e200, 0.0]] * 3)],
          2, SHIFT_OVERFLOW),
+        (["normal-form", "{tiny}"], 3, POINTWISE_OVERFLOW),
+        (["holonomy", "{tiny}"], 3, POINTWISE_OVERFLOW),
+        (["verify", "{tiny}"], 3, POINTWISE_OVERFLOW),
     ])
     def test_overflow_is_an_exit_code_not_a_traceback(self, tmp_path, capsys, argv, exit_code,
                                                       message):
@@ -368,6 +379,35 @@ class TestCliOverflow:
             assert json.loads(out) == {"error": {"type": kind, "message": message}}
         else:
             assert out == ""
+
+    @pytest.mark.parametrize("command", ["normal-form", "holonomy", "verify"])
+    def test_pointwise_check_inside_the_float_range(self, tmp_path, capsys, command):
+        # the samples of the overflowing germ above, taken closer to the origin
+        tiny = self.overflow_documents(tmp_path)["tiny"]
+        code, out, err = run_cli([command, tiny, "--sample-radius", "1e-6"], capsys)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sr-invert", "{map}"], "((0, 0, 3), 0)"),
+        (["sr-compose", "{map}", "{map}"], "((0, 0, 3), 0)"),
+        (["group", "inv", "{g2}"], "((0, 0, 3), 0)"),
+        (["group", "mul", "{g2}", "{g2}"], "((0, 0, 2), 0)"),
+    ])
+    def test_group_arithmetic_past_the_float_range_is_exit_3(self, tmp_path, capsys, argv,
+                                                             key):
+        """``group_map`` and ``group_g2``'s map with their nonlinear coefficients
+        scaled by 1e157: the inverse or product makes an infinite coefficient."""
+        g2 = json.loads((DATA / "group_g2.json").read_text())
+        doc = json.loads((DATA / "group_map.json").read_text())
+        for terms in (g2["map"]["terms"], doc["terms"]):
+            terms[:] = [dict(t, coeff=[1e157 * c for c in t["coeff"]])
+                        if sum(t["exponents"]) > 1 else t for t in terms]
+        paths = {"map": write_doc(tmp_path, "map.json", doc),
+                 "g2": write_doc(tmp_path, "g2.json", g2)}
+        code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+        message = f"non-finite coefficient at {key}"
+        assert code == 3 and err == f"NonFiniteCoefficient: {message}\n"
+        assert json.loads(out) == {"error": {"type": "NonFiniteCoefficient", "message": message}}
 
 
 QUARTER_HALF_DOC = {"dimension": 2, "degree": 1, "coordinates": "adapted",
@@ -940,21 +980,27 @@ NORMAL_FORM_FLAGS = {"res_tol", "sr_tol", "trunc_degree", "prune", "sample_count
 SR_FLAGS = {"sr_tol", "output"}
 
 
+def accepted_settings() -> dict[str, set[str]]:
+    """The settings of ``FLAG_SETTINGS`` that each command's parser accepts."""
+    parser = cli.build_parser()
+    accepted = {}
+    for command, argv in COMMAND_LINES.items():
+        accepted[command] = set()
+        for name, setting in FLAG_SETTINGS.items():
+            try:
+                parser.parse_args(argv + setting)
+            except SystemExit:
+                continue
+            accepted[command].add(name)
+    return accepted
+
+
 class TestCliFlags:
     """Each command accepts only the settings it reads; ``--block-tol``, a
     retired setting, stays among the probes and no command accepts it."""
 
     def test_each_command_accepts_only_the_settings_it_reads(self, capsys):
-        parser = cli.build_parser()
-        accepted = {}
-        for command, argv in COMMAND_LINES.items():
-            accepted[command] = set()
-            for name, setting in FLAG_SETTINGS.items():
-                try:
-                    parser.parse_args(argv + setting)
-                except SystemExit:
-                    continue
-                accepted[command].add(name)
+        accepted = accepted_settings()
         assert accepted == {
             "normal-form": NORMAL_FORM_FLAGS, "holonomy": NORMAL_FORM_FLAGS,
             "verify": NORMAL_FORM_FLAGS | {"cauchy_tol", "p_max"},

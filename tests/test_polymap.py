@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_operator, random_jet, random_point, random_spectrum, random_sr_map
-from srnf import germio
+from srnf import germio, polymap
 from srnf.gx_group import GroupElement, group_inv, group_mul, translate_conjugate
 from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
 from srnf.polymap import (
@@ -106,6 +107,40 @@ class TestBatchEvaluate:
 
     def test_empty_batch(self):
         assert PolyJet.identity(2).evaluate(np.zeros((0, 2))).shape == (0, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 16), st.integers(1, 4), st.integers(0, 30),
+           st.sampled_from([1, 2, 3, 7]))
+    def test_chunks_equal_one_pass(self, seed, n, degree, m, rows):
+        """Chunks of ``rows`` rows give the one-pass values bit for bit, on
+        contiguous and on strided batches."""
+        rng = np.random.default_rng(seed)
+        jet = random_jet(rng, n, degree, density=min(1.0, 40 / n ** degree))
+        wide = rng.normal(size=(m, 2 * n)) + 1j * rng.normal(size=(m, 2 * n))
+        batches = [wide[:, ::2], np.ascontiguousarray(wide[:, ::2])]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polymap, "EVALUATION_CHUNK_BYTES", 2**62)
+            expected = jet.evaluate(batches[1]).tobytes()
+            patch.setattr(polymap, "EVALUATION_CHUNK_BYTES", rows * 16 * len(jet.terms) * n)
+            for batch in batches:
+                assert jet.evaluate(batch).tobytes() == expected
+
+    def test_peak_is_bounded_by_the_chunk(self):
+        """A 15,000-term jet at n = 16 (3.8 MB of powers per row) evaluated at
+        60 rows: one pass would make 230 MB of powers."""
+        n = 16
+        keys = [key for q in (2, 3) for key in basis_ordering(n, q).pairs]
+        coeffs = np.random.default_rng(1).normal(size=15_000)
+        jet = PolyJet(n, 3, dict(zip(keys, coeffs)))
+        Z = np.full((60, n), 0.05 + 0.01j)
+        jet.evaluate(Z[0])   # caches the evaluation arrays, 2.2 MB
+        tracemalloc.start()
+        try:
+            jet.evaluate(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < polymap.EVALUATION_CHUNK_BYTES + 2**20
 
 
 class TestTrustedConstruction:

@@ -1,9 +1,13 @@
 """Smoke tests: the example scripts run to completion against the package."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from srnf.config import RunConfig
+from test_germio_cli import accepted_settings
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,9 +40,14 @@ def test_bench_digest():
 
 def test_src_size():
     lines = run_script("src_size.py")
-    counts = {name: int(count) for count, name in (line.split() for line in lines)}
+    counts = {name: int(count) for count, name in (line.split(maxsplit=1) for line in lines)}
     total, tests = counts.pop("total"), counts.pop("tests/*.py")
-    assert lines[-1].split()[1] == "tests/*.py"
+    fields, slots = counts.pop("RunConfig fields"), counts.pop("command flag slots")
+    assert [line.split(maxsplit=1)[1] for line in lines[-3:]] == [
+        "tests/*.py", "RunConfig fields", "command flag slots"]
+    assert fields == len(dataclasses.fields(RunConfig))
+    # the parser's flag slots, counted as the CLI tests probe them
+    assert slots == sum(map(len, accepted_settings().values()))
     files = sorted((ROOT / "src" / "srnf").glob("*.py"))
     assert list(counts) == [f"src/srnf/{path.name}" for path in files]
     assert total == sum(counts.values())
