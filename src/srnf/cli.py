@@ -46,7 +46,6 @@ ORBIT_BYTES_PER_COORDINATE = 480
 # The flag of each RunConfig field, default from RunConfig; a command takes those it reads.
 _CONFIG_FLAGS = {
     "res_tol": dict(type=float, help="relative resonance-detection tolerance"),
-    "sr_tol": dict(type=float, help="log-space sub-resonance tolerance"),
     "cauchy_tol": dict(type=float, help="stabilization tolerance of the straightening iteration"),
     "trunc_degree": dict(type=int, help="working truncation degree (default c0+1)"),
     "p_max": dict(type=int, help="iteration cap of the straightening limit"),
@@ -88,19 +87,19 @@ def _read(path: str, read, *args):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _ingested(doc, cfg: RunConfig):
+def _ingested(doc):
     """The germ of ``doc`` and its :func:`ingest` triple ``(spectrum, adapted jet, Q)``."""
     germ = germio.parse_germ_document(doc)
-    return germ, ingest(germ, cfg)
+    return germ, ingest(germ)
 
 
-def _map_operand(path: str, spectrum_path: str | None, cfg: RunConfig):
+def _map_operand(path: str, spectrum_path: str | None):
     """``(spectrum, adapted jet, Q)`` of the map at ``path``: against the spectrum
     of ``spectrum_path`` it is taken as given (``Q`` the identity), else it is
     moved to adapted coordinates against its own spectrum."""
     if not spectrum_path:
-        return _read(path, _ingested, cfg)[1]
-    _, (spectrum, _, _) = _read(spectrum_path, _ingested, cfg)
+        return _read(path, _ingested)[1]
+    _, (spectrum, _, _) = _read(spectrum_path, _ingested)
     germ = _read(path, germio.parse_germ_document)
     if germ.coordinates != "adapted":
         raise ValidationError(
@@ -109,15 +108,15 @@ def _map_operand(path: str, spectrum_path: str | None, cfg: RunConfig):
     return spectrum, germ.jet, np.eye(spectrum.n, dtype=complex)
 
 
-def _certified_map(path: str, spectrum_path: str | None, cfg: RunConfig):
+def _certified_map(path: str, spectrum_path: str | None):
     """``(spectrum, certified map)`` of the map at ``path``, taken as by
     :func:`_map_operand`."""
-    spectrum, jet, _ = _map_operand(path, spectrum_path, cfg)
-    return spectrum, germio.certify_map(jet, spectrum, cfg.sr_tol, path)
+    spectrum, jet, _ = _map_operand(path, spectrum_path)
+    return spectrum, germio.certify_map(jet, spectrum, path)
 
 
-def _group_element(path: str, cfg: RunConfig):
-    return _read(path, germio.parse_group_element, cfg.sr_tol)
+def _group_element(path: str):
+    return _read(path, germio.parse_group_element)
 
 
 def _point(text: str, n: int, flag: str) -> np.ndarray:
@@ -137,12 +136,12 @@ def _positions(keys) -> list[dict]:
 
 
 def _cmd_normal_form(args, cfg: RunConfig) -> dict:
-    return germio.result_document(_poincare_dulac(*_read(args.germ, _ingested, cfg)[1], cfg))
+    return germio.result_document(_poincare_dulac(*_read(args.germ, _ingested)[1], cfg))
 
 
 def _cmd_check_sr(args, cfg: RunConfig) -> dict:
-    spectrum, adapted, Q = _map_operand(args.map, args.spectrum, cfg)
-    offenders = subresonant_offenders(adapted, spectrum, cfg.sr_tol)
+    spectrum, adapted, Q = _map_operand(args.map, args.spectrum)
+    offenders = subresonant_offenders(adapted, spectrum)
     return {
         "certified": not offenders,
         "offenders": _positions(offenders),
@@ -151,11 +150,11 @@ def _cmd_check_sr(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
-    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested, cfg)
+    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested)
     check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
                MAX_REQUEST_BYTES, f"the degree-{args.degree} basis for n={spectrum.n}",
                "enumerate-sr")
-    basis = enumerate_subresonant_basis(spectrum, args.degree, cfg.sr_tol)
+    basis = enumerate_subresonant_basis(spectrum, args.degree)
     return {
         "degree": args.degree,
         "count": len(basis),
@@ -164,20 +163,19 @@ def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_sr_invert(args, cfg: RunConfig) -> dict:
-    _, certified = _certified_map(args.map, args.spectrum, cfg)
-    inverse = sr_inverse(certified, cfg.sr_tol)
-    return germio.jet_document(inverse.jet)
+    _, certified = _certified_map(args.map, args.spectrum)
+    return germio.jet_document(sr_inverse(certified).jet)
 
 
 def _cmd_sr_compose(args, cfg: RunConfig) -> dict:
     # the second operand is taken against the first's spectrum or --spectrum
-    _, F = _certified_map(args.first, args.spectrum, cfg)
-    _, G = _certified_map(args.second, args.spectrum or args.first, cfg)
-    return germio.jet_document(sr_compose(F, G, cfg.sr_tol).jet)
+    _, F = _certified_map(args.first, args.spectrum)
+    _, G = _certified_map(args.second, args.spectrum or args.first)
+    return germio.jet_document(sr_compose(F, G).jet)
 
 
 def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
-    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested, cfg)
+    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested)
     check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16, MAX_REQUEST_BYTES,
                f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
     matrix = build_matrix(spectrum, args.degree)
@@ -190,23 +188,22 @@ def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_group_mul(args, cfg: RunConfig) -> dict:
-    g1, g2 = _group_element(args.first, cfg), _group_element(args.second, cfg)
-    return germio.group_element_document(group_mul(g1, g2, cfg.sr_tol))
+    g1, g2 = _group_element(args.first), _group_element(args.second)
+    return germio.group_element_document(group_mul(g1, g2))
 
 
 def _cmd_group_inv(args, cfg: RunConfig) -> dict:
-    g = _group_element(args.element, cfg)
-    return germio.group_element_document(group_inv(g, cfg.sr_tol))
+    return germio.group_element_document(group_inv(_group_element(args.element)))
 
 
 def _cmd_group_conjugate_translation(args, cfg: RunConfig) -> dict:
-    spectrum, certified = _certified_map(args.map, args.spectrum, cfg)
+    spectrum, certified = _certified_map(args.map, args.spectrum)
     tau = _point(args.tau, spectrum.n, "--tau")
-    return germio.jet_document(translate_conjugate(certified, tau, cfg.sr_tol).jet)
+    return germio.jet_document(translate_conjugate(certified, tau).jet)
 
 
 def _cmd_holonomy(args, cfg: RunConfig) -> dict:
-    result = _poincare_dulac(*_read(args.germ, _ingested, cfg)[1], cfg)
+    result = _poincare_dulac(*_read(args.germ, _ingested)[1], cfg)
     generator = GroupElement(np.zeros(result.spectrum.n, dtype=complex), result.normal_form)
     return {
         "generator": germio.group_element_document(generator),
@@ -215,7 +212,7 @@ def _cmd_holonomy(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_orbit(args, cfg: RunConfig) -> dict:
-    element = _group_element(args.element, cfg)
+    element = _group_element(args.element)
     check_size(ORBIT_BYTES_PER_COORDINATE * (args.iterations + 1) * element.n,
                MAX_REQUEST_BYTES, f"an orbit of {args.iterations} iterations for "
                f"n={element.n}", "orbit")
@@ -232,7 +229,7 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> dict:
-    germ, ingested = _read(args.germ, _ingested, cfg)
+    germ, ingested = _read(args.germ, _ingested)
     report = verify_conjugacy(germ, _poincare_dulac(*ingested, cfg), cfg=cfg)
     document = germio.report_document(report)
     if report.unconverged:
@@ -263,37 +260,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polynomial normal forms of contracting germs and the "
                     "sub-resonant automorphism group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    germ_fields = ("res_tol", "sr_tol", "trunc_degree", "prune", "sample_count",
-                   "sample_radius", "seed")
-    normal_form, sr = _config_parser(germ_fields), _config_parser(("sr_tol",))
+    germ_fields = ("res_tol", "trunc_degree", "prune", "sample_count", "sample_radius", "seed")
+    normal_form, output = _config_parser(germ_fields), _config_parser(())
 
     _command(sub, "normal-form", _cmd_normal_form, normal_form,
              "compute the polynomial normal form of a germ", "germ")
-    _command(sub, "check-sr", _cmd_check_sr, sr, "certify a map as sub-resonant", "map",
+    _command(sub, "check-sr", _cmd_check_sr, output, "certify a map as sub-resonant", "map",
              spectrum=True)
-    p = _command(sub, "enumerate-sr", _cmd_enumerate_sr, sr,
+    p = _command(sub, "enumerate-sr", _cmd_enumerate_sr, output,
                  "enumerate the sub-resonant basis of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
-    _command(sub, "sr-invert", _cmd_sr_invert, sr,
+    _command(sub, "sr-invert", _cmd_sr_invert, output,
              "exact polynomial inverse of a sub-resonant map", "map", spectrum=True)
-    _command(sub, "sr-compose", _cmd_sr_compose, sr,
+    _command(sub, "sr-compose", _cmd_sr_compose, output,
              "compose two sub-resonant maps", "first", "second", spectrum=True)
-    p = _command(sub, "m-matrix", _cmd_m_matrix, _config_parser(()),
+    p = _command(sub, "m-matrix", _cmd_m_matrix, output,
                  "dump the homological operator matrix of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
 
     group = sub.add_parser("group", help="operations in the affine sub-resonant group")
     group_sub = group.add_subparsers(dest="group_command", required=True)
-    _command(group_sub, "mul", _cmd_group_mul, sr, "compose two group elements",
+    _command(group_sub, "mul", _cmd_group_mul, output, "compose two group elements",
              "first", "second")
-    _command(group_sub, "inv", _cmd_group_inv, sr, "invert a group element", "element")
-    p = _command(group_sub, "conjugate-translation", _cmd_group_conjugate_translation, sr,
+    _command(group_sub, "inv", _cmd_group_inv, output, "invert a group element", "element")
+    p = _command(group_sub, "conjugate-translation", _cmd_group_conjugate_translation, output,
                  "conjugate a sub-resonant map by a translation", "map", spectrum=True)
     p.add_argument("--tau", required=True, help="translation vector as JSON [[re, im], ...]")
 
     _command(sub, "holonomy", _cmd_holonomy, normal_form,
              "holonomy generator of the quotient defined by a germ", "germ")
-    p = _command(sub, "orbit", _cmd_orbit, _config_parser(("sr_tol", "seed")),
+    p = _command(sub, "orbit", _cmd_orbit, _config_parser(("seed",)),
                  "iterate a group element with contraction diagnostics", "element")
     p.add_argument("--point", required=True, help="start point as JSON [[re, im], ...]")
     p.add_argument("--iterations", type=int, default=10)

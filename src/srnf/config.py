@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .homological import DEFAULT_RES_TOL
-from .subresonance import DEFAULT_SR_TOL
 
 
 @dataclass(frozen=True)
@@ -20,7 +19,6 @@ class RunConfig:
     """
 
     res_tol: float = DEFAULT_RES_TOL
-    sr_tol: float = DEFAULT_SR_TOL
     cauchy_tol: float = 1e-12
     trunc_degree: int | None = None
     p_max: int = 60
@@ -30,7 +28,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("res_tol", "sr_tol", "cauchy_tol", "sample_radius"):
+        for name in ("res_tol", "cauchy_tol", "sample_radius"):
             if not 0 < getattr(self, name) < math.inf:   # NaN fails both comparisons
                 raise ValidationError(f"{name} must be finite and positive")
         if self.seed < 0:

@@ -16,7 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import ValidationError
 from .gx_group import GroupElement, OrbitDiagnostics
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
@@ -223,7 +222,7 @@ def group_element_document(g: GroupElement) -> dict:
     }
 
 
-def parse_group_element(doc: Any, sr_tol: float = RunConfig.sr_tol) -> GroupElement:
+def parse_group_element(doc: Any) -> GroupElement:
     if not isinstance(doc, dict):
         raise ValidationError("group element document must be a JSON object")
     n = doc.get("dimension")
@@ -240,14 +239,13 @@ def parse_group_element(doc: Any, sr_tol: float = RunConfig.sr_tol) -> GroupElem
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'map.degree' must be a positive integer")
     jet = PolyJet(n, degree, json_to_terms(map_doc.get("terms", []), n, degree, "map"))
-    return GroupElement(tau=tau, h=certify_map(jet, spectrum, sr_tol, "'map'"))
+    return GroupElement(tau=tau, h=certify_map(jet, spectrum, "'map'"))
 
 
-def certify_map(jet: PolyJet, spectrum: SpectrumData, sr_tol: float,
-                where: str) -> SubResonantMap:
+def certify_map(jet: PolyJet, spectrum: SpectrumData, where: str) -> SubResonantMap:
     """``jet``, a map read from ``where``, certified sub-resonant for ``spectrum``:
     a map from outside that fails is invalid input, a ``ValidationError``."""
-    certified = certify_subresonant(jet, spectrum, sr_tol)
+    certified = certify_subresonant(jet, spectrum)
     if isinstance(certified, SubResonantMap):
         return certified
     raise ValidationError(f"{where}: map is not sub-resonant for the reference spectrum; "

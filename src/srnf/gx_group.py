@@ -18,13 +18,10 @@ from .config import RunConfig
 from .errors import DimensionMismatch, NoConvergence, SingularLinearPart, ValidationError
 from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
 from .polymap import PolyJet, _check_invertible, compose_truncated
-from .subresonance import (
-    DEFAULT_SR_TOL,
-    SubResonantMap,
-    _certify_or_raise,
-    sr_compose,
-    sr_inverse,
-)
+from .subresonance import SubResonantMap, _certify_or_raise, sr_compose, sr_inverse
+
+# Number of seeded points at which orbit's annulus check samples the annulus.
+ANNULUS_SAMPLES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +62,7 @@ class GroupElement:
         return f"GroupElement(n={self.n}, |tau|={np.linalg.norm(self.tau):.3g})"
 
 
-def translate_conjugate(h: SubResonantMap, tau,
-                        tol: float = DEFAULT_SR_TOL) -> SubResonantMap:
+def translate_conjugate(h: SubResonantMap, tau) -> SubResonantMap:
     """The map ``z -> h(z + tau) - h(tau)``, certified sub-resonant.
 
     It is the map part of the group product ``(0, h) (tau, id)``: one
@@ -76,21 +72,20 @@ def translate_conjugate(h: SubResonantMap, tau,
     """
     jet = compose_truncated(h.jet, PolyJet.identity(h.jet.n), h.jet.degree,
                             prune=False, shift=tau)
-    return _certify_or_raise(jet, h.spectrum, tol, "translate_conjugate")
+    return _certify_or_raise(jet, h.spectrum, "translate_conjugate")
 
 
-def group_mul(g1: GroupElement, g2: GroupElement,
-              tol: float = DEFAULT_SR_TOL) -> GroupElement:
+def group_mul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Canonical form ``(tau1 + h1(tau2), h1(tau2 + h2) - h1(tau2))`` of ``z -> g1(g2(z))``;
     its map part is one :func:`sr_compose` shifted by ``tau2``."""
-    h = sr_compose(g1.h, g2.h, tol, shift=g2.tau)   # refuses a shift that overflows
+    h = sr_compose(g1.h, g2.h, shift=g2.tau)   # refuses a shift that overflows
     return GroupElement(tau=g1.tau + g1.h.evaluate(g2.tau), h=h)
 
 
-def group_inv(g: GroupElement, tol: float = DEFAULT_SR_TOL) -> GroupElement:
+def group_inv(g: GroupElement) -> GroupElement:
     """Canonical form of the functional inverse ``z -> h^{-1}(z - tau)``."""
-    h_inv = sr_inverse(g.h, tol)
-    h = translate_conjugate(h_inv, -g.tau, tol)   # refuses a shift that overflows
+    h_inv = sr_inverse(g.h)
+    h = translate_conjugate(h_inv, -g.tau)   # refuses a shift that overflows
     return GroupElement(tau=h_inv.evaluate(-g.tau), h=h)
 
 
@@ -127,15 +122,14 @@ class OrbitDiagnostics:
 
 
 def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
-          annulus: tuple[float, float] | None = None,
-          annulus_samples: int = 64, seed: int = 0):
+          annulus: tuple[float, float] | None = None, seed: int = 0):
     """Points ``z, g(z), ..., g^k(z)`` with contraction diagnostics.
 
     Norm ratios are compared against ``(1 + |l_n|)/2`` once the orbit is
     inside the given ball.  When an annulus ``(r, R)`` is given, the image
-    of a sampled point grid of the annulus is checked to miss the annulus,
-    so that distinct orbit points cannot collide there; this is reported
-    evidence, not a proof.
+    of ``ANNULUS_SAMPLES`` seeded points of the annulus is checked to miss
+    the annulus, so that distinct orbit points cannot collide there; this is
+    reported evidence, not a proof.
     """
     if k < 0:
         raise ValidationError(f"iteration count must be >= 0, got {k}")
@@ -168,18 +162,18 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
             raise ValidationError("annulus radii must satisfy 0 < r < R")
         rng = np.random.default_rng(seed)
         grid = []
-        for _ in range(annulus_samples):
+        for _ in range(ANNULUS_SAMPLES):
             direction = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
             direction /= np.linalg.norm(direction)
             radius = rng.uniform(inner, outer)
             grid.append(radius * direction)
         with np.errstate(over="ignore", invalid="ignore"):
-            image_norms = _row_norms(g.evaluate(np.array(grid).reshape(-1, g.n)))
+            image_norms = _row_norms(g.evaluate(np.array(grid)))
         finite = np.isfinite(image_norms)
         if not finite.all():
             raise NoConvergence(f"the annulus image left the float range at sample "
-                                f"{int(finite.argmin())} of {annulus_samples}")
-        worst = max([0.0, *image_norms])
+                                f"{int(finite.argmin())} of {ANNULUS_SAMPLES}")
+        worst = max(image_norms)
         annulus_check = AnnulusCheck(inner=inner, outer=outer, max_image_norm=worst,
                                      separated=worst < inner,
                                      certified=ratio_bound * outer < inner)

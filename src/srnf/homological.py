@@ -26,7 +26,7 @@ from .polymap import (
     _term_arrays,
     basis_ordering,
 )
-from .subresonance import DEFAULT_SR_TOL, _subresonant_mask
+from .subresonance import _subresonant_mask
 
 DEFAULT_RES_TOL = 1e-9
 
@@ -143,8 +143,7 @@ class SplitResult:
 
 
 def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
-                      res_tol: float = DEFAULT_RES_TOL,
-                      sr_tol: float = DEFAULT_SR_TOL) -> SplitResult:
+                      res_tol: float = DEFAULT_RES_TOL) -> SplitResult:
     """Split ``H`` into a resonant part plus an operator image.
 
     Back-substitution walks the columns with off-diagonal entries from the
@@ -164,7 +163,7 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     resonant = moduli <= res_tol * scale
     resonant_ranks = np.flatnonzero(resonant)
     indices, comps = np.divmod(resonant_ranks, spectrum.n)
-    failed = resonant_ranks[~_subresonant_mask(ordering.exponents[indices], comps, spectrum, sr_tol)]
+    failed = resonant_ranks[~_subresonant_mask(ordering.exponents[indices], comps, spectrum)]
     if failed.size:
         [position] = ordering.positions(failed[-1:])
         raise IllConditionedResonance(

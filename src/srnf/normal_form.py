@@ -125,7 +125,7 @@ class NormalFormResult:
         return tuple(w for step in self.steps for w in step.warnings)
 
 
-def ingest(germ: GermInput, cfg: RunConfig = RunConfig()):
+def ingest(germ: GermInput):
     """Validate a germ and move it to adapted coordinates.
 
     Returns ``(spectrum, adapted_jet, Q)`` where ``Q`` is the unitary basis
@@ -215,7 +215,7 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     above ``MAX_REQUEST_BYTES``, is refused before the degree loop; a
     coefficient that leaves the float range raises ``NoConvergence``.
     """
-    return _poincare_dulac(*ingest(germ, cfg), cfg)
+    return _poincare_dulac(*ingest(germ), cfg)
 
 
 def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray,
@@ -246,7 +246,7 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
                                {key: -c for key, c in
                                 normal_powers.compose_block(phi, q, prune=cfg.prune).items()})
             split = split_homogeneous(spectrum, HomogeneousPart._trusted(spectrum.n, q, error),
-                                      cfg.res_tol, cfg.sr_tol)
+                                      cfg.res_tol)
             steps.append(split)
             if split.eliminated.terms:
                 phi = phi + split.eliminated
@@ -256,8 +256,7 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
                 normal_powers.reveal(split.resonant.terms)
     del phi_powers, normal_powers   # free the blocks before the residual recomposes
 
-    normal_form = _certify_or_raise(normal_jet, spectrum, cfg.sr_tol,
-                                    "normal form output")
+    normal_form = _certify_or_raise(normal_jet, spectrum, "normal form output")
 
     with _float_range(lambda: f"the residual check through degree {D} left the float range"):
         radius, ratio = contraction_ball(spectrum, adapted_full)
@@ -411,7 +410,8 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     coordinates, where ``g`` composes the inverse of the polynomial stage
     with the numeric straightening limit.  Of ``cfg`` only ``p_max`` and
     ``cauchy_tol`` are read; pass the configuration given to
-    :func:`poincare_dulac`.
+    :func:`poincare_dulac`.  An amplification estimate ``|l_1|^-p_used``
+    that leaves the float range raises ``NoConvergence``.
     """
     spectrum = result.spectrum
     F = result.germ_adapted
@@ -430,7 +430,9 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
         for i, value in zip(ok, residuals):
             straightened[i] = value
             p_used = max(p_used, stopped_at[i], stopped_at[m + i])
-    amplification = float(spectrum.moduli[0] ** (-p_used)) if p_used else 1.0
+    with _float_range(lambda: f"the amplification estimate |l_1|^-p_used left the float "
+                              f"range at p_used = {p_used}"):
+        amplification = float(spectrum.moduli[0]) ** -p_used if p_used else 1.0
     return ConjugacyReport(residuals=result.residuals,
                            straightened_pointwise=tuple(straightened),
                            amplification_estimate=amplification)

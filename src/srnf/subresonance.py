@@ -31,7 +31,9 @@ from .polymap import (
     jet_inverse,
 )
 
-DEFAULT_SR_TOL = 1e-9
+# Slack of the sub-resonance test on its permissive side, in log modulus: an
+# exact resonance whose rounded logarithms miss equality by a few ulps passes.
+SR_TOL = 1e-9
 
 # Coefficients above this magnitude where the group law forces zero (beyond
 # the degree bound of a composition, nonlinear in ``F o F^{-1}``) mean a
@@ -44,39 +46,36 @@ _EXCESS_TOL = 1e-10
 _EXCESS_RTOL = 1e-12
 
 
-def _subresonant_mask(exponents: np.ndarray, comps: np.ndarray, spectrum: SpectrumData,
-                      tol: float) -> np.ndarray:
+def _subresonant_mask(exponents: np.ndarray, comps: np.ndarray,
+                      spectrum: SpectrumData) -> np.ndarray:
     """Whether each position ``(exponents[i], comps[i])`` is sub-resonant:
-    ``ln|l_comp| <= sum_k i_k ln|l_k| + tol``, the one place this is evaluated.
+    ``ln|l_comp| <= sum_k i_k ln|l_k| + SR_TOL``, the one place this is evaluated.
 
     The slack is on the permissive side only, so exact resonances (equality)
     are never lost to rounding.  Each weight is its own row-times-vector
     product: a matrix-vector product may sum in another order, and the answer
-    at a margin within an ulp of ``tol`` would then depend on which rows were
-    asked about together.
+    at a margin within an ulp of ``SR_TOL`` would then depend on which rows
+    were asked about together.
     """
     log_moduli = spectrum.log_moduli
     weights = (exponents[..., None, :] @ log_moduli)[..., 0]
-    return log_moduli[comps] <= weights + tol
+    return log_moduli[comps] <= weights + SR_TOL
 
 
-def enumerate_subresonant_basis(spectrum: SpectrumData, r: int,
-                                tol: float = DEFAULT_SR_TOL) -> tuple[TermKey, ...]:
+def enumerate_subresonant_basis(spectrum: SpectrumData, r: int) -> tuple[TermKey, ...]:
     """All sub-resonant monomial positions of degree ``r``, in canonical order."""
     ordering = basis_ordering(spectrum.n, r)
     # each row's weight against every component: ranks in row-major order
-    mask = _subresonant_mask(ordering.exponents[:, None, :], np.arange(spectrum.n),
-                             spectrum, tol)
+    mask = _subresonant_mask(ordering.exponents[:, None, :], np.arange(spectrum.n), spectrum)
     return tuple(ordering.positions(np.flatnonzero(mask)))
 
 
-def subresonant_offenders(jet: PolyJet, spectrum: SpectrumData,
-                          tol: float = DEFAULT_SR_TOL) -> list[TermKey]:
+def subresonant_offenders(jet: PolyJet, spectrum: SpectrumData) -> list[TermKey]:
     """Stored monomial positions of ``jet`` that fail the sub-resonance test, in term order."""
     if jet.n != spectrum.n:
         raise DimensionMismatch(f"jet dimension {jet.n} does not match n={spectrum.n}")
     keys = list(jet.terms)
-    failed = np.flatnonzero(~_subresonant_mask(*_term_arrays(jet.terms, jet.n), spectrum, tol))
+    failed = np.flatnonzero(~_subresonant_mask(*_term_arrays(jet.terms, jet.n), spectrum))
     return [keys[i] for i in failed.tolist()]
 
 
@@ -102,23 +101,21 @@ class SubResonantMap:
         return f"SubResonantMap(n={self.jet.n}, terms={len(self.jet.terms)})"
 
 
-def certify_subresonant(jet: PolyJet, spectrum: SpectrumData,
-                        tol: float = DEFAULT_SR_TOL):
+def certify_subresonant(jet: PolyJet, spectrum: SpectrumData):
     """Certify every stored monomial of ``jet``.
 
     Returns a :class:`SubResonantMap` on success and the complete list of
     offending ``(multi-index, component)`` positions otherwise; failure is a
     value, not an exception.
     """
-    offenders = subresonant_offenders(jet, spectrum, tol)
+    offenders = subresonant_offenders(jet, spectrum)
     if offenders:
         return offenders
     return SubResonantMap(jet=jet, spectrum=spectrum)
 
 
-def _certify_or_raise(jet: PolyJet, spectrum: SpectrumData, tol: float,
-                      context: str) -> SubResonantMap:
-    result = certify_subresonant(jet, spectrum, tol)
+def _certify_or_raise(jet: PolyJet, spectrum: SpectrumData, context: str) -> SubResonantMap:
+    result = certify_subresonant(jet, spectrum)
     if isinstance(result, SubResonantMap):
         return result
     raise CertificationFailure(
@@ -127,8 +124,7 @@ def _certify_or_raise(jet: PolyJet, spectrum: SpectrumData, tol: float,
         offenders=result)
 
 
-def sr_compose(F: SubResonantMap, G: SubResonantMap,
-               tol: float = DEFAULT_SR_TOL, *, shift=None) -> SubResonantMap:
+def sr_compose(F: SubResonantMap, G: SubResonantMap, *, shift=None) -> SubResonantMap:
     """Composition ``F o G`` inside the sub-resonant algebra.
 
     With a translation ``shift`` it is ``z -> F(shift + G(z)) - F(shift)``,
@@ -149,10 +145,10 @@ def sr_compose(F: SubResonantMap, G: SubResonantMap,
         raise CertificationFailure(
             f"composition produced degree > {bound} terms of size {worst:.3g}",
             offenders=list(excess))
-    return _certify_or_raise(composed.truncated(max(bound, 1)), spectrum, tol, "sr_compose")
+    return _certify_or_raise(composed.truncated(max(bound, 1)), spectrum, "sr_compose")
 
 
-def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL) -> SubResonantMap:
+def sr_inverse(F: SubResonantMap) -> SubResonantMap:
     """Exact polynomial inverse: the jet inverse through the degree bound.
 
     The inverse of a sub-resonant map is a sub-resonant polynomial, so its
@@ -163,8 +159,8 @@ def sr_inverse(F: SubResonantMap, tol: float = DEFAULT_SR_TOL) -> SubResonantMap
     coefficients leave rounding residues above any absolute bound.
     """
     bound = max(1, F.spectrum.degree_bound)
-    inverse = _certify_or_raise(jet_inverse(F.jet, bound), F.spectrum, tol, "sr_inverse")
-    excess = {key: abs(c) for key, c in sr_compose(F, inverse, tol).jet.terms.items()
+    inverse = _certify_or_raise(jet_inverse(F.jet, bound), F.spectrum, "sr_inverse")
+    excess = {key: abs(c) for key, c in sr_compose(F, inverse).jet.terms.items()
               if sum(key[0]) > 1 and abs(c) > _EXCESS_TOL}
     if excess:
         scale = compose_truncated(_magnitudes(F.jet), _magnitudes(inverse.jet), bound,

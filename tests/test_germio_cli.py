@@ -14,7 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jet
-from srnf import cli, errors, germio, normal_form
+from srnf import (
+    cli,
+    config,
+    errors,
+    germio,
+    gx_group,
+    homological,
+    linalg,
+    normal_form,
+    polymap,
+    subresonance,
+)
 from srnf.cli import main
 from srnf.config import RunConfig
 from srnf.errors import ValidationError
@@ -321,7 +332,9 @@ class TestCliOverflow:
         overflow in the degree-3 error or its split, and ``resonant_n2_c7``'s by
         1e52, which overflows only in the residual check), the germ with linear
         part diag(1e-8, 0.5) (c0 = 27), whose Phi reaches 2.6e202 and overflows
-        at the pointwise samples, ``group_g2`` at the origin with 1e200
+        at the pointwise samples, the same germ with diag(2e-9, 0.5), whose
+        amplification estimate |l_1|^-p_used overflows once the straightening
+        takes 36 steps, ``group_g2`` at the origin with 1e200
         coefficients of degree 3 and 4 (its points stay finite, their norms do
         not), and ``group_g1`` translated by 1e200."""
         def scaled(name, factor):
@@ -330,10 +343,13 @@ class TestCliOverflow:
                             if sum(t["exponents"]) > 1 else t for t in doc["terms"]]
             return write_doc(tmp_path, f"{factor}-{name}", doc)
 
-        tiny = spectrum_doc([1e-8, 0.5])
-        tiny["degree"] = 2
-        tiny["terms"] += [{"exponents": [1, 1], "component": 1, "coeff": [0.3, 0.0]},
-                          {"exponents": [0, 2], "component": 2, "coeff": [0.2, 0.0]}]
+        def coupled(l1, name):
+            doc = spectrum_doc([l1, 0.5])
+            doc["degree"] = 2
+            doc["terms"] += [{"exponents": [1, 1], "component": 1, "coeff": [0.3, 0.0]},
+                             {"exponents": [0, 2], "component": 2, "coeff": [0.2, 0.0]}]
+            return write_doc(tmp_path, name, doc)
+
         g2 = json.loads((DATA / "group_g2.json").read_text())
         g2["tau"] = [[0.0, 0.0]] * 3
         g2["map"]["terms"] = [dict(t, coeff=[1e200, 0.0]) if sum(t["exponents"]) > 2 else t
@@ -341,7 +357,8 @@ class TestCliOverflow:
         g1 = json.loads((DATA / "group_g1.json").read_text())
         return {"germ": scaled("hopf.json", 1e160), "split": scaled("hopf.json", 3e153),
                 "residual": scaled("resonant_n2_c7.json", 1e52),
-                "tiny": write_doc(tmp_path, "tiny.json", tiny),
+                "tiny": coupled(1e-8, "tiny.json"),
+                "amplification": coupled(2e-9, "amplification.json"),
                 "norms": write_doc(tmp_path, "norms.json", g2),
                 "shift": write_doc(tmp_path, "shift.json", dict(g1, tau=[[1e200, 0.0]] * 3)),
                 "g1": str(DATA / "group_g1.json"), "map": str(DATA / "group_map.json")}
@@ -368,7 +385,11 @@ class TestCliOverflow:
         (["normal-form", "{tiny}"], 3, POINTWISE_OVERFLOW),
         (["holonomy", "{tiny}"], 3, POINTWISE_OVERFLOW),
         (["verify", "{tiny}"], 3, POINTWISE_OVERFLOW),
+        (["verify", "{amplification}", "--sample-radius", "1e-6", "--p-max", "100",
+          "--cauchy-tol", "1e-300"],
+         3, "the amplification estimate |l_1|^-p_used left the float range at p_used = 39"),
     ])
+    @pytest.mark.filterwarnings("error")   # an overflow is refused, not warned about
     def test_overflow_is_an_exit_code_not_a_traceback(self, tmp_path, capsys, argv, exit_code,
                                                       message):
         paths = self.overflow_documents(tmp_path)
@@ -975,9 +996,8 @@ FLAG_SETTINGS = {
     "sample_radius": ["--sample-radius", "0.5"], "seed": ["--seed", "1"],
     "output": ["--output", "out.json"],
 }
-NORMAL_FORM_FLAGS = {"res_tol", "sr_tol", "trunc_degree", "prune", "sample_count",
-                     "sample_radius", "seed", "output"}
-SR_FLAGS = {"sr_tol", "output"}
+NORMAL_FORM_FLAGS = {"res_tol", "trunc_degree", "prune", "sample_count", "sample_radius",
+                     "seed", "output"}
 
 
 def accepted_settings() -> dict[str, set[str]]:
@@ -996,19 +1016,20 @@ def accepted_settings() -> dict[str, set[str]]:
 
 
 class TestCliFlags:
-    """Each command accepts only the settings it reads; ``--block-tol``, a
-    retired setting, stays among the probes and no command accepts it."""
+    """Each command accepts only the settings it reads; ``--block-tol`` and
+    ``--sr-tol``, retired settings, stay among the probes and no command
+    accepts them."""
 
     def test_each_command_accepts_only_the_settings_it_reads(self, capsys):
         accepted = accepted_settings()
         assert accepted == {
             "normal-form": NORMAL_FORM_FLAGS, "holonomy": NORMAL_FORM_FLAGS,
             "verify": NORMAL_FORM_FLAGS | {"cauchy_tol", "p_max"},
-            **{command: SR_FLAGS for command in ("check-sr", "enumerate-sr", "sr-invert",
-                                                 "sr-compose", "group mul", "group inv",
-                                                 "group conjugate-translation")},
-            "m-matrix": {"output"}, "orbit": SR_FLAGS | {"seed"}}
-        assert sum(map(len, accepted.values())) == 44
+            **{command: {"output"} for command in ("check-sr", "enumerate-sr", "sr-invert",
+                                                   "sr-compose", "group mul", "group inv",
+                                                   "group conjugate-translation", "m-matrix")},
+            "orbit": {"seed", "output"}}
+        assert sum(map(len, accepted.values())) == 33
 
     @pytest.mark.parametrize("argv", [
         ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
@@ -1017,12 +1038,34 @@ class TestCliFlags:
         ["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
          "--sample-count", "3"],
         ["normal-form", str(DATA / "hopf.json"), "--block-tol", "1e-9"],
+        ["normal-form", str(DATA / "near_resonant.json"), "--res-tol", "1e-5",
+         "--sr-tol", "1e-5"],
     ])
     def test_an_unread_flag_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_sr_refuses_near_resonant_terms(tmp_path, capsys):
+    """The degree-2 terms in e1 that ``--sr-tol 1e-5`` let into the normal form
+    of ``near_resonant``: each misses ``ln|l_1| <= sum_k i_k ln|l_k|`` by 8.0e-7,
+    far beyond the fixed slack ``SR_TOL``."""
+    germ = json.loads((DATA / "near_resonant.json").read_text())
+    positions = [[0, 0, 2], [0, 1, 1], [0, 2, 0]]
+    terms = [t for t in germ["terms"] if sum(t["exponents"]) == 1]
+    terms += [{"exponents": e, "component": 1, "coeff": c}
+              for e, c in zip(positions, [[-0.25, 0.75], [0.5, 0.25], [1.0, -0.5]])]
+    path = write_doc(tmp_path, "p.json", dict(germ, degree=2, terms=terms))
+    code, out, err = run_cli(["check-sr", path], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["certified"] is False
+    assert report["offenders"] == [{"exponents": e, "component": 1} for e in positions]
+    logs = normal_form.ingest(germio.parse_germ_document(germ))[0].log_moduli
+    margins = logs[0] - np.array(positions) @ logs
+    assert np.all((7.9e-7 < margins) & (margins < 8.1e-7))
 
 
 class TestExitCodes:
@@ -1046,7 +1089,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, field", [
         (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "nan"], "sample_radius"),
         (["normal-form", str(DATA / "hopf.json"), "--res-tol", "nan"], "res_tol"),
-        (["normal-form", str(DATA / "hopf.json"), "--sr-tol", "nan"], "sr_tol"),
+        (["normal-form", str(DATA / "hopf.json"), "--trunc-degree", "1"], "trunc_degree"),
         (["verify", str(DATA / "hopf.json"), "--p-max", "0"], "p_max"),
         (["verify", str(DATA / "hopf.json"), "--cauchy-tol", "inf"], "cauchy_tol"),
         (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),
@@ -1077,16 +1120,21 @@ def test_defaults_come_from_run_config():
     args = cli._config_parser().parse_args([])
     for field in dataclasses.fields(RunConfig):
         assert getattr(args, field.name) == field.default, field.name
-    parameters = inspect.signature(germio.parse_group_element).parameters
-    assert parameters["sr_tol"].default == RunConfig.sr_tol
 
 
 def test_library_tolerances_default_to_run_config():
-    cfg = RunConfig()
-    for function, parameter, field in ((split_homogeneous, "res_tol", "res_tol"),
-                                       (split_homogeneous, "sr_tol", "sr_tol"),
-                                       (certify_subresonant, "tol", "sr_tol")):
-        default = inspect.signature(function).parameters[parameter].default
-        assert default == getattr(cfg, field), (function.__name__, parameter)
+    default = inspect.signature(split_homogeneous).parameters["res_tol"].default
+    assert default == RunConfig().res_tol
     # equal moduli are grouped and ordered within one fixed tolerance, not a setting
     assert "block_tol" not in inspect.signature(analyze_spectrum).parameters
+    # sub-resonance has one fixed slack, subresonance.SR_TOL, not a setting: the
+    # only tolerances a function or method of the package takes are these two
+    modules = (cli, config, errors, germio, gx_group, homological, linalg, normal_form,
+               polymap, subresonance)
+    functions = [f for module in modules for owner in vars(module).values()
+                 if getattr(owner, "__module__", None) == module.__name__
+                 for f in (vars(owner).values() if inspect.isclass(owner) else [owner])
+                 if inspect.isfunction(f)]
+    assert certify_subresonant in functions and germio.parse_group_element in functions
+    assert {name for function in functions for name in inspect.signature(function).parameters
+            if "tol" in name} == {"res_tol", "cauchy_tol"}

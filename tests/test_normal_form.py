@@ -195,13 +195,12 @@ class TestPipeline:
 
 def reference_normal_form(germ: GermInput, cfg: RunConfig = RunConfig()) -> PolyJet:
     """P by the iterative scheme: conjugate the whole germ by ``id + f_q``."""
-    spectrum, F, _ = ingest(germ, cfg)
+    spectrum, F, _ = ingest(germ)
     D = spectrum.c0 + 1
     current = F.truncated(D) if F.degree > D else PolyJet(F.n, D, F.terms)
     P = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     for q in range(2, D + 1):
-        split = split_homogeneous(spectrum, homogeneous_part(current, q),
-                                  cfg.res_tol, cfg.sr_tol)
+        split = split_homogeneous(spectrum, homogeneous_part(current, q), cfg.res_tol)
         current = conjugate_step(current, split.eliminated, D, prune=cfg.prune)
         if split.resonant.terms:
             P = P + split.resonant

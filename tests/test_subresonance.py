@@ -160,12 +160,14 @@ class TestMask:
             offenders, key=lambda key: (sum(key[0]), canonical_key(key)))
 
     def test_boundary_is_sub_resonant(self):
-        # tol = ln(1/2) - ln(1/4) puts z1 e2 exactly on the boundary
-        s = QUARTER_HALF
-        tol = s.log_moduli[1] - s.log_moduli[0]
-        assert s.log_moduli[0] + tol == s.log_moduli[1]
-        assert ((1, 0), 1) in enumerate_subresonant_basis(s, 1, tol)
-        assert subresonant_offenders(PolyJet(2, 1, {((1, 0), 1): 1.0}), s, tol) == []
+        # ln|l_2| = ln|l_1| + SR_TOL puts z1 e2 exactly on the boundary
+        for r in np.linspace(0.5, 0.9, 401):
+            s = analyze_spectrum(np.diag([r, r * np.exp(subresonance.SR_TOL)]))
+            if s.log_moduli[0] + subresonance.SR_TOL == s.log_moduli[1]:
+                break
+        assert s.log_moduli[0] + subresonance.SR_TOL == s.log_moduli[1]
+        assert ((1, 0), 1) in enumerate_subresonant_basis(s, 1)
+        assert subresonant_offenders(PolyJet(2, 1, {((1, 0), 1): 1.0}), s) == []
 
     def test_slack_keeps_an_exact_resonance_that_rounding_breaks(self):
         # |l_1| = |l_2|^3, but the rounded ln|l_1| lies above 3 ln|l_2|
