@@ -54,7 +54,7 @@ def main() -> int:
     print(f"coefficient residual: {result.residuals.coefficient_max:.3e}")
 
     report = verify_conjugacy(germ, result)
-    print(f"pointwise residual (polynomial stage): {report.residuals.pointwise_max:.3e}")
+    print(f"pointwise residual (polynomial stage): {report.pointwise_max:.3e}")
     print(f"pointwise residual (straightened):     {report.straightened_max:.3e}")
 
     z = np.array([0.0, 1.0], dtype=complex)

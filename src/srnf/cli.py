@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
     check_size,
 )
-from .gx_group import GroupElement, group_inv, group_mul, orbit, translate_conjugate
+from .gx_group import group_inv, group_mul, holonomy_generator, orbit, translate_conjugate
 from .homological import build_matrix
 from .normal_form import _poincare_dulac, ingest, verify_conjugacy
 from .polymap import basis_dimension
@@ -204,9 +204,8 @@ def _cmd_group_conjugate_translation(args, cfg: RunConfig) -> dict:
 
 def _cmd_holonomy(args, cfg: RunConfig) -> dict:
     result = _poincare_dulac(*_read(args.germ, _ingested)[1], cfg)
-    generator = GroupElement(np.zeros(result.spectrum.n, dtype=complex), result.normal_form)
     return {
-        "generator": germio.group_element_document(generator),
+        "generator": germio.group_element_document(holonomy_generator(result)),
         "result": germio.result_document(result),
     }
 
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polynomial normal forms of contracting germs and the "
                     "sub-resonant automorphism group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    germ_fields = ("res_tol", "trunc_degree", "prune", "sample_count", "sample_radius", "seed")
+    germ_fields = ("res_tol", "trunc_degree", "prune")
     normal_form, output = _config_parser(germ_fields), _config_parser(())
 
     _command(sub, "normal-form", _cmd_normal_form, normal_form,
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10)
     for flag in ("--ball-radius", "--annulus-inner", "--annulus-outer"):
         p.add_argument(flag, type=float)
-    _command(sub, "verify", _cmd_verify, _config_parser(germ_fields + ("cauchy_tol", "p_max")),
+    _command(sub, "verify", _cmd_verify, _config_parser(),
              "recompute a germ's normal form and verify the conjugacy", "germ")
     return parser
 

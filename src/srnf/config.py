@@ -13,9 +13,12 @@ from .homological import DEFAULT_RES_TOL
 class RunConfig:
     """Tolerances and sampling controls.
 
-    ``trunc_degree`` overrides the working truncation degree (default
-    ``c0 + 1``, the smallest degree the straightening limit supports);
-    raising it refines the conjugating jet without changing the normal form.
+    ``poincare_dulac`` reads ``res_tol``, ``trunc_degree`` and ``prune``;
+    ``verify_conjugacy`` reads ``sample_count``, ``sample_radius``, ``seed``,
+    ``p_max`` and ``cauchy_tol``.  ``trunc_degree`` overrides the working
+    truncation degree (default ``c0 + 1``, the smallest degree the
+    straightening limit supports); raising it refines the conjugating jet
+    without changing the normal form.
     """
 
     res_tol: float = DEFAULT_RES_TOL

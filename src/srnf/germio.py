@@ -157,15 +157,12 @@ def spectrum_document(spectrum: SpectrumData) -> dict:
 
 
 def result_document(result: NormalFormResult) -> dict:
-    steps = []
-    for record in result.steps:
-        steps.append({
-            "degree": record.q,
-            "resonant_terms": terms_to_json(record.resonant),
-            "eliminated_terms": terms_to_json(record.eliminated),
-            "divisor_min": record.divisor_min if np.isfinite(record.divisor_min) else None,
-            "warnings": list(record.warnings),
-        })
+    """The normal form ``P``, the conjugator ``phi`` and their diagnostics; each
+    step keeps only its degree, smallest divisor and warnings, since its terms
+    are ``P``'s and ``phi``'s terms of that degree."""
+    steps = [{"degree": record.q,
+              "divisor_min": record.divisor_min if np.isfinite(record.divisor_min) else None,
+              "warnings": list(record.warnings)} for record in result.steps]
     return {
         "spectrum": spectrum_document(result.spectrum),
         "basis_change": matrix_to_json(result.basis_change),
@@ -180,30 +177,24 @@ def result_document(result: NormalFormResult) -> dict:
         "steps": steps,
         "residuals": {
             "coefficient_max": result.residuals.coefficient_max,
-            "pointwise_max": result.residuals.pointwise_max,
-            "pointwise_mean": result.residuals.pointwise_mean,
-            "sample_radius": result.residuals.sample_radius,
-            "sample_count": result.residuals.sample_count,
         },
         "contraction_ball": {
             "radius": result.contraction_radius,
             "ratio": result.contraction_ratio,
         },
         "trunc_degree": result.trunc_degree,
-        "warnings": list(result.warnings),
     }
 
 
 def report_document(report: ConjugacyReport) -> dict:
-    residuals = report.residuals
     return {
-        "coefficient_max": residuals.coefficient_max,
-        "polynomial_pointwise": list(residuals.pointwise),
-        "polynomial_max": residuals.pointwise_max,
+        "coefficient_max": report.residuals.coefficient_max,
+        "polynomial_pointwise": list(report.pointwise),
+        "polynomial_max": report.pointwise_max,
         "straightened_pointwise": list(report.straightened_pointwise),
         "straightened_max": report.straightened_max,
         "amplification_estimate": report.amplification_estimate,
-        "sample_points": [point_to_json(z) for z in residuals.sample_points],
+        "sample_points": [point_to_json(z) for z in report.sample_points],
     }
 
 

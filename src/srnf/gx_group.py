@@ -89,17 +89,18 @@ def group_inv(g: GroupElement) -> GroupElement:
     return GroupElement(tau=h_inv.evaluate(-g.tau), h=h)
 
 
+def holonomy_generator(result: NormalFormResult) -> GroupElement:
+    """Holonomy generator ``(0, P)`` of the quotient defined by the germ of
+    ``result``, in adapted coordinates."""
+    return GroupElement(tau=np.zeros(result.spectrum.n, dtype=complex), h=result.normal_form)
+
+
 def hopf_holonomy(germ: GermInput,
                   cfg: RunConfig = RunConfig()) -> tuple[GroupElement, NormalFormResult]:
-    """Holonomy generator ``(0, P)`` of the quotient defined by the germ.
-
-    Outputs are in adapted coordinates; the unitary basis change is carried
-    by the attached normal-form result.
-    """
+    """:func:`holonomy_generator` of the germ's normal form, with that result,
+    which carries the unitary basis change."""
     result = poincare_dulac(germ, cfg)
-    generator = GroupElement(tau=np.zeros(germ.n, dtype=complex),
-                             h=result.normal_form)
-    return generator, result
+    return holonomy_generator(result), result
 
 
 @dataclass(frozen=True)

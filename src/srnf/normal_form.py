@@ -81,27 +81,12 @@ class GermInput:
         return self.jet.n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ResidualReport:
-    """Residuals of the computed conjugacy; ``pointwise`` holds the polynomial
-    residual at each row of ``sample_points``."""
+    """Residual of the computed conjugacy: the largest coefficient gap between
+    ``F o phi`` and ``phi o P`` through the working degree."""
 
     coefficient_max: float
-    sample_radius: float
-    pointwise: tuple[float, ...]
-    sample_points: np.ndarray
-
-    @property
-    def pointwise_max(self) -> float:
-        return max(self.pointwise) if self.pointwise else 0.0
-
-    @property
-    def pointwise_mean(self) -> float:
-        return float(np.mean(self.pointwise)) if self.pointwise else 0.0
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.pointwise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +104,6 @@ class NormalFormResult:
     contraction_radius: float
     contraction_ratio: float
     trunc_degree: int
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return tuple(w for step in self.steps for w in step.warnings)
 
 
 def ingest(germ: GermInput):
@@ -210,10 +191,11 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     ``P`` and an operator image whose preimage is added to ``phi``.  The
     blocks read at ``q`` involve only degrees below ``q``, so adding ``h_q``
     and ``R_q`` afterwards leaves them valid.  ``D`` defaults to ``c0 + 1``;
-    larger values refine the conjugator but add no resonant terms.  A
-    request of more than ``MAX_SPLIT_POSITIONS`` positions, or of samples
-    above ``MAX_REQUEST_BYTES``, is refused before the degree loop; a
-    coefficient that leaves the float range raises ``NoConvergence``.
+    larger values refine the conjugator but add no resonant terms.  Of
+    ``cfg`` only ``res_tol``, ``trunc_degree`` and ``prune`` are read, and no
+    random number is drawn.  A request of more than ``MAX_SPLIT_POSITIONS``
+    positions is refused before the degree loop; a coefficient that leaves
+    the float range raises ``NoConvergence``.
     """
     return _poincare_dulac(*ingest(germ), cfg)
 
@@ -229,8 +211,6 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
     phi = PolyJet.identity(spectrum.n, D)   # refuses a D past int64 first
     check_size(split_positions(spectrum.n, D), MAX_SPLIT_POSITIONS,
                f"the split through degree {D} for n={spectrum.n}", "normal form", "positions")
-    check_size(SAMPLE_BYTES_PER_COORDINATE * cfg.sample_count * spectrum.n, MAX_REQUEST_BYTES,
-               f"a sample count of {cfg.sample_count} for n={spectrum.n}", "normal form")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
     phi_powers, normal_powers = _PowerTable(spectrum.n, D), _PowerTable(spectrum.n, D)
@@ -260,7 +240,8 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
 
     with _float_range(lambda: f"the residual check through degree {D} left the float range"):
         radius, ratio = contraction_ball(spectrum, adapted_full)
-        residuals = _residual_report(adapted_full, phi, normal_form.jet, D, radius, cfg)
+        residuals = ResidualReport(
+            conjugacy_coefficient_residual(adapted_full, phi, normal_form.jet, D))
     return NormalFormResult(
         spectrum=spectrum,
         normal_form=normal_form,
@@ -285,17 +266,6 @@ def _float_range(message):
             yield
         except (NonFiniteCoefficient, OverflowError) as exc:
             raise NoConvergence(message()) from exc
-
-
-def _residual_report(adapted_full: PolyJet, phi: PolyJet, P_jet: PolyJet,
-                     D: int, radius: float, cfg: RunConfig) -> ResidualReport:
-    coeff_res = conjugacy_coefficient_residual(adapted_full, phi, P_jet, D)
-    r, points = _sample_points(adapted_full.n, radius, cfg)
-    values = pointwise_conjugacy_residual(adapted_full, phi, P_jet, points)
-    if not np.isfinite(values).all():
-        raise NoConvergence(f"the pointwise residual check at radius {r:g} left the float range")
-    return ResidualReport(coefficient_max=coeff_res, sample_radius=r,
-                          pointwise=tuple(values), sample_points=points)
 
 
 def conjugacy_coefficient_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
@@ -373,19 +343,27 @@ def _straighten(F: PolyJet, P_inv: PolyJet, pullback: PolyJet, Z: np.ndarray,
     return values, stopped_at, gaps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugacyReport:
     """Coefficient- and point-level evidence for one computed conjugacy.
 
-    ``residuals`` is the normal form's own report: the coefficient gap, the
-    polynomial-stage residuals and the sample points.  A straightened
+    ``residuals`` is the normal form's own report, the coefficient gap.
+    ``pointwise`` and ``straightened_pointwise`` hold the residuals at each
+    row of ``sample_points``, drawn at ``sample_radius``; a straightened
     residual is ``None`` where the straightening iteration did not stabilize
     within ``p_max`` steps at that sample.
     """
 
     residuals: ResidualReport
+    sample_radius: float
+    sample_points: np.ndarray
+    pointwise: tuple[float, ...]
     straightened_pointwise: tuple[float | None, ...]
     amplification_estimate: float
+
+    @property
+    def pointwise_max(self) -> float:
+        return max(self.pointwise, default=0.0)
 
     @property
     def straightened_max(self) -> float | None:
@@ -402,22 +380,29 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
                      cfg: RunConfig = RunConfig()) -> ConjugacyReport:
     """Check ``F o phi = phi o P`` in coefficients and at sample points.
 
-    The report holds ``result.residuals``: the coefficient gap and the
-    polynomial-stage residual ``||F(phi(z)) - phi(P(z))||`` at each sample
-    point, as :func:`poincare_dulac` computed them at the points its
-    configuration drew.  This function adds the straightened
-    residual ``||g(F(z)) - P(g(z))||`` at the same points, in adapted
-    coordinates, where ``g`` composes the inverse of the polynomial stage
-    with the numeric straightening limit.  Of ``cfg`` only ``p_max`` and
-    ``cauchy_tol`` are read; pass the configuration given to
-    :func:`poincare_dulac`.  An amplification estimate ``|l_1|^-p_used``
-    that leaves the float range raises ``NoConvergence``.
+    The report holds ``result.residuals``, the coefficient gap.  This
+    function draws ``cfg.sample_count`` seeded points and adds, at each, the
+    polynomial-stage residual ``||F(phi(z)) - phi(P(z))||`` and the
+    straightened residual ``||g(F(z)) - P(g(z))||``, in adapted coordinates,
+    where ``g`` composes the inverse of the polynomial stage with the
+    numeric straightening limit.  Of ``cfg`` only ``sample_count``,
+    ``sample_radius``, ``seed``, ``p_max`` and ``cauchy_tol`` are read.
+    Samples above ``MAX_REQUEST_BYTES`` are refused before they are drawn; a
+    polynomial residual or an amplification estimate ``|l_1|^-p_used`` that
+    leaves the float range raises ``NoConvergence``.
     """
     spectrum = result.spectrum
     F = result.germ_adapted
     P = result.normal_form
-    Z = result.residuals.sample_points
-    m = len(Z)
+    m = cfg.sample_count
+    check_size(SAMPLE_BYTES_PER_COORDINATE * m * spectrum.n, MAX_REQUEST_BYTES,
+               f"a sample count of {m} for n={spectrum.n}", "verify")
+    radius, Z = _sample_points(F.n, result.contraction_radius, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
+        pointwise = pointwise_conjugacy_residual(F, result.phi, P.jet, Z)
+    if not np.isfinite(pointwise).all():
+        raise NoConvergence(
+            f"the pointwise residual check at radius {radius:g} left the float range")
     straightened = [None] * m
     p_used = 0
     if m:
@@ -433,6 +418,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     with _float_range(lambda: f"the amplification estimate |l_1|^-p_used left the float "
                               f"range at p_used = {p_used}"):
         amplification = float(spectrum.moduli[0]) ** -p_used if p_used else 1.0
-    return ConjugacyReport(residuals=result.residuals,
+    return ConjugacyReport(residuals=result.residuals, sample_radius=radius, sample_points=Z,
+                           pointwise=tuple(pointwise),
                            straightened_pointwise=tuple(straightened),
                            amplification_estimate=amplification)

@@ -212,8 +212,8 @@ class TestCliNormalForm:
 
     def test_determinism_across_runs(self, tmp_path, capsys):
         germ = write_doc(tmp_path, "germ.json", HOPF_DOC)
-        _, out1, _ = run_cli(["normal-form", germ, "--seed", "5"], capsys)
-        _, out2, _ = run_cli(["normal-form", germ, "--seed", "5"], capsys)
+        _, out1, _ = run_cli(["normal-form", germ], capsys)
+        _, out2, _ = run_cli(["normal-form", germ], capsys)
         assert out1 == out2
 
     def test_numerical_condition_is_exit_3_with_diagnostics(self, tmp_path, capsys):
@@ -382,8 +382,9 @@ class TestCliOverflow:
         (["group", "inv", "{shift}"], 2, SHIFT_OVERFLOW),
         (["group", "conjugate-translation", "{map}", "--tau", json.dumps([[1e200, 0.0]] * 3)],
          2, SHIFT_OVERFLOW),
-        (["normal-form", "{tiny}"], 3, POINTWISE_OVERFLOW),
-        (["holonomy", "{tiny}"], 3, POINTWISE_OVERFLOW),
+        # the normal form draws no samples: only verify's overflow at them
+        (["normal-form", "{tiny}"], 0, None),
+        (["holonomy", "{tiny}"], 0, None),
         (["verify", "{tiny}"], 3, POINTWISE_OVERFLOW),
         (["verify", "{amplification}", "--sample-radius", "1e-6", "--p-max", "100",
           "--cauchy-tol", "1e-300"],
@@ -394,6 +395,9 @@ class TestCliOverflow:
                                                       message):
         paths = self.overflow_documents(tmp_path)
         code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+        if exit_code == 0:
+            assert code == 0 and err == "" and "error" not in json.loads(out)
+            return
         kind = "NoConvergence" if exit_code == 3 else "ValidationError"
         assert code == exit_code and err == f"{kind}: {message}\n"
         if code == 3:
@@ -403,10 +407,17 @@ class TestCliOverflow:
 
     @pytest.mark.parametrize("command", ["normal-form", "holonomy", "verify"])
     def test_pointwise_check_inside_the_float_range(self, tmp_path, capsys, command):
-        # the samples of the overflowing germ above, taken closer to the origin
+        # verify: the samples of the overflowing germ above, taken closer to the
+        # origin; normal-form and holonomy take no samples and write the Phi
+        # whose 2.6e202 coefficient makes verify's samples overflow at radius 0.05
         tiny = self.overflow_documents(tmp_path)["tiny"]
-        code, out, err = run_cli([command, tiny, "--sample-radius", "1e-6"], capsys)
+        radius = ["--sample-radius", "1e-6"] if command == "verify" else []
+        code, out, err = run_cli([command, tiny, *radius], capsys)
         assert code == 0 and err == ""
+        if command != "verify":
+            doc = json.loads(out)
+            phi = doc.get("result", doc)["phi"]["terms"]
+            assert 2.5e202 < max(abs(complex(*t["coeff"])) for t in phi) < 2.7e202
 
     @pytest.mark.parametrize("argv, key", [
         (["sr-invert", "{map}"], "((0, 0, 3), 0)"),
@@ -564,20 +575,19 @@ class TestCliSizeLimits:
             assert len(json.loads(out)["points"]) == 11
 
     @pytest.mark.parametrize("slack, exit_code", [(0, 0), (-1, 2)])
-    @pytest.mark.parametrize("command", ["normal-form", "verify", "holonomy"])
+    @pytest.mark.parametrize("command", ["verify"])
     def test_sample_count_at_the_limit(self, capsys, monkeypatch, command, slack, exit_code):
-        # the Hopf germ, n=2, with its default 20 samples
+        # the Hopf germ, n=2, with its default 20 samples; only verify draws samples
         monkeypatch.setattr(normal_form, "MAX_REQUEST_BYTES",
                             normal_form.SAMPLE_BYTES_PER_COORDINATE * 20 * 2 + slack)
         if exit_code:
-            monkeypatch.setattr(normal_form, "_PowerTable", refuse)
             monkeypatch.setattr(normal_form, "_sample_points", refuse)
         code, out, err = run_cli([command, str(DATA / "hopf.json")], capsys)
         assert code == exit_code
         if exit_code:
             assert out == "" and err == (
                 "ValidationError: a sample count of 20 for n=2 needs 5.6e+04 bytes, "
-                "above the normal form limit of 55999 bytes\n")
+                "above the verify limit of 55999 bytes\n")
 
     def test_sample_count_past_the_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(normal_form, "_sample_points", refuse)
@@ -888,6 +898,19 @@ class TestCliSubcommands:
         assert orbit_doc["points"][1] == [[1.0, 0.0], [0.5, 0.0]]
         assert orbit_doc["points"][2] == [[0.5, 0.0], [0.25, 0.0]]
 
+    @pytest.mark.parametrize("germ, flags", [
+        ("hopf.json", []), ("hopf.json", ["--trunc-degree", "5", "--no-prune"]),
+        ("near_resonant.json", ["--res-tol", "1e-8"])])
+    def test_holonomy_result_is_the_normal_form_document(self, capsys, germ, flags):
+        path = str(DATA / germ)
+        code, out, _ = run_cli(["normal-form", path, *flags], capsys)
+        assert code == 0
+        code, holonomy, _ = run_cli(["holonomy", path, *flags], capsys)
+        assert code == 0
+        holonomy = json.loads(holonomy)
+        assert holonomy["result"] == json.loads(out)
+        assert holonomy["generator"]["map"]["terms"] == holonomy["result"]["normal_form"]["terms"]
+
     def test_verify(self, tmp_path, capsys):
         germ = write_doc(tmp_path, "germ.json", HOPF_DOC)
         code, out, _ = run_cli(["verify", germ, "--sample-count", "5"], capsys)
@@ -996,8 +1019,7 @@ FLAG_SETTINGS = {
     "sample_radius": ["--sample-radius", "0.5"], "seed": ["--seed", "1"],
     "output": ["--output", "out.json"],
 }
-NORMAL_FORM_FLAGS = {"res_tol", "trunc_degree", "prune", "sample_count", "sample_radius",
-                     "seed", "output"}
+NORMAL_FORM_FLAGS = {"res_tol", "trunc_degree", "prune", "output"}
 
 
 def accepted_settings() -> dict[str, set[str]]:
@@ -1024,12 +1046,13 @@ class TestCliFlags:
         accepted = accepted_settings()
         assert accepted == {
             "normal-form": NORMAL_FORM_FLAGS, "holonomy": NORMAL_FORM_FLAGS,
-            "verify": NORMAL_FORM_FLAGS | {"cauchy_tol", "p_max"},
+            "verify": NORMAL_FORM_FLAGS | {"sample_count", "sample_radius", "seed", "cauchy_tol",
+                                           "p_max"},
             **{command: {"output"} for command in ("check-sr", "enumerate-sr", "sr-invert",
                                                    "sr-compose", "group mul", "group inv",
                                                    "group conjugate-translation", "m-matrix")},
             "orbit": {"seed", "output"}}
-        assert sum(map(len, accepted.values())) == 33
+        assert sum(map(len, accepted.values())) == 27
 
     @pytest.mark.parametrize("argv", [
         ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
@@ -1040,6 +1063,10 @@ class TestCliFlags:
         ["normal-form", str(DATA / "hopf.json"), "--block-tol", "1e-9"],
         ["normal-form", str(DATA / "near_resonant.json"), "--res-tol", "1e-5",
          "--sr-tol", "1e-5"],
+        # the normal form draws no samples, so it takes no sampling flag
+        ["normal-form", str(DATA / "hopf.json"), "--seed", "1"],
+        ["holonomy", str(DATA / "hopf.json"), "--sample-count", "3"],
+        ["holonomy", str(DATA / "hopf.json"), "--sample-radius", "0.01"],
     ])
     def test_an_unread_flag_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1087,13 +1114,13 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("argv, field", [
-        (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "nan"], "sample_radius"),
+        (["verify", str(DATA / "hopf.json"), "--sample-radius", "nan"], "sample_radius"),
         (["normal-form", str(DATA / "hopf.json"), "--res-tol", "nan"], "res_tol"),
         (["normal-form", str(DATA / "hopf.json"), "--trunc-degree", "1"], "trunc_degree"),
         (["verify", str(DATA / "hopf.json"), "--p-max", "0"], "p_max"),
         (["verify", str(DATA / "hopf.json"), "--cauchy-tol", "inf"], "cauchy_tol"),
-        (["normal-form", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),
-        (["normal-form", str(DATA / "hopf.json"), "--seed", "-1"], "seed"),
+        (["verify", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),
+        (["verify", str(DATA / "hopf.json"), "--seed", "-1"], "seed"),
         (["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
           "--seed", "-1"], "seed"),
     ])
@@ -1107,7 +1134,7 @@ class TestConsoleEntry:
     def test_module_invocation_byte_identical(self, tmp_path):
         germ = tmp_path / "germ.json"
         germ.write_text(json.dumps(HOPF_DOC))
-        cmd = [sys.executable, "-m", "srnf", "normal-form", str(germ), "--seed", "3"]
+        cmd = [sys.executable, "-m", "srnf", "normal-form", str(germ)]
         # the package from this checkout, installed or not
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         first = subprocess.run(cmd, capture_output=True, env=env)

@@ -84,3 +84,23 @@ def test_term_order_of_the_document_does_not_matter(name, argv, order, tmp_path,
     assert code == 0
     assert capsys.readouterr().out == (DATA / "expected" / f"{name}.json").read_text(
         encoding="utf-8")
+
+
+GERMS = ["hopf", "coupled_n3", "coupled_n3_original", "resonant_n8_c2", "near_resonant",
+         "resonant_n2_c7"]
+
+
+@pytest.mark.parametrize("germ", GERMS)
+def test_normal_form_document_states_each_term_once(germ, capsys):
+    """P and Phi hold every term once: a step keeps its degree, divisor and
+    warnings, and the warnings appear only in their step."""
+    assert main(["normal-form", str(DATA / f"{germ}.json")]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert "warnings" not in document
+    warnings = []
+    for step in document["steps"]:
+        assert not any(key.endswith("_terms") or (isinstance(value, list) and value
+                                                  and isinstance(value[0], dict))
+                       for key, value in step.items())
+        warnings += step["warnings"]
+    assert len(warnings) == len(set(warnings))
