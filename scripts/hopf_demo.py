@@ -14,7 +14,14 @@ import sys
 
 import numpy as np
 
-from srnf import GermInput, PolyJet, hopf_holonomy, orbit, verify_conjugacy
+from srnf import (
+    GermInput,
+    PolyJet,
+    holonomy_generator,
+    orbit,
+    poincare_dulac,
+    verify_conjugacy,
+)
 from srnf.germio import dump_json, group_element_document, result_document
 
 
@@ -33,7 +40,8 @@ def main() -> int:
     args = parser.parse_args()
 
     germ = build_germ()
-    generator, result = hopf_holonomy(germ)
+    result = poincare_dulac(germ)
+    generator = holonomy_generator(result)
 
     if args.json:
         sys.stdout.write(dump_json({

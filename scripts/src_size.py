@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print the line count of each ``src/srnf/*.py`` module and their total,
 then the line total of the test modules ``tests/*.py`` on a line of its own,
-then the size of the options: the number of ``RunConfig`` fields, and the
+then the size of the options: the number of ``RunConfig`` fields, the
 number of command flag slots, a slot being a ``RunConfig`` flag or
-``--output`` that one subcommand of ``cli.build_parser()`` accepts.
+``--output`` that one subcommand of ``cli.build_parser()`` accepts, and the
+number of those subcommands (``group mul`` and ``group inv`` count as two).
 
 Lines are counted as ``wc -l`` counts them, one per newline.
 
@@ -46,10 +47,12 @@ def main() -> int:
     print(f"{total:6d} total")
     print(f"{sum(map(count, (ROOT / 'tests').glob('*.py'))):6d} tests/*.py")
     fields = {field.name for field in dataclasses.fields(RunConfig)}
+    leaves = list(commands(cli.build_parser()))
     slots = sum(action.dest in fields | {"output"}
-                for command in commands(cli.build_parser()) for action in command._actions)
+                for command in leaves for action in command._actions)
     print(f"{len(fields):6d} RunConfig fields")
     print(f"{slots:6d} command flag slots")
+    print(f"{len(leaves):6d} commands")
     return 0
 
 

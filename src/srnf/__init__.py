@@ -28,7 +28,7 @@ from .gx_group import (
     OrbitDiagnostics,
     group_inv,
     group_mul,
-    hopf_holonomy,
+    holonomy_generator,
     orbit,
     translate_conjugate,
 )

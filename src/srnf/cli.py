@@ -22,16 +22,11 @@ from .errors import (
     ValidationError,
     check_size,
 )
-from .gx_group import group_inv, group_mul, holonomy_generator, orbit, translate_conjugate
+from .gx_group import group_inv, group_mul, holonomy_generator, orbit
 from .homological import build_matrix
-from .normal_form import _poincare_dulac, ingest, verify_conjugacy
+from .normal_form import _poincare_dulac, check_sample_count, ingest, verify_conjugacy
 from .polymap import basis_dimension
-from .subresonance import (
-    enumerate_subresonant_basis,
-    sr_compose,
-    sr_inverse,
-    subresonant_offenders,
-)
+from .subresonance import enumerate_subresonant_basis, subresonant_offenders
 
 # Peak of the enumeration's arrays per basis position: the int64 exponents plus
 # their stars-and-bars source or their float copy (three words at n = 2).
@@ -93,39 +88,8 @@ def _ingested(doc):
     return germ, ingest(germ)
 
 
-def _map_operand(path: str, spectrum_path: str | None):
-    """``(spectrum, adapted jet, Q)`` of the map at ``path``: against the spectrum
-    of ``spectrum_path`` it is taken as given (``Q`` the identity), else it is
-    moved to adapted coordinates against its own spectrum."""
-    if not spectrum_path:
-        return _read(path, _ingested)[1]
-    _, (spectrum, _, _) = _read(spectrum_path, _ingested)
-    germ = _read(path, germio.parse_germ_document)
-    if germ.coordinates != "adapted":
-        raise ValidationError(
-            f"{path}: operand must be in adapted coordinates, since it is taken as "
-            f"given against the spectrum of {spectrum_path}")
-    return spectrum, germ.jet, np.eye(spectrum.n, dtype=complex)
-
-
-def _certified_map(path: str, spectrum_path: str | None):
-    """``(spectrum, certified map)`` of the map at ``path``, taken as by
-    :func:`_map_operand`."""
-    spectrum, jet, _ = _map_operand(path, spectrum_path)
-    return spectrum, germio.certify_map(jet, spectrum, path)
-
-
 def _group_element(path: str):
     return _read(path, germio.parse_group_element)
-
-
-def _point(text: str, n: int, flag: str) -> np.ndarray:
-    """The point that the JSON ``text`` of ``flag`` gives in dimension ``n``."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
-    return germio.json_to_point(doc, n, flag)
 
 
 def _positions(keys) -> list[dict]:
@@ -140,7 +104,18 @@ def _cmd_normal_form(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_check_sr(args, cfg: RunConfig) -> dict:
-    spectrum, adapted, Q = _map_operand(args.map, args.spectrum)
+    # against --spectrum the map is taken as given, else moved to adapted
+    # coordinates against its own spectrum
+    if args.spectrum:
+        _, (spectrum, _, _) = _read(args.spectrum, _ingested)
+        germ = _read(args.map, germio.parse_germ_document)
+        if germ.coordinates != "adapted":
+            raise ValidationError(
+                f"{args.map}: operand must be in adapted coordinates, since it is taken as "
+                f"given against the spectrum of {args.spectrum}")
+        adapted, Q = germ.jet, np.eye(spectrum.n, dtype=complex)
+    else:
+        _, (spectrum, adapted, Q) = _read(args.map, _ingested)
     offenders = subresonant_offenders(adapted, spectrum)
     return {
         "certified": not offenders,
@@ -160,18 +135,6 @@ def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
         "count": len(basis),
         "basis": _positions(basis),
     }
-
-
-def _cmd_sr_invert(args, cfg: RunConfig) -> dict:
-    _, certified = _certified_map(args.map, args.spectrum)
-    return germio.jet_document(sr_inverse(certified).jet)
-
-
-def _cmd_sr_compose(args, cfg: RunConfig) -> dict:
-    # the second operand is taken against the first's spectrum or --spectrum
-    _, F = _certified_map(args.first, args.spectrum)
-    _, G = _certified_map(args.second, args.spectrum or args.first)
-    return germio.jet_document(sr_compose(F, G).jet)
 
 
 def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
@@ -196,12 +159,6 @@ def _cmd_group_inv(args, cfg: RunConfig) -> dict:
     return germio.group_element_document(group_inv(_group_element(args.element)))
 
 
-def _cmd_group_conjugate_translation(args, cfg: RunConfig) -> dict:
-    spectrum, certified = _certified_map(args.map, args.spectrum)
-    tau = _point(args.tau, spectrum.n, "--tau")
-    return germio.jet_document(translate_conjugate(certified, tau).jet)
-
-
 def _cmd_holonomy(args, cfg: RunConfig) -> dict:
     result = _poincare_dulac(*_read(args.germ, _ingested)[1], cfg)
     return {
@@ -215,7 +172,11 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
     check_size(ORBIT_BYTES_PER_COORDINATE * (args.iterations + 1) * element.n,
                MAX_REQUEST_BYTES, f"an orbit of {args.iterations} iterations for "
                f"n={element.n}", "orbit")
-    z = _point(args.point, element.n, "--point")
+    try:
+        point = json.loads(args.point)
+    except ValueError as exc:
+        raise ValidationError(f"--point: {exc}") from exc
+    z = germio.json_to_point(point, element.n, "--point")
     annulus = None
     if args.annulus_inner is not None or args.annulus_outer is not None:
         if args.annulus_inner is None or args.annulus_outer is None:
@@ -229,6 +190,7 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
 
 def _cmd_verify(args, cfg: RunConfig) -> dict:
     germ, ingested = _read(args.germ, _ingested)
+    check_sample_count(germ.jet.n, cfg)   # before the normal form, not after it
     report = verify_conjugacy(germ, _poincare_dulac(*ingested, cfg), cfg=cfg)
     document = germio.report_document(report)
     if report.unconverged:
@@ -241,14 +203,11 @@ def _cmd_verify(args, cfg: RunConfig) -> dict:
 # -- parser ---------------------------------------------------------------
 
 
-def _command(subparsers, name: str, handler, parent, help: str, *documents: str,
-             spectrum: bool = False):
-    """A subcommand reading ``documents``, with ``parent``'s flags and maybe ``--spectrum``."""
+def _command(subparsers, name: str, handler, parent, help: str, *documents: str):
+    """A subcommand reading ``documents``, with ``parent``'s flags."""
     p = subparsers.add_parser(name, parents=[parent], help=help)
     for document in documents:
         p.add_argument(document, help="document path (or '-')")
-    if spectrum:
-        p.add_argument("--spectrum", help="document whose linear part fixes the spectrum")
     p.set_defaults(handler=handler)
     return p
 
@@ -264,15 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "normal-form", _cmd_normal_form, normal_form,
              "compute the polynomial normal form of a germ", "germ")
-    _command(sub, "check-sr", _cmd_check_sr, output, "certify a map as sub-resonant", "map",
-             spectrum=True)
+    p = _command(sub, "check-sr", _cmd_check_sr, output, "certify a map as sub-resonant", "map")
+    p.add_argument("--spectrum", help="document whose linear part fixes the spectrum")
     p = _command(sub, "enumerate-sr", _cmd_enumerate_sr, output,
                  "enumerate the sub-resonant basis of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
-    _command(sub, "sr-invert", _cmd_sr_invert, output,
-             "exact polynomial inverse of a sub-resonant map", "map", spectrum=True)
-    _command(sub, "sr-compose", _cmd_sr_compose, output,
-             "compose two sub-resonant maps", "first", "second", spectrum=True)
     p = _command(sub, "m-matrix", _cmd_m_matrix, output,
                  "dump the homological operator matrix of one degree", "spectrum_doc")
     p.add_argument("--degree", type=int, required=True)
@@ -282,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     _command(group_sub, "mul", _cmd_group_mul, output, "compose two group elements",
              "first", "second")
     _command(group_sub, "inv", _cmd_group_inv, output, "invert a group element", "element")
-    p = _command(group_sub, "conjugate-translation", _cmd_group_conjugate_translation, output,
-                 "conjugate a sub-resonant map by a translation", "map", spectrum=True)
-    p.add_argument("--tau", required=True, help="translation vector as JSON [[re, im], ...]")
 
     _command(sub, "holonomy", _cmd_holonomy, normal_form,
              "holonomy generator of the quotient defined by a germ", "germ")

@@ -114,15 +114,6 @@ def json_to_terms(data, n: int, degree: int, where: str) -> dict[TermKey, comple
     return terms
 
 
-def jet_document(jet: PolyJet, coordinates: str = "adapted") -> dict:
-    return {
-        "dimension": jet.n,
-        "degree": jet.degree,
-        "coordinates": coordinates,
-        "terms": terms_to_json(jet),
-    }
-
-
 def parse_germ_document(doc: Any) -> GermInput:
     if not isinstance(doc, dict):
         raise ValidationError("germ document must be a JSON object")
@@ -221,6 +212,8 @@ def parse_group_element(doc: Any) -> GroupElement:
         raise ValidationError(f"'dimension' must be an integer in 1..{MAX_DIMENSION}")
     if "spectrum_matrix" not in doc:
         raise ValidationError("group element document requires 'spectrum_matrix'")
+    if doc.get("coordinates", "adapted") != "adapted":
+        raise ValidationError("a group element's map must be in adapted coordinates")
     spectrum = analyze_spectrum(json_to_matrix(doc["spectrum_matrix"], n, "spectrum_matrix"))
     tau = json_to_point(doc.get("tau", [[0.0, 0.0]] * n), n, "tau")
     map_doc = doc.get("map")

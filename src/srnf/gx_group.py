@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import DimensionMismatch, NoConvergence, SingularLinearPart, ValidationError
-from .normal_form import GermInput, NormalFormResult, _row_norms, poincare_dulac
+from .normal_form import NormalFormResult, _row_norms
 from .polymap import PolyJet, _check_invertible, compose_truncated
 from .subresonance import SubResonantMap, _certify_or_raise, sr_compose, sr_inverse
 
@@ -39,12 +38,6 @@ class GroupElement:
         _check_invertible(self.h.linear_part(), SingularLinearPart, "group element map part")
         object.__setattr__(self, "tau", tau)
         self.tau.setflags(write=False)
-
-    @classmethod
-    def identity(cls, spectrum) -> "GroupElement":
-        ident = PolyJet.identity(spectrum.n, max(1, spectrum.degree_bound))
-        return cls(tau=np.zeros(spectrum.n, dtype=complex),
-                   h=SubResonantMap(jet=ident, spectrum=spectrum))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -93,14 +86,6 @@ def holonomy_generator(result: NormalFormResult) -> GroupElement:
     """Holonomy generator ``(0, P)`` of the quotient defined by the germ of
     ``result``, in adapted coordinates."""
     return GroupElement(tau=np.zeros(result.spectrum.n, dtype=complex), h=result.normal_form)
-
-
-def hopf_holonomy(germ: GermInput,
-                  cfg: RunConfig = RunConfig()) -> tuple[GroupElement, NormalFormResult]:
-    """:func:`holonomy_generator` of the germ's normal form, with that result,
-    which carries the unitary basis change."""
-    result = poincare_dulac(germ, cfg)
-    return holonomy_generator(result), result
 
 
 @dataclass(frozen=True)

@@ -376,6 +376,12 @@ class ConjugacyReport:
         return self.straightened_pointwise.count(None)
 
 
+def check_sample_count(n: int, cfg: RunConfig) -> None:
+    """Refuse ``cfg.sample_count`` samples in dimension ``n`` above ``MAX_REQUEST_BYTES``."""
+    check_size(SAMPLE_BYTES_PER_COORDINATE * cfg.sample_count * n, MAX_REQUEST_BYTES,
+               f"a sample count of {cfg.sample_count} for n={n}", "verify")
+
+
 def verify_conjugacy(germ: GermInput, result: NormalFormResult,
                      cfg: RunConfig = RunConfig()) -> ConjugacyReport:
     """Check ``F o phi = phi o P`` in coefficients and at sample points.
@@ -395,8 +401,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     F = result.germ_adapted
     P = result.normal_form
     m = cfg.sample_count
-    check_size(SAMPLE_BYTES_PER_COORDINATE * m * spectrum.n, MAX_REQUEST_BYTES,
-               f"a sample count of {m} for n={spectrum.n}", "verify")
+    check_sample_count(spectrum.n, cfg)
     radius, Z = _sample_points(F.n, result.contraction_radius, cfg)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
         pointwise = pointwise_conjugacy_residual(F, result.phi, P.jet, Z)

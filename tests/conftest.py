@@ -8,9 +8,11 @@ from hypothesis import settings
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
+from srnf.germio import terms_to_json
+from srnf.gx_group import GroupElement
 from srnf.linalg import SpectrumData, analyze_spectrum
 from srnf.polymap import HomogeneousPart, PolyJet
-from srnf.subresonance import enumerate_subresonant_basis
+from srnf.subresonance import SubResonantMap, enumerate_subresonant_basis
 
 
 def multi_indices(n: int, degree: int):
@@ -95,6 +97,53 @@ def block_of(spectrum: SpectrumData) -> list[int]:
 def coeff_distance(g, h) -> float:
     """Largest gap across two group elements' translations and map coefficients."""
     return max(float(np.max(np.abs(g.tau - h.tau))), g.h.jet.max_coeff_diff(h.h.jet))
+
+
+def identity_element(spectrum: SpectrumData) -> GroupElement:
+    """The identity ``(0, id)`` of the group for ``spectrum``."""
+    ident = PolyJet.identity(spectrum.n, max(1, spectrum.degree_bound))
+    return GroupElement(tau=np.zeros(spectrum.n, dtype=complex),
+                        h=SubResonantMap(jet=ident, spectrum=spectrum))
+
+
+def jet_document(jet: PolyJet, coordinates: str = "adapted") -> dict:
+    """The germ document of ``jet``, as ``germio.parse_germ_document`` reads it."""
+    return {
+        "dimension": jet.n,
+        "degree": jet.degree,
+        "coordinates": coordinates,
+        "terms": terms_to_json(jet),
+    }
+
+
+def linear_matrix_json(doc: dict) -> list:
+    """The linear part of the germ document ``doc`` as a JSON matrix ``[[[re, im], ...], ...]``."""
+    n = doc["dimension"]
+    matrix = [[[0.0, 0.0]] * n for _ in range(n)]
+    for term in doc["terms"]:
+        if sum(term["exponents"]) == 1:
+            matrix[term["component"] - 1][term["exponents"].index(1)] = term["coeff"]
+    return matrix
+
+
+def element_document(doc: dict, spectrum_matrix: list | None = None, tau=None) -> dict:
+    """The group element ``(tau, h)`` of the map ``h`` that the adapted germ
+    document ``doc`` holds: ``tau`` is zero and ``spectrum_matrix`` is h's
+    linear part unless given."""
+    n = doc["dimension"]
+    return {"dimension": n, "tau": [[0.0, 0.0]] * n if tau is None else tau,
+            "map": {"degree": doc["degree"], "terms": doc["terms"]},
+            "spectrum_matrix": linear_matrix_json(doc) if spectrum_matrix is None
+            else spectrum_matrix}
+
+
+def translation_document(tau: list, spectrum_matrix: list) -> dict:
+    """The group element ``(tau, id)`` against ``spectrum_matrix``."""
+    n = len(tau)
+    identity = {"dimension": n, "degree": 1,
+                "terms": [{"exponents": [int(i == k) for i in range(n)], "component": k + 1,
+                           "coeff": [1.0, 0.0]} for k in range(n)]}
+    return element_document(identity, spectrum_matrix, tau)
 
 
 def char_poly_coeffs(matrix: np.ndarray) -> np.ndarray:

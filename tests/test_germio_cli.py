@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_jet
+from conftest import (
+    element_document,
+    jet_document,
+    linear_matrix_json,
+    random_jet,
+    translation_document,
+)
 from srnf import (
     cli,
     config,
@@ -69,15 +75,15 @@ class TestRoundTrip:
     def test_jet_documents_round_trip_exactly(self, seed, n, degree):
         rng = np.random.default_rng(seed)
         jet = random_jet(rng, n, degree, invertible_linear=bool(rng.integers(2)))
-        doc = germio.jet_document(jet)
+        doc = jet_document(jet)
         text = germio.dump_json(doc)
         parsed = germio.parse_germ_document(json.loads(text))
         assert parsed.jet == jet
 
     def test_serialization_is_canonical(self):
         jet = PolyJet(2, 2, {((0, 1), 1): 0.5 + 0.25j, ((1, 0), 0): 1 / 3})
-        a = germio.dump_json(germio.jet_document(jet))
-        b = germio.dump_json(germio.jet_document(PolyJet(2, 2, dict(jet.terms))))
+        a = germio.dump_json(jet_document(jet))
+        b = germio.dump_json(jet_document(PolyJet(2, 2, dict(jet.terms))))
         assert a == b
 
     def test_linear_matrix_overrides_degree_one_terms(self):
@@ -252,10 +258,12 @@ class TestCliOversizedNumbers:
         assert code == 2 and out == "" and "ValidationError" in err
 
     def test_translation(self, tmp_path, capsys):
-        code, out, err = run_cli(["group", "conjugate-translation", str(DATA / "group_map.json"),
-                                  "--tau", f"[[{self.HUGE}, 0], [0, 0], [0, 0]]"], capsys)
+        doc = json.loads((DATA / "group_g1.json").read_text())
+        doc["tau"][0] = [self.HUGE, 0]
+        path = write_doc(tmp_path, "g.json", doc)
+        code, out, err = run_cli(["group", "inv", path], capsys)
         assert code == 2 and out == ""
-        assert "ValidationError: --tau[1]" in err
+        assert f"ValidationError: {path}: tau[1]" in err
 
     def test_orbit_point(self, tmp_path, capsys):
         code, out, err = run_cli(["orbit", str(DATA / "group_g1.json"),
@@ -316,10 +324,11 @@ class TestCliOverflow:
         doc = json.loads((DATA / ("group_g2.json" if command == "inv" else
                                   "group_g1.json")).read_text())
         path = write_doc(tmp_path, "g.json", dict(doc, tau=big))
+        paths = self.overflow_documents(tmp_path)
         argv = {"mul": ["mul", str(DATA / "group_g1.json"), path],
                 "inv": ["inv", path],
-                "conjugate-translation": ["conjugate-translation", str(DATA / "group_map.json"),
-                                          "--tau", json.dumps(big)]}[command]
+                # (0, h) (tau, id), whose map part conjugates h by the translation
+                "conjugate-translation": ["mul", paths["h"], paths["translation"]]}[command]
         code, out, err = run_cli(["group", *argv], capsys)
         assert code == 2 and out == ""
         assert err == ("ValidationError: shifted composition would overflow: "
@@ -336,7 +345,8 @@ class TestCliOverflow:
         amplification estimate |l_1|^-p_used overflows once the straightening
         takes 36 steps, ``group_g2`` at the origin with 1e200
         coefficients of degree 3 and 4 (its points stay finite, their norms do
-        not), and ``group_g1`` translated by 1e200."""
+        not), ``group_g1`` translated by 1e200, and the elements ``(0, h)`` of
+        ``group_map``'s map ``h`` and ``(tau, id)`` with ``tau`` at 1e200."""
         def scaled(name, factor):
             doc = json.loads((DATA / name).read_text())
             doc["terms"] = [dict(t, coeff=[factor * c for c in t["coeff"]])
@@ -355,13 +365,17 @@ class TestCliOverflow:
         g2["map"]["terms"] = [dict(t, coeff=[1e200, 0.0]) if sum(t["exponents"]) > 2 else t
                               for t in g2["map"]["terms"]]
         g1 = json.loads((DATA / "group_g1.json").read_text())
+        h = json.loads((DATA / "group_map.json").read_text())
         return {"germ": scaled("hopf.json", 1e160), "split": scaled("hopf.json", 3e153),
                 "residual": scaled("resonant_n2_c7.json", 1e52),
                 "tiny": coupled(1e-8, "tiny.json"),
                 "amplification": coupled(2e-9, "amplification.json"),
                 "norms": write_doc(tmp_path, "norms.json", g2),
                 "shift": write_doc(tmp_path, "shift.json", dict(g1, tau=[[1e200, 0.0]] * 3)),
-                "g1": str(DATA / "group_g1.json"), "map": str(DATA / "group_map.json")}
+                "g1": str(DATA / "group_g1.json"),
+                "h": write_doc(tmp_path, "h.json", element_document(h)),
+                "translation": write_doc(tmp_path, "translation.json", translation_document(
+                    [[1e200, 0.0]] * 3, linear_matrix_json(h)))}
 
     @pytest.mark.parametrize("argv, exit_code, message", [
         (["normal-form", "{germ}"], 3, "the normal form left the float range at degree 3 of 3"),
@@ -380,8 +394,7 @@ class TestCliOverflow:
          3, "the orbit left the float range at step 1 of 1"),
         (["group", "mul", "{g1}", "{shift}"], 2, SHIFT_OVERFLOW),
         (["group", "inv", "{shift}"], 2, SHIFT_OVERFLOW),
-        (["group", "conjugate-translation", "{map}", "--tau", json.dumps([[1e200, 0.0]] * 3)],
-         2, SHIFT_OVERFLOW),
+        (["group", "mul", "{h}", "{translation}"], 2, SHIFT_OVERFLOW),
         # the normal form draws no samples: only verify's overflow at them
         (["normal-form", "{tiny}"], 0, None),
         (["holonomy", "{tiny}"], 0, None),
@@ -420,21 +433,22 @@ class TestCliOverflow:
             assert 2.5e202 < max(abs(complex(*t["coeff"])) for t in phi) < 2.7e202
 
     @pytest.mark.parametrize("argv, key", [
-        (["sr-invert", "{map}"], "((0, 0, 3), 0)"),
-        (["sr-compose", "{map}", "{map}"], "((0, 0, 3), 0)"),
+        (["group", "inv", "{h}"], "((0, 0, 3), 0)"),
+        (["group", "mul", "{h}", "{h}"], "((0, 0, 3), 0)"),
         (["group", "inv", "{g2}"], "((0, 0, 3), 0)"),
         (["group", "mul", "{g2}", "{g2}"], "((0, 0, 2), 0)"),
     ])
     def test_group_arithmetic_past_the_float_range_is_exit_3(self, tmp_path, capsys, argv,
                                                              key):
-        """``group_map`` and ``group_g2``'s map with their nonlinear coefficients
-        scaled by 1e157: the inverse or product makes an infinite coefficient."""
+        """``(0, h)`` for ``group_map``'s map ``h``, and ``group_g2``, with their
+        maps' nonlinear coefficients scaled by 1e157: the inverse or product makes
+        an infinite coefficient."""
         g2 = json.loads((DATA / "group_g2.json").read_text())
         doc = json.loads((DATA / "group_map.json").read_text())
         for terms in (g2["map"]["terms"], doc["terms"]):
             terms[:] = [dict(t, coeff=[1e157 * c for c in t["coeff"]])
                         if sum(t["exponents"]) > 1 else t for t in terms]
-        paths = {"map": write_doc(tmp_path, "map.json", doc),
+        paths = {"h": write_doc(tmp_path, "h.json", element_document(doc)),
                  "g2": write_doc(tmp_path, "g2.json", g2)}
         code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
         message = f"non-finite coefficient at {key}"
@@ -580,7 +594,8 @@ class TestCliSizeLimits:
         # the Hopf germ, n=2, with its default 20 samples; only verify draws samples
         monkeypatch.setattr(normal_form, "MAX_REQUEST_BYTES",
                             normal_form.SAMPLE_BYTES_PER_COORDINATE * 20 * 2 + slack)
-        if exit_code:
+        if exit_code:   # refused before the normal form
+            monkeypatch.setattr(cli, "_poincare_dulac", refuse)
             monkeypatch.setattr(normal_form, "_sample_points", refuse)
         code, out, err = run_cli([command, str(DATA / "hopf.json")], capsys)
         assert code == exit_code
@@ -590,6 +605,7 @@ class TestCliSizeLimits:
                 "above the verify limit of 55999 bytes\n")
 
     def test_sample_count_past_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_poincare_dulac", refuse)
         monkeypatch.setattr(normal_form, "_sample_points", refuse)
         code, out, err = run_cli(["verify", str(DATA / "hopf.json"), "--sample-count",
                                   "200000"], capsys)
@@ -655,31 +671,7 @@ class TestCliSubcommands:
         code, out, _ = run_cli(["enumerate-sr", path, "--degree", "3"], capsys)
         assert json.loads(out)["count"] == 0
 
-    def test_sr_invert_and_compose(self, tmp_path, capsys):
-        doc = {"dimension": 2, "degree": 2, "coordinates": "adapted",
-               "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
-                         {"exponents": [0, 2], "component": 1, "coeff": [1.0, 0.0]},
-                         {"exponents": [0, 1], "component": 2, "coeff": [0.5, 0.0]}]}
-        path = write_doc(tmp_path, "map.json", doc)
-        code, out, _ = run_cli(["sr-invert", path], capsys)
-        assert code == 0
-        inverse = json.loads(out)
-        inv_path = write_doc(tmp_path, "inv.json", inverse)
-        code, out, _ = run_cli(["sr-compose", path, inv_path], capsys)
-        assert code == 0
-        composed = json.loads(out)
-        assert composed["terms"] == [
-            {"exponents": [0, 1], "component": 2, "coeff": [1.0, 0.0]},
-            {"exponents": [1, 0], "component": 1, "coeff": [1.0, 0.0]},
-        ]
-
-    # (w1/2, w2/4 + w1^2), the Hopf normal form with its coordinates swapped
-    SWAPPED_HOPF_DOC = {
-        "dimension": 2, "degree": 2, "coordinates": "original",
-        "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.5, 0.0]},
-                  {"exponents": [0, 1], "component": 2, "coeff": [0.25, 0.0]},
-                  {"exponents": [2, 0], "component": 2, "coeff": [1.0, 0.0]}],
-    }
+    # (z1/4 + z2^2, z2/2), the Hopf normal form
     HOPF_MAP_DOC = {
         "dimension": 2, "degree": 2, "coordinates": "adapted",
         "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
@@ -687,22 +679,29 @@ class TestCliSubcommands:
                   {"exponents": [0, 1], "component": 2, "coeff": [0.5, 0.0]}],
     }
 
-    def test_sr_compose_original_first_operand(self, tmp_path, capsys):
-        first = write_doc(tmp_path, "first.json", self.SWAPPED_HOPF_DOC)
-        second = write_doc(tmp_path, "second.json", self.HOPF_MAP_DOC)
-        code, out, err = run_cli(["sr-compose", first, second], capsys)
-        assert code == 0, err
-        # the first operand is ingested as (z1/4 - z2^2, z2/2): its z2^2 term
-        # cancels the second operand's
-        assert jet_terms(json.loads(out)) == {((1, 0), 1): 0.0625, ((0, 1), 2): 0.25}
+    def test_sr_invert_and_compose(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "h.json", element_document(self.HOPF_MAP_DOC))
+        code, out, _ = run_cli(["group", "inv", path], capsys)
+        assert code == 0
+        inv_path = write_doc(tmp_path, "inv.json", json.loads(out))
+        code, out, _ = run_cli(["group", "mul", path, inv_path], capsys)
+        assert code == 0
+        composed = json.loads(out)
+        assert composed["tau"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert composed["map"]["terms"] == [
+            {"exponents": [0, 1], "component": 2, "coeff": [1.0, 0.0]},
+            {"exponents": [1, 0], "component": 1, "coeff": [1.0, 0.0]},
+        ]
 
     def test_sr_compose_original_second_operand_is_exit_2(self, tmp_path, capsys):
-        first = write_doc(tmp_path, "first.json", self.HOPF_MAP_DOC)
-        second = write_doc(tmp_path, "second.json", self.SWAPPED_HOPF_DOC)
-        code, out, err = run_cli(["sr-compose", first, second], capsys)
+        # a group element's map is taken as given against its spectrum_matrix
+        first = write_doc(tmp_path, "first.json", element_document(self.HOPF_MAP_DOC))
+        second = write_doc(tmp_path, "second.json", dict(element_document(self.HOPF_MAP_DOC),
+                                                         coordinates="original"))
+        code, out, err = run_cli(["group", "mul", first, second], capsys)
         assert code == 2 and out == ""
-        assert err == (f"ValidationError: {second}: operand must be in adapted coordinates, "
-                       f"since it is taken as given against the spectrum of {first}\n")
+        assert err == (f"ValidationError: {second}: a group element's map must be in "
+                       "adapted coordinates\n")
 
     @staticmethod
     def not_subresonant_element(tmp_path):
@@ -750,15 +749,22 @@ class TestCliSubcommands:
         doc["terms"].append({"exponents": [9, 0, 0], "component": 1, "coeff": [1.0, 0.0]})
         return write_doc(tmp_path, "bad.json", doc)
 
+    # the second and the first factor of a product (0, h) (0, h), and check-sr's map
     @pytest.mark.parametrize("command", ["sr-compose-second", "sr-compose-first", "check-sr"])
     def test_map_refusal_names_the_document(self, tmp_path, capsys, command):
-        bad, good = self.with_degree_9_term(tmp_path), str(DATA / "group_map.json")
-        argv = {"sr-compose-second": ["sr-compose", good, bad],
-                "sr-compose-first": ["sr-compose", bad, good],
-                "check-sr": ["check-sr", bad]}[command]
+        bad = self.with_degree_9_term(tmp_path)
+        if command == "check-sr":
+            argv, where = ["check-sr", bad], "germ"
+        else:
+            good = write_doc(tmp_path, "good.json", element_document(
+                json.loads((DATA / "group_map.json").read_text())))
+            bad = write_doc(tmp_path, "bad-element.json",
+                            element_document(json.loads(Path(bad).read_text())))
+            argv, where = ["group", "mul", *((good, bad) if command == "sr-compose-second"
+                                             else (bad, good))], "map"
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
-        assert err == (f"ValidationError: {bad}: germ: term 12: degree 9 exceeds "
+        assert err == (f"ValidationError: {bad}: {where}: term 12: degree 9 exceeds "
                        "declared degree 4\n")
 
     @pytest.mark.parametrize("defect, error", [
@@ -870,16 +876,15 @@ class TestCliSubcommands:
                    for t in product["map"]["terms"])
 
     def test_group_conjugate_translation(self, tmp_path, capsys):
-        doc = {"dimension": 2, "degree": 2, "coordinates": "adapted",
-               "terms": [{"exponents": [1, 0], "component": 1, "coeff": [0.25, 0.0]},
-                         {"exponents": [0, 2], "component": 1, "coeff": [1.0, 0.0]},
-                         {"exponents": [0, 1], "component": 2, "coeff": [0.5, 0.0]}]}
-        path = write_doc(tmp_path, "map.json", doc)
-        code, out, _ = run_cli(["group", "conjugate-translation", path,
-                                "--tau", "[[0.0, 0.0], [0.3, 0.0]]"], capsys)
+        # (0, h) (tau, id) has the map part z -> h(z + tau) - h(tau)
+        doc = TestCliSubcommands.HOPF_MAP_DOC
+        h = write_doc(tmp_path, "h.json", element_document(doc))
+        translation = write_doc(tmp_path, "tau.json", translation_document(
+            [[0.0, 0.0], [0.3, 0.0]], linear_matrix_json(doc)))
+        code, out, _ = run_cli(["group", "mul", h, translation], capsys)
         assert code == 0
         parsed = json.loads(out)
-        linear_new = [t for t in parsed["terms"] if t["exponents"] == [0, 1]
+        linear_new = [t for t in parsed["map"]["terms"] if t["exponents"] == [0, 1]
                       and t["component"] == 1]
         assert linear_new and abs(linear_new[0]["coeff"][0] - 0.6) < 1e-14
 
@@ -939,12 +944,14 @@ UNIPOTENT_DOC = {
               {"exponents": [0, 1], "component": 2, "coeff": [1.0, 0.0]}],
 }
 
+# Each command on a map h against the Hopf spectrum: check-sr with --spectrum,
+# and on the element (0, h) its inverse, its square and its product with the
+# translation (tau, id), tau = (0, 0.5).
 SPECTRUM_COMMANDS = {
-    "check-sr": ["check-sr", "{map}"],
-    "sr-invert": ["sr-invert", "{map}"],
-    "sr-compose": ["sr-compose", "{map}", "{map}"],
-    "conjugate-translation": ["group", "conjugate-translation", "{map}",
-                              "--tau", "[[0.0, 0.0], [0.5, 0.0]]"],
+    "check-sr": ["check-sr", "{map}", "--spectrum", str(DATA / "hopf.json")],
+    "sr-invert": ["group", "inv", "{h}"],
+    "sr-compose": ["group", "mul", "{h}", "{h}"],
+    "conjugate-translation": ["group", "mul", "{h}", "{tau}"],
 }
 
 
@@ -953,12 +960,18 @@ def jet_terms(doc):
 
 
 class TestCliSpectrumOption:
-    """Operands against ``--spectrum`` are taken as given, in adapted coordinates."""
+    """A map against a spectrum it does not fix, ``check-sr``'s ``--spectrum``
+    or a group element's ``spectrum_matrix``, is taken as given, in adapted
+    coordinates."""
 
     def run(self, tmp_path, capsys, command, doc):
-        path = write_doc(tmp_path, "map.json", doc)
-        args = [a.format(map=path) for a in SPECTRUM_COMMANDS[command]]
-        return run_cli(args + ["--spectrum", str(DATA / "hopf.json")], capsys)
+        hopf = linear_matrix_json(json.loads((DATA / "hopf.json").read_text()))
+        paths = {"map": write_doc(tmp_path, "map.json", doc),
+                 "h": write_doc(tmp_path, "h.json", dict(element_document(doc, hopf),
+                                                          coordinates=doc["coordinates"])),
+                 "tau": write_doc(tmp_path, "tau.json",
+                                  translation_document([[0.0, 0.0], [0.5, 0.0]], hopf))}
+        return run_cli([a.format(**paths) for a in SPECTRUM_COMMANDS[command]], capsys)
 
     @pytest.mark.parametrize("command, expected", [
         ("sr-invert", {((1, 0), 1): 1.0, ((0, 2), 1): -0.3, ((0, 1), 2): 1.0}),
@@ -969,7 +982,7 @@ class TestCliSpectrumOption:
     def test_adapted_operand(self, tmp_path, capsys, command, expected):
         code, out, err = self.run(tmp_path, capsys, command, UNIPOTENT_DOC)
         assert code == 0, err
-        terms = jet_terms(json.loads(out))
+        terms = jet_terms(json.loads(out)["map"])
         assert terms.keys() == expected.keys()
         assert all(abs(terms[k] - v) < 1e-15 for k, v in expected.items())
 
@@ -1003,11 +1016,8 @@ COMMAND_LINES = {
     "verify": ["verify", "g.json"],
     "check-sr": ["check-sr", "m.json"],
     "enumerate-sr": ["enumerate-sr", "s.json", "--degree", "2"],
-    "sr-invert": ["sr-invert", "m.json"],
-    "sr-compose": ["sr-compose", "a.json", "b.json"],
     "group mul": ["group", "mul", "a.json", "b.json"],
     "group inv": ["group", "inv", "a.json"],
-    "group conjugate-translation": ["group", "conjugate-translation", "m.json", "--tau", "[]"],
     "m-matrix": ["m-matrix", "s.json", "--degree", "2"],
     "orbit": ["orbit", "e.json", "--point", "[]"],
 }
@@ -1048,11 +1058,11 @@ class TestCliFlags:
             "normal-form": NORMAL_FORM_FLAGS, "holonomy": NORMAL_FORM_FLAGS,
             "verify": NORMAL_FORM_FLAGS | {"sample_count", "sample_radius", "seed", "cauchy_tol",
                                            "p_max"},
-            **{command: {"output"} for command in ("check-sr", "enumerate-sr", "sr-invert",
-                                                   "sr-compose", "group mul", "group inv",
-                                                   "group conjugate-translation", "m-matrix")},
+            **{command: {"output"} for command in ("check-sr", "enumerate-sr", "group mul",
+                                                   "group inv", "m-matrix")},
             "orbit": {"seed", "output"}}
-        assert sum(map(len, accepted.values())) == 27
+        assert len(accepted) == 9
+        assert sum(map(len, accepted.values())) == 24
 
     @pytest.mark.parametrize("argv", [
         ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
@@ -1073,6 +1083,16 @@ class TestCliFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    # retired: group inv, group mul (0, h1) (0, h2) and group mul (0, h) (tau, id) do their work
+    @pytest.mark.parametrize("argv", [
+        ["sr-invert", "m.json"], ["sr-compose", "a.json", "b.json"],
+        ["group", "conjugate-translation", "m.json", "--tau", "[]"]])
+    def test_a_retired_command_is_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_check_sr_refuses_near_resonant_terms(tmp_path, capsys):

@@ -9,7 +9,9 @@ To regenerate one expected file after an intended change, run for example
 ``PYTHONPATH=src python -m srnf normal-form tests/data/hopf.json
 > tests/data/expected/hopf.normal-form.json`` from the repository root.
 The group inputs ``group_g1.json``, ``group_g2.json`` (elements) and
-``group_map.json`` (a sub-resonant map) share one spectrum.  ``near_resonant.json``
+``group_map.json`` (a sub-resonant map) share one spectrum;
+``group.conjugate-translation.json`` holds the map part of a ``group mul``
+product built from ``group_map.json``.  ``near_resonant.json``
 is a coupled 3-d germ whose results carry strings: small-divisor warnings,
 and with ``--res-tol 1e-5`` an ``{"error": ...}`` document.
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import element_document, linear_matrix_json, translation_document
 from srnf.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -42,9 +45,6 @@ CASES = [
     # n = 3, degree bound 4, both elements with a nonzero translation
     ("group.mul", ["group", "mul", "group_g1.json", "group_g2.json"], 0),
     ("group.inv", ["group", "inv", "group_g1.json"], 0),
-    ("group.conjugate-translation",
-     ["group", "conjugate-translation", "group_map.json",
-      "--tau", "[[0.07, -0.02], [-0.05, 0.04], [0.03, 0.09]]"], 0),
     # l_1 = 0.2500002 sits 2e-7 off l_2^2 = l_2 l_3 = l_3^2: three small-divisor warnings
     ("near_resonant.normal-form", ["normal-form", "near_resonant.json"], 0),
     # the same divisors taken as resonances but not sub-resonant: an error document, exit 3
@@ -66,6 +66,23 @@ def test_cli_output_is_byte_identical(name, argv, exit_code, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert out == (DATA / "expected" / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_translation_conjugate_is_the_map_part_of_a_group_product(tmp_path, capsys):
+    """``group mul (0, h) (tau, id)`` has the map part ``z -> h(z + tau) - h(tau)``,
+    which ``group.conjugate-translation.json`` holds for ``h = group_map.json``."""
+    h = json.loads((DATA / "group_map.json").read_text(encoding="utf-8"))
+    tau = [[0.07, -0.02], [-0.05, 0.04], [0.03, 0.09]]
+    paths = []
+    for name, element in (("h", element_document(h)),
+                          ("tau", translation_document(tau, linear_matrix_json(h)))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(element), encoding="utf-8")
+    assert main(["group", "mul", *map(str, paths)]) == 0
+    product = json.loads(capsys.readouterr().out)
+    expected = json.loads((DATA / "expected" / "group.conjugate-translation.json").read_text(
+        encoding="utf-8"))
+    assert product["map"] == {"degree": expected["degree"], "terms": expected["terms"]}
 
 
 @pytest.mark.parametrize("order", ["reversed", 1, 2, 3])

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coeff_distance, random_point, random_spectrum, random_sr_map
+from conftest import (
+    coeff_distance,
+    identity_element,
+    random_point,
+    random_spectrum,
+    random_sr_map,
+)
 from srnf import gx_group, subresonance
 from srnf.errors import SingularLinearPart, SpectrumMismatch
 from srnf.gx_group import (
@@ -11,12 +17,12 @@ from srnf.gx_group import (
     GroupElement,
     group_inv,
     group_mul,
-    hopf_holonomy,
+    holonomy_generator,
     orbit,
     translate_conjugate,
 )
 from srnf.linalg import analyze_spectrum
-from srnf.normal_form import GermInput
+from srnf.normal_form import GermInput, poincare_dulac
 from srnf.polymap import PolyJet, compose_truncated
 from srnf.subresonance import SubResonantMap, certify_subresonant
 
@@ -142,7 +148,7 @@ class TestGroupLaw:
         rng = np.random.default_rng(3)
         s = random_spectrum(rng, 2)
         g = random_element(rng, s)
-        e = GroupElement.identity(s)
+        e = identity_element(s)
         assert group_mul(g, e) == g
         assert group_mul(e, g) == g
 
@@ -175,7 +181,7 @@ class TestInverse:
         rng = np.random.default_rng(seed)
         s = random_spectrum(rng, n)
         g = random_element(rng, s)
-        e = GroupElement.identity(s)
+        e = identity_element(s)
         assert coeff_distance(group_mul(g, group_inv(g)), e) < 1e-10
         assert coeff_distance(group_mul(group_inv(g), g), e) < 1e-10
 
@@ -191,7 +197,7 @@ class TestInverse:
         linear = GroupElement(tau=element.tau,
                               h=certified(PolyJet.from_linear(element.h.linear_part(), 1), s))
         tau = rng.normal(size=n) + 1j * rng.normal(size=n)
-        pure = GroupElement(tau=tau, h=GroupElement.identity(s).h)
+        pure = GroupElement(tau=tau, h=identity_element(s).h)
         conj = group_mul(group_mul(linear, pure), group_inv(linear))
         ident = PolyJet.identity(n)
         assert conj.h.jet.max_coeff_diff(ident) < 1e-10
@@ -208,7 +214,7 @@ class TestInverse:
         h = certified(random_sr_map(rng, s), s)
         g = GroupElement(tau=np.zeros(n, dtype=complex), h=h)
         tau = rng.normal(size=n) + 1j * rng.normal(size=n)
-        pure = GroupElement(tau=tau, h=GroupElement.identity(s).h)
+        pure = GroupElement(tau=tau, h=identity_element(s).h)
         conj = group_mul(group_mul(g, pure), group_inv(g))
         assert isinstance(conj.h, SubResonantMap)
         assert np.allclose(conj.tau, h.evaluate(tau), atol=1e-9)
@@ -217,12 +223,14 @@ class TestInverse:
 class TestHolonomy:
     def test_linear_germ(self):
         T = np.diag([0.5, 0.5]).astype(complex)
-        generator, result = hopf_holonomy(GermInput(jet=PolyJet.from_linear(T, 1)))
+        result = poincare_dulac(GermInput(jet=PolyJet.from_linear(T, 1)))
+        generator = holonomy_generator(result)
         assert np.all(generator.tau == 0)
         assert generator.h.jet == PolyJet.from_linear(T, 1)
 
     def test_resonant_example(self):
-        generator, result = hopf_holonomy(GermInput(jet=HOPF_GERM))
+        result = poincare_dulac(GermInput(jet=HOPF_GERM))
+        generator = holonomy_generator(result)
         assert generator.h.jet == PolyJet(2, 2, {((1, 0), 0): 0.25,
                                                  ((0, 2), 0): 1.0,
                                                  ((0, 1), 1): 0.5})
@@ -233,8 +241,8 @@ class TestHolonomy:
                       [np.sin(theta), np.cos(theta)]], dtype=complex)
         from srnf.polymap import linear_conjugate
         rotated = linear_conjugate(HOPF_GERM, U.conj().T, 3)
-        generator, result = hopf_holonomy(
-            GermInput(jet=rotated, coordinates="original"))
+        result = poincare_dulac(GermInput(jet=rotated, coordinates="original"))
+        generator = holonomy_generator(result)
         assert np.allclose(np.abs(np.diag(result.spectrum.T)), [0.25, 0.5], atol=1e-10)
         assert not np.allclose(result.basis_change, np.eye(2))
 
@@ -261,7 +269,8 @@ class TestOrbit:
             assert norm == 2.0 ** (-k) * 1.0
 
     def test_contraction_diagnostics(self):
-        generator, result = hopf_holonomy(GermInput(jet=HOPF_GERM))
+        result = poincare_dulac(GermInput(jet=HOPF_GERM))
+        generator = holonomy_generator(result)
         z = 0.5 * result.contraction_radius * np.array([1.0, 1.0]) / np.sqrt(2)
         points, diag = orbit(generator, z, 12, ball_radius=result.contraction_radius)
         assert diag.entered_ball_at == 0
@@ -280,7 +289,8 @@ class TestOrbit:
     @pytest.mark.parametrize("samples", [gx_group.ANNULUS_SAMPLES])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_annulus_batch_equals_per_sample_loop(self, samples, seed):
-        generator, result = hopf_holonomy(GermInput(jet=HOPF_GERM))
+        result = poincare_dulac(GermInput(jet=HOPF_GERM))
+        generator = holonomy_generator(result)
         rng = np.random.default_rng(seed)
         shifted = GroupElement(tau=0.01 * (rng.normal(size=2) + 1j * rng.normal(size=2)),
                                h=generator.h)
@@ -310,7 +320,8 @@ class TestOrbit:
                 if rng.random() < 0.5:
                     terms[key] = 0.4 * complex(rng.normal(), rng.normal())
         germ = GermInput(jet=PolyJet(2, max(1, s.degree_bound), terms))
-        generator, result = hopf_holonomy(germ)
+        result = poincare_dulac(germ)
+        generator = holonomy_generator(result)
         r0 = result.contraction_radius
         if r0 <= 0:
             return

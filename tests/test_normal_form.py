@@ -397,6 +397,13 @@ class TestVerify:
         result = poincare_dulac(germ)
         assert verify_conjugacy(germ, result).residuals is result.residuals
 
+    def test_oversized_sample_count_is_refused_before_sampling(self, monkeypatch):
+        germ = GermInput(jet=HOPF_GERM)
+        result = poincare_dulac(germ)
+        monkeypatch.setattr(normal_form, "_sample_points", None)   # drawing would fail
+        with pytest.raises(ValidationError, match="^a sample count of 200000 for n=2 needs "):
+            verify_conjugacy(germ, result, RunConfig(sample_count=200000))
+
     def test_normal_form_draws_no_random_number(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("poincare_dulac drew a random number")

@@ -45,11 +45,14 @@ def test_src_size():
     counts = {name: int(count) for count, name in (line.split(maxsplit=1) for line in lines)}
     total, tests = counts.pop("total"), counts.pop("tests/*.py")
     fields, slots = counts.pop("RunConfig fields"), counts.pop("command flag slots")
-    assert [line.split(maxsplit=1)[1] for line in lines[-3:]] == [
-        "tests/*.py", "RunConfig fields", "command flag slots"]
+    leaves = counts.pop("commands")
+    assert [line.split(maxsplit=1)[1] for line in lines[-4:]] == [
+        "tests/*.py", "RunConfig fields", "command flag slots", "commands"]
     assert fields == len(dataclasses.fields(RunConfig))
-    # the parser's flag slots, counted as the CLI tests probe them
-    assert slots == sum(map(len, accepted_settings().values()))
+    # the parser's commands and flag slots, counted as the CLI tests probe them
+    accepted = accepted_settings()
+    assert leaves == len(accepted)
+    assert slots == sum(map(len, accepted.values()))
     files = sorted((ROOT / "src" / "srnf").glob("*.py"))
     assert list(counts) == [f"src/srnf/{path.name}" for path in files]
     assert total == sum(counts.values())
