@@ -16,6 +16,7 @@ from . import germio
 from .config import RunConfig
 from .errors import (
     MAX_REQUEST_BYTES,
+    DimensionMismatch,
     InputError,
     NoConvergence,
     NumericalCondition,
@@ -109,6 +110,9 @@ def _cmd_check_sr(args, cfg: RunConfig) -> dict:
     if args.spectrum:
         _, (spectrum, _, _) = _read(args.spectrum, _ingested)
         germ = _read(args.map, germio.parse_germ_document)
+        if germ.n != spectrum.n:
+            raise DimensionMismatch(f"{args.map}: dimension {germ.n} does not match "
+                                    f"n={spectrum.n} of the spectrum of {args.spectrum}")
         if germ.coordinates != "adapted":
             raise ValidationError(
                 f"{args.map}: operand must be in adapted coordinates, since it is taken as "

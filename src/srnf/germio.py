@@ -114,9 +114,19 @@ def json_to_terms(data, n: int, degree: int, where: str) -> dict[TermKey, comple
     return terms
 
 
-def parse_germ_document(doc: Any) -> GermInput:
+def _fields(doc: Any, keys: str, where: str) -> dict:
+    """``doc``, a JSON object with no key outside the space-separated ``keys``:
+    a misspelled optional key would otherwise be read as absent."""
     if not isinstance(doc, dict):
-        raise ValidationError("germ document must be a JSON object")
+        raise ValidationError(f"{where} must be a JSON object")
+    for key in doc:
+        if key not in keys.split():
+            raise ValidationError(f"{where}: unknown key {key!r}; expected keys are {keys}")
+    return doc
+
+
+def parse_germ_document(doc: Any) -> GermInput:
+    _fields(doc, "dimension degree coordinates terms linear_matrix", "germ document")
     n = doc.get("dimension")
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
         raise ValidationError(f"'dimension' must be an integer in 1..{MAX_DIMENSION}")
@@ -205,8 +215,7 @@ def group_element_document(g: GroupElement) -> dict:
 
 
 def parse_group_element(doc: Any) -> GroupElement:
-    if not isinstance(doc, dict):
-        raise ValidationError("group element document must be a JSON object")
+    _fields(doc, "dimension tau map spectrum_matrix coordinates", "group element document")
     n = doc.get("dimension")
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
         raise ValidationError(f"'dimension' must be an integer in 1..{MAX_DIMENSION}")
@@ -216,9 +225,7 @@ def parse_group_element(doc: Any) -> GroupElement:
         raise ValidationError("a group element's map must be in adapted coordinates")
     spectrum = analyze_spectrum(json_to_matrix(doc["spectrum_matrix"], n, "spectrum_matrix"))
     tau = json_to_point(doc.get("tau", [[0.0, 0.0]] * n), n, "tau")
-    map_doc = doc.get("map")
-    if not isinstance(map_doc, dict):
-        raise ValidationError("'map' must be an object with 'degree' and 'terms'")
+    map_doc = _fields(doc.get("map"), "degree terms", "'map'")
     degree = map_doc.get("degree", max(1, spectrum.degree_bound))
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'map.degree' must be a positive integer")

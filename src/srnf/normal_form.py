@@ -277,11 +277,9 @@ def conjugacy_coefficient_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
 
 
 def pointwise_conjugacy_residual(F: PolyJet, phi: PolyJet, P_jet: PolyJet,
-                                 z) -> float | list[float]:
-    """Polynomial residual ``||F(phi(z)) - phi(P(z))||`` at a point, or its list over rows."""
-    z = np.asarray(z, dtype=complex)
-    gap = F.evaluate(phi.evaluate(z)) - phi.evaluate(P_jet.evaluate(z))
-    return _row_norms(gap) if gap.ndim == 2 else float(np.linalg.norm(gap))
+                                 Z: np.ndarray) -> list[float]:
+    """Polynomial residual ``||F(phi(z)) - phi(P(z))||`` at each row ``z`` of ``Z``."""
+    return _row_norms(F.evaluate(phi.evaluate(Z)) - phi.evaluate(P_jet.evaluate(Z)))
 
 
 def _row_norms(rows: np.ndarray) -> list[float]:
@@ -302,45 +300,29 @@ def _sample_points(n: int, contraction_radius: float, cfg: RunConfig) -> tuple[f
     return radius, radius * directions / np.array(_row_norms(directions))[:, None]
 
 
-def _straighten(F: PolyJet, P_inv: PolyJet, pullback: PolyJet, Z: np.ndarray,
-                FZ: np.ndarray, p_max: int, cauchy_tol: float):
-    """Straightening limit ``lim_p P^{-(p)}(pullback(F^{(p)}(y)))`` at ``y = z_i``,
-    row ``i`` of ``Z`` ``(m, n)``, and at ``y = F(z_i)``, row ``i`` of ``FZ``,
-    given ``P_inv = P^{-1}``; the limits are rows ``i`` and ``m + i`` of the result.
-
-    Both sequences of a sample follow one forward orbit: at step ``q`` the
-    chain ``P^{-(k)}(pullback(F^{(q)}(z)))``, ``k <= q``, gives ``z`` its
-    ``p = q`` iterate and ``F(z)`` its ``p = q - 1`` iterate.  A row stops once
-    its update gap is at most ``cauchy_tol * max(1, ||y||)``, and a sample
-    leaves once both rows stopped.  Returns the ``(2m, n)`` values, the ``p``
-    each row stopped at, and per row ``None`` or its last gap.
+def _straighten(F: PolyJet, P_inv: PolyJet, pullback: PolyJet, Y: np.ndarray,
+                p_max: int, cauchy_tol: float):
+    """Straightening limit ``lim_p P^{-(p)}(pullback(F^{(p)}(y)))`` at each row
+    ``y`` of ``Y``, given ``P_inv = P^{-1}``.  A row iterates ``w_p =
+    P_inv^p(pullback(F^p(y)))`` and stops at the first ``p >= 1`` whose gap
+    ``||w_p - w_(p-1)||`` is at most ``cauchy_tol * max(1, ||y||)``.  Returns
+    each row's last ``w_p`` and the ``p`` it stopped at, ``None`` if it did not.
     """
-    m = len(Z)
-    tol = [cauchy_tol * max(1.0, norm) for norm in _row_norms(np.concatenate([Z, FZ]))]
-    values = np.empty((2 * m, F.n), dtype=complex)
-    stopped_at, gaps = [p_max] * (2 * m), [float("inf")] * (2 * m)
-    active = np.arange(m)
-    forward = Z
-    for q in range(p_max + 2):
-        chain = [pullback.evaluate(forward)]
-        for _ in range(min(q, p_max)):
-            chain.append(P_inv.evaluate(chain[-1]))
-        # the z rows take their p = q iterate, the F(z) rows their p = q - 1 iterate
-        for rows, p in ((active, q), (active + m, q - 1)):
-            if not 0 <= p <= p_max:
-                continue
-            running = [gaps[row] is not None for row in rows]
-            rows, w = rows[running], chain[p][running]
-            if p:
-                for row, gap in zip(rows, _row_norms(w - values[rows])):
-                    gaps[row], stopped_at[row] = (None, p) if gap <= tol[row] else (gap, p_max)
-            values[rows] = w
-        keep = [gaps[i] is not None or gaps[m + i] is not None for i in active]
-        active = active[keep]
-        if not len(active) or q > p_max:
+    tol = cauchy_tol * np.maximum(1.0, _row_norms(Y))
+    values, stopped = pullback.evaluate(Y), np.full(len(Y), None)
+    active, forward = np.arange(len(Y)), Y
+    for p in range(1, p_max + 1):
+        if not len(active):
             break
-        forward = FZ[active] if q == 0 else F.evaluate(forward[keep])
-    return values, stopped_at, gaps
+        forward = F.evaluate(forward)
+        w = pullback.evaluate(forward)
+        for _ in range(p):
+            w = P_inv.evaluate(w)
+        done = np.array(_row_norms(w - values[active])) <= tol[active]   # NaN is not done
+        values[active] = w
+        stopped[active[done]] = p
+        active, forward = active[~done], forward[~done]
+    return values, stopped.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,6 +375,9 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     where ``g`` composes the inverse of the polynomial stage with the
     numeric straightening limit.  Of ``cfg`` only ``sample_count``,
     ``sample_radius``, ``seed``, ``p_max`` and ``cauchy_tol`` are read.
+    ``germ`` must be the germ of ``result``: another dimension raises
+    ``DimensionMismatch``, an adapted germ other than ``result.germ_adapted``
+    ``ValidationError``; a germ in original coordinates is checked by dimension only.
     Samples above ``MAX_REQUEST_BYTES`` are refused before they are drawn; a
     polynomial residual or an amplification estimate ``|l_1|^-p_used`` that
     leaves the float range raises ``NoConvergence``.
@@ -401,6 +386,10 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     F = result.germ_adapted
     P = result.normal_form
     m = cfg.sample_count
+    if germ.n != spectrum.n:
+        raise DimensionMismatch(f"germ dimension {germ.n} does not match n={spectrum.n}")
+    if germ.coordinates == "adapted" and germ.jet != F:
+        raise ValidationError("the adapted germ is not the germ of this normal form")
     check_sample_count(spectrum.n, cfg)
     radius, Z = _sample_points(F.n, result.contraction_radius, cfg)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below
@@ -412,14 +401,14 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     p_used = 0
     if m:
         # rows i and m + i straighten z_i and F(z_i)
-        G, stopped_at, gaps = _straighten(
-            F, sr_inverse(P).jet, jet_inverse(result.phi, result.trunc_degree), Z,
-            F.evaluate(Z), cfg.p_max, cfg.cauchy_tol)
-        ok = [i for i in range(m) if gaps[i] is None and gaps[m + i] is None]
+        G, stopped = _straighten(
+            F, sr_inverse(P).jet, jet_inverse(result.phi, result.trunc_degree),
+            np.concatenate([Z, F.evaluate(Z)]), cfg.p_max, cfg.cauchy_tol)
+        ok = [i for i in range(m) if stopped[i] is not None and stopped[m + i] is not None]
         residuals = _row_norms(G[[m + i for i in ok]] - P.jet.evaluate(G[ok]))
         for i, value in zip(ok, residuals):
             straightened[i] = value
-            p_used = max(p_used, stopped_at[i], stopped_at[m + i])
+            p_used = max(p_used, stopped[i], stopped[m + i])
     with _float_range(lambda: f"the amplification estimate |l_1|^-p_used left the float "
                               f"range at p_used = {p_used}"):
         amplification = float(spectrum.moduli[0]) ** -p_used if p_used else 1.0

@@ -290,7 +290,7 @@ def test_criterion_09_remainder_decay():
 
         def worst(r):
             return max(pointwise_conjugacy_residual(
-                F, result.phi, result.normal_form.jet, r * u) for u in dirs)
+                F, result.phi, result.normal_form.jet, r * np.array(dirs)))
 
         big, small = worst(radius), worst(radius / 2)
         if big < 1e-13:

@@ -787,6 +787,34 @@ class TestCliSubcommands:
         assert code == 2 and out == ""
         assert err.startswith(f"ValidationError: {path}: coordinates must be one of")
 
+    @pytest.mark.parametrize("argv, where, rename", [
+        (["group", "inv"], "group element document", ("tau", "translation")),
+        (["group", "inv"], "'map'", ("terms", "term")),
+        (["normal-form"], "germ document", ("coordinates", "coordinate")),
+        (["check-sr"], "germ document", ("linear_matrix", "linear")),
+    ])
+    def test_unknown_key_is_exit_2(self, tmp_path, capsys, argv, where, rename):
+        # a misspelled optional key is refused, not read as absent
+        old, new = rename
+        if argv[0] == "group":
+            doc = json.loads((DATA / "group_g1.json").read_text())
+            target = doc["map"] if where == "'map'" else doc
+        else:
+            doc = target = json.loads((DATA / "coupled_n3_original.json").read_text())
+        target[new] = target.pop(old)
+        path = write_doc(tmp_path, "bad.json", doc)
+        code, out, err = run_cli([*argv, path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: {path}: {where}: unknown key {new!r}; "
+                              "expected keys are ")
+
+    def test_check_sr_dimension_mismatch_names_both_documents(self, capsys):
+        hopf, coupled = str(DATA / "hopf.json"), str(DATA / "coupled_n3.json")
+        code, out, err = run_cli(["check-sr", hopf, "--spectrum", coupled], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"DimensionMismatch: {hopf}: dimension 2 does not match n=3 of the "
+                       f"spectrum of {coupled}\n")
+
     @pytest.mark.parametrize("command", ["normal-form", "verify", "holonomy"])
     def test_germ_refusal_names_the_document(self, tmp_path, capsys, command):
         doc = json.loads((DATA / "hopf.json").read_text())

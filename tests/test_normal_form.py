@@ -17,7 +17,7 @@ from conftest import (
 )
 from srnf import germio, normal_form
 from srnf.config import RunConfig
-from srnf.errors import NotContracting, ValidationError
+from srnf.errors import DimensionMismatch, NotContracting, ValidationError
 from srnf.homological import split_homogeneous
 from srnf.normal_form import (
     GermInput,
@@ -346,8 +346,9 @@ def straighten(F, P, Z):
     """``_straighten`` of ``F`` towards ``P`` at the rows of ``Z`` and their
     images under ``F``, with the identity for the polynomial stage."""
     Z = np.asarray(Z, dtype=complex)
-    return normal_form._straighten(F, sr_inverse(P).jet, PolyJet.identity(F.n), Z,
-                                   F.evaluate(Z), RunConfig.p_max, RunConfig.cauchy_tol)
+    return normal_form._straighten(F, sr_inverse(P).jet, PolyJet.identity(F.n),
+                                   np.concatenate([Z, F.evaluate(Z)]), RunConfig.p_max,
+                                   RunConfig.cauchy_tol)
 
 
 class TestPhiNumeric:
@@ -357,13 +358,13 @@ class TestPhiNumeric:
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
         P = result.normal_form
         z = np.array([0.02 + 0.01j, -0.03 + 0.005j])
-        values, _, gaps = straighten(P.jet, P, [z])
-        assert gaps == [None, None]
+        values, stopped = straighten(P.jet, P, [z])
+        assert None not in stopped
         assert np.linalg.norm(values[0] - z) < 1e-13
 
     def test_origin(self):
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
-        values, _, _ = straighten(HOPF_GERM, result.normal_form, np.zeros((1, 2)))
+        values, _ = straighten(HOPF_GERM, result.normal_form, np.zeros((1, 2)))
         assert np.all(values == 0)
 
     def test_koenigs_functional_equation(self):
@@ -371,8 +372,8 @@ class TestPhiNumeric:
         result = poincare_dulac(GermInput(jet=F))
         P = result.normal_form
         # rows z and F(z): phi(F(z)) = P(phi(z))
-        values, _, gaps = straighten(F, P, [[0.1 + 0j]])
-        assert gaps == [None, None]
+        values, stopped = straighten(F, P, [[0.1 + 0j]])
+        assert None not in stopped
         assert np.linalg.norm(values[1] - P.jet.evaluate(values[0])) < 1e-10
 
 
@@ -396,6 +397,27 @@ class TestVerify:
         germ = GermInput(jet=HOPF_GERM)
         result = poincare_dulac(germ)
         assert verify_conjugacy(germ, result).residuals is result.residuals
+
+    def test_germ_of_another_dimension_is_refused(self):
+        result = poincare_dulac(GermInput(jet=HOPF_GERM))
+        with pytest.raises(DimensionMismatch, match="^germ dimension 3 does not match n=2$"):
+            verify_conjugacy(coupled_n3(), result)
+
+    def test_adapted_germ_must_be_the_result_germ(self):
+        result = poincare_dulac(GermInput(jet=HOPF_GERM))
+        other = GermInput(jet=HOPF_GERM + PolyJet(2, 3, {((0, 3), 0): 0.1}))
+        with pytest.raises(ValidationError, match="not the germ of this normal form"):
+            verify_conjugacy(other, result)
+        # an equal jet that is another object is the same germ
+        same = GermInput(jet=PolyJet(2, HOPF_GERM.degree, dict(HOPF_GERM.terms)))
+        assert verify_conjugacy(same, result).unconverged == 0
+
+    def test_original_germ_is_checked_by_dimension_only(self):
+        germ = germio.parse_germ_document(
+            json.loads((DATA / "coupled_n3_original.json").read_text()))
+        result = poincare_dulac(germ)
+        assert germ.jet != result.germ_adapted
+        assert verify_conjugacy(germ, result).unconverged == 0
 
     def test_oversized_sample_count_is_refused_before_sampling(self, monkeypatch):
         germ = GermInput(jet=HOPF_GERM)
@@ -425,9 +447,8 @@ class TestVerify:
         dirs = [random_point(np.random.default_rng(50 + k), 2, 1.0) for k in range(10)]
 
         def worst(r):
-            return max(pointwise_conjugacy_residual(F, result.phi,
-                                                    result.normal_form.jet, r * u)
-                       for u in dirs)
+            return max(pointwise_conjugacy_residual(F, result.phi, result.normal_form.jet,
+                                                    r * np.array(dirs)))
 
         big, small = worst(radius), worst(radius / 2)
         if big < 1e-13:
@@ -534,17 +555,42 @@ class TestBatchedStraightening:
         # sequences unconverged at p_max
         rng = np.random.default_rng(1)
         Z = np.array([z for r in (1e-3, 0.01, 0.05) for z in reference_points(rng, F.n, r, 6)])
-        FZ = F.evaluate(Z)
-        values, stopped_at, gaps = normal_form._straighten(
-            F, P_inv, phi_inv, Z, FZ, cfg.p_max, cfg.cauchy_tol)
-        assert len(set(stopped_at)) > 3
-        assert name == "hopf" or any(gap is not None for gap in gaps)
-        # row i straightens z_i, row m + i straightens F(z_i)
-        for i, y in enumerate(np.concatenate([Z, FZ])):
+        Y = np.concatenate([Z, F.evaluate(Z)])
+        values, stopped = normal_form._straighten(F, P_inv, phi_inv, Y, cfg.p_max,
+                                                  cfg.cauchy_tol)
+        assert len(set(stopped)) > 3
+        assert name == "hopf" or None in stopped
+        for i, y in enumerate(Y):
             value, p, gap = reference_iterate(F, P_inv, y, cfg.p_max, cfg.cauchy_tol,
                                               pullback=phi_inv)
             assert values[i].tobytes() == value.tobytes()
-            assert (stopped_at[i], gaps[i]) == (p, gap)
+            assert stopped[i] == (p if gap is None else None)
+
+    @pytest.mark.parametrize("name", ["hopf", "coupled_n3"])
+    def test_rows_are_independent(self, name):
+        # a row's value and stop depend neither on the batch's order nor on its other rows
+        germ = GermInput(jet=HOPF_GERM) if name == "hopf" else coupled_n3()
+        cfg = RunConfig()
+        result = poincare_dulac(germ, cfg)
+        F = result.germ_adapted
+        P_inv = sr_inverse(result.normal_form).jet
+        phi_inv = jet_inverse(result.phi, result.trunc_degree)
+        rng = np.random.default_rng(1)
+        Y = np.array([z for r in (1e-3, 0.01, 0.05) for z in reference_points(rng, F.n, r, 5)])
+
+        def straighten_rows(rows):
+            return normal_form._straighten(F, P_inv, phi_inv, rows, cfg.p_max, cfg.cauchy_tol)
+
+        values, stopped = straighten_rows(Y)
+        assert len(set(stopped)) > 2
+        order = rng.permutation(len(Y))
+        permuted, permuted_stopped = straighten_rows(Y[order])
+        assert permuted.tobytes() == values[order].tobytes()
+        assert permuted_stopped == [stopped[i] for i in order]
+        for i in range(len(Y)):
+            value, single = straighten_rows(Y[i:i + 1])
+            assert value.tobytes() == values[i:i + 1].tobytes()
+            assert single == [stopped[i]]
 
     @pytest.mark.parametrize("n, scale", [(1, 1e-20), (2, 0.05), (3, 1.0), (16, 1e5)])
     def test_row_norms_match_the_one_row_norm(self, n, scale):

@@ -32,11 +32,11 @@ def test_sr_survey():
 
 
 def test_bench_digest():
-    # every benchmark output of seed 1 stays byte-identical to the committed digest
-    lines = run_script("bench_digest.py", "--seed", "1")
-    assert len(lines) == 56
+    # every benchmark output of seeds 1-3 stays byte-identical to the committed digest
+    lines = run_script("bench_digest.py", "--seed", "1", "2", "3")
+    assert len(lines) == 168
     assert all(len(line.split()[-1]) == 64 for line in lines)
-    expected = ROOT / "tests" / "data" / "expected" / "bench_digest-seed1.txt"
+    expected = ROOT / "tests" / "data" / "expected" / "bench_digest-seed1-2-3.txt"
     assert lines == expected.read_text(encoding="utf-8").splitlines()
 
 
