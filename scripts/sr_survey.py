@@ -55,7 +55,7 @@ def main() -> int:
         s = draw_spectrum(rng, args.dim)
         dims = [len(enumerate_subresonant_basis(s, q))
                 for q in range(2, s.degree_bound + 1)]
-        n_res = sum(len(split_homogeneous(s, HomogeneousPart.zero_part(s.n, q))
+        n_res = sum(len(split_homogeneous(s, HomogeneousPart(s.n, q))
                             .resonant_positions)
                     for q in range(2, s.degree_bound + 1))
         min_div = np.inf

@@ -4,7 +4,9 @@ then the line total of the test modules ``tests/*.py`` on a line of its own,
 then the size of the options: the number of ``RunConfig`` fields, the
 number of command flag slots, a slot being a ``RunConfig`` flag or
 ``--output`` that one subcommand of ``cli.build_parser()`` accepts, and the
-number of those subcommands (``group mul`` and ``group inv`` count as two).
+number of those subcommands (``group mul`` and ``group inv`` count as two),
+and last the number of public names that ``srnf`` exports, submodules not
+counted.
 
 Lines are counted as ``wc -l`` counts them, one per newline.
 
@@ -14,12 +16,14 @@ Run from anywhere:  python3 scripts/src_size.py
 import argparse
 import dataclasses
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "srnf"
 sys.path.insert(0, str(ROOT / "src"))
 
+import srnf  # noqa: E402
 from srnf import cli  # noqa: E402
 from srnf.config import RunConfig  # noqa: E402
 
@@ -53,6 +57,9 @@ def main() -> int:
     print(f"{len(fields):6d} RunConfig fields")
     print(f"{slots:6d} command flag slots")
     print(f"{len(leaves):6d} commands")
+    exports = [name for name, value in vars(srnf).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    print(f"{len(exports):6d} srnf exports")
     return 0
 
 

@@ -48,7 +48,6 @@ from .polymap import (
     PolyJet,
     basis_ordering,
     compose_truncated,
-    homogeneous_part,
     jet_inverse,
     linear_conjugate,
 )

@@ -76,7 +76,7 @@ def json_to_point(data, n: int, where: str) -> np.ndarray:
 def terms_to_json(jet: PolyJet) -> list[dict]:
     return [
         {"exponents": list(index), "component": comp + 1, "coeff": complex_to_pair(coeff)}
-        for index, comp, coeff in jet.sorted_terms()
+        for (index, comp), coeff in jet.terms.items()
     ]
 
 

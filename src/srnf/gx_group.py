@@ -103,7 +103,7 @@ class OrbitDiagnostics:
     entered_ball_at: int | None
     ratio_bound: float
     ratios_after_entry: tuple[float, ...]
-    ratio_certified: bool
+    ratio_certified: bool | None   # None when no ratio was checked
     annulus: AnnulusCheck | None
 
 
@@ -112,10 +112,11 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
     """Points ``z, g(z), ..., g^k(z)`` with contraction diagnostics.
 
     Norm ratios are compared against ``(1 + |l_n|)/2`` once the orbit is
-    inside the given ball.  When an annulus ``(r, R)`` is given, the image
-    of ``ANNULUS_SAMPLES`` seeded points of the annulus is checked to miss
-    the annulus, so that distinct orbit points cannot collide there; this is
-    reported evidence, not a proof.
+    inside the given ball; ``ratio_certified`` is None when no ratio was
+    compared, without a ball or when the orbit never enters it.  When an
+    annulus ``(r, R)`` is given, the image of ``ANNULUS_SAMPLES`` seeded
+    points of the annulus is checked to miss the annulus, so that distinct
+    orbit points cannot collide there; this is reported evidence, not a proof.
     """
     if k < 0:
         raise ValidationError(f"iteration count must be >= 0, got {k}")
@@ -139,7 +140,7 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
         if ball_radius is not None and ball_radius > 0 else None
     start = len(norms) if entered is None else entered
     ratios = tuple(norms[i + 1] / norms[i] for i in range(start, len(norms) - 1) if norms[i] > 0)
-    ratio_certified = all(r <= ratio_bound * (1 + 1e-12) for r in ratios)
+    ratio_certified = all(r <= ratio_bound * (1 + 1e-12) for r in ratios) if ratios else None
 
     annulus_check = None
     if annulus is not None:

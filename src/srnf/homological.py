@@ -43,10 +43,6 @@ class OperatorMatrix:
     ordering: BasisOrdering
     entries: np.ndarray
 
-    def apply(self, h: HomogeneousPart) -> HomogeneousPart:
-        vec = coefficient_vector(h, self.ordering)
-        return vector_to_part(self.entries @ vec, self.ordering)
-
 
 def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarray:
     if h.q != ordering.q:   # exponents past q would pack to other rows' codes

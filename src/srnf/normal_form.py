@@ -376,8 +376,9 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     numeric straightening limit.  Of ``cfg`` only ``sample_count``,
     ``sample_radius``, ``seed``, ``p_max`` and ``cauchy_tol`` are read.
     ``germ`` must be the germ of ``result``: another dimension raises
-    ``DimensionMismatch``, an adapted germ other than ``result.germ_adapted``
-    ``ValidationError``; a germ in original coordinates is checked by dimension only.
+    ``DimensionMismatch``, and a germ that :func:`ingest` does not move to
+    ``result.germ_adapted`` raises ``ValidationError`` (a germ in original
+    coordinates is triangularized again for this).
     Samples above ``MAX_REQUEST_BYTES`` are refused before they are drawn; a
     polynomial residual or an amplification estimate ``|l_1|^-p_used`` that
     leaves the float range raises ``NoConvergence``.
@@ -388,8 +389,8 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     m = cfg.sample_count
     if germ.n != spectrum.n:
         raise DimensionMismatch(f"germ dimension {germ.n} does not match n={spectrum.n}")
-    if germ.coordinates == "adapted" and germ.jet != F:
-        raise ValidationError("the adapted germ is not the germ of this normal form")
+    if (germ.jet if germ.coordinates == "adapted" else ingest(germ)[1]) != F:
+        raise ValidationError(f"the {germ.coordinates} germ is not the germ of this normal form")
     check_sample_count(spectrum.n, cfg)
     radius, Z = _sample_points(F.n, result.contraction_radius, cfg)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is refused below

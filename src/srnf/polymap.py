@@ -17,11 +17,12 @@ This module is the only one that orders terms.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -170,13 +171,13 @@ class PolyJet:
         checked: dict[TermKey, complex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (index, comp), coeff in items:
-            index = tuple(int(e) for e in index)
-            comp = int(comp)
-            coeff = complex(coeff)
             if len(index) != n:
                 raise DimensionMismatch(f"multi-index {index} has wrong length for n={n}")
-            if any(e < 0 for e in index):
-                raise ValueError(f"negative exponent in multi-index {index}")
+            # one pass checks the type and the sign of plain ints; other values take _read_key
+            if not all(e.__class__ is int and e >= 0 for e in index) \
+                    or comp.__class__ is not int or isinstance(coeff, str):
+                index, comp = _read_key(index, comp, coeff)
+            index, coeff = tuple(index), complex(coeff)
             total = sum(index)
             if not 1 <= total <= degree:
                 raise DegreeOutOfRange(f"term degree {total} outside 1..{degree}")
@@ -198,10 +199,6 @@ class PolyJet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, degree: int = 1) -> "PolyJet":
-        return cls(n, degree, {})
-
-    @classmethod
     def identity(cls, n: int, degree: int = 1) -> "PolyJet":
         return cls.from_linear(np.eye(n), degree)
 
@@ -214,9 +211,6 @@ class PolyJet:
         return _fill(object.__new__(cls), matrix.shape[0], degree, _linear_terms(matrix))
 
     # -- views ---------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[MultiIndex, int, complex]]:
-        return [(index, comp, coeff) for (index, comp), coeff in self.terms.items()]
 
     def linear_part(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -254,24 +248,11 @@ class PolyJet:
         return PolyJet._trusted(self.n, max(self.degree, other.degree),
                                 _sum_terms(self.terms, other.terms))
 
-    def __neg__(self) -> "PolyJet":
-        return PolyJet._trusted(self.n, self.degree, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyJet") -> "PolyJet":
-        return self + (-other)
-
-    def scaled(self, factor: complex) -> "PolyJet":
-        return PolyJet._trusted(self.n, self.degree,
-                                {k: factor * c for k, c in self.terms.items()})
-
     def truncated(self, degree: int) -> "PolyJet":
         if degree < 1:
             raise DegreeOutOfRange(f"truncation degree must be >= 1, got {degree}")
         terms = {k: c for k, c in self.terms.items() if sum(k[0]) <= degree}
         return PolyJet._trusted(self.n, degree, terms)
-
-    def pruned(self) -> "PolyJet":
-        return PolyJet._trusted(self.n, self.degree, _prune_terms(self.terms))
 
     def max_coeff_diff(self, other: "PolyJet") -> float:
         keys = set(self.terms) | set(other.terms)
@@ -314,7 +295,7 @@ class PolyJet:
         if not self.terms:
             return "0"
         parts = []
-        for index, comp, coeff in self.sorted_terms():
+        for (index, comp), coeff in self.terms.items():
             mono = "*".join(f"z{k + 1}^{e}" if e > 1 else f"z{k + 1}"
                             for k, e in enumerate(index) if e)
             parts.append(f"({coeff:.6g})*{mono}*e{comp + 1}")
@@ -339,10 +320,6 @@ class HomogeneousPart(PolyJet):
     def q(self) -> int:
         return self.degree
 
-    @classmethod
-    def zero_part(cls, n: int, q: int) -> "HomogeneousPart":
-        return cls(n, q, {})
-
 
 # -- term-level helpers ------------------------------------------------
 
@@ -352,6 +329,19 @@ def _check_size(n: int, degree: int) -> None:
         raise DimensionMismatch(f"dimension must be positive, got {n}")
     if not 1 <= degree <= MAX_DEGREE:
         raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
+
+
+def _read_key(index, comp, coeff) -> TermKey:
+    """``(index, comp)`` read by ``operator.index``; a bool, a value it refuses, a
+    negative exponent or a string ``coeff`` raises ValueError naming the term."""
+    values = (*index, comp)
+    if not isinstance(coeff, str) and bool not in map(type, values):
+        with contextlib.suppress(TypeError):
+            *exponents, component = map(operator.index, values)
+            if min(exponents) >= 0:
+                return tuple(exponents), component
+    raise ValueError(f"term {(index, comp)!r} -> {coeff!r}: exponents must be nonnegative "
+                     "integers, the component an integer and the coefficient a number")
 
 
 def _fill(jet: PolyJet, n: int, degree: int, terms: Mapping[TermKey, complex],
@@ -589,14 +579,6 @@ def linear_conjugate(f: PolyJet, matrix: np.ndarray, degree: int) -> PolyJet:
     return PolyJet._trusted(f.n, degree, _prune_terms(out))
 
 
-def homogeneous_part(f: PolyJet, q: int) -> HomogeneousPart:
-    """Exactly the degree-``q`` terms of ``f``."""
-    if not 1 <= q <= f.degree:
-        raise DegreeOutOfRange(f"degree {q} outside 1..{f.degree}")
-    terms = {key: coeff for key, coeff in f.terms.items() if sum(key[0]) == q}
-    return HomogeneousPart._trusted(f.n, q, terms)
-
-
 def _nonlinear(f: PolyJet) -> PolyJet:
     """``f`` without its linear terms, which add nothing to ``compose_block(f, d)``
     while ``g``'s degree-``d`` block is not yet revealed."""
@@ -614,7 +596,7 @@ def _left_multiply(columns: list[list[tuple[int, complex]]],
     """Terms of ``z -> matrix @ f(z)`` in term order, from ``f``'s terms in term
     order and ``matrix``'s :func:`_columns`."""
     out: dict[TermKey, complex] = {}
-    for index, keys in itertools.groupby(terms, key=itemgetter(0)):
+    for index, keys in itertools.groupby(terms, key=operator.itemgetter(0)):
         row: dict[int, complex] = {}
         for key in keys:
             coeff = terms[key]

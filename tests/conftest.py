@@ -76,6 +76,11 @@ def naive_compose(f: PolyJet, g: PolyJet, degree: int) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def degree_part(f: PolyJet, q: int) -> HomogeneousPart:
+    """Exactly the degree-``q`` terms of ``f``."""
+    return HomogeneousPart(f.n, q, {key: c for key, c in f.terms.items() if sum(key[0]) == q})
+
+
 def naive_operator(T: np.ndarray, h: HomogeneousPart) -> HomogeneousPart:
     """``h o T - T o h`` from :func:`naive_compose`, independent of the library kernel."""
     n = h.n

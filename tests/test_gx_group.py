@@ -10,7 +10,7 @@ from conftest import (
     random_spectrum,
     random_sr_map,
 )
-from srnf import gx_group, subresonance
+from srnf import germio, gx_group, subresonance
 from srnf.errors import SingularLinearPart, SpectrumMismatch
 from srnf.gx_group import (
     AnnulusCheck,
@@ -276,6 +276,19 @@ class TestOrbit:
         assert diag.entered_ball_at == 0
         assert diag.ratio_certified
         assert all(r <= diag.ratio_bound for r in diag.ratios_after_entry)
+
+    def test_no_ball_checks_no_ratio(self):
+        g = GroupElement(tau=np.zeros(2), h=certified(RESONANT_H))
+        points, diag = orbit(g, np.array([0.0, 1.0]), 3)
+        assert diag.ratios_after_entry == () and diag.ratio_certified is None
+        assert germio.orbit_document(points, diag)["ratio_certified"] is None
+
+    def test_orbit_outside_the_ball_checks_no_ratio(self):
+        g = GroupElement(tau=np.zeros(2), h=certified(RESONANT_H))
+        points, diag = orbit(g, np.array([0.0, 1.0]), 3, ball_radius=1e-3)
+        assert diag.entered_ball_at is None
+        assert diag.ratios_after_entry == () and diag.ratio_certified is None
+        assert '"ratio_certified": null' in germio.dump_json(germio.orbit_document(points, diag))
 
     def test_annulus_separation(self):
         # ratio bound (1 + 0.5)/2 = 0.75, so 0.75 * R < r certifies

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    degree_part,
     multi_indices,
     naive_operator,
     random_jet,
@@ -32,7 +33,6 @@ from srnf.polymap import (
     PolyJet,
     basis_dimension,
     compose_truncated,
-    homogeneous_part,
     jet_inverse,
 )
 from srnf.subresonance import SubResonantMap, certify_subresonant, sr_inverse
@@ -54,7 +54,7 @@ def random_contracting_germ(rng, n, degree, *, diagonal=False, scale=0.5):
 
 class TestConjugateStep:
     def test_zero_correction(self):
-        out = conjugate_step(HOPF_GERM, HomogeneousPart.zero_part(2, 2), 3)
+        out = conjugate_step(HOPF_GERM, HomogeneousPart(2, 2), 3)
         assert out == HOPF_GERM
 
     def test_hand_1d_cancellation(self):
@@ -86,11 +86,10 @@ class TestConjugateStep:
         f_q = HomogeneousPart(n, q, terms)
         out = conjugate_step(F, f_q, q + 1)
         for d in range(1, q):
-            gap = homogeneous_part(out, d).max_coeff_diff(homogeneous_part(F, d))
-            assert gap < 1e-12
-        expected = homogeneous_part(F, q) - naive_operator(spectrum.T, f_q)
-        got = homogeneous_part(out, q)
-        assert got.max_coeff_diff(PolyJet(n, q, expected.terms)) < 1e-10
+            assert degree_part(out, d).max_coeff_diff(degree_part(F, d)) < 1e-12
+        # out_q = F_q - M f_q
+        got = degree_part(out, q) + naive_operator(spectrum.T, f_q)
+        assert got.max_coeff_diff(degree_part(F, q)) < 1e-10
 
 
 class TestPipeline:
@@ -199,7 +198,7 @@ def reference_normal_form(germ: GermInput, cfg: RunConfig = RunConfig()) -> Poly
     current = F.truncated(D) if F.degree > D else PolyJet(F.n, D, F.terms)
     P = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
     for q in range(2, D + 1):
-        split = split_homogeneous(spectrum, homogeneous_part(current, q), cfg.res_tol)
+        split = split_homogeneous(spectrum, degree_part(current, q), cfg.res_tol)
         current = conjugate_step(current, split.eliminated, D, prune=cfg.prune)
         if split.resonant.terms:
             P = P + split.resonant
@@ -412,12 +411,18 @@ class TestVerify:
         same = GermInput(jet=PolyJet(2, HOPF_GERM.degree, dict(HOPF_GERM.terms)))
         assert verify_conjugacy(same, result).unconverged == 0
 
-    def test_original_germ_is_checked_by_dimension_only(self):
-        germ = germio.parse_germ_document(
-            json.loads((DATA / "coupled_n3_original.json").read_text()))
+    def test_original_germ_must_be_the_result_germ(self):
+        doc = json.loads((DATA / "coupled_n3_original.json").read_text())
+        germ = germio.parse_germ_document(doc)
         result = poincare_dulac(germ)
         assert germ.jet != result.germ_adapted
         assert verify_conjugacy(germ, result).unconverged == 0
+        [term] = [t for t in doc["terms"] if t["exponents"] == [0, 0, 2] and t["component"] == 1]
+        term["coeff"][0] += 5
+        other = germio.parse_germ_document(doc)
+        with pytest.raises(ValidationError,
+                           match="^the original germ is not the germ of this normal form$"):
+            verify_conjugacy(other, result)
 
     def test_oversized_sample_count_is_refused_before_sampling(self, monkeypatch):
         germ = GermInput(jet=HOPF_GERM)

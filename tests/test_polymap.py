@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_operator, random_jet, random_point, random_spectrum, random_sr_map
+from conftest import (
+    degree_part,
+    naive_operator,
+    random_jet,
+    random_point,
+    random_spectrum,
+    random_sr_map,
+)
 from srnf import germio, polymap
 from srnf.gx_group import GroupElement, group_inv, group_mul, translate_conjugate
 from srnf.errors import DegreeOutOfRange, DimensionMismatch, SingularLinearPart, ValidationError
@@ -21,7 +29,6 @@ from srnf.polymap import (
     _prune_terms,
     basis_ordering,
     compose_truncated,
-    homogeneous_part,
     jet_inverse,
     linear_conjugate,
     term_sort_key,
@@ -69,10 +76,9 @@ def point_value(jet, z):
     z = np.asarray(z, dtype=complex)
     if not jet.terms:
         return np.zeros(jet.n, dtype=complex)
-    items = jet.sorted_terms()
-    exps = np.array([index for index, _, _ in items], dtype=np.int64)
-    comps = np.array([comp for _, comp, _ in items], dtype=np.int64)
-    coeffs = np.array([coeff for _, _, coeff in items], dtype=complex)
+    exps = np.array([index for index, _ in jet.terms], dtype=np.int64)
+    comps = np.array([comp for _, comp in jet.terms], dtype=np.int64)
+    coeffs = np.array(list(jet.terms.values()), dtype=complex)
     monomials = np.prod(z[None, :] ** exps, axis=1)
     out = np.zeros(jet.n, dtype=complex)
     np.add.at(out, comps, coeffs * monomials)
@@ -85,7 +91,7 @@ class TestBatchEvaluate:
            st.booleans())
     def test_rows_equal_single_points(self, seed, n, degree, m, zero):
         rng = np.random.default_rng(seed)
-        jet = PolyJet.zero(n, degree) if zero else random_jet(rng, n, degree, density=0.4)
+        jet = PolyJet(n, degree) if zero else random_jet(rng, n, degree, density=0.4)
         Z = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         Z[rng.random((m, n)) < 0.1] = complex(-0.0, -0.0)
         batch = jet.evaluate(Z)
@@ -100,7 +106,7 @@ class TestBatchEvaluate:
     @pytest.mark.parametrize("zero", [False, True])
     def test_bad_shapes_rejected(self, zero):
         n, m = 3, 5
-        jet = PolyJet.zero(n, 2) if zero else random_jet(np.random.default_rng(0), n, 2)
+        jet = PolyJet(n, 2) if zero else random_jet(np.random.default_rng(0), n, 2)
         for shape in [(n + 1,), (m, n + 1), (2, 2, n)]:
             with pytest.raises(DimensionMismatch):
                 jet.evaluate(np.zeros(shape, dtype=complex))
@@ -146,12 +152,6 @@ class TestBatchEvaluate:
 class TestTrustedConstruction:
     """Arithmetic results skip key validation but must equal validated jets."""
 
-    @staticmethod
-    def rebuilt(jet):
-        if isinstance(jet, HomogeneousPart):
-            return HomogeneousPart(jet.n, jet.q, jet.terms)
-        return PolyJet(jet.n, jet.degree, jet.terms)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4))
     def test_arithmetic_equals_public_construction(self, seed, n, degree):
@@ -162,33 +162,31 @@ class TestTrustedConstruction:
         # one term below PRUNE_REL_TOL times the largest of its degree
         noisy = PolyJet(2, 2, {((1, 0), 0): 1.0, ((0, 1), 1): PRUNE_REL_TOL / 2,
                                ((1, 1), 0): 0.5})
-        assert len(noisy.pruned().terms) == 2
+        pruned = compose_truncated(noisy, PolyJet.identity(2, 2), 2)
+        assert len(pruned.terms) == 2
+        negated = PolyJet(n, degree, {key: -c for key, c in f.terms.items()})
         results = [
             compose_truncated(f, g, degree), compose_truncated(f, g, degree, prune=False),
-            f + g, -f, f - g, f - f, f.scaled(0.3 - 1.2j), f.scaled(np.float64(2.5)),
-            noisy.pruned(), f.truncated(1), homogeneous_part(f, degree),
+            f + g, f + negated, pruned, f.truncated(1),
             jet_inverse(f, degree), linear_conjugate(f, Q, degree),
         ]
         for jet in results:
-            again = self.rebuilt(jet)
+            again = PolyJet(jet.n, jet.degree, jet.terms)
             assert jet == again and type(jet) is type(again)
             assert (jet.n, jet.degree) == (again.n, again.degree)
             assert list(jet.terms.items()) == list(again.terms.items())
             assert all(type(c) is complex and c != 0 for c in jet.terms.values())
-        assert homogeneous_part(f, degree).q == degree
 
     def test_overflow_still_raises(self):
         f = jet1d(2, **{"1": 1.0, "2": 1e300})
         with pytest.raises(ValueError):
-            f.scaled(1e300)
+            compose_truncated(f, jet1d(2, **{"1": 1e300}), 2)
         big = jet1d(2, **{"2": 1.7e308})
         with pytest.raises(ValueError):
             big + big
 
     def test_underflow_stores_no_zero(self):
         f = jet1d(2, **{"1": 1.0, "2": 1e-300})
-        scaled = f.scaled(1e-200)
-        assert ((2,), 0) not in scaled.terms and 0 not in scaled.terms.values()
         # 1e-300 * (1e-200)^2 underflows in the composition
         composed = compose_truncated(f, jet1d(2, **{"1": 1e-200}), 2, prune=False)
         assert list(composed.terms) == [((1,), 0)]
@@ -563,7 +561,7 @@ def reference_jet_inverse(f, degree):
         block = PolyJet._trusted(f.n, degree, out)
         g = g + block
         table.reveal(block.terms)
-    return g.pruned()
+    return PolyJet(f.n, degree, _prune_terms(g.terms))
 
 
 class TestFromLinear:
@@ -629,12 +627,8 @@ class TestSortedTerms:
             index = tuple(rng.multinomial(int(rng.integers(1, degree + 1)), [1 / n] * n).tolist())
             terms[(index, int(rng.integers(n)))] = complex(rng.normal(), rng.normal())
         jet = shuffled(rng, PolyJet(n, degree, terms))
-        expected = [(index, comp, jet.terms[(index, comp)])
-                    for index, comp in sorted(jet.terms, key=term_sort_key)]
-        assert jet.sorted_terms() == expected
-
-    def test_empty_jet(self):
-        assert PolyJet.zero(3).sorted_terms() == []
+        expected = [(key, jet.terms[key]) for key in sorted(jet.terms, key=term_sort_key)]
+        assert list(jet.terms.items()) == expected
 
 
 class TestLinearConjugate:
@@ -661,34 +655,14 @@ class TestLinearConjugate:
 
 
 class TestHomogeneousPart:
-    def test_linear_part_of_sum(self):
-        f = PolyJet(2, 2, {((1, 0), 0): 0.25, ((0, 2), 0): 1.0, ((0, 1), 1): 0.5})
-        part = homogeneous_part(f, 1)
-        assert part.q == 1
-        assert part.terms == {((1, 0), 0): 0.25, ((0, 1), 1): 0.5}
-
-    def test_degree_two_filter(self):
-        f = PolyJet(2, 2, {((1, 0), 0): 0.25, ((1, 1), 0): 1.0, ((0, 2), 0): 1.0,
-                           ((0, 1), 1): 0.5, ((2, 0), 1): 1.0})
-        part = homogeneous_part(f, 2)
-        assert part.terms == {((1, 1), 0): 1.0, ((0, 2), 0): 1.0, ((2, 0), 1): 1.0}
-
-    def test_empty_degree(self):
-        f = PolyJet(2, 3, {((1, 0), 0): 1.0})
-        assert homogeneous_part(f, 3).terms == {}
-
-    def test_out_of_range(self):
-        with pytest.raises(DegreeOutOfRange):
-            homogeneous_part(PolyJet.identity(2), 5)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 5))
     def test_decomposition_is_exact(self, seed, n, degree):
         rng = np.random.default_rng(seed)
         f = random_jet(rng, n, degree, invertible_linear=False)
-        total = PolyJet.zero(n, degree)
+        total = PolyJet(n, degree)
         for q in range(1, degree + 1):
-            total = total + homogeneous_part(f, q)
+            total = total + degree_part(f, q)
         assert total == f
 
     def test_single_degree_enforced(self):
@@ -709,8 +683,27 @@ class TestCanonicalForm:
     def test_iteration_order_graded_then_monomial(self):
         f = PolyJet(2, 2, {((2, 0), 0): 1.0, ((0, 2), 0): 1.0, ((1, 0), 0): 1.0,
                            ((1, 1), 0): 1.0, ((0, 1), 0): 1.0})
-        keys = [(index, comp) for index, comp, _ in f.sorted_terms()]
+        keys = list(f.terms)
         assert keys == [((0, 1), 0), ((1, 0), 0), ((0, 2), 0), ((1, 1), 0), ((2, 0), 0)]
+
+    @pytest.mark.parametrize("key, coeff", [
+        (((1.7, 0.2), 0), 1.0),   # was truncated to ((1, 0), 0)
+        (((True, 0), 0), 1.0),
+        (((1, 0), True), 1.0),
+        (((1, 0), "1"), 1.0),
+        (((1, 0), 1.0), 1.0),
+        (((1, 0), 0), "1"),
+        (((1, -1), 0), 1.0),
+    ], ids=["float-exponents", "bool-exponent", "bool-component", "str-component",
+            "float-component", "str-coefficient", "negative-exponent"])
+    def test_key_that_is_not_integers_is_refused(self, key, coeff):
+        with pytest.raises(ValueError, match=rf"^term {re.escape(repr(key))} -> "):
+            PolyJet(2, 3, {key: coeff})
+
+    def test_numpy_integers_are_accepted(self):
+        jet = PolyJet(2, 3, {((np.int64(1), np.int32(2)), np.int8(1)): 1.0})
+        [(index, comp)] = jet.terms
+        assert (index, comp) == ((1, 2), 1) and all(type(v) is int for v in (*index, comp))
 
     def test_constant_terms_rejected(self):
         with pytest.raises(DegreeOutOfRange):
@@ -776,9 +769,9 @@ class TestTermOrder:
         A[rng.random((n, n)) < 0.3] = 0
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         shift = rng.normal(size=n) + 0j
-        top = homogeneous_part(f, degree)
-        jets = [f, PolyJet.from_linear(A, degree), PolyJet.identity(n, degree), f + g, f - g, -f,
-                f.scaled(0.5j), f.truncated(max(1, degree - 1)), f.pruned(), top,
+        top = degree_part(f, degree)
+        jets = [f, PolyJet.from_linear(A, degree), PolyJet.identity(n, degree), f + g,
+                f.truncated(max(1, degree - 1)), top,
                 HomogeneousPart(n, degree, dict(reversed(list(top.terms.items())))),
                 compose_truncated(f, g, degree), compose_truncated(f, g, degree, prune=False),
                 compose_truncated(f, g, degree * degree, shift=shift),
@@ -788,7 +781,7 @@ class TestTermOrder:
         jets += [sr_compose(F, G).jet, sr_compose(F, G, shift=shift).jet, sr_inverse(F).jet,
                  translate_conjugate(F, shift).jet]
         if degree >= 2:
-            split = split_homogeneous(spectrum, homogeneous_part(g, degree))
+            split = split_homogeneous(spectrum, degree_part(g, degree))
             jets += [naive_operator(spectrum.T, top), split.resonant, split.eliminated]
         for jet in jets:
             assert is_term_ordered(jet.terms), jet

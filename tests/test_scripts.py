@@ -1,11 +1,13 @@
 """Smoke tests: the example scripts run to completion against the package."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import srnf
 from srnf.config import RunConfig
 from test_germio_cli import accepted_settings
 
@@ -45,10 +47,13 @@ def test_src_size():
     counts = {name: int(count) for count, name in (line.split(maxsplit=1) for line in lines)}
     total, tests = counts.pop("total"), counts.pop("tests/*.py")
     fields, slots = counts.pop("RunConfig fields"), counts.pop("command flag slots")
-    leaves = counts.pop("commands")
-    assert [line.split(maxsplit=1)[1] for line in lines[-4:]] == [
-        "tests/*.py", "RunConfig fields", "command flag slots", "commands"]
+    leaves, exports = counts.pop("commands"), counts.pop("srnf exports")
+    assert [line.split(maxsplit=1)[1] for line in lines[-5:]] == [
+        "tests/*.py", "RunConfig fields", "command flag slots", "commands", "srnf exports"]
     assert fields == len(dataclasses.fields(RunConfig))
+    # public names of the package namespace, its submodules left out
+    assert exports == sum(not name.startswith("_") and not inspect.ismodule(getattr(srnf, name))
+                          for name in dir(srnf))
     # the parser's commands and flag slots, counted as the CLI tests probe them
     accepted = accepted_settings()
     assert leaves == len(accepted)
