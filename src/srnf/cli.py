@@ -101,7 +101,7 @@ def _positions(keys) -> list[dict]:
 
 
 def _cmd_normal_form(args, cfg: RunConfig) -> dict:
-    return germio.result_document(_poincare_dulac(*_read(args.germ, _ingested)[1], cfg))
+    return germio.result_document(_poincare_dulac(*_read(args.germ, _ingested), cfg))
 
 
 def _cmd_check_sr(args, cfg: RunConfig) -> dict:
@@ -164,7 +164,7 @@ def _cmd_group_inv(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_holonomy(args, cfg: RunConfig) -> dict:
-    result = _poincare_dulac(*_read(args.germ, _ingested)[1], cfg)
+    result = _poincare_dulac(*_read(args.germ, _ingested), cfg)
     return {
         "generator": germio.group_element_document(holonomy_generator(result)),
         "result": germio.result_document(result),
@@ -195,7 +195,7 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
 def _cmd_verify(args, cfg: RunConfig) -> dict:
     germ, ingested = _read(args.germ, _ingested)
     check_sample_count(germ.jet.n, cfg)   # before the normal form, not after it
-    report = verify_conjugacy(germ, _poincare_dulac(*ingested, cfg), cfg=cfg)
+    report = verify_conjugacy(germ, _poincare_dulac(germ, ingested, cfg), cfg=cfg)
     document = germio.report_document(report)
     if report.unconverged:
         raise NoConvergence(

@@ -92,7 +92,7 @@ class ResidualReport:
 @dataclass(frozen=True, eq=False)
 class NormalFormResult:
     """``steps`` holds each degree's split: its ``resonant`` part is added to
-    ``P``, its ``eliminated`` part to ``phi``."""
+    ``P``, its ``eliminated`` part to ``phi``; ``germ`` is the germ as given."""
 
     spectrum: SpectrumData
     normal_form: SubResonantMap
@@ -100,6 +100,7 @@ class NormalFormResult:
     phi: PolyJet
     residuals: ResidualReport
     basis_change: np.ndarray
+    germ: GermInput
     germ_adapted: PolyJet
     contraction_radius: float
     contraction_ratio: float
@@ -197,12 +198,12 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     positions is refused before the degree loop; a coefficient that leaves
     the float range raises ``NoConvergence``.
     """
-    return _poincare_dulac(*ingest(germ), cfg)
+    return _poincare_dulac(germ, ingest(germ), cfg)
 
 
-def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray,
-                    cfg: RunConfig) -> NormalFormResult:
-    """:func:`poincare_dulac` of a germ that :func:`ingest` has read."""
+def _poincare_dulac(germ: GermInput, ingested: tuple, cfg: RunConfig) -> NormalFormResult:
+    """:func:`poincare_dulac` of a germ with ``ingested = ingest(germ)``."""
+    spectrum, adapted_full, Q = ingested
     D = cfg.trunc_degree if cfg.trunc_degree is not None else spectrum.c0 + 1
     if D < spectrum.c0 + 1:
         raise ValidationError(
@@ -249,6 +250,7 @@ def _poincare_dulac(spectrum: SpectrumData, adapted_full: PolyJet, Q: np.ndarray
         phi=phi,
         residuals=residuals,
         basis_change=Q,
+        germ=germ,
         germ_adapted=adapted_full,
         contraction_radius=radius,
         contraction_ratio=ratio,
@@ -376,9 +378,8 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     numeric straightening limit.  Of ``cfg`` only ``sample_count``,
     ``sample_radius``, ``seed``, ``p_max`` and ``cauchy_tol`` are read.
     ``germ`` must be the germ of ``result``: another dimension raises
-    ``DimensionMismatch``, and a germ that :func:`ingest` does not move to
-    ``result.germ_adapted`` raises ``ValidationError`` (a germ in original
-    coordinates is triangularized again for this).
+    ``DimensionMismatch``, and a germ other than ``result.germ`` that
+    :func:`ingest` does not move to ``result.germ_adapted`` ``ValidationError``.
     Samples above ``MAX_REQUEST_BYTES`` are refused before they are drawn; a
     polynomial residual or an amplification estimate ``|l_1|^-p_used`` that
     leaves the float range raises ``NoConvergence``.
@@ -389,7 +390,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     m = cfg.sample_count
     if germ.n != spectrum.n:
         raise DimensionMismatch(f"germ dimension {germ.n} does not match n={spectrum.n}")
-    if (germ.jet if germ.coordinates == "adapted" else ingest(germ)[1]) != F:
+    if germ != result.germ and ingest(germ)[1] != F:
         raise ValidationError(f"the {germ.coordinates} germ is not the germ of this normal form")
     check_sample_count(spectrum.n, cfg)
     radius, Z = _sample_points(F.n, result.contraction_radius, cfg)

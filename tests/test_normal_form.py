@@ -424,6 +424,14 @@ class TestVerify:
                            match="^the original germ is not the germ of this normal form$"):
             verify_conjugacy(other, result)
 
+    def test_given_germ_is_not_ingested_again(self, monkeypatch):
+        doc = json.loads((DATA / "coupled_n3_original.json").read_text())
+        result = poincare_dulac(germio.parse_germ_document(doc))
+        # another germ is ingested: in adapted coordinates it is the result's when its jet is
+        assert verify_conjugacy(GermInput(result.germ_adapted), result).unconverged == 0
+        monkeypatch.setattr(normal_form, "ingest", None)   # a second ingest would fail
+        assert verify_conjugacy(germio.parse_germ_document(doc), result).unconverged == 0
+
     def test_oversized_sample_count_is_refused_before_sampling(self, monkeypatch):
         germ = GermInput(jet=HOPF_GERM)
         result = poincare_dulac(germ)
