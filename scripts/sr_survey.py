@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from srnf import (
-    HomogeneousPart,
+    PolyJet,
     analyze_spectrum,
     build_matrix,
     enumerate_subresonant_basis,
@@ -55,7 +55,7 @@ def main() -> int:
         s = draw_spectrum(rng, args.dim)
         dims = [len(enumerate_subresonant_basis(s, q))
                 for q in range(2, s.degree_bound + 1)]
-        n_res = sum(len(split_homogeneous(s, HomogeneousPart(s.n, q))
+        n_res = sum(len(split_homogeneous(s, PolyJet(s.n, q))
                             .resonant_positions)
                     for q in range(2, s.degree_bound + 1))
         min_div = np.inf

@@ -44,7 +44,6 @@ from .normal_form import (
 )
 from .polymap import (
     BasisOrdering,
-    HomogeneousPart,
     PolyJet,
     basis_ordering,
     compose_truncated,

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gx_group import group_inv, group_mul, holonomy_generator, orbit
 from .homological import build_matrix
-from .normal_form import _poincare_dulac, check_sample_count, ingest, verify_conjugacy
+from .normal_form import _poincare_dulac, check_sample_count, germ_frame, ingest, verify_conjugacy
 from .polymap import basis_dimension
 from .subresonance import enumerate_subresonant_basis, subresonant_offenders
 
@@ -83,10 +83,11 @@ def _read(path: str, read, *args):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _ingested(doc):
-    """The germ of ``doc`` and its :func:`ingest` triple ``(spectrum, adapted jet, Q)``."""
+def _ingested(doc, read=ingest):
+    """The germ of ``doc`` and ``read(germ)``: by default its :func:`ingest` triple
+    ``(spectrum, adapted jet, Q)``, with :func:`germ_frame` its ``(spectrum, Q)``."""
     germ = germio.parse_germ_document(doc)
-    return germ, ingest(germ)
+    return germ, read(germ)
 
 
 def _group_element(path: str):
@@ -108,7 +109,7 @@ def _cmd_check_sr(args, cfg: RunConfig) -> dict:
     # against --spectrum the map is taken as given, else moved to adapted
     # coordinates against its own spectrum
     if args.spectrum:
-        _, (spectrum, _, _) = _read(args.spectrum, _ingested)
+        _, (spectrum, _) = _read(args.spectrum, _ingested, germ_frame)
         germ = _read(args.map, germio.parse_germ_document)
         if germ.n != spectrum.n:
             raise DimensionMismatch(f"{args.map}: dimension {germ.n} does not match "
@@ -129,7 +130,7 @@ def _cmd_check_sr(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
-    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested)
+    _, (spectrum, _) = _read(args.spectrum_doc, _ingested, germ_frame)
     check_size(ENUMERATION_BYTES_PER_POSITION * basis_dimension(spectrum.n, args.degree),
                MAX_REQUEST_BYTES, f"the degree-{args.degree} basis for n={spectrum.n}",
                "enumerate-sr")
@@ -142,7 +143,7 @@ def _cmd_enumerate_sr(args, cfg: RunConfig) -> dict:
 
 
 def _cmd_m_matrix(args, cfg: RunConfig) -> dict:
-    _, (spectrum, _, _) = _read(args.spectrum_doc, _ingested)
+    _, (spectrum, _) = _read(args.spectrum_doc, _ingested, germ_frame)
     check_size(basis_dimension(spectrum.n, args.degree) ** 2 * 16, MAX_REQUEST_BYTES,
                f"the dense degree-{args.degree} operator for n={spectrum.n}", "m-matrix")
     matrix = build_matrix(spectrum, args.degree)

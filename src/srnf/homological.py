@@ -19,7 +19,7 @@ from .errors import DegreeOutOfRange, DimensionMismatch, IllConditionedResonance
 from .linalg import SpectrumData
 from .polymap import (
     BasisOrdering,
-    HomogeneousPart,
+    PolyJet,
     TermKey,
     _linear_terms,
     _PowerTable,
@@ -44,20 +44,22 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
-def coefficient_vector(h: HomogeneousPart, ordering: BasisOrdering) -> np.ndarray:
-    if h.q != ordering.q:   # exponents past q would pack to other rows' codes
-        raise DegreeOutOfRange(f"a degree-{h.q} part in the degree-{ordering.q} basis")
+def coefficient_vector(h: PolyJet, ordering: BasisOrdering) -> np.ndarray:
     vec = np.zeros(len(ordering), dtype=complex)
     if h.terms:
         exps, comps = _term_arrays(h.terms, h.n)
+        off = np.flatnonzero(exps.sum(axis=1) != ordering.q)   # would pack to other rows' codes
+        if off.size:
+            key = next(islice(h.terms, int(off[0]), None))
+            raise DegreeOutOfRange(f"term {key} has degree {sum(key[0])}, not {ordering.q}")
         vec[ordering.rows(ordering.pack(exps)) * ordering.n + comps] = list(h.terms.values())
     return vec
 
 
-def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> HomogeneousPart:
+def vector_to_part(vec: np.ndarray, ordering: BasisOrdering) -> PolyJet:
     ranks = np.flatnonzero(vec)
     terms = dict(zip(ordering.positions(ranks), vec[ranks].tolist()))
-    return HomogeneousPart._trusted(ordering.n, ordering.q, terms)
+    return PolyJet._trusted(ordering.n, ordering.q, terms)
 
 
 def operator_columns(spectrum: SpectrumData, q: int):
@@ -127,20 +129,20 @@ class SplitResult:
     ``divisor_min`` is the smallest positive ``|l^I - l_j|`` of the degree.
     """
 
-    resonant: HomogeneousPart
-    eliminated: HomogeneousPart
+    resonant: PolyJet
+    eliminated: PolyJet
     resonant_positions: tuple[TermKey, ...]
     warnings: tuple[str, ...]
     divisor_min: float
 
     @property
     def q(self) -> int:
-        return self.resonant.q
+        return self.resonant.degree
 
 
-def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
+def split_homogeneous(spectrum: SpectrumData, H: PolyJet,
                       res_tol: float = DEFAULT_RES_TOL) -> SplitResult:
-    """Split ``H`` into a resonant part plus an operator image.
+    """Split ``H`` of one degree, ``H.degree``, into a resonant part plus an operator image.
 
     Back-substitution walks the columns with off-diagonal entries from the
     largest rank down, dividing the residual by the divisor ``l^I - l_j``
@@ -151,7 +153,7 @@ def split_homogeneous(spectrum: SpectrumData, H: HomogeneousPart,
     """
     if H.n != spectrum.n:
         raise DimensionMismatch(f"map dimension {H.n} does not match n={spectrum.n}")
-    ordering, divisors, (cols, indptr, rows, values) = operator_columns(spectrum, H.q)
+    ordering, divisors, (cols, indptr, rows, values) = operator_columns(spectrum, H.degree)
     # Python's complex abs is libm's hypot, as np.hypot is; numpy's complex abs
     # can differ in the last ulp.
     moduli = np.hypot(divisors.real, divisors.imag)

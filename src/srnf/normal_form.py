@@ -35,7 +35,6 @@ from .linalg import (
     triangularize,
 )
 from .polymap import (
-    HomogeneousPart,
     NonFiniteCoefficient,
     PolyJet,
     _nonlinear,
@@ -107,22 +106,26 @@ class NormalFormResult:
     trunc_degree: int
 
 
-def ingest(germ: GermInput):
-    """Validate a germ and move it to adapted coordinates.
-
-    Returns ``(spectrum, adapted_jet, Q)`` where ``Q`` is the unitary basis
-    change (identity when the germ was already adapted).
-    """
+def germ_frame(germ: GermInput) -> tuple[SpectrumData, np.ndarray]:
+    """The spectrum of a germ's linear part and the unitary basis change ``Q``
+    to adapted coordinates (identity when the germ was already adapted)."""
     linear = require_matrix(germ.jet.linear_part())
     if germ.coordinates == "adapted":
         # must already be upper triangular with ordered moduli
-        spectrum = analyze_spectrum(linear)
-        return spectrum, germ.jet, np.eye(germ.n, dtype=complex)
+        return analyze_spectrum(linear), np.eye(germ.n, dtype=complex)
     Q, T = triangularize(linear)
-    spectrum = analyze_spectrum(T)
+    return analyze_spectrum(T), Q
+
+
+def ingest(germ: GermInput):
+    """Validate a germ and move it to adapted coordinates: ``(spectrum,
+    adapted_jet, Q)``, with ``spectrum`` and ``Q`` from :func:`germ_frame`."""
+    spectrum, Q = germ_frame(germ)
+    if germ.coordinates == "adapted":
+        return spectrum, germ.jet, Q
     # conjugate only the nonlinear terms: the linear part is exactly T
     adapted = linear_conjugate(_nonlinear(germ.jet), Q, germ.jet.degree)
-    return spectrum, adapted + PolyJet.from_linear(T, 1), Q
+    return spectrum, adapted + PolyJet.from_linear(spectrum.T, 1), Q
 
 
 def contraction_ball(spectrum: SpectrumData, jet: PolyJet) -> tuple[float, float]:
@@ -163,9 +166,10 @@ def split_positions(n: int, D: int) -> int:
     return n * (math.comb(D + n, n) - 1 - n)
 
 
-def conjugate_step(F: PolyJet, f_q: HomogeneousPart, degree: int, *,
+def conjugate_step(F: PolyJet, f_q: PolyJet, degree: int, *,
                    prune: bool = True) -> PolyJet:
-    """Conjugate ``F`` by ``id + f_q`` and truncate at ``degree``.
+    """Conjugate ``F`` by ``id + f_q``, whose terms have degree ``q = f_q.degree``,
+    and truncate at ``degree``.
 
     Degrees below ``q`` pass through unchanged and the degree-``q`` part
     becomes ``H_q - (f_q o L - L o f_q)``.  Not used by :func:`poincare_dulac`;
@@ -173,7 +177,7 @@ def conjugate_step(F: PolyJet, f_q: HomogeneousPart, degree: int, *,
     """
     if F.n != f_q.n:
         raise DimensionMismatch("germ and correction have different dimensions")
-    if f_q.q < 2:
+    if f_q.degree < 2:
         raise DegreeOutOfRange("conjugation corrections start at degree 2")
     if not f_q.terms:
         return F.truncated(degree)
@@ -226,7 +230,7 @@ def _poincare_dulac(germ: GermInput, ingested: tuple, cfg: RunConfig) -> NormalF
             error = _sum_terms(phi_powers.compose_block(nonlinear, q, prune=cfg.prune),
                                {key: -c for key, c in
                                 normal_powers.compose_block(phi, q, prune=cfg.prune).items()})
-            split = split_homogeneous(spectrum, HomogeneousPart._trusted(spectrum.n, q, error),
+            split = split_homogeneous(spectrum, PolyJet._trusted(spectrum.n, q, error),
                                       cfg.res_tol)
             steps.append(split)
             if split.eliminated.terms:

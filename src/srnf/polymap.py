@@ -56,6 +56,7 @@ EVALUATION_CHUNK_BYTES = 4 * 2**20
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, int]
+_NUMBERS = frozenset((complex, float, int))   # coefficient types read without a closer look
 
 
 class NonFiniteCoefficient(NoConvergence, ValueError):
@@ -173,10 +174,10 @@ class PolyJet:
         for (index, comp), coeff in items:
             if len(index) != n:
                 raise DimensionMismatch(f"multi-index {index} has wrong length for n={n}")
-            # one pass checks the type and the sign of plain ints; other values take _read_key
+            # one pass checks the types and the sign of plain ints; other values take _read_term
             if not all(e.__class__ is int and e >= 0 for e in index) \
-                    or comp.__class__ is not int or isinstance(coeff, str):
-                index, comp = _read_key(index, comp, coeff)
+                    or comp.__class__ is not int or coeff.__class__ not in _NUMBERS:
+                index, comp, coeff = _read_term(index, comp, coeff)
             index, coeff = tuple(index), complex(coeff)
             total = sum(index)
             if not 1 <= total <= degree:
@@ -226,9 +227,6 @@ class PolyJet:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def coefficient(self, index: MultiIndex, comp: int) -> complex:
-        return self.terms.get((tuple(index), comp), 0j)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -302,25 +300,6 @@ class PolyJet:
         return " + ".join(parts)
 
 
-class HomogeneousPart(PolyJet):
-    """A jet supported in a single total degree ``q`` (its truncation degree)."""
-
-    __slots__ = ()
-
-    def __init__(self, n: int, q: int, terms: Mapping[TermKey, complex] | Iterable = ()):
-        if q < 1:
-            raise DegreeOutOfRange(f"homogeneity degree must be >= 1, got {q}")
-        super().__init__(n, q, terms)
-        for index, _ in self.terms:
-            if sum(index) != q:
-                raise DegreeOutOfRange(
-                    f"term {index} has degree {sum(index)}, expected {q}")
-
-    @property
-    def q(self) -> int:
-        return self.degree
-
-
 # -- term-level helpers ------------------------------------------------
 
 
@@ -331,15 +310,15 @@ def _check_size(n: int, degree: int) -> None:
         raise DegreeOutOfRange(f"truncation degree must be in 1..2**63 - 1, got {degree}")
 
 
-def _read_key(index, comp, coeff) -> TermKey:
-    """``(index, comp)`` read by ``operator.index``; a bool, a value it refuses, a
-    negative exponent or a string ``coeff`` raises ValueError naming the term."""
+def _read_term(index, comp, coeff) -> tuple[MultiIndex, int, complex]:
+    """``(index, comp, coeff)`` read by ``operator.index`` and ``complex``; a bool key, a
+    value they refuse, a negative exponent or a string ``coeff`` is a ValueError naming it."""
     values = (*index, comp)
     if not isinstance(coeff, str) and bool not in map(type, values):
         with contextlib.suppress(TypeError):
             *exponents, component = map(operator.index, values)
             if min(exponents) >= 0:
-                return tuple(exponents), component
+                return tuple(exponents), component, complex(coeff)
     raise ValueError(f"term {(index, comp)!r} -> {coeff!r}: exponents must be nonnegative "
                      "integers, the component an integer and the coefficient a number")
 

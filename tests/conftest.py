@@ -11,7 +11,7 @@ settings.load_profile("deterministic")
 from srnf.germio import terms_to_json
 from srnf.gx_group import GroupElement
 from srnf.linalg import SpectrumData, analyze_spectrum
-from srnf.polymap import HomogeneousPart, PolyJet
+from srnf.polymap import PolyJet
 from srnf.subresonance import SubResonantMap, enumerate_subresonant_basis
 
 
@@ -76,22 +76,28 @@ def naive_compose(f: PolyJet, g: PolyJet, degree: int) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def degree_part(f: PolyJet, q: int) -> HomogeneousPart:
-    """Exactly the degree-``q`` terms of ``f``."""
-    return HomogeneousPart(f.n, q, {key: c for key, c in f.terms.items() if sum(key[0]) == q})
+def coefficient(jet: PolyJet, index, comp: int) -> complex:
+    """The coefficient of ``z^index e_comp`` in ``jet`` (0 where it has no term)."""
+    return jet.terms.get((tuple(index), comp), 0j)
 
 
-def naive_operator(T: np.ndarray, h: HomogeneousPart) -> HomogeneousPart:
-    """``h o T - T o h`` from :func:`naive_compose`, independent of the library kernel."""
+def degree_part(f: PolyJet, q: int) -> PolyJet:
+    """Exactly the degree-``q`` terms of ``f``, as a jet of degree ``q``."""
+    return PolyJet(f.n, q, {key: c for key, c in f.terms.items() if sum(key[0]) == q})
+
+
+def naive_operator(T: np.ndarray, h: PolyJet) -> PolyJet:
+    """``h o T - T o h`` for ``h`` of one degree, ``h.degree``, from :func:`naive_compose`,
+    independent of the library kernel."""
     n = h.n
     linear = PolyJet(n, 1, {(tuple(int(i == k) for i in range(n)), row): T[row, k]
                             for row in range(n) for k in range(n) if T[row, k] != 0})
-    out = naive_compose(h, linear, h.q)
+    out = naive_compose(h, linear, h.degree)
     for (index, comp), c in h.terms.items():
         for row in range(n):
             key = (index, row)
             out[key] = out.get(key, 0j) - T[row, comp] * c
-    return HomogeneousPart(n, h.q, out)
+    return PolyJet(n, h.degree, out)
 
 
 def block_of(spectrum: SpectrumData) -> list[int]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coefficient,
     element_document,
     jet_document,
     linear_matrix_json,
@@ -90,8 +91,8 @@ class TestRoundTrip:
         doc = dict(HOPF_DOC)
         doc["linear_matrix"] = [[[0.125, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         germ = germio.parse_germ_document(doc)
-        assert germ.jet.coefficient((1, 0), 0) == 0.125
-        assert germ.jet.coefficient((1, 1), 0) == 1.0
+        assert coefficient(germ.jet, (1, 0), 0) == 0.125
+        assert coefficient(germ.jet, (1, 1), 0) == 1.0
 
     def test_duplicate_keys_rejected(self):
         doc = dict(HOPF_DOC)
@@ -851,6 +852,32 @@ class TestCliSubcommands:
         spectrum = json.loads(out)["spectrum"]
         assert code == 0 and (spectrum["c0"], spectrum["degree_bound"]) == (2, 1)
         assert spectrum["blocks"] == [[1], [2]]
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate-sr", "{original}", "--degree", "3"],
+        ["m-matrix", "{original}", "--degree", "2"],
+        ["check-sr", "{adapted}", "--spectrum", "{original}"],
+    ], ids=["enumerate-sr", "m-matrix", "check-sr"])
+    def test_spectrum_commands_do_not_conjugate_the_germ(self, capsys, monkeypatch, argv):
+        # the bytes are those of the fully ingested germ's spectrum, with no
+        # nonlinear term moved to adapted coordinates
+        paths = {"original": str(DATA / "coupled_n3_original.json"),
+                 "adapted": str(DATA / "coupled_n3.json")}
+        argv = [arg.format(**paths) for arg in argv]
+
+        def ingested_frame(germ):
+            spectrum, _, Q = normal_form.ingest(germ)
+            return spectrum, Q
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linear_conjugate was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "germ_frame", ingested_frame)
+            expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        monkeypatch.setattr(normal_form, "linear_conjugate", forbidden)
+        assert run_cli(argv, capsys) == expected
 
     def test_m_matrix(self, tmp_path, capsys):
         doc = {"dimension": 2, "degree": 1, "coordinates": "adapted",

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multi_indices, naive_operator, random_spectrum, resonant_positions
+from conftest import (
+    coefficient,
+    multi_indices,
+    naive_operator,
+    random_spectrum,
+    resonant_positions,
+)
 from srnf.homological import (
     DEFAULT_RES_TOL,
     SMALL_DIVISOR_REL,
@@ -18,7 +24,6 @@ from srnf.homological import (
 from srnf.errors import DegreeOutOfRange, IllConditionedResonance
 from srnf.linalg import analyze_spectrum
 from srnf.polymap import (
-    HomogeneousPart,
     PolyJet,
     basis_dimension,
     basis_ordering,
@@ -31,10 +36,6 @@ from srnf.subresonance import (
 )
 
 QUARTER_HALF = analyze_spectrum(np.diag([0.25, 0.5]).astype(complex))
-
-
-def part(n, q, terms):
-    return HomogeneousPart(n, q, terms)
 
 
 class TestOrderCompare:
@@ -78,8 +79,8 @@ class TestOrderCompare:
 
     def test_coefficient_vector_refuses_another_degree(self):
         # (3, 1) packs in base 3 to the code of (0, 2)
-        with pytest.raises(DegreeOutOfRange):
-            coefficient_vector(part(2, 4, {((3, 1), 0): 1.0}), basis_ordering(2, 2))
+        with pytest.raises(DegreeOutOfRange, match=r"term \(\(3, 1\), 0\) has degree 4, not 2"):
+            coefficient_vector(PolyJet(2, 4, {((3, 1), 0): 1.0}), basis_ordering(2, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 6))
@@ -91,7 +92,7 @@ class TestOrderCompare:
         expected = np.zeros(len(ordering), dtype=complex)
         for key, coeff in zip(keys, coeffs):
             expected[ordering.pairs.index(key)] = coeff
-        vec = coefficient_vector(part(n, q, dict(zip(keys, coeffs))), ordering)
+        vec = coefficient_vector(PolyJet(n, q, dict(zip(keys, coeffs))), ordering)
         assert np.array_equal(vec, expected)
 
     def test_matches_basis_ordering(self):
@@ -106,18 +107,18 @@ class TestApplyM:
 
     def test_resonant_kernel_element(self):
         # (l2^2 - l1) = 0 for l = (1/4, 1/2)
-        out = naive_operator(QUARTER_HALF.T, part(2, 2, {((0, 2), 0): 1.0}))
+        out = naive_operator(QUARTER_HALF.T, PolyJet(2, 2, {((0, 2), 0): 1.0}))
         assert out.terms == {}
 
     def test_nonresonant_diagonal_value(self):
-        out = naive_operator(QUARTER_HALF.T, part(2, 2, {((2, 0), 1): 1.0}))
+        out = naive_operator(QUARTER_HALF.T, PolyJet(2, 2, {((2, 0), 1): 1.0}))
         assert out.terms == {((2, 0), 1): pytest.approx(1 / 16 - 1 / 2)}
 
     def test_jordan_coupling_cancels(self):
         # with T = [[1/4, 1], [0, 1/2]] both summands give z2^2/4 e1
         T = np.array([[0.25, 1.0], [0.0, 0.5]], dtype=complex)
         s = analyze_spectrum(T)
-        out = naive_operator(s.T, part(2, 2, {((0, 2), 0): 1.0}))
+        out = naive_operator(s.T, PolyJet(2, 2, {((0, 2), 0): 1.0}))
         assert out.terms == {}
 
 
@@ -175,7 +176,7 @@ class TestBuildMatrix:
             for j in range(n):
                 if rng.random() < 0.5:
                     terms[(index, j)] = complex(rng.normal(), rng.normal())
-        h = part(n, q, terms)
+        h = PolyJet(n, q, terms)
         # the oracle shares no code with the power table that fills the matrix
         m = build_matrix(s, q)
         expected = coefficient_vector(naive_operator(s.T, h), m.ordering)
@@ -198,7 +199,7 @@ class TestStability:
                      for key in basis if rng.random() < 0.8}
             if not terms:
                 terms = {basis[0]: 1.0 + 0j}
-            image = naive_operator(s.T, part(n, q, terms))
+            image = naive_operator(s.T, PolyJet(n, q, terms))
             assert isinstance(certify_subresonant(image, s), SubResonantMap)
 
     @settings(max_examples=40, deadline=None)
@@ -220,28 +221,28 @@ class TestStability:
                         (index, j) in basis
                         or float(np.dot(index, s.log_moduli)) < s.log_moduli[j] - 0.05):
                     terms.setdefault((index, j), complex(rng.normal(), rng.normal()))
-        image = naive_operator(s.T, part(n, q, terms))
+        image = naive_operator(s.T, PolyJet(n, q, terms))
         assert not isinstance(certify_subresonant(image, s), SubResonantMap)
 
 
 class TestSplit:
     def test_hand_example(self):
-        H = part(2, 2, {((1, 1), 0): 1.0, ((0, 2), 0): 1.0, ((2, 0), 1): 1.0})
+        H = PolyJet(2, 2, {((1, 1), 0): 1.0, ((0, 2), 0): 1.0, ((2, 0), 1): 1.0})
         split = split_homogeneous(QUARTER_HALF, H)
         assert split.resonant.terms == {((0, 2), 0): 1.0}
-        assert split.eliminated.coefficient((1, 1), 0) == pytest.approx(-8.0)
-        assert split.eliminated.coefficient((2, 0), 1) == pytest.approx(-16 / 7)
+        assert coefficient(split.eliminated, (1, 1), 0) == pytest.approx(-8.0)
+        assert coefficient(split.eliminated, (2, 0), 1) == pytest.approx(-16 / 7)
         recomposed = split.resonant + naive_operator(QUARTER_HALF.T, split.eliminated)
         assert recomposed.max_coeff_diff(H) < 1e-10
 
     def test_purely_resonant_input(self):
-        H = part(2, 2, {((0, 2), 0): 3.5})
+        H = PolyJet(2, 2, {((0, 2), 0): 3.5})
         split = split_homogeneous(QUARTER_HALF, H)
         assert split.resonant == H
         assert split.eliminated.terms == {}
 
     def test_no_resonant_support(self):
-        H = part(2, 2, {((1, 1), 0): 2.0, ((1, 1), 1): -1.0})
+        H = PolyJet(2, 2, {((1, 1), 0): 2.0, ((1, 1), 1): -1.0})
         split = split_homogeneous(QUARTER_HALF, H)
         assert split.resonant.terms == {}
         image = naive_operator(QUARTER_HALF.T, split.eliminated)
@@ -257,7 +258,7 @@ class TestSplit:
             for j in range(n):
                 if rng.random() < 0.6:
                     terms[(index, j)] = complex(rng.normal(), rng.normal())
-        H = part(n, q, terms)
+        H = PolyJet(n, q, terms)
         split = split_homogeneous(s, H)
         recomposed = split.resonant + naive_operator(s.T, split.eliminated)
         scale = max(1.0, H.max_abs_coeff())
@@ -271,7 +272,7 @@ class TestSplit:
 
 def dense_split(s, H):
     """Back-substitution on the dense matrix: the split without sparse columns."""
-    m = build_matrix(s, H.q)
+    m = build_matrix(s, H.degree)
     dim = len(m.ordering)
     rank = {pair: r for r, pair in enumerate(m.ordering.pairs)}
     residual = np.zeros(dim, dtype=complex)
@@ -289,7 +290,8 @@ def dense_split(s, H):
             residual[r] = 0.0
 
     def as_part(vec):
-        return part(s.n, H.q, {m.ordering.pairs[r]: vec[r] for r in range(dim) if vec[r] != 0})
+        return PolyJet(s.n, H.degree,
+                       {m.ordering.pairs[r]: vec[r] for r in range(dim) if vec[r] != 0})
 
     return as_part(kept), as_part(removed)
 
@@ -300,11 +302,17 @@ class TestSplitErrors:
         # both are resonant and neither is sub-resonant (l_3^2 is both)
         s = analyze_spectrum(np.diag([0.250002, 0.5, 0.500002]))
         with pytest.raises(IllConditionedResonance) as info:
-            split_homogeneous(s, HomogeneousPart(3, 2), res_tol=1e-5)
+            split_homogeneous(s, PolyJet(3, 2), res_tol=1e-5)
         assert str(info.value) == (
             "divisor 2e-06 at ((0, 2, 0), 0) is resonantly small but the position is "
             "not sub-resonant; res_tol and the log-space tolerance are inconsistent "
             "for this spectrum")
+
+    def test_term_of_another_degree_is_refused(self):
+        # the split reads the degree from H.degree, and H holds a linear term
+        H = PolyJet(2, 2, {((1, 0), 0): 1.0, ((0, 2), 0): 1.0})
+        with pytest.raises(DegreeOutOfRange, match=r"term \(\(1, 0\), 0\) has degree 1, not 2"):
+            split_homogeneous(QUARTER_HALF, H)
 
 
 class TestSparseSplit:
@@ -315,7 +323,7 @@ class TestSparseSplit:
         s = random_spectrum(rng, n)
         terms = {(index, j): complex(rng.normal(), rng.normal())
                  for index in multi_indices(n, q) for j in range(n) if rng.random() < 0.6}
-        H = part(n, q, terms)
+        H = PolyJet(n, q, terms)
         split = split_homogeneous(s, H)
         resonant, eliminated = dense_split(s, H)
         assert split.resonant == resonant
@@ -325,7 +333,7 @@ class TestSparseSplit:
         # n=10, q=3: the dense operator would be 2200^2 complex entries, 77 MB.
         s = analyze_spectrum(np.diag(0.6 ** np.array([3, 3, 3, 2, 2, 2, 2, 1, 1, 1]))
                              .astype(complex))
-        H = part(10, 3, {(index, j): 1.0 - 0.5j
+        H = PolyJet(10, 3, {(index, j): 1.0 - 0.5j
                          for index in multi_indices(10, 3) for j in range(10)})
         start = time.perf_counter()
         split = split_homogeneous(s, H)
@@ -357,7 +365,7 @@ def reference_split(s, H, res_tol=DEFAULT_RES_TOL):
 
     Returns ``(kept, removed, divisor_min, resonant_positions, warnings)``.
     """
-    n, q, T = s.n, H.q, s.T
+    n, q, T = s.n, H.degree, s.T
     pairs = sorted(((index, comp) for index in multi_indices(n, q) for comp in range(n)),
                    key=term_sort_key)
     rank = {pair: r for r, pair in enumerate(pairs)}
@@ -414,7 +422,7 @@ def reference_split(s, H, res_tol=DEFAULT_RES_TOL):
             residual[r] = 0.0
 
     def as_part(vec):
-        return part(n, q, {pairs[r]: vec[r] for r in range(len(pairs)) if vec[r] != 0})
+        return PolyJet(n, q, {pairs[r]: vec[r] for r in range(len(pairs)) if vec[r] != 0})
 
     positive = [d for d in divisors if d > 0]
     return (as_part(kept), as_part(removed), min(positive) if positive else float("inf"),
@@ -472,7 +480,7 @@ class TestArraySplit:
                     terms[(index, j)] = complex(rng.normal(), -0.0)
                 elif u < 0.7:
                     terms[(index, j)] = complex(rng.normal(), rng.normal())
-        H = part(n, q, terms)
+        H = PolyJet(n, q, terms)
         kept, removed, divisor_min, positions, warnings = reference_split(s, H)
         split = split_homogeneous(s, H)
         assert split.resonant == kept and exact_terms(split.resonant) == exact_terms(kept)
@@ -488,7 +496,7 @@ class TestArraySplit:
         # 15.5 MiB; one pass per position: 1.05 s, 40.8 MiB).
         s = analyze_spectrum(np.diag(0.7 ** np.array(
             [4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1])).astype(complex))
-        H = part(16, 4, {(index, k % 3): 1.0 - 0.5j
+        H = PolyJet(16, 4, {(index, k % 3): 1.0 - 0.5j
                          for k, index in enumerate(multi_indices(16, 4))})
         start = time.perf_counter()
         split = split_homogeneous(s, H)
@@ -510,7 +518,7 @@ class TestArraySplit:
         # while both parts went through the validating constructor).
         s = analyze_spectrum(np.diag(0.7 ** np.array(
             [4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1])).astype(complex))
-        H = part(16, 4, {(index, j): 1.0 - 0.5j
+        H = PolyJet(16, 4, {(index, j): 1.0 - 0.5j
                          for index in multi_indices(16, 4) for j in range(16)})
         assert len(H.terms) == 62_016
         validated = []
@@ -526,13 +534,14 @@ class TestArraySplit:
         elapsed = time.perf_counter() - start
         assert len(split.resonant.terms) == 210
         assert len(split.resonant.terms) + len(split.eliminated.terms) == 62_016
-        assert split.resonant.q == split.eliminated.q == 4
+        assert split.resonant.degree == split.eliminated.degree == 4
         assert validated == []
         assert elapsed < 1.0
 
     def test_near_resonance_warns_in_reference_order(self):
         s = reference_spectrum(np.random.default_rng(3), 3, 3, "near")
-        H = part(3, 3, {(index, j): 1.0 + 0j for index in multi_indices(3, 3) for j in range(3)})
+        H = PolyJet(3, 3, {(index, j): 1.0 + 0j
+                           for index in multi_indices(3, 3) for j in range(3)})
         split = split_homogeneous(s, H)
         assert split.warnings and split.warnings == reference_split(s, H)[4]
 
