@@ -43,7 +43,6 @@ ORBIT_BYTES_PER_COORDINATE = 480
 _CONFIG_FLAGS = {
     "res_tol": dict(type=float, help="relative resonance-detection tolerance"),
     "cauchy_tol": dict(type=float, help="stabilization tolerance of the straightening iteration"),
-    "trunc_degree": dict(type=int, help="working truncation degree (default c0+1)"),
     "p_max": dict(type=int, help="iteration cap of the straightening limit"),
     "prune": dict(action=argparse.BooleanOptionalAction,
                   help="drop relative round-off noise after compositions (default)"),
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polynomial normal forms of contracting germs and the "
                     "sub-resonant automorphism group.")
     sub = parser.add_subparsers(dest="command", required=True)
-    germ_fields = ("res_tol", "trunc_degree", "prune")
+    germ_fields = ("res_tol", "prune")
     normal_form, output = _config_parser(germ_fields), _config_parser(())
 
     _command(sub, "normal-form", _cmd_normal_form, normal_form,

@@ -13,17 +13,13 @@ from .homological import DEFAULT_RES_TOL
 class RunConfig:
     """Tolerances and sampling controls.
 
-    ``poincare_dulac`` reads ``res_tol``, ``trunc_degree`` and ``prune``;
-    ``verify_conjugacy`` reads ``sample_count``, ``sample_radius``, ``seed``,
-    ``p_max`` and ``cauchy_tol``.  ``trunc_degree`` overrides the working
-    truncation degree (default ``c0 + 1``, the smallest degree the
-    straightening limit supports); raising it refines the conjugating jet
-    without changing the normal form.
+    ``poincare_dulac`` reads ``res_tol`` and ``prune``; ``verify_conjugacy``
+    reads ``sample_count``, ``sample_radius``, ``seed``, ``p_max`` and
+    ``cauchy_tol``.
     """
 
     res_tol: float = DEFAULT_RES_TOL
     cauchy_tol: float = 1e-12
-    trunc_degree: int | None = None
     p_max: int = 60
     prune: bool = True
     sample_count: int = 20
@@ -36,8 +32,6 @@ class RunConfig:
                 raise ValidationError(f"{name} must be finite and positive")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if self.trunc_degree is not None and self.trunc_degree < 2:
-            raise ValidationError("trunc_degree must be at least 2")
         if self.p_max < 1:
             raise ValidationError("p_max must be at least 1")
         if self.sample_count < 0:

@@ -145,8 +145,8 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
     annulus_check = None
     if annulus is not None:
         inner, outer = annulus
-        if not 0 < inner < outer:
-            raise ValidationError("annulus radii must satisfy 0 < r < R")
+        if not 0 < inner < outer < np.inf:
+            raise ValidationError("annulus radii must satisfy 0 < r < R < inf")
         rng = np.random.default_rng(seed)
         grid = []
         for _ in range(ANNULUS_SAMPLES):

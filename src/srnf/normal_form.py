@@ -53,6 +53,11 @@ COORDINATE_FRAMES = ("original", "adapted")
 # positions) peaks at 1.9 GB RSS; D = 10 (85.0 M positions) is refused.
 MAX_SPLIT_POSITIONS = 2**25
 
+# Largest number of basis positions, summed over degrees 2..d, through which
+# ingest conjugates an original germ's nonlinear terms: one degree-7 term at
+# n = 16 (3.9 M positions) peaks at 1.15 GB RSS; degree 8 (11.8 M) is refused.
+MAX_CONJUGATED_POSITIONS = 2**22
+
 # Peak of a verification per sample coordinate: the samples, the residual and
 # straightening arrays, the document and its text (tracemalloc over ``srnf
 # verify``, 2,000-10,000 samples: 562 bytes at n = 2 on the Hopf germ, 1,325 at
@@ -123,6 +128,9 @@ def ingest(germ: GermInput):
     spectrum, Q = germ_frame(germ)
     if germ.coordinates == "adapted":
         return spectrum, germ.jet, Q
+    d = germ.jet.max_degree()
+    check_size(split_positions(germ.n, d), MAX_CONJUGATED_POSITIONS,
+               f"the conjugation through degree {d} for n={germ.n}", "ingest", "positions")
     # conjugate only the nonlinear terms: the linear part is exactly T
     adapted = linear_conjugate(_nonlinear(germ.jet), Q, germ.jet.degree)
     return spectrum, adapted + PolyJet.from_linear(spectrum.T, 1), Q
@@ -195,12 +203,11 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
     that make each degree block once, splits into a resonant part added to
     ``P`` and an operator image whose preimage is added to ``phi``.  The
     blocks read at ``q`` involve only degrees below ``q``, so adding ``h_q``
-    and ``R_q`` afterwards leaves them valid.  ``D`` defaults to ``c0 + 1``;
-    larger values refine the conjugator but add no resonant terms.  Of
-    ``cfg`` only ``res_tol``, ``trunc_degree`` and ``prune`` are read, and no
-    random number is drawn.  A request of more than ``MAX_SPLIT_POSITIONS``
-    positions is refused before the degree loop; a coefficient that leaves
-    the float range raises ``NoConvergence``.
+    and ``R_q`` afterwards leaves them valid; ``D = c0 + 1``.  Of ``cfg`` only
+    ``res_tol`` and ``prune`` are read, and no random number is drawn.  A
+    request of more than ``MAX_SPLIT_POSITIONS`` positions is refused before
+    the degree loop; a coefficient that leaves the float range raises
+    ``NoConvergence``.
     """
     return _poincare_dulac(germ, ingest(germ), cfg)
 
@@ -208,12 +215,8 @@ def poincare_dulac(germ: GermInput, cfg: RunConfig = RunConfig()) -> NormalFormR
 def _poincare_dulac(germ: GermInput, ingested: tuple, cfg: RunConfig) -> NormalFormResult:
     """:func:`poincare_dulac` of a germ with ``ingested = ingest(germ)``."""
     spectrum, adapted_full, Q = ingested
-    D = cfg.trunc_degree if cfg.trunc_degree is not None else spectrum.c0 + 1
-    if D < spectrum.c0 + 1:
-        raise ValidationError(
-            f"trunc_degree {D} is below c0+1 = {spectrum.c0 + 1} for this spectrum")
-
-    phi = PolyJet.identity(spectrum.n, D)   # refuses a D past int64 first
+    D = spectrum.c0 + 1
+    phi = PolyJet.identity(spectrum.n, D)
     check_size(split_positions(spectrum.n, D), MAX_SPLIT_POSITIONS,
                f"the split through degree {D} for n={spectrum.n}", "normal form", "positions")
     normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))

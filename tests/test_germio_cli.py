@@ -541,12 +541,35 @@ class TestCliSizeLimits:
         ("100000", "ValidationError: the split through degree 100000 for n=2 needs 1e+10 "
                    "positions, above the normal form limit of 33554432 positions"),
         (str(2**63), "DegreeOutOfRange: truncation degree must be in 1..2**63 - 1")])
-    def test_normal_form_degree_past_the_limit(self, capsys, monkeypatch, degree, message):
+    def test_normal_form_degree_past_the_limit(self, tmp_path, capsys, monkeypatch, degree,
+                                               message):
+        # the working degree c0 + 1 = 100000 of l_1 = 1/2, |l_2| = 2^(-1/99998.5), and
+        # the declared degree of a germ document
+        degree = int(degree)
+        doc = (spectrum_doc([0.5, 0.5 ** (1 / (degree - 1.5))]) if degree < 2**63
+               else dict(HOPF_DOC, degree=degree))
+        path = write_doc(tmp_path, "germ.json", doc)
         monkeypatch.setattr(normal_form, "_PowerTable", refuse)
         start = time.perf_counter()
-        code, out, err = run_cli(["normal-form", str(DATA / "hopf.json"),
-                                  "--trunc-degree", degree], capsys)
-        assert code == 2 and out == "" and message in err
+        code, out, err = run_cli(["normal-form", path], capsys)
+        kind, reason = message.split(": ", 1)
+        assert code == 2 and out == "" and err.startswith(f"{kind}: ") and reason in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command", ["normal-form", "verify", "check-sr"])
+    def test_conjugation_past_the_limit(self, tmp_path, capsys, monkeypatch, command):
+        # n = 16 in original coordinates, c0 = 9, one degree-10 term: its conjugation
+        # would fill 52.3 M positions, and it is refused before it starts
+        doc = spectrum_doc([0.6 ** 9] + [0.6] * 15)
+        doc.update(coordinates="original", degree=10)
+        doc["terms"].append({"exponents": [10] + [0] * 15, "component": 1, "coeff": [1.0, 0.0]})
+        path = write_doc(tmp_path, "germ.json", doc)
+        monkeypatch.setattr(normal_form, "linear_conjugate", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli([command, path], capsys)
+        assert code == 2 and out == "" and err == (
+            f"ValidationError: {path}: the conjugation through degree 10 for n=16 needs "
+            f"8.5e+07 positions, above the ingest limit of 4194304 positions\n")
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n, iterations", [(2, 1000), (16, 200)])
@@ -735,6 +758,14 @@ class TestCliSubcommands:
         assert code == 2 and out == ""
         assert err.startswith(f"ValidationError: {bad}: 'map': map is not sub-resonant")
         assert good not in err
+
+    @pytest.mark.parametrize("inner, outer", [("1", "inf"), ("0", "1"), ("1", "0.5")])
+    def test_orbit_annulus_radii_out_of_range(self, capsys, inner, outer):
+        code, out, err = run_cli(["orbit", str(DATA / "group_g1.json"), "--point",
+                                  "[[0.1, 0], [0.1, 0], [0.1, 0]]", "--annulus-inner", inner,
+                                  "--annulus-outer", outer], capsys)
+        assert code == 2 and out == ""
+        assert err == "ValidationError: annulus radii must satisfy 0 < r < R < inf\n"
 
     def test_orbit_refusal_names_the_element(self, tmp_path, capsys):
         bad = self.not_subresonant_element(tmp_path)
@@ -959,7 +990,7 @@ class TestCliSubcommands:
         assert orbit_doc["points"][2] == [[0.5, 0.0], [0.25, 0.0]]
 
     @pytest.mark.parametrize("germ, flags", [
-        ("hopf.json", []), ("hopf.json", ["--trunc-degree", "5", "--no-prune"]),
+        ("hopf.json", []), ("hopf.json", ["--no-prune"]),
         ("near_resonant.json", ["--res-tol", "1e-8"])])
     def test_holonomy_result_is_the_normal_form_document(self, capsys, germ, flags):
         path = str(DATA / germ)
@@ -1084,7 +1115,7 @@ FLAG_SETTINGS = {
     "sample_radius": ["--sample-radius", "0.5"], "seed": ["--seed", "1"],
     "output": ["--output", "out.json"],
 }
-NORMAL_FORM_FLAGS = {"res_tol", "trunc_degree", "prune", "output"}
+NORMAL_FORM_FLAGS = {"res_tol", "prune", "output"}
 
 
 def accepted_settings() -> dict[str, set[str]]:
@@ -1103,9 +1134,9 @@ def accepted_settings() -> dict[str, set[str]]:
 
 
 class TestCliFlags:
-    """Each command accepts only the settings it reads; ``--block-tol`` and
-    ``--sr-tol``, retired settings, stay among the probes and no command
-    accepts them."""
+    """Each command accepts only the settings it reads; ``--block-tol``,
+    ``--sr-tol`` and ``--trunc-degree``, retired settings, stay among the
+    probes and no command accepts them."""
 
     def test_each_command_accepts_only_the_settings_it_reads(self, capsys):
         accepted = accepted_settings()
@@ -1117,7 +1148,7 @@ class TestCliFlags:
                                                    "group inv", "m-matrix")},
             "orbit": {"seed", "output"}}
         assert len(accepted) == 9
-        assert sum(map(len, accepted.values())) == 24
+        assert sum(map(len, accepted.values())) == 21
 
     @pytest.mark.parametrize("argv", [
         ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
@@ -1132,6 +1163,10 @@ class TestCliFlags:
         ["normal-form", str(DATA / "hopf.json"), "--seed", "1"],
         ["holonomy", str(DATA / "hopf.json"), "--sample-count", "3"],
         ["holonomy", str(DATA / "hopf.json"), "--sample-radius", "0.01"],
+        # the working degree is c0 + 1, not a setting
+        ["normal-form", str(DATA / "hopf.json"), "--trunc-degree", "5"],
+        ["holonomy", str(DATA / "hopf.json"), "--trunc-degree", "5"],
+        ["verify", str(DATA / "hopf.json"), "--trunc-degree", "5"],
     ])
     def test_an_unread_flag_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1191,7 +1226,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, field", [
         (["verify", str(DATA / "hopf.json"), "--sample-radius", "nan"], "sample_radius"),
         (["normal-form", str(DATA / "hopf.json"), "--res-tol", "nan"], "res_tol"),
-        (["normal-form", str(DATA / "hopf.json"), "--trunc-degree", "1"], "trunc_degree"),
+        (["verify", str(DATA / "hopf.json"), "--sample-count", "-1"], "sample_count"),
         (["verify", str(DATA / "hopf.json"), "--p-max", "0"], "p_max"),
         (["verify", str(DATA / "hopf.json"), "--cauchy-tol", "inf"], "cauchy_tol"),
         (["verify", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),

@@ -41,6 +41,8 @@ HOPF_GERM = PolyJet(2, 3, {
     ((1, 0), 0): 0.25, ((1, 1), 0): 1.0, ((0, 2), 0): 1.0,
     ((0, 1), 1): 0.5, ((2, 0), 1): 1.0,
 })
+# the Hopf germ with l_1 = 1/16: c0 = 4, so its working degree is 5
+HOPF_C0_4 = PolyJet(2, 3, dict(HOPF_GERM.terms) | {((1, 0), 0): 1 / 16})
 
 
 def random_contracting_germ(rng, n, degree, *, diagonal=False, scale=0.5):
@@ -123,10 +125,6 @@ class TestPipeline:
         with pytest.raises(NotContracting):
             poincare_dulac(GermInput(jet=F))
 
-    def test_trunc_degree_below_minimum_rejected(self):
-        with pytest.raises(ValidationError):
-            poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=2))
-
     def test_original_coordinates_are_adapted(self):
         # rotate the resonant example by a fixed unitary matrix
         theta = 0.7
@@ -139,15 +137,6 @@ class TestPipeline:
         Q = result.basis_change
         assert np.allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
         assert result.residuals.coefficient_max < 1e-10
-
-    def test_raising_trunc_degree_keeps_normal_form(self):
-        # degrees above c0+1 have empty resonance sets: the conjugator gains
-        # terms but the normal form does not change
-        base = poincare_dulac(GermInput(jet=HOPF_GERM))
-        refined = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=5))
-        assert refined.normal_form.jet == base.normal_form.jet
-        assert refined.phi.max_degree() > base.phi.max_degree()
-        assert refined.residuals.coefficient_max < 1e-10
 
     def test_tail_terms_beyond_working_degree(self):
         # degree-4 tail is part of the germ for pointwise evaluation but the
@@ -263,13 +252,13 @@ class TestDirectScheme:
 
         monkeypatch.setattr(normal_form, "conjugate_step", forbidden)
         monkeypatch.setattr(normal_form, "jet_inverse", forbidden)
-        result = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=5))
-        assert result.residuals.coefficient_max < 1e-10
+        result = poincare_dulac(GermInput(jet=HOPF_C0_4))
+        assert result.trunc_degree == 5 and result.residuals.coefficient_max < 1e-10
         germ = GermInput(jet=resonant_germ(np.random.default_rng(3), (4, 2, 1)))
         assert poincare_dulac(germ).residuals.coefficient_max < 1e-10
 
-    @pytest.mark.parametrize("trunc_degree", [None, 5])
-    def test_compositions_only_in_closing_residual(self, monkeypatch, trunc_degree):
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_compositions_only_in_closing_residual(self, monkeypatch, D):
         calls = []
 
         def counting(*args, **kwargs):
@@ -277,9 +266,9 @@ class TestDirectScheme:
             return compose_truncated(*args, **kwargs)
 
         monkeypatch.setattr(normal_form, "compose_truncated", counting)
-        result = poincare_dulac(GermInput(jet=HOPF_GERM), RunConfig(trunc_degree=trunc_degree))
+        poincare_dulac(GermInput(jet={3: HOPF_GERM, 5: HOPF_C0_4}[D]))
         # the loop reads power tables; only the coefficient residual recomposes
-        assert calls == [(result.trunc_degree, False)] * 2
+        assert calls == [(D, False)] * 2
 
 
 class Admitted(Exception):
@@ -339,6 +328,33 @@ class TestAdmission:
                 poincare_dulac(GermInput(jet=HOPF_GERM))
         else:
             assert poincare_dulac(GermInput(jet=HOPF_GERM)).trunc_degree == 3
+
+
+class TestConjugationAdmission:
+    """ingest refuses to conjugate an original germ through more than
+    MAX_CONJUGATED_POSITIONS positions, before the conjugation starts."""
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_at_the_limit(self, monkeypatch, slack):
+        # coupled_n3_original has terms of degrees 2..4 at n = 3: 18 + 30 + 45 positions
+        germ = germio.parse_germ_document(json.loads((DATA / "coupled_n3_original.json")
+                                                     .read_text()))
+        monkeypatch.setattr(normal_form, "MAX_CONJUGATED_POSITIONS",
+                            normal_form.split_positions(3, 4) + slack)
+        monkeypatch.setattr(normal_form, "linear_conjugate", refuse if slack else admitted)
+        if slack:
+            with pytest.raises(ValidationError, match="the conjugation through degree 4 for "
+                                                      "n=3 needs 93 positions, above the "
+                                                      "ingest limit of 92 positions"):
+                ingest(germ)
+        else:
+            with pytest.raises(Admitted):
+                ingest(germ)
+
+    def test_adapted_germs_are_not_conjugated(self, monkeypatch):
+        monkeypatch.setattr(normal_form, "MAX_CONJUGATED_POSITIONS", 0)
+        monkeypatch.setattr(normal_form, "linear_conjugate", refuse)
+        assert ingest(GermInput(jet=HOPF_GERM))[1] is HOPF_GERM
 
 
 def straighten(F, P, Z):
