@@ -3,8 +3,7 @@
 The package computes the classical polynomial normal form of a germ whose
 linear part is invertible and contracting, entirely inside the algebra of
 sub-resonant polynomial maps, and exposes the affine group those maps
-generate together with orbit-level diagnostics for the quotient manifolds
-they define.
+generate, with the orbits of its elements.
 """
 
 from .config import RunConfig
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .gx_group import (
     GroupElement,
-    OrbitDiagnostics,
     group_inv,
     group_mul,
     holonomy_generator,

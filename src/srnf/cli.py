@@ -1,7 +1,7 @@
 """Command-line interface: JSON documents in, JSON documents out.
 
-Exit codes: 0 success, 2 an ``InputError`` (nothing is written), 3 a
-``NumericalCondition`` (its document, or an error document, is written).
+Exit codes: 0 success, 2 an ``InputError`` or an unwritable ``--output`` (nothing
+is written), 3 a ``NumericalCondition`` (its document, or an error document, is written).
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ def _emit(args, doc) -> None:
     text = germio.dump_json(doc)
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.output}: {exc}") from exc
 
 
 def _read(path: str, read, *args):
@@ -181,15 +184,7 @@ def _cmd_orbit(args, cfg: RunConfig) -> dict:
     except ValueError as exc:
         raise ValidationError(f"--point: {exc}") from exc
     z = germio.json_to_point(point, element.n, "--point")
-    annulus = None
-    if args.annulus_inner is not None or args.annulus_outer is not None:
-        if args.annulus_inner is None or args.annulus_outer is None:
-            raise ValidationError("--annulus-inner and --annulus-outer go together")
-        annulus = (args.annulus_inner, args.annulus_outer)
-    points, diagnostics = orbit(element, z, args.iterations,
-                                ball_radius=args.ball_radius, annulus=annulus,
-                                seed=cfg.seed)
-    return germio.orbit_document(points, diagnostics)
+    return germio.orbit_document(*orbit(element, z, args.iterations))
 
 
 def _cmd_verify(args, cfg: RunConfig) -> dict:
@@ -244,12 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "holonomy", _cmd_holonomy, normal_form,
              "holonomy generator of the quotient defined by a germ", "germ")
-    p = _command(sub, "orbit", _cmd_orbit, _config_parser(("seed",)),
-                 "iterate a group element with contraction diagnostics", "element")
+    p = _command(sub, "orbit", _cmd_orbit, output,
+                 "iterate a group element: the orbit's points and norms", "element")
     p.add_argument("--point", required=True, help="start point as JSON [[re, im], ...]")
     p.add_argument("--iterations", type=int, default=10)
-    for flag in ("--ball-radius", "--annulus-inner", "--annulus-outer"):
-        p.add_argument(flag, type=float)
     _command(sub, "verify", _cmd_verify, _config_parser(),
              "recompute a germ's normal form and verify the conjugacy", "germ")
     return parser
@@ -260,16 +253,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FLAGS})
-        doc = args.handler(args, cfg)
+        try:
+            doc, condition = args.handler(args, cfg), None
+        except NumericalCondition as exc:
+            condition = exc
+            doc = exc.document or {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        _emit(args, doc)   # an unwritable --output is refused like any input
     except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except NumericalCondition as exc:
-        _emit(args, exc.document or {"error": {"type": type(exc).__name__, "message": str(exc)}})
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    _emit(args, doc)
-    return 0
+    if condition is not None:
+        print(f"{type(condition).__name__}: {condition}", file=sys.stderr)
+    return 0 if condition is None else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ValidationError
-from .gx_group import GroupElement, OrbitDiagnostics
+from .gx_group import GroupElement
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
 from .normal_form import ConjugacyReport, GermInput, NormalFormResult
 from .polymap import PolyJet, TermKey, _linear_terms
@@ -226,7 +226,7 @@ def parse_group_element(doc: Any) -> GroupElement:
     spectrum = analyze_spectrum(json_to_matrix(doc["spectrum_matrix"], n, "spectrum_matrix"))
     tau = json_to_point(doc.get("tau", [[0.0, 0.0]] * n), n, "tau")
     map_doc = _fields(doc.get("map"), "degree terms", "'map'")
-    degree = map_doc.get("degree", max(1, spectrum.degree_bound))
+    degree = map_doc.get("degree", spectrum.degree_bound)
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'map.degree' must be a positive integer")
     jet = PolyJet(n, degree, json_to_terms(map_doc.get("terms", []), n, degree, "map"))
@@ -243,24 +243,8 @@ def certify_map(jet: PolyJet, spectrum: SpectrumData, where: str) -> SubResonant
                           f"offenders: {certified[:4]}")
 
 
-def orbit_document(points: np.ndarray, diagnostics: OrbitDiagnostics) -> dict:
-    doc = {
-        "points": [point_to_json(p) for p in points],
-        "norms": list(diagnostics.norms),
-        "entered_ball_at": diagnostics.entered_ball_at,
-        "ratio_bound": diagnostics.ratio_bound,
-        "ratios_after_entry": list(diagnostics.ratios_after_entry),
-        "ratio_certified": diagnostics.ratio_certified,
-    }
-    if diagnostics.annulus is not None:
-        doc["annulus"] = {
-            "inner": diagnostics.annulus.inner,
-            "outer": diagnostics.annulus.outer,
-            "max_image_norm": diagnostics.annulus.max_image_norm,
-            "separated": diagnostics.annulus.separated,
-            "certified": diagnostics.annulus.certified,
-        }
-    return doc
+def orbit_document(points: np.ndarray, norms) -> dict:
+    return {"points": [point_to_json(p) for p in points], "norms": list(norms)}
 
 
 # -- file handling --------------------------------------------------------

@@ -4,8 +4,8 @@ Elements are pairs ``(tau, h)`` acting as ``z -> tau + h(z)`` with ``h``
 sub-resonant and invertible at the origin; the translation part is a normal
 subgroup.  The normal form of a contracting germ gives the generator
 ``(0, P)`` whose cyclic action on punctured space defines the associated
-quotient manifold; orbit diagnostics check the contraction at the level of
-sampled points.
+quotient manifold.  :func:`orbit` returns an orbit's points and norms and
+certifies nothing: neither a contraction ratio nor a fundamental domain.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from .errors import DimensionMismatch, NoConvergence, SingularLinearPart, Valida
 from .normal_form import NormalFormResult, _row_norms
 from .polymap import PolyJet, _check_invertible, compose_truncated
 from .subresonance import SubResonantMap, _certify_or_raise, sr_compose, sr_inverse
-
-# Number of seeded points at which orbit's annulus check samples the annulus.
-ANNULUS_SAMPLES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,36 +85,10 @@ def holonomy_generator(result: NormalFormResult) -> GroupElement:
     return GroupElement(tau=np.zeros(result.spectrum.n, dtype=complex), h=result.normal_form)
 
 
-@dataclass(frozen=True)
-class AnnulusCheck:
-    inner: float
-    outer: float
-    max_image_norm: float
-    separated: bool
-    certified: bool  # contraction ratio alone already forces separation
-
-
-@dataclass(frozen=True)
-class OrbitDiagnostics:
-    norms: tuple[float, ...]
-    entered_ball_at: int | None
-    ratio_bound: float
-    ratios_after_entry: tuple[float, ...]
-    ratio_certified: bool | None   # None when no ratio was checked
-    annulus: AnnulusCheck | None
-
-
-def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
-          annulus: tuple[float, float] | None = None, seed: int = 0):
-    """Points ``z, g(z), ..., g^k(z)`` with contraction diagnostics.
-
-    Norm ratios are compared against ``(1 + |l_n|)/2`` once the orbit is
-    inside the given ball; ``ratio_certified`` is None when no ratio was
-    compared, without a ball or when the orbit never enters it.  When an
-    annulus ``(r, R)`` is given, the image of ``ANNULUS_SAMPLES`` seeded
-    points of the annulus is checked to miss the annulus, so that distinct
-    orbit points cannot collide there; this is reported evidence, not a proof.
-    """
+def orbit(g: GroupElement, z, k: int):
+    """Points ``z, g(z), ..., g^k(z)`` and their norms, as ``(points, norms)``:
+    an array of ``k + 1`` rows and a tuple of ``k + 1`` floats.  An orbit that
+    leaves the float range is refused, not returned."""
     if k < 0:
         raise ValidationError(f"iteration count must be >= 0, got {k}")
     z = np.asarray(z, dtype=complex)
@@ -134,36 +105,4 @@ def orbit(g: GroupElement, z, k: int, *, ball_radius: float | None = None,
         if not finite.all():
             raise NoConvergence(f"the orbit left the float range at step "
                                 f"{int(finite.argmin())} of {k}")
-
-    ratio_bound = (1.0 + float(g.h.spectrum.moduli[-1])) / 2.0
-    entered = next((i for i, norm in enumerate(norms) if norm <= ball_radius), None) \
-        if ball_radius is not None and ball_radius > 0 else None
-    start = len(norms) if entered is None else entered
-    ratios = tuple(norms[i + 1] / norms[i] for i in range(start, len(norms) - 1) if norms[i] > 0)
-    ratio_certified = all(r <= ratio_bound * (1 + 1e-12) for r in ratios) if ratios else None
-
-    annulus_check = None
-    if annulus is not None:
-        inner, outer = annulus
-        if not 0 < inner < outer < np.inf:
-            raise ValidationError("annulus radii must satisfy 0 < r < R < inf")
-        rng = np.random.default_rng(seed)
-        grid = []
-        for _ in range(ANNULUS_SAMPLES):
-            direction = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-            direction /= np.linalg.norm(direction)
-            radius = rng.uniform(inner, outer)
-            grid.append(radius * direction)
-        with np.errstate(over="ignore", invalid="ignore"):
-            image_norms = _row_norms(g.evaluate(np.array(grid)))
-        finite = np.isfinite(image_norms)
-        if not finite.all():
-            raise NoConvergence(f"the annulus image left the float range at sample "
-                                f"{int(finite.argmin())} of {ANNULUS_SAMPLES}")
-        worst = max(image_norms)
-        annulus_check = AnnulusCheck(inner=inner, outer=outer, max_image_norm=worst,
-                                     separated=worst < inner,
-                                     certified=ratio_bound * outer < inner)
-    return points_arr, OrbitDiagnostics(
-        norms=norms, entered_ball_at=entered, ratio_bound=ratio_bound, ratios_after_entry=ratios,
-        ratio_certified=ratio_certified, annulus=annulus_check)
+    return points_arr, norms

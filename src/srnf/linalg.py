@@ -22,9 +22,9 @@ MAX_DIMENSION = 16
 BLOCK_TOL = 1e-9   # relative gap within which two moduli count as equal
 DEFAULT_MARGIN = 1e-9
 
-# Relative window inside which a log-moduli ratio is snapped to the nearest
-# integer, so exact relations like |l1| = |ln|^3 survive floating point.
-_RATIO_SNAP = 1e-9
+# Slack of the sub-resonance test on its permissive side, in log modulus: an
+# exact resonance whose rounded logarithms miss equality by a few ulps passes.
+SR_TOL = 1e-9
 
 
 def require_matrix(matrix) -> np.ndarray:
@@ -45,9 +45,10 @@ class SpectrumData:
 
     ``blocks`` partitions coordinate indices (0-based) into groups of equal
     eigenvalue modulus within ``BLOCK_TOL``, ordered by increasing modulus.
-    ``c0`` is the ceiling of ``ln|l_1| / ln|l_n|`` and bounds the degrees that
-    matter for the normal form; ``degree_bound`` is the floor of the same ratio
-    and bounds the degree of any sub-resonant polynomial.
+    ``c0`` is the ceiling of ``ln|l_1| / ln|l_n| - slack`` and bounds the
+    degrees that matter for the normal form; ``degree_bound``, the floor of the
+    ratio plus ``slack``, is the largest degree of a sub-resonant monomial.
+    ``slack = SR_TOL / -ln|l_n|`` is the sub-resonance slack in ratio units.
     """
 
     n: int
@@ -170,12 +171,13 @@ def analyze_spectrum(T) -> SpectrumData:
     blocks.append(tuple(current))
 
     log_moduli = np.log(moduli)
-    ratio = float(log_moduli[0] / log_moduli[-1])
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= _RATIO_SNAP * max(1.0, abs(ratio)):
-        snapped = float(nearest)
-    else:
-        snapped = ratio
+    low, high = float(log_moduli.min()), float(log_moduli.max())
+    ratio, slack = low / high, SR_TOL / -high
+    # the largest r with z_n^r e_1 sub-resonant: the closed form can round past
+    # a boundary by one, so subresonance._subresonant_mask's own test decides
+    degree_bound = math.floor(ratio + slack) + 1
+    while low > degree_bound * high + SR_TOL:
+        degree_bound -= 1
     return SpectrumData(
         n=n,
         T=T.copy(),
@@ -183,8 +185,8 @@ def analyze_spectrum(T) -> SpectrumData:
         moduli=moduli,
         log_moduli=log_moduli,
         blocks=tuple(blocks),
-        c0=int(math.ceil(snapped)),
-        degree_bound=int(math.floor(snapped)),
+        c0=math.ceil(ratio - slack),
+        degree_bound=degree_bound,
     )
 
 

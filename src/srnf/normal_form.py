@@ -219,7 +219,7 @@ def _poincare_dulac(germ: GermInput, ingested: tuple, cfg: RunConfig) -> NormalF
     phi = PolyJet.identity(spectrum.n, D)
     check_size(split_positions(spectrum.n, D), MAX_SPLIT_POSITIONS,
                f"the split through degree {D} for n={spectrum.n}", "normal form", "positions")
-    normal_jet = PolyJet.from_linear(spectrum.T, max(1, spectrum.degree_bound))
+    normal_jet = PolyJet.from_linear(spectrum.T, spectrum.degree_bound)
     # powers of phi (under F) and of P (under phi), extended as h_q and R_q arrive
     phi_powers, normal_powers = _PowerTable(spectrum.n, D), _PowerTable(spectrum.n, D)
     phi_powers.reveal(phi.terms)

@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatch,
     SpectrumMismatch,
 )
-from .linalg import SpectrumData, same_spectrum
+from .linalg import SR_TOL, SpectrumData, same_spectrum
 from .polymap import (
     PolyJet,
     TermKey,
@@ -30,10 +30,6 @@ from .polymap import (
     compose_truncated,
     jet_inverse,
 )
-
-# Slack of the sub-resonance test on its permissive side, in log modulus: an
-# exact resonance whose rounded logarithms miss equality by a few ulps passes.
-SR_TOL = 1e-9
 
 # Coefficients above this magnitude where the group law forces zero (beyond
 # the degree bound of a composition, nonlinear in ``F o F^{-1}``) mean a
@@ -145,7 +141,7 @@ def sr_compose(F: SubResonantMap, G: SubResonantMap, *, shift=None) -> SubResona
         raise CertificationFailure(
             f"composition produced degree > {bound} terms of size {worst:.3g}",
             offenders=list(excess))
-    return _certify_or_raise(composed.truncated(max(bound, 1)), spectrum, "sr_compose")
+    return _certify_or_raise(composed.truncated(bound), spectrum, "sr_compose")
 
 
 def sr_inverse(F: SubResonantMap) -> SubResonantMap:
@@ -158,7 +154,7 @@ def sr_inverse(F: SubResonantMap) -> SubResonantMap:
     above ``_EXCESS_RTOL`` times the same term of ``|F| o |F^{-1}|``: large
     coefficients leave rounding residues above any absolute bound.
     """
-    bound = max(1, F.spectrum.degree_bound)
+    bound = F.spectrum.degree_bound
     inverse = _certify_or_raise(jet_inverse(F.jet, bound), F.spectrum, "sr_inverse")
     excess = {key: abs(c) for key, c in sr_compose(F, inverse).jet.terms.items()
               if sum(key[0]) > 1 and abs(c) > _EXCESS_TOL}

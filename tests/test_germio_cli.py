@@ -386,9 +386,8 @@ class TestCliOverflow:
         (["verify", "{residual}"], 3, "the residual check through degree 8 left the float range"),
         (["orbit", "{norms}", "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]", "--iterations", "1"],
          3, "the orbit left the float range at step 1 of 1"),
-        (["orbit", "{norms}", "--point", POINT, "--iterations", "0",
-          "--annulus-inner", "0.1", "--annulus-outer", "0.2"],
-         3, "the annulus image left the float range at sample 0 of 64"),
+        # nothing is sampled beyond the orbit: zero steps of that element stay in range
+        (["orbit", "{norms}", "--point", POINT, "--iterations", "0"], 0, None),
         (["orbit", "{g1}", "--point", POINT, "--iterations", "1000"],
          3, "the orbit left the float range at step 986 of 1000"),
         (["orbit", "{shift}", "--point", POINT, "--iterations", "1"],
@@ -759,14 +758,6 @@ class TestCliSubcommands:
         assert err.startswith(f"ValidationError: {bad}: 'map': map is not sub-resonant")
         assert good not in err
 
-    @pytest.mark.parametrize("inner, outer", [("1", "inf"), ("0", "1"), ("1", "0.5")])
-    def test_orbit_annulus_radii_out_of_range(self, capsys, inner, outer):
-        code, out, err = run_cli(["orbit", str(DATA / "group_g1.json"), "--point",
-                                  "[[0.1, 0], [0.1, 0], [0.1, 0]]", "--annulus-inner", inner,
-                                  "--annulus-outer", outer], capsys)
-        assert code == 2 and out == ""
-        assert err == "ValidationError: annulus radii must satisfy 0 < r < R < inf\n"
-
     def test_orbit_refusal_names_the_element(self, tmp_path, capsys):
         bad = self.not_subresonant_element(tmp_path)
         code, out, err = run_cli(["orbit", bad, "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]"],
@@ -1135,8 +1126,9 @@ def accepted_settings() -> dict[str, set[str]]:
 
 class TestCliFlags:
     """Each command accepts only the settings it reads; ``--block-tol``,
-    ``--sr-tol`` and ``--trunc-degree``, retired settings, stay among the
-    probes and no command accepts them."""
+    ``--sr-tol`` and ``--trunc-degree``, retired settings, and orbit's retired
+    ``--ball-radius``, ``--annulus-inner``, ``--annulus-outer`` and ``--seed``
+    stay among the probes and no command accepts them."""
 
     def test_each_command_accepts_only_the_settings_it_reads(self, capsys):
         accepted = accepted_settings()
@@ -1146,9 +1138,9 @@ class TestCliFlags:
                                            "p_max"},
             **{command: {"output"} for command in ("check-sr", "enumerate-sr", "group mul",
                                                    "group inv", "m-matrix")},
-            "orbit": {"seed", "output"}}
+            "orbit": {"output"}}
         assert len(accepted) == 9
-        assert sum(map(len, accepted.values())) == 21
+        assert sum(map(len, accepted.values())) == 20
 
     @pytest.mark.parametrize("argv", [
         ["normal-form", str(DATA / "hopf.json"), "--cauchy-tol", "1e-9"],
@@ -1167,6 +1159,10 @@ class TestCliFlags:
         ["normal-form", str(DATA / "hopf.json"), "--trunc-degree", "5"],
         ["holonomy", str(DATA / "hopf.json"), "--trunc-degree", "5"],
         ["verify", str(DATA / "hopf.json"), "--trunc-degree", "5"],
+        # orbit returns its points and norms only: no ball, ratio or annulus check
+        *(["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
+           flag, value] for flag, value in [("--ball-radius", "1"), ("--annulus-inner", "0.1"),
+                                            ("--annulus-outer", "0.2"), ("--seed", "1")]),
     ])
     def test_an_unread_flag_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1205,6 +1201,36 @@ def test_check_sr_refuses_near_resonant_terms(tmp_path, capsys):
     assert np.all((7.9e-7 < margins) & (margins < 8.1e-7))
 
 
+class TestUnwritableOutput:
+    """An ``--output`` that cannot be written is invalid input: exit 2 with a
+    message naming the path, the exit-3 error document included."""
+
+    def test_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.json")
+        code, out, err = run_cli(["normal-form", str(DATA / "hopf.json"), "--output", path],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: cannot write {path}: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_a_directory(self, tmp_path, capsys):
+        code, out, err = run_cli(["group", "inv", str(DATA / "group_g1.json"),
+                                  "--output", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: cannot write {tmp_path}: ")
+
+    def test_the_error_document(self, tmp_path, capsys):
+        # the orbit of TestCliOverflow leaves the float range: exit 3 where writable
+        argv = ["orbit", str(DATA / "group_g1.json"), "--point", TestCliOverflow.POINT,
+                "--iterations", "1000", "--output"]
+        code, out, err = run_cli(argv + [str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ValidationError: cannot write {tmp_path}: ")
+        code, _, err = run_cli(argv + [str(tmp_path / "error.json")], capsys)
+        assert code == 3 and err.startswith("NoConvergence: ")
+        assert set(json.loads((tmp_path / "error.json").read_text())) == {"error"}
+
+
 class TestExitCodes:
     def test_every_error_class_has_one_exit_code(self):
         expected = {
@@ -1231,8 +1257,6 @@ class TestExitCodes:
         (["verify", str(DATA / "hopf.json"), "--cauchy-tol", "inf"], "cauchy_tol"),
         (["verify", str(DATA / "hopf.json"), "--sample-radius", "-0.1"], "sample_radius"),
         (["verify", str(DATA / "hopf.json"), "--seed", "-1"], "seed"),
-        (["orbit", str(DATA / "group_g1.json"), "--point", "[[0.1, 0], [0.1, 0], [0.1, 0]]",
-          "--seed", "-1"], "seed"),
     ])
     def test_a_setting_out_of_range_is_exit_2(self, capsys, argv, field):
         code, out, err = run_cli(argv, capsys)
@@ -1264,7 +1288,7 @@ def test_library_tolerances_default_to_run_config():
     assert default == RunConfig().res_tol
     # equal moduli are grouped and ordered within one fixed tolerance, not a setting
     assert "block_tol" not in inspect.signature(analyze_spectrum).parameters
-    # sub-resonance has one fixed slack, subresonance.SR_TOL, not a setting: the
+    # sub-resonance has one fixed slack, linalg.SR_TOL, not a setting: the
     # only tolerances a function or method of the package takes are these two
     modules = (cli, config, errors, germio, gx_group, homological, linalg, normal_form,
                polymap, subresonance)

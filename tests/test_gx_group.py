@@ -14,7 +14,6 @@ from conftest import (
 from srnf import germio, gx_group, subresonance
 from srnf.errors import SingularLinearPart, SpectrumMismatch
 from srnf.gx_group import (
-    AnnulusCheck,
     GroupElement,
     group_inv,
     group_mul,
@@ -251,8 +250,8 @@ class TestHolonomy:
 class TestOrbit:
     def test_fixed_point(self):
         g = GroupElement(tau=np.zeros(2), h=certified(RESONANT_H))
-        points, diag = orbit(g, np.zeros(2), 5)
-        assert np.all(points == 0)
+        points, norms = orbit(g, np.zeros(2), 5)
+        assert np.all(points == 0) and norms == (0.0,) * 6
 
     def test_hand_iteration(self):
         g = GroupElement(tau=np.zeros(2), h=certified(RESONANT_H))
@@ -265,62 +264,27 @@ class TestOrbit:
         s = analyze_spectrum(np.diag([0.5, 0.5]).astype(complex))
         g = GroupElement(tau=np.zeros(2), h=certified(PolyJet.from_linear(s.T, 1), s))
         z = np.array([0.6, 0.8], dtype=complex)
-        points, diag = orbit(g, z, 6)
-        for k, norm in enumerate(diag.norms):
+        points, norms = orbit(g, z, 6)
+        for k, norm in enumerate(norms):
             assert norm == 2.0 ** (-k) * 1.0
 
     def test_contraction_diagnostics(self):
+        # inside the contraction ball each step shrinks the norm by the certified ratio
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
         generator = holonomy_generator(result)
         z = 0.5 * result.contraction_radius * np.array([1.0, 1.0]) / np.sqrt(2)
-        points, diag = orbit(generator, z, 12, ball_radius=result.contraction_radius)
-        assert diag.entered_ball_at == 0
-        assert diag.ratio_certified
-        assert all(r <= diag.ratio_bound for r in diag.ratios_after_entry)
+        points, norms = orbit(generator, z, 12)
+        assert len(points) == len(norms) == 13
+        for k in range(12):
+            assert norms[k + 1] <= result.contraction_ratio * norms[k]
 
-    def test_no_ball_checks_no_ratio(self):
+    def test_document_holds_the_points_and_norms_only(self):
         g = GroupElement(tau=np.zeros(2), h=certified(RESONANT_H))
-        points, diag = orbit(g, np.array([0.0, 1.0]), 3)
-        assert diag.ratios_after_entry == () and diag.ratio_certified is None
-        assert germio.orbit_document(points, diag)["ratio_certified"] is None
-
-    def test_orbit_outside_the_ball_checks_no_ratio(self):
-        g = GroupElement(tau=np.zeros(2), h=certified(RESONANT_H))
-        points, diag = orbit(g, np.array([0.0, 1.0]), 3, ball_radius=1e-3)
-        assert diag.entered_ball_at is None
-        assert diag.ratios_after_entry == () and diag.ratio_certified is None
-        assert '"ratio_certified": null' in germio.dump_json(germio.orbit_document(points, diag))
-
-    def test_annulus_separation(self):
-        # ratio bound (1 + 0.5)/2 = 0.75, so 0.75 * R < r certifies
-        s = analyze_spectrum(np.diag([0.4, 0.5]).astype(complex))
-        g = GroupElement(tau=np.zeros(2), h=certified(PolyJet.from_linear(s.T, 1), s))
-        _, diag = orbit(g, np.array([0.8, 0.5]), 2, annulus=(0.76, 1.0))
-        assert diag.annulus.certified
-        assert diag.annulus.separated
-        assert diag.annulus.max_image_norm <= 0.5 + 1e-12
-
-    @pytest.mark.parametrize("samples", [gx_group.ANNULUS_SAMPLES])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_annulus_batch_equals_per_sample_loop(self, samples, seed):
-        result = poincare_dulac(GermInput(jet=HOPF_GERM))
-        generator = holonomy_generator(result)
-        rng = np.random.default_rng(seed)
-        shifted = GroupElement(tau=0.01 * (rng.normal(size=2) + 1j * rng.normal(size=2)),
-                               h=generator.h)
-        inner, outer = 0.5 * result.contraction_radius, result.contraction_radius
-        for g in (generator, shifted):
-            _, diag = orbit(g, np.array([0.01, 0.02]), 3, annulus=(inner, outer), seed=seed)
-            draw = np.random.default_rng(seed)
-            worst = 0.0
-            for _ in range(samples):
-                direction = draw.normal(size=2) + 1j * draw.normal(size=2)
-                direction /= np.linalg.norm(direction)
-                radius = draw.uniform(inner, outer)
-                worst = max(worst, float(np.linalg.norm(g.evaluate(radius * direction))))
-            assert diag.annulus == AnnulusCheck(
-                inner=inner, outer=outer, max_image_norm=worst, separated=worst < inner,
-                certified=diag.ratio_bound * outer < inner)
+        points, norms = orbit(g, np.array([0.0, 1.0]), 3)
+        doc = germio.orbit_document(points, norms)
+        assert set(doc) == {"points", "norms"}
+        assert doc["points"][1] == [[1.0, 0.0], [0.5, 0.0]]
+        assert doc["norms"] == list(norms)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -340,7 +304,6 @@ class TestOrbit:
         if r0 <= 0:
             return
         z = random_point(rng, 2, 0.9 * r0)
-        points, diag = orbit(generator, z, 15, ball_radius=r0)
-        bound = diag.ratio_bound
-        for k, norm in enumerate(diag.norms):
-            assert norm <= r0 * bound ** k * (1 + 1e-9)
+        points, norms = orbit(generator, z, 15)
+        for k in range(15):
+            assert norms[k + 1] <= result.contraction_ratio * norms[k]

@@ -24,7 +24,7 @@ def run_script(name: str, *args: str) -> list[str]:
 
 def test_hopf_demo():
     lines = run_script("hopf_demo.py")
-    assert lines[-1] == "contraction certified at ratio <= 0.75: True"
+    assert lines[-1] == "  k=8: (0.000488281+0j, 0.00390625+0j)  |.| = 0.00393665"
 
 
 def test_sr_survey():

@@ -181,6 +181,53 @@ class TestMask:
         assert subresonant_offenders(PolyJet(2, 3, {((0, 3), 0): 1.0}), s) == []
 
 
+class TestDegreeBound:
+    """``degree_bound`` is the largest degree with a sub-resonant monomial, by
+    the one test ``_subresonant_mask`` makes, also where the ratio
+    ``ln|l_1| / ln|l_n|`` misses an integer by less than the test's slack."""
+
+    @pytest.mark.parametrize("modulus", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("offset", [0, 1e-12, -1e-12, 1e-10, -1e-10, 5e-7, -5e-7])
+    def test_the_basis_ends_at_the_bound(self, modulus, k, offset):
+        s = analyze_spectrum(np.diag([modulus ** (k + offset), modulus]).astype(complex))
+        assert enumerate_subresonant_basis(s, s.degree_bound) != ()
+        assert enumerate_subresonant_basis(s, s.degree_bound + 1) == ()
+        assert s.c0 >= s.degree_bound and s.c0 - (k + offset) < 1
+
+    def test_boundaries_the_closed_form_rounds_apart(self):
+        # ln|l_1| a few ulps either side of k ln|l_2| + SR_TOL, where the closed
+        # form floor(ratio + slack) and the mask disagree in some cases
+        rng = np.random.default_rng(3)
+        for modulus in rng.uniform(0.05, 0.999, 40):
+            high = np.log(modulus)
+            for k in (2, 3, 4):
+                edge = k * high + subresonance.SR_TOL
+                for low in [edge, *np.nextafter(edge, [0, -1]),
+                            edge + 4e-16 * high, edge - 4e-16 * high]:
+                    s = analyze_spectrum(np.diag([np.exp(low), modulus]).astype(complex))
+                    assert enumerate_subresonant_basis(s, s.degree_bound) != ()
+                    assert enumerate_subresonant_basis(s, s.degree_bound + 1) == ()
+
+    def test_a_germ_with_a_near_integer_ratio_verifies(self, tmp_path, capsys):
+        # l_1 = 0.999^(3 - 5e-7): z2^3 e1 is sub-resonant within the slack, so P
+        # keeps it, and degree_bound 3 lets the composition check keep it too
+        l2 = 0.999
+        terms = [((1, 0), 1, l2 ** (3 - 5e-7)), ((0, 1), 2, l2), ((0, 3), 1, 0.3),
+                 ((0, 2), 1, 0.1), ((1, 1), 1, 0.2)]
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps({"dimension": 2, "degree": 4, "coordinates": "adapted",
+                                    "terms": [{"exponents": e, "component": c, "coeff": [v, 0]}
+                                              for e, c, v in terms]}))
+        assert main(["normal-form", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["spectrum"]["degree_bound"] == 3
+        assert any(t["exponents"] == [0, 3] for t in result["normal_form"]["terms"])
+        # the straightening contracts by about 0.999 a step: 60 steps are too few
+        assert main(["verify", str(path), "--p-max", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["straightened_max"] < 1e-10
+
+
 class TestEnumerate:
     def test_degree_one(self):
         basis = enumerate_subresonant_basis(QUARTER_HALF, 1)
