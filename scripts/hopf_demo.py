@@ -59,7 +59,7 @@ def main() -> int:
               f"smallest divisor {step.divisor_min:.4g}")
     print("normal form P:", result.normal_form.jet)
     print("conjugator phi:", result.phi)
-    print(f"coefficient residual: {result.residuals.coefficient_max:.3e}")
+    print(f"coefficient residual: {result.coefficient_max:.3e}")
 
     report = verify_conjugacy(germ, result)
     print(f"pointwise residual (polynomial stage): {report.pointwise_max:.3e}")

@@ -31,7 +31,7 @@ from .gx_group import (
     translate_conjugate,
 )
 from .homological import SplitResult, build_matrix, split_homogeneous
-from .linalg import SpectrumData, analyze_spectrum, rescale_nilpotent, triangularize
+from .linalg import SpectrumData, analyze_spectrum, triangularize
 from .normal_form import (
     ConjugacyReport,
     GermInput,

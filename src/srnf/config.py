@@ -27,6 +27,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p_max", "sample_count", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         for name in ("res_tol", "cauchy_tol", "sample_radius"):
             if not 0 < getattr(self, name) < math.inf:   # NaN fails both comparisons
                 raise ValidationError(f"{name} must be finite and positive")

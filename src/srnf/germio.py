@@ -21,7 +21,7 @@ from .gx_group import GroupElement
 from .linalg import MAX_DIMENSION, SpectrumData, analyze_spectrum
 from .normal_form import ConjugacyReport, GermInput, NormalFormResult
 from .polymap import PolyJet, TermKey, _linear_terms
-from .subresonance import SubResonantMap, certify_subresonant
+from .subresonance import certify_subresonant
 
 # -- low-level scalar helpers -------------------------------------------
 
@@ -86,8 +86,7 @@ def json_to_terms(data, n: int, degree: int, where: str) -> dict[TermKey, comple
     terms: dict[TermKey, complex] = {}
     for t, record in enumerate(data):
         label = f"{where}: term {t + 1}"
-        if not isinstance(record, dict):
-            raise ValidationError(f"{label}: expected an object")
+        _fields(record, "exponents component coeff", label)
         try:
             exponents = record["exponents"]
             component = record["component"]
@@ -136,7 +135,10 @@ def parse_germ_document(doc: Any) -> GermInput:
     terms = json_to_terms(doc.get("terms", []), n, degree, "germ")
     if "linear_matrix" in doc:
         matrix = json_to_matrix(doc["linear_matrix"], n, "linear_matrix")
-        terms = {key: coeff for key, coeff in terms.items() if sum(key[0]) != 1}
+        linear = [t for t, key in enumerate(terms, 1) if sum(key[0]) == 1]
+        if linear:
+            raise ValidationError(f"germ: term {linear[0]}: a degree-1 term, but "
+                                  "'linear_matrix' gives the linear part")
         terms.update(_linear_terms(matrix))
     return GermInput(jet=PolyJet(n, degree, terms),
                      coordinates=doc.get("coordinates", "adapted"))
@@ -177,7 +179,7 @@ def result_document(result: NormalFormResult) -> dict:
         },
         "steps": steps,
         "residuals": {
-            "coefficient_max": result.residuals.coefficient_max,
+            "coefficient_max": result.coefficient_max,
         },
         "contraction_ball": {
             "radius": result.contraction_radius,
@@ -189,7 +191,7 @@ def result_document(result: NormalFormResult) -> dict:
 
 def report_document(report: ConjugacyReport) -> dict:
     return {
-        "coefficient_max": report.residuals.coefficient_max,
+        "coefficient_max": report.coefficient_max,
         "polynomial_pointwise": list(report.pointwise),
         "polynomial_max": report.pointwise_max,
         "straightened_pointwise": list(report.straightened_pointwise),
@@ -230,17 +232,7 @@ def parse_group_element(doc: Any) -> GroupElement:
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValidationError("'map.degree' must be a positive integer")
     jet = PolyJet(n, degree, json_to_terms(map_doc.get("terms", []), n, degree, "map"))
-    return GroupElement(tau=tau, h=certify_map(jet, spectrum, "'map'"))
-
-
-def certify_map(jet: PolyJet, spectrum: SpectrumData, where: str) -> SubResonantMap:
-    """``jet``, a map read from ``where``, certified sub-resonant for ``spectrum``:
-    a map from outside that fails is invalid input, a ``ValidationError``."""
-    certified = certify_subresonant(jet, spectrum)
-    if isinstance(certified, SubResonantMap):
-        return certified
-    raise ValidationError(f"{where}: map is not sub-resonant for the reference spectrum; "
-                          f"offenders: {certified[:4]}")
+    return GroupElement(tau=tau, h=certify_subresonant(jet, spectrum, "'map'", ValidationError))
 
 
 def orbit_document(points: np.ndarray, norms) -> dict:

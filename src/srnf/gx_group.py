@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, SingularLinearPart, ValidationError
 from .normal_form import NormalFormResult, _row_norms
 from .polymap import PolyJet, _check_invertible, compose_truncated
-from .subresonance import SubResonantMap, _certify_or_raise, sr_compose, sr_inverse
+from .subresonance import SubResonantMap, certify_subresonant, sr_compose, sr_inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +32,7 @@ class GroupElement:
         if tau.shape != (self.h.jet.n,):
             raise DimensionMismatch(
                 f"translation shape {tau.shape} does not match n={self.h.jet.n}")
-        _check_invertible(self.h.linear_part(), SingularLinearPart, "group element map part")
+        _check_invertible(self.h.jet.linear_part(), SingularLinearPart, "group element map part")
         object.__setattr__(self, "tau", tau)
         self.tau.setflags(write=False)
 
@@ -46,7 +46,7 @@ class GroupElement:
         return self.h.jet.n
 
     def evaluate(self, z) -> np.ndarray:
-        return self.tau + self.h.evaluate(z)
+        return self.tau + self.h.jet.evaluate(z)
 
     def __repr__(self):
         return f"GroupElement(n={self.n}, |tau|={np.linalg.norm(self.tau):.3g})"
@@ -62,21 +62,21 @@ def translate_conjugate(h: SubResonantMap, tau) -> SubResonantMap:
     """
     jet = compose_truncated(h.jet, PolyJet.identity(h.jet.n), h.jet.degree,
                             prune=False, shift=tau)
-    return _certify_or_raise(jet, h.spectrum, "translate_conjugate")
+    return certify_subresonant(jet, h.spectrum, "translate_conjugate")
 
 
 def group_mul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Canonical form ``(tau1 + h1(tau2), h1(tau2 + h2) - h1(tau2))`` of ``z -> g1(g2(z))``;
     its map part is one :func:`sr_compose` shifted by ``tau2``."""
     h = sr_compose(g1.h, g2.h, shift=g2.tau)   # refuses a shift that overflows
-    return GroupElement(tau=g1.tau + g1.h.evaluate(g2.tau), h=h)
+    return GroupElement(tau=g1.tau + g1.h.jet.evaluate(g2.tau), h=h)
 
 
 def group_inv(g: GroupElement) -> GroupElement:
     """Canonical form of the functional inverse ``z -> h^{-1}(z - tau)``."""
     h_inv = sr_inverse(g.h)
     h = translate_conjugate(h_inv, -g.tau)   # refuses a shift that overflows
-    return GroupElement(tau=h_inv.evaluate(-g.tau), h=h)
+    return GroupElement(tau=h_inv.jet.evaluate(-g.tau), h=h)
 
 
 def holonomy_generator(result: NormalFormResult) -> GroupElement:

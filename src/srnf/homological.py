@@ -20,7 +20,6 @@ from .linalg import SpectrumData
 from .polymap import (
     BasisOrdering,
     PolyJet,
-    TermKey,
     _linear_terms,
     _PowerTable,
     _term_arrays,
@@ -131,7 +130,6 @@ class SplitResult:
 
     resonant: PolyJet
     eliminated: PolyJet
-    resonant_positions: tuple[TermKey, ...]
     warnings: tuple[str, ...]
     divisor_min: float
 
@@ -168,7 +166,6 @@ def split_homogeneous(spectrum: SpectrumData, H: PolyJet,
             f"divisor {moduli[failed[-1]]:.3g} at {position} is "
             "resonantly small but the position is not sub-resonant; res_tol and the "
             "log-space tolerance are inconsistent for this spectrum")
-    positions = ordering.positions(resonant_ranks)
     small_ranks = np.flatnonzero(~resonant & (moduli <= SMALL_DIVISOR_REL * scale))[::-1]
     residual = coefficient_vector(H, ordering)
     removed = np.zeros(len(ordering), dtype=complex)
@@ -185,7 +182,6 @@ def split_homogeneous(spectrum: SpectrumData, H: PolyJet,
     return SplitResult(
         resonant=vector_to_part(np.where(resonant, residual, 0), ordering),
         eliminated=vector_to_part(removed, ordering),
-        resonant_positions=tuple(positions),
         warnings=tuple(f"small divisor {moduli[r]:.3g} at position {position}"
                        for r, position in zip(small_ranks, ordering.positions(small_ranks))),
         divisor_min=float(positive.min()) if positive.size else float("inf"),

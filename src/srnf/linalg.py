@@ -3,9 +3,8 @@
 Everything downstream assumes the linear part is upper triangular with
 eigenvalue moduli nondecreasing along the diagonal and strictly inside the
 unit disk.  This module produces that form (unitary Schur change of basis
-plus stable diagonal reordering), groups coordinates into equal-modulus
-blocks, and provides the diagonal rescaling that shrinks the nilpotent part
-below a requested bound.
+plus stable diagonal reordering) and groups coordinates into equal-modulus
+blocks.
 """
 
 from __future__ import annotations
@@ -188,29 +187,3 @@ def analyze_spectrum(T) -> SpectrumData:
         c0=math.ceil(ratio - slack),
         degree_bound=degree_bound,
     )
-
-
-def rescale_nilpotent(T, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal similarity shrinking all strictly-upper entries below ``eps``.
-
-    Returns ``(S, T')`` with ``S = diag(d, d^2, ..., d^n)`` and
-    ``T' = S^{-1} T S``; the diagonal of ``T`` is preserved exactly.
-    """
-    T = require_matrix(T)
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    n = T.shape[0]
-    if np.count_nonzero(np.tril(T, -1)) != 0:
-        raise NotTriangular("rescale_nilpotent expects an upper-triangular matrix")
-    delta = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = abs(T[i, j])
-            if a > eps:
-                delta = min(delta, (eps / a) ** (1.0 / (j - i)))
-    S = np.diag([complex(delta ** (k + 1)) for k in range(n)])
-    scaled = T.copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            scaled[i, j] = T[i, j] * delta ** (j - i)
-    return S, scaled

@@ -27,13 +27,7 @@ from .errors import (
     check_size,
 )
 from .homological import SplitResult, split_homogeneous
-from .linalg import (
-    SpectrumData,
-    analyze_spectrum,
-    rescale_nilpotent,
-    require_matrix,
-    triangularize,
-)
+from .linalg import SpectrumData, analyze_spectrum, require_matrix, triangularize
 from .polymap import (
     NonFiniteCoefficient,
     PolyJet,
@@ -44,7 +38,7 @@ from .polymap import (
     jet_inverse,
     linear_conjugate,
 )
-from .subresonance import SubResonantMap, _certify_or_raise, sr_inverse
+from .subresonance import SubResonantMap, certify_subresonant, sr_inverse
 
 COORDINATE_FRAMES = ("original", "adapted")
 
@@ -85,24 +79,18 @@ class GermInput:
         return self.jet.n
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Residual of the computed conjugacy: the largest coefficient gap between
-    ``F o phi`` and ``phi o P`` through the working degree."""
-
-    coefficient_max: float
-
-
 @dataclass(frozen=True, eq=False)
 class NormalFormResult:
     """``steps`` holds each degree's split: its ``resonant`` part is added to
-    ``P``, its ``eliminated`` part to ``phi``; ``germ`` is the germ as given."""
+    ``P``, its ``eliminated`` part to ``phi``; ``germ`` is the germ as given.
+    ``coefficient_max`` is the residual of the conjugacy, the largest
+    coefficient gap between ``F o phi`` and ``phi o P`` through the working degree."""
 
     spectrum: SpectrumData
     normal_form: SubResonantMap
     steps: tuple[SplitResult, ...]
     phi: PolyJet
-    residuals: ResidualReport
+    coefficient_max: float
     basis_change: np.ndarray
     germ: GermInput
     germ_adapted: PolyJet
@@ -145,10 +133,16 @@ def contraction_ball(spectrum: SpectrumData, jet: PolyJet) -> tuple[float, float
     The radius is pulled back conservatively to the adapted frame.
     """
     lam_max = float(spectrum.moduli[-1])
-    eps_request = min(0.05, (1.0 - lam_max) / 8.0)
-    S, scaled_T = rescale_nilpotent(spectrum.T, eps_request)
-    delta = float(np.real(S[0, 0]))
-    eps_achieved = float(np.max(np.abs(np.triu(scaled_T, 1)))) if spectrum.n > 1 else 0.0
+    eps = min(0.05, (1.0 - lam_max) / 8.0)
+    n, T = spectrum.n, spectrum.T
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # diag(delta, ..., delta^n) scales entry (i, j) by delta^(j - i), to at most eps
+    delta = min([(eps / abs(T[i, j])) ** (1.0 / (j - i)) for i, j in upper
+                 if abs(T[i, j]) > eps], default=1.0)
+    scaled = np.triu(T, 1)
+    for i, j in upper:
+        scaled[i, j] *= delta ** (j - i)
+    eps_achieved = float(np.max(np.abs(scaled)))
     # Nonlinear coefficient mass in the rescaled frame: the coefficient of
     # z^I e_j picks up the factor delta^(w(I) - (j+1)), w(I) = sum (k+1) i_k.
     mass = np.zeros(spectrum.n)
@@ -244,18 +238,17 @@ def _poincare_dulac(germ: GermInput, ingested: tuple, cfg: RunConfig) -> NormalF
                 normal_powers.reveal(split.resonant.terms)
     del phi_powers, normal_powers   # free the blocks before the residual recomposes
 
-    normal_form = _certify_or_raise(normal_jet, spectrum, "normal form output")
+    normal_form = certify_subresonant(normal_jet, spectrum, "normal form output")
 
     with _float_range(lambda: f"the residual check through degree {D} left the float range"):
         radius, ratio = contraction_ball(spectrum, adapted_full)
-        residuals = ResidualReport(
-            conjugacy_coefficient_residual(adapted_full, phi, normal_form.jet, D))
+        coefficient_max = conjugacy_coefficient_residual(adapted_full, phi, normal_form.jet, D)
     return NormalFormResult(
         spectrum=spectrum,
         normal_form=normal_form,
         steps=tuple(steps),
         phi=phi,
-        residuals=residuals,
+        coefficient_max=coefficient_max,
         basis_change=Q,
         germ=germ,
         germ_adapted=adapted_full,
@@ -338,14 +331,14 @@ def _straighten(F: PolyJet, P_inv: PolyJet, pullback: PolyJet, Y: np.ndarray,
 class ConjugacyReport:
     """Coefficient- and point-level evidence for one computed conjugacy.
 
-    ``residuals`` is the normal form's own report, the coefficient gap.
+    ``coefficient_max`` is the normal form's coefficient gap.
     ``pointwise`` and ``straightened_pointwise`` hold the residuals at each
     row of ``sample_points``, drawn at ``sample_radius``; a straightened
     residual is ``None`` where the straightening iteration did not stabilize
     within ``p_max`` steps at that sample.
     """
 
-    residuals: ResidualReport
+    coefficient_max: float
     sample_radius: float
     sample_points: np.ndarray
     pointwise: tuple[float, ...]
@@ -377,7 +370,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
                      cfg: RunConfig = RunConfig()) -> ConjugacyReport:
     """Check ``F o phi = phi o P`` in coefficients and at sample points.
 
-    The report holds ``result.residuals``, the coefficient gap.  This
+    The report holds ``result.coefficient_max``, the coefficient gap.  This
     function draws ``cfg.sample_count`` seeded points and adds, at each, the
     polynomial-stage residual ``||F(phi(z)) - phi(P(z))||`` and the
     straightened residual ``||g(F(z)) - P(g(z))||``, in adapted coordinates,
@@ -421,7 +414,7 @@ def verify_conjugacy(germ: GermInput, result: NormalFormResult,
     with _float_range(lambda: f"the amplification estimate |l_1|^-p_used left the float "
                               f"range at p_used = {p_used}"):
         amplification = float(spectrum.moduli[0]) ** -p_used if p_used else 1.0
-    return ConjugacyReport(residuals=result.residuals, sample_radius=radius, sample_points=Z,
-                           pointwise=tuple(pointwise),
+    return ConjugacyReport(coefficient_max=result.coefficient_max, sample_radius=radius,
+                           sample_points=Z, pointwise=tuple(pointwise),
                            straightened_pointwise=tuple(straightened),
                            amplification_estimate=amplification)

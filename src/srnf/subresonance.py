@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificationFailure,
-    DimensionMismatch,
-    SpectrumMismatch,
-)
+from .errors import CertificationFailure, DimensionMismatch, SpectrumMismatch, SrnfError
 from .linalg import SR_TOL, SpectrumData, same_spectrum
 from .polymap import (
     PolyJet,
@@ -77,7 +73,8 @@ def subresonant_offenders(jet: PolyJet, spectrum: SpectrumData) -> list[TermKey]
 
 @dataclass(frozen=True, eq=False)
 class SubResonantMap:
-    """A jet whose every stored monomial passed the sub-resonance test."""
+    """A jet whose every stored monomial passed the sub-resonance test, made
+    only by :func:`certify_subresonant`."""
 
     jet: PolyJet
     spectrum: SpectrumData
@@ -87,37 +84,25 @@ class SubResonantMap:
             return NotImplemented
         return self.jet == other.jet and same_spectrum(self.spectrum, other.spectrum)
 
-    def linear_part(self) -> np.ndarray:
-        return self.jet.linear_part()
-
-    def evaluate(self, z) -> np.ndarray:
-        return self.jet.evaluate(z)
-
     def __repr__(self):
         return f"SubResonantMap(n={self.jet.n}, terms={len(self.jet.terms)})"
 
 
-def certify_subresonant(jet: PolyJet, spectrum: SpectrumData):
-    """Certify every stored monomial of ``jet``.
-
-    Returns a :class:`SubResonantMap` on success and the complete list of
-    offending ``(multi-index, component)`` positions otherwise; failure is a
-    value, not an exception.
+def certify_subresonant(jet: PolyJet, spectrum: SpectrumData, where: str,
+                        error: type[SrnfError] = CertificationFailure) -> SubResonantMap:
+    """``jet`` as a :class:`SubResonantMap` once every stored monomial passes
+    the test; otherwise ``error`` naming ``where`` and the first four offending
+    ``(multi-index, component)`` positions, all of them in its ``offenders``.
+    The default is for a map that must pass by theory; a map read from
+    outside is refused with ``ValidationError``.
     """
     offenders = subresonant_offenders(jet, spectrum)
     if offenders:
-        return offenders
+        failure = error(f"{where}: map is not sub-resonant for the reference spectrum; "
+                        f"offenders: {offenders[:4]}{'...' if len(offenders) > 4 else ''}")
+        failure.offenders = tuple(offenders)
+        raise failure
     return SubResonantMap(jet=jet, spectrum=spectrum)
-
-
-def _certify_or_raise(jet: PolyJet, spectrum: SpectrumData, context: str) -> SubResonantMap:
-    result = certify_subresonant(jet, spectrum)
-    if isinstance(result, SubResonantMap):
-        return result
-    raise CertificationFailure(
-        f"{context}: result failed sub-resonance certification at {result[:4]}"
-        f"{'...' if len(result) > 4 else ''}",
-        offenders=result)
 
 
 def sr_compose(F: SubResonantMap, G: SubResonantMap, *, shift=None) -> SubResonantMap:
@@ -141,7 +126,7 @@ def sr_compose(F: SubResonantMap, G: SubResonantMap, *, shift=None) -> SubResona
         raise CertificationFailure(
             f"composition produced degree > {bound} terms of size {worst:.3g}",
             offenders=list(excess))
-    return _certify_or_raise(composed.truncated(bound), spectrum, "sr_compose")
+    return certify_subresonant(composed.truncated(bound), spectrum, "sr_compose")
 
 
 def sr_inverse(F: SubResonantMap) -> SubResonantMap:
@@ -155,7 +140,7 @@ def sr_inverse(F: SubResonantMap) -> SubResonantMap:
     coefficients leave rounding residues above any absolute bound.
     """
     bound = F.spectrum.degree_bound
-    inverse = _certify_or_raise(jet_inverse(F.jet, bound), F.spectrum, "sr_inverse")
+    inverse = certify_subresonant(jet_inverse(F.jet, bound), F.spectrum, "sr_inverse")
     excess = {key: abs(c) for key, c in sr_compose(F, inverse).jet.terms.items()
               if sum(key[0]) > 1 and abs(c) > _EXCESS_TOL}
     if excess:

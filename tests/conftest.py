@@ -12,7 +12,7 @@ from srnf.germio import terms_to_json
 from srnf.gx_group import GroupElement
 from srnf.linalg import SpectrumData, analyze_spectrum
 from srnf.polymap import PolyJet
-from srnf.subresonance import SubResonantMap, enumerate_subresonant_basis
+from srnf.subresonance import certify_subresonant, enumerate_subresonant_basis
 
 
 def multi_indices(n: int, degree: int):
@@ -114,7 +114,7 @@ def identity_element(spectrum: SpectrumData) -> GroupElement:
     """The identity ``(0, id)`` of the group for ``spectrum``."""
     ident = PolyJet.identity(spectrum.n, max(1, spectrum.degree_bound))
     return GroupElement(tau=np.zeros(spectrum.n, dtype=complex),
-                        h=SubResonantMap(jet=ident, spectrum=spectrum))
+                        h=certify_subresonant(ident, spectrum, "identity"))
 
 
 def jet_document(jet: PolyJet, coordinates: str = "adapted") -> dict:

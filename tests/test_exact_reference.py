@@ -96,7 +96,7 @@ def test_translate_conjugate_matches_exact_reference(seed, n, kind):
     rng = np.random.default_rng(seed)
     # degree bounds up to 5
     s = random_spectrum(rng, n, max_ratio=5.4, qmax=5)
-    h = certify_subresonant(random_sr_map(rng, s), s)
+    h = certify_subresonant(random_sr_map(rng, s), s, "test map")
     tau = {"real": 0.6 * rng.normal(size=n),
            "complex": 0.6 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
            "zero": np.zeros(n)}[kind].astype(complex)
@@ -114,7 +114,7 @@ def test_translate_conjugate_matches_exact_reference(seed, n, kind):
 def test_group_mul_matches_exact_reference(seed, n, kind):
     rng = np.random.default_rng(seed)
     s = random_spectrum(rng, n, max_ratio=5.4, qmax=5)
-    h1, h2 = (certify_subresonant(random_sr_map(rng, s), s) for _ in range(2))
+    h1, h2 = (certify_subresonant(random_sr_map(rng, s), s, "test map") for _ in range(2))
     tau1, tau2 = ({"real": 0.6 * rng.normal(size=n),
                    "complex": 0.6 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
                    "zero": np.zeros(n)}[kind].astype(complex) for _ in range(2))

@@ -87,8 +87,8 @@ class TestRoundTrip:
         b = germio.dump_json(jet_document(PolyJet(2, 2, dict(jet.terms))))
         assert a == b
 
-    def test_linear_matrix_overrides_degree_one_terms(self):
-        doc = dict(HOPF_DOC)
+    def test_linear_matrix_gives_the_linear_part(self):
+        doc = dict(HOPF_DOC, terms=[t for t in HOPF_DOC["terms"] if sum(t["exponents"]) > 1])
         doc["linear_matrix"] = [[[0.125, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         germ = germio.parse_germ_document(doc)
         assert coefficient(germ.jet, (1, 0), 0) == 0.125
@@ -739,13 +739,12 @@ class TestCliSubcommands:
         calls = []
 
         def spy(*args):
-            calls.append(args[-1])
-            return certify_map(*args)
+            calls.append(args[2:])
+            return certify_subresonant(*args)
 
-        certify_map = germio.certify_map
-        monkeypatch.setattr(germio, "certify_map", spy)
+        monkeypatch.setattr(germio, "certify_subresonant", spy)
         code, out, err = run_cli(["group", "inv", path], capsys)
-        assert code == 2 and out == "" and calls == ["'map'"]
+        assert code == 2 and out == "" and calls == [("'map'", ValidationError)]
         assert err == (f"ValidationError: {path}: 'map': map is not sub-resonant for the "
                        "reference spectrum; offenders: [((2, 0, 0), 2)]\n")
 
@@ -830,6 +829,25 @@ class TestCliSubcommands:
         assert code == 2 and out == ""
         assert err.startswith(f"ValidationError: {path}: {where}: unknown key {new!r}; "
                               "expected keys are ")
+
+    def test_unknown_term_key_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "hopf.json").read_text())
+        doc["terms"][0]["coef"] = [1, 0]
+        path = write_doc(tmp_path, "bad.json", doc)
+        code, out, err = run_cli(["normal-form", path], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ValidationError: {path}: germ: term 1: unknown key 'coef'; "
+                       "expected keys are exponents component coeff\n")
+
+    def test_linear_matrix_beside_degree_one_terms_is_exit_2(self, tmp_path, capsys):
+        # the terms' own linear part, 0.25 and 0.5, is not silently replaced
+        doc = json.loads((DATA / "hopf.json").read_text())
+        doc["linear_matrix"] = [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.0]]]
+        path = write_doc(tmp_path, "bad.json", doc)
+        code, out, err = run_cli(["normal-form", path], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"ValidationError: {path}: germ: term 1: a degree-1 term, but "
+                       "'linear_matrix' gives the linear part\n")
 
     def test_check_sr_dimension_mismatch_names_both_documents(self, capsys):
         hopf, coupled = str(DATA / "hopf.json"), str(DATA / "coupled_n3.json")
@@ -1262,6 +1280,12 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"ValidationError: {field} must be ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_max", 2.5), ("sample_count", 2.5), ("seed", 1.5), ("p_max", True)])
+    def test_a_count_that_is_not_an_integer_is_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value}$"):
+            RunConfig(**{field: value})
 
 
 class TestConsoleEntry:

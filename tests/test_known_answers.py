@@ -13,6 +13,13 @@ In the triangular monomial basis the operator's diagonal vanishes exactly at
 the resonant positions, so back-substitution makes that split unique degree
 by degree: srnf must return this ``P`` and this ``Phi``, up to rounding.
 
+``coupled-n3-original`` gives the coupled germ in original coordinates
+``x = U z``, ``U`` a seeded unitary, so that srnf's Schur step runs.  The
+eigenvalues are distinct, so srnf's basis change ``Q`` is ``U`` up to a
+torus: ``D = Q^H U`` is diagonal up to rounding, and srnf must return the
+chosen ``P`` and ``Phi`` conjugated by it, ``D P(D^H z)`` and ``D Phi(D^H z)``;
+its seeded draw reads at most 14 of the units below.
+
 ``F`` is built with ``perfbench/oracles.Jets`` (dense arrays summed by
 ``np.bincount``), which shares no code with srnf.  ``Phi^{-1}`` is the fixed
 point ``psi = id - (Phi - id) o psi``: ``Phi - id`` starts at degree 2, so each
@@ -120,10 +127,29 @@ def distances(jets: Jets, got: dict, chosen: np.ndarray, F: np.ndarray) -> list[
             for d in range(1, jets.D + 1)]
 
 
-@pytest.fixture(scope="module", params=list(CASES))
+def original_twin(jets: Jets, F: np.ndarray, P: np.ndarray, Phi: np.ndarray):
+    """srnf's result for ``x -> U F(U^H x)`` and ``(F, P, Phi)`` conjugated by
+    the torus ``D = Q^H U`` of srnf's basis change ``Q``."""
+    n = jets.n
+    U = np.linalg.qr(np.random.default_rng([14, n, 1]).normal(size=(n, n, 2)) @ [1, 1j])[0]
+    G = jets.compose(jets.array(linear_poly(U)),
+                     jets.compose(F, jets.array(linear_poly(U.conj().T))))
+    result = poincare_dulac(GermInput(jet=PolyJet(n, jets.D, jets.poly(G)),
+                                      coordinates="original"))
+    D = result.basis_change.conj().T @ U
+    assert np.abs(D - np.diag(np.diag(D))).max() < 1e-12
+    d = np.diag(D) / np.abs(np.diag(D))
+    torus, torus_inv = (jets.array(linear_poly(np.diag(t))) for t in (d, d.conj()))
+    return tuple(jets.compose(torus, jets.compose(A, torus_inv)) for A in (F, P, Phi)), result
+
+
+@pytest.fixture(scope="module", params=[*CASES, "coupled-n3-original"])
 def case(request):
-    jets, F, P, Phi = construct(request.param)
-    result = poincare_dulac(GermInput(jet=PolyJet(jets.n, jets.D, jets.poly(F))))
+    jets, F, P, Phi = construct(request.param.removesuffix("-original"))
+    if request.param.endswith("-original"):
+        (F, P, Phi), result = original_twin(jets, F, P, Phi)
+    else:
+        result = poincare_dulac(GermInput(jet=PolyJet(jets.n, jets.D, jets.poly(F))))
     return jets, F, P, Phi, result
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import char_poly_coeffs, random_spectrum
 import srnf
 from srnf.errors import NoConvergence, NotContracting, NotTriangular, ValidationError
-from srnf.linalg import analyze_spectrum, rescale_nilpotent, triangularize
+from srnf.linalg import analyze_spectrum, triangularize
 
 
 def random_unitary(rng, n):
@@ -188,38 +188,6 @@ class TestAnalyzeSpectrum:
         assert np.array_equal(again.diag, s.diag)
         assert again.blocks == s.blocks
         assert again.c0 == s.c0
-
-
-class TestRescaleNilpotent:
-    def test_diagonal_untouched(self):
-        T = np.diag([0.25, 0.5]).astype(complex)
-        S, scaled = rescale_nilpotent(T, 0.01)
-        assert np.array_equal(S, np.eye(2))
-        assert np.array_equal(scaled, T)
-
-    def test_two_by_two(self):
-        T = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
-        S, scaled = rescale_nilpotent(T, 0.01)
-        assert abs(scaled[0, 1]) <= 0.01
-        assert scaled[0, 0] == 0.5 and scaled[1, 1] == 0.5
-        # direct conjugation by diag(d, d^2) reproduces the scaled matrix
-        assert np.allclose(np.linalg.inv(S) @ T @ S, scaled, atol=1e-15)
-
-    def test_three_dim_jordan_like(self):
-        T = np.diag([0.3, 0.3, 0.3]).astype(complex)
-        T[0, 1] = 1.0
-        T[1, 2] = 2.0
-        T[0, 2] = 5.0
-        S, scaled = rescale_nilpotent(T, 0.1)
-        upper = np.triu(scaled, 1)
-        assert np.max(np.abs(upper)) <= 0.1 + 1e-15
-        assert np.array_equal(np.diag(scaled), np.diag(T))
-
-    def test_eigenvalues_exactly_preserved(self):
-        T = np.array([[0.2, 0.7, -0.3], [0.0, 0.4, 2.2], [0.0, 0.0, 0.6]],
-                     dtype=complex)
-        _, scaled = rescale_nilpotent(T, 1e-3)
-        assert np.array_equal(np.diag(scaled), np.diag(T))
 
 
 # Runs ``python -m srnf`` as runpy does, then lists the scipy modules loaded.

@@ -21,6 +21,7 @@ from srnf import germio, normal_form
 from srnf.config import RunConfig
 from srnf.errors import DimensionMismatch, NotContracting, ValidationError
 from srnf.homological import split_homogeneous
+from srnf.linalg import analyze_spectrum
 from srnf.normal_form import (
     GermInput,
     conjugate_step,
@@ -35,7 +36,7 @@ from srnf.polymap import (
     compose_truncated,
     jet_inverse,
 )
-from srnf.subresonance import SubResonantMap, certify_subresonant, sr_inverse
+from srnf.subresonance import sr_inverse, subresonant_offenders
 
 HOPF_GERM = PolyJet(2, 3, {
     ((1, 0), 0): 0.25, ((1, 1), 0): 1.0, ((0, 2), 0): 1.0,
@@ -100,7 +101,7 @@ class TestPipeline:
         result = poincare_dulac(GermInput(jet=PolyJet.from_linear(T, 1)))
         assert result.normal_form.jet == PolyJet.from_linear(T, 1)
         assert result.phi == PolyJet.identity(2)
-        assert result.residuals.coefficient_max == 0.0
+        assert result.coefficient_max == 0.0
 
     def test_resonant_hopf_example(self):
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
@@ -109,7 +110,7 @@ class TestPipeline:
         assert abs(coefficient(P, (0, 2), 0) - 1.0) < 1e-12
         assert coefficient(P, (1, 0), 0) == 0.25
         assert coefficient(P, (0, 1), 1) == 0.5
-        assert result.residuals.coefficient_max < 1e-10
+        assert result.coefficient_max < 1e-10
         assert result.phi.linear_part() == pytest.approx(np.eye(2))
 
     def test_one_dimensional_always_linearizes(self):
@@ -136,7 +137,7 @@ class TestPipeline:
         assert np.allclose(np.abs(np.diag(result.spectrum.T)), [0.25, 0.5], atol=1e-10)
         Q = result.basis_change
         assert np.allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
-        assert result.residuals.coefficient_max < 1e-10
+        assert result.coefficient_max < 1e-10
 
     def test_tail_terms_beyond_working_degree(self):
         # degree-4 tail is part of the germ for pointwise evaluation but the
@@ -170,14 +171,14 @@ class TestPipeline:
         spectrum, F = random_contracting_germ(rng, n, 3)
         result = poincare_dulac(GermInput(jet=F))
         P = result.normal_form
-        assert isinstance(certify_subresonant(P.jet, result.spectrum), SubResonantMap)
+        assert not subresonant_offenders(P.jet, result.spectrum)
         allowed = set()
         for q in range(2, result.spectrum.degree_bound + 1):
             allowed |= set(resonant_positions(result.spectrum, q))
         nonlinear = {k for k in P.jet.terms if sum(k[0]) >= 2}
         assert nonlinear <= allowed
         scale = max(1.0, result.germ_adapted.max_abs_coeff())
-        assert result.residuals.coefficient_max < 1e-10 * scale
+        assert result.coefficient_max < 1e-10 * scale
 
 
 def reference_normal_form(germ: GermInput, cfg: RunConfig = RunConfig()) -> PolyJet:
@@ -206,6 +207,25 @@ def resonant_germ(rng, powers, *, coupling=0.3):
     jet = random_jet(rng, n, D, density=0.6, scale=0.5, invertible_linear=False)
     terms = {k: c for k, c in jet.terms.items() if sum(k[0]) >= 2}
     return PolyJet.from_linear(T, 1) + PolyJet(n, D, terms)
+
+
+class TestContractionBall:
+    """``diag(delta, ..., delta^n)`` takes every entry of ``T`` above the
+    diagonal to at most ``eps = min(0.05, (1 - |l_n|) / 8)``, and a linear
+    germ's radius is ``delta^n``."""
+
+    @pytest.mark.parametrize("T, delta", [
+        (np.diag([0.25, 0.5]), 1.0),
+        ([[0.5, 1.0], [0.0, 0.5]], 0.05),
+        # entries 1, 5 and 2 at distances 1, 2 and 1: the 2 sets delta = eps / 2
+        ([[0.3, 1.0, 5.0], [0.0, 0.3, 2.0], [0.0, 0.0, 0.3]], 0.025),
+    ])
+    def test_linear_germ(self, T, delta):
+        spectrum = analyze_spectrum(np.array(T, dtype=complex))
+        radius, ratio = normal_form.contraction_ball(spectrum,
+                                                     PolyJet.from_linear(spectrum.T, 1))
+        assert radius == pytest.approx(delta ** spectrum.n, rel=1e-12)
+        assert ratio == (1.0 + spectrum.moduli[-1]) / 2.0
 
 
 class TestDirectScheme:
@@ -253,9 +273,9 @@ class TestDirectScheme:
         monkeypatch.setattr(normal_form, "conjugate_step", forbidden)
         monkeypatch.setattr(normal_form, "jet_inverse", forbidden)
         result = poincare_dulac(GermInput(jet=HOPF_C0_4))
-        assert result.trunc_degree == 5 and result.residuals.coefficient_max < 1e-10
+        assert result.trunc_degree == 5 and result.coefficient_max < 1e-10
         germ = GermInput(jet=resonant_germ(np.random.default_rng(3), (4, 2, 1)))
-        assert poincare_dulac(germ).residuals.coefficient_max < 1e-10
+        assert poincare_dulac(germ).coefficient_max < 1e-10
 
     @pytest.mark.parametrize("D", [3, 5])
     def test_compositions_only_in_closing_residual(self, monkeypatch, D):
@@ -398,20 +418,20 @@ class TestVerify:
         germ = GermInput(jet=PolyJet.from_linear(T, 1))
         result = poincare_dulac(germ)
         report = verify_conjugacy(germ, result)
-        assert report.residuals.coefficient_max <= 1e-14
+        assert report.coefficient_max <= 1e-14
         assert report.pointwise_max <= 1e-14
 
     def test_hopf_example(self):
         germ = GermInput(jet=HOPF_GERM)
         result = poincare_dulac(germ)
         report = verify_conjugacy(germ, result)
-        assert report.residuals.coefficient_max < 1e-10
+        assert report.coefficient_max < 1e-10
         assert report.straightened_max < 1e-8
 
     def test_report_holds_the_normal_form_residuals(self):
         germ = GermInput(jet=HOPF_GERM)
         result = poincare_dulac(germ)
-        assert verify_conjugacy(germ, result).residuals is result.residuals
+        assert verify_conjugacy(germ, result).coefficient_max == result.coefficient_max
 
     def test_germ_of_another_dimension_is_refused(self):
         result = poincare_dulac(GermInput(jet=HOPF_GERM))
@@ -462,7 +482,7 @@ class TestVerify:
         germ = coupled_n3()
         monkeypatch.setattr(np.random, "default_rng", refuse)
         result = poincare_dulac(germ, RunConfig(seed=1, sample_count=20))
-        assert result.residuals.coefficient_max < 1e-10
+        assert result.coefficient_max < 1e-10
         with pytest.raises(AssertionError, match="drew a random number"):
             verify_conjugacy(germ, result)
 
@@ -564,7 +584,7 @@ class TestBatchedStraightening:
         result = poincare_dulac(germ, cfg)
         report = verify_conjugacy(germ, result, cfg=cfg)
         poly_res, straightened, points, amplification = reference_verify(result, cfg)
-        assert report.residuals.coefficient_max == result.residuals.coefficient_max
+        assert report.coefficient_max == result.coefficient_max
         assert report.pointwise == poly_res
         assert report.pointwise_max == max(poly_res)
         assert report.straightened_pointwise == straightened

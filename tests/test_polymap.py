@@ -487,7 +487,8 @@ class TestOnlineBlocks:
         elif user == "translate_conjugate":
             # a table whose g has constant terms, made through the cap at once
             spectrum = analyze_spectrum(np.diag([0.125, 0.25, 0.5]).astype(complex))
-            h = certify_subresonant(random_sr_map(np.random.default_rng(5), spectrum), spectrum)
+            h = certify_subresonant(random_sr_map(np.random.default_rng(5), spectrum), spectrum,
+                                    "test map")
             translate_conjugate(h, np.array([0.3, -0.2j, 0.4 + 0.1j]))
         else:
             document = json.loads((DATA / "coupled_n3.json").read_text(encoding="utf-8"))
@@ -758,7 +759,7 @@ class TestTermOrder:
         degree = max(1, spectrum.degree_bound)
 
         def results(F, G):
-            f, g = certify_subresonant(F, spectrum), certify_subresonant(G, spectrum)
+            f, g = (certify_subresonant(jet, spectrum, "test map") for jet in (F, G))
             return [compose_truncated(F, G, degree), compose_truncated(F, G, degree, prune=False),
                     compose_truncated(F, G, degree * degree, shift=tau), jet_inverse(F, degree),
                     translate_conjugate(f, tau).jet, sr_compose(f, g).jet,
@@ -785,7 +786,8 @@ class TestTermOrder:
                 compose_truncated(f, g, degree * degree, shift=shift),
                 jet_inverse(f, degree), linear_conjugate(f, Q, degree)]
         spectrum = random_spectrum(rng, n, max_ratio=4.5)
-        F, G = (certify_subresonant(random_sr_map(rng, spectrum), spectrum) for _ in range(2))
+        F, G = (certify_subresonant(random_sr_map(rng, spectrum), spectrum, "test map")
+                for _ in range(2))
         jets += [sr_compose(F, G).jet, sr_compose(F, G, shift=shift).jet, sr_inverse(F).jet,
                  translate_conjugate(F, shift).jet]
         if degree >= 2:

@@ -1,7 +1,9 @@
 """Every function, method, class and module-level constant that ``src/srnf/``
 defines is used by srnf itself, its scripts or its benchmark, and every
 ``RunConfig`` field is read there as ``cfg.<field>``: what only the tests use
-belongs in the tests, and a retired setting leaves no dead constant or field."""
+belongs in the tests, and a retired setting leaves no dead constant or field.
+No method only forwards to the same method of an attribute: callers read the
+attribute instead."""
 
 import ast
 import dataclasses
@@ -82,3 +84,37 @@ def test_every_run_config_field_is_read_outside_config():
     read = {node.attr for node in nodes() if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
     assert [field.name for field in dataclasses.fields(RunConfig) if field.name not in read] == []
+
+
+def forwarding_methods(source: str, where: str) -> list[str]:
+    """The non-dunder methods of the classes in ``source`` whose body, a
+    docstring aside, is only ``return self.<attr>.<the method's own name>(...)``."""
+    out = []
+    for cls in (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)):
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or dunder(method.name):
+                continue
+            body = method.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+                    and isinstance(body[0].value.value, str):
+                body = body[1:]
+            match body:
+                case [ast.Return(value=ast.Call(func=ast.Attribute(
+                        attr=name, value=ast.Attribute(value=ast.Name(id="self")))))] \
+                        if name == method.name:
+                    out.append(f"{cls.name}.{method.name} ({where}:{method.lineno})")
+    return out
+
+
+def test_forwarding_guard_finds_a_forwarding_method():
+    source = ("class Wrapper:\n"
+              "    def evaluate(self, z):\n        'doc'\n        return self.jet.evaluate(z)\n"
+              "    def degree(self):\n        return self.jet.max_degree()\n")
+    assert forwarding_methods(source, "x.py") == ["Wrapper.evaluate (x.py:2)"]
+
+
+def test_no_method_in_src_only_forwards_to_an_attribute():
+    assert [found for path in sorted(PACKAGE.glob("*.py"))
+            for found in forwarding_methods(path.read_text(encoding="utf-8"),
+                                            f"src/srnf/{path.name}")] == []

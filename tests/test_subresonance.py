@@ -23,13 +23,13 @@ from srnf.errors import (
     CertificationFailure,
     SingularLinearPart,
     SpectrumMismatch,
+    ValidationError,
 )
 from srnf.germio import parse_germ_document
 from srnf.linalg import analyze_spectrum
 from srnf.normal_form import poincare_dulac
 from srnf.polymap import PolyJet, jet_inverse
 from srnf.subresonance import (
-    SubResonantMap,
     certify_subresonant,
     enumerate_subresonant_basis,
     sr_compose,
@@ -41,9 +41,7 @@ QUARTER_HALF = analyze_spectrum(np.diag([0.25, 0.5]).astype(complex))
 
 
 def certified(jet, spectrum):
-    out = certify_subresonant(jet, spectrum)
-    assert isinstance(out, SubResonantMap), f"expected certification, got {out}"
-    return out
+    return certify_subresonant(jet, spectrum, "test map")
 
 
 def monomial_type(index, spectrum) -> tuple[int, ...]:
@@ -59,7 +57,7 @@ def block_triangular(A, spectrum) -> bool:
 
 
 def linear_certified(A, spectrum) -> bool:
-    return isinstance(certify_subresonant(PolyJet.from_linear(A), spectrum), SubResonantMap)
+    return not subresonant_offenders(PolyJet.from_linear(A), spectrum)
 
 
 class TestMonomialType:
@@ -261,16 +259,30 @@ class TestEnumerate:
 class TestCertify:
     def test_linear_part_itself(self):
         jet = PolyJet.from_linear(QUARTER_HALF.T)
-        assert isinstance(certify_subresonant(jet, QUARTER_HALF), SubResonantMap)
+        assert certify_subresonant(jet, QUARTER_HALF, "test map").jet is jet
 
     def test_resonant_map(self):
         jet = PolyJet(2, 2, {((1, 0), 0): 0.25, ((0, 2), 0): 1.0, ((0, 1), 1): 0.5})
-        assert isinstance(certify_subresonant(jet, QUARTER_HALF), SubResonantMap)
+        assert certify_subresonant(jet, QUARTER_HALF, "test map").jet is jet
 
     def test_offender_reported(self):
         jet = PolyJet(2, 2, {((1, 0), 0): 0.25, ((0, 1), 1): 0.5, ((2, 0), 1): 1.0})
-        outcome = certify_subresonant(jet, QUARTER_HALF)
-        assert outcome == [((2, 0), 1)]
+        message = r"^test map: map is not sub-resonant .*: \[\(\(2, 0\), 1\)\]$"
+        with pytest.raises(CertificationFailure, match=message) as info:
+            certify_subresonant(jet, QUARTER_HALF, "test map")
+        assert info.value.offenders == (((2, 0), 1),)
+
+    def test_error_type_and_first_four_offenders(self):
+        # every nonlinear term of e2 fails: the message names four, the error holds all five
+        jet = PolyJet(2, 3, {((1, 0), 0): 0.25, ((0, 1), 1): 0.5, ((2, 0), 1): 1.0,
+                             ((3, 0), 1): 1.0, ((2, 1), 1): 1.0, ((1, 2), 1): 1.0,
+                             ((1, 1), 1): 1.0})
+        offenders = subresonant_offenders(jet, QUARTER_HALF)
+        assert len(offenders) == 5
+        with pytest.raises(ValidationError) as info:
+            certify_subresonant(jet, QUARTER_HALF, "'map'", ValidationError)
+        assert str(info.value).endswith(f"offenders: {offenders[:4]}...")
+        assert info.value.offenders == tuple(offenders)
 
 
 class TestCompose:
@@ -329,11 +341,11 @@ class TestInverse:
     def test_linear_diagonal(self):
         L = certified(PolyJet.from_linear(QUARTER_HALF.T), QUARTER_HALF)
         inv = sr_inverse(L)
-        assert np.allclose(inv.linear_part(), np.diag([4.0, 2.0]), atol=1e-14)
+        assert np.allclose(inv.jet.linear_part(), np.diag([4.0, 2.0]), atol=1e-14)
 
     def test_singular_linear_part(self):
         jet = PolyJet(2, 2, {((1, 0), 0): 1.0, ((0, 2), 0): 1.0})
-        h = SubResonantMap(jet=jet, spectrum=QUARTER_HALF)
+        h = certified(jet, QUARTER_HALF)
         with pytest.raises(SingularLinearPart):
             sr_inverse(h)
 
@@ -395,9 +407,9 @@ def check_inverse(F):
     blocks, and inverts ``F`` on both sides by the test-side composition."""
     s = F.spectrum
     inv = sr_inverse(F)
-    assert isinstance(certify_subresonant(inv.jet, s), SubResonantMap)
+    assert not subresonant_offenders(inv.jet, s)
     assert inv.jet.max_degree() <= s.degree_bound
-    assert block_triangular(inv.linear_part(), s)
+    assert block_triangular(inv.jet.linear_part(), s)
     identity = PolyJet.identity(s.n).terms
     cap = max(1, s.degree_bound) ** 2
     for f, g in ((F.jet, inv.jet), (inv.jet, F.jet)):
